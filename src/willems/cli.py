@@ -39,7 +39,12 @@ from .multiagent import (
     sweep_to_csv,
 )
 from .parameterize import parameterize
-from .predictive import InfeasibleStep, PredictiveConfig, run_closed_loop
+from .predictive import (
+    InfeasibleStep,
+    PredictiveConfig,
+    excitation_order,
+    run_closed_loop,
+)
 from .subspace import (
     HypothesisViolated,
     Verdict,
@@ -241,6 +246,10 @@ def cmd_deepc(cfg: dict, out_dir: str, seed: int) -> int:
     controller = cfg.get("controller", "deepc")
     if controller not in ("mpc", "deepc", "both"):
         raise ConfigError(f"unknown controller '{controller}'")
+    try:
+        excitation_order(sys_, pcfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     log = run_closed_loop(sys_, pcfg, controller, seed)
     log_path = _out_path(out_dir, "closed_loop.csv")
     log.to_csv(log_path)

@@ -149,20 +149,19 @@ def response_operators(sys: LtiSystem, L: int) -> ResponseOperators:
         raise ValueError(f"L must be positive, got {L}")
     n, m, p = sys.n, sys.m, sys.p
     obs = np.zeros((p * L, n))
+    # impulse blocks, padded with a leading zero block: 0, D, CB, CAB, ...
+    markov = np.zeros((L + 1, p, m))
+    markov[1] = sys.D
     block = sys.C
     for k in range(L):
         obs[k * p : (k + 1) * p] = block
+        if k + 2 <= L:
+            markov[k + 2] = block @ sys.B
         block = block @ sys.A
-    conv = np.zeros((p * L, m * L))
-    # impulse blocks: D, CB, CAB, ...
-    markov = [sys.D]
-    CAk = sys.C
-    for _ in range(L - 1):
-        markov.append(CAk @ sys.B)
-        CAk = CAk @ sys.A
-    for i in range(L):
-        for j in range(i + 1):
-            conv[i * p : (i + 1) * p, j * m : (j + 1) * m] = markov[i - j]
+    # block (i, j) of the convolution is markov[i - j + 1], zero above the
+    # diagonal
+    lag = np.arange(L)[:, None] - np.arange(L)[None, :] + 1
+    conv = markov[np.maximum(lag, 0)].transpose(0, 2, 1, 3).reshape(p * L, m * L)
     return ResponseOperators(obs, conv)
 
 

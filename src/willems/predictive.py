@@ -6,12 +6,17 @@ Both controllers minimize the same finite-horizon tracking cost
     sum_k (ybar_k - r_k)' Q (ybar_k - r_k) + ubar_k' R ubar_k
 
 over a window that pins the last N measured input/output samples and leaves
-the next L free. The model-based step enforces the state recursion
-explicitly; the data-driven step replaces it with the requirement that the
-whole window be a column combination of the depth-(N+L) block-Hankel matrix
-of a recorded data trajectory. With online data (the prefix of the very
-trajectory being controlled) the two feasible sets coincide, which the
-closed-loop harness can verify side by side.
+the next L free. Both decision vectors end in the same (ubar, ybar) block,
+which carries the cost and the input/output boxes; they differ only in
+their leading block and equality rows. The model-based step leads with the
+window's initial state x_{t-N} and ties the window's outputs to it and to
+the inputs through the observability and Markov-parameter matrices (the
+state recursion is condensed away); the data-driven step leads with the
+column combination g and requires the whole window to be that combination
+of the depth-(N+L) block-Hankel matrix of a recorded data trajectory. With
+online data (the prefix of the very trajectory being controlled) the two
+feasible sets coincide, which the closed-loop harness can verify side by
+side.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ import numpy as np
 from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, _atomic_write, random_input
 from .numerics import as_matrix, as_vector
-from .parameterize import build_trajectory_matrix
-from .qp import QpSolution, QuadraticProgram, solve_qp
+from .parameterize import build_trajectory_matrix, response_operators
+from .qp import QuadraticProgram, solve_qp
 from .subspace import HypothesisViolated
 
 __all__ = [
@@ -150,16 +155,6 @@ class PredictiveConfig:
         )
 
 
-def _cost_blocks(cfg: PredictiveConfig):
-    """Quadratic cost on the stacked (ubar, ybar) block, plus the constant
-    term so reported objectives equal the tracking cost itself."""
-    L = cfg.L
-    Qbar = np.kron(np.eye(L), cfg.Q)
-    Rbar = np.kron(np.eye(L), cfg.R)
-    rvec = cfg.reference()
-    return Qbar, Rbar, rvec, float(rvec @ Qbar @ rvec)
-
-
 def _check_history(history: Trajectory, cfg: PredictiveConfig, t: int):
     if history.outputs is None:
         raise ValueError("history carries no outputs")
@@ -169,11 +164,41 @@ def _check_history(history: Trajectory, cfg: PredictiveConfig, t: int):
         raise ValueError(f"t={t} is below the past-window length N={cfg.N}")
 
 
-def _solve_or_raise(prob: QuadraticProgram, t: int) -> QpSolution:
-    sol = solve_qp(prob)
+def _solve_window(cfg: PredictiveConfig, lead: int, Aeq, beq, t: int):
+    """Solve the tracking QP over the stacked decision vector (lead block,
+    ubar, ybar) subject to Aeq x = beq.
+
+    The lead block (the window's initial state for MPC, the column
+    combination g for DeePC) is free and carries no cost; the tail carries
+    the tracking cost and the input/output boxes. Returns the first input,
+    the tracking cost (the QP objective plus its constant term) and the
+    lead block.
+    """
+    L, m, p = cfg.L, cfg.m, cfg.p
+    nv = lead + L * m + L * p
+    uof = slice(lead, lead + L * m)
+    yof = slice(lead + L * m, nv)
+    Qbar = np.kron(np.eye(L), cfg.Q)
+    Rbar = np.kron(np.eye(L), cfg.R)
+    rvec = cfg.reference()
+
+    P = np.zeros((nv, nv))
+    P[uof, uof] = 2.0 * Rbar
+    P[yof, yof] = 2.0 * Qbar
+    q = np.zeros(nv)
+    q[yof] = -2.0 * Qbar @ rvec
+    lb = np.full(nv, -np.inf)
+    ub = np.full(nv, np.inf)
+    u_lo, u_hi = cfg.input_bounds()
+    y_lo, y_hi = cfg.output_bounds()
+    lb[uof], ub[uof] = np.tile(u_lo, L), np.tile(u_hi, L)
+    lb[yof], ub[yof] = np.tile(y_lo, L), np.tile(y_hi, L)
+
+    sol = solve_qp(QuadraticProgram(P, q, Aeq, beq, lb, ub))
     if sol.status in ("infeasible", "unbounded"):
         raise InfeasibleStep(t, sol.status)
-    return sol
+    const = float(rvec @ Qbar @ rvec)
+    return sol.x[lead : lead + m].copy(), sol.objective + const, sol.x[:lead].copy()
 
 
 def mpc_step(
@@ -181,66 +206,26 @@ def mpc_step(
 ) -> tuple[np.ndarray, float]:
     """One model-based receding-horizon step at time t.
 
-    Decision variables are the window states x_{t-N..t+L-1}, future inputs
-    and future outputs; the past-window dynamics and output equations are
-    pinned to the measured history. Returns the input to apply and the
+    The decision variables are the window's initial state x_{t-N}, the
+    future inputs and the future outputs. With y = O x_{t-N} + G u the
+    window's response (observability matrix O, block-Toeplitz matrix G of
+    the Markov parameters D, CB, CAB, ...), the equality rows pin the N
+    past outputs to the measured history and tie the L future outputs to
+    x_{t-N} and the future inputs. Returns the input to apply and the
     optimal tracking cost.
     """
     _check_history(history, cfg, t)
     n, m, p = sys.n, sys.m, sys.p
     N, L = cfg.N, cfg.L
-    W = N + L
-    nv = W * n + L * m + L * p
-    def xof(k):
-        return slice(k * n, (k + 1) * n)
-
-    def uof(j):
-        return slice(W * n + j * m, W * n + (j + 1) * m)
-
-    def yof(j):
-        return slice(W * n + L * m + j * p, W * n + L * m + (j + 1) * p)
-
-    rows = (W - 1) * n + N * p + L * p
-    Aeq = np.zeros((rows, nv))
-    beq = np.zeros(rows)
-    past_u = history.inputs[t - N : t]
-    past_y = history.outputs[t - N : t]
-    row = 0
-    for k in range(W - 1):
-        Aeq[row : row + n, xof(k + 1)] = np.eye(n)
-        Aeq[row : row + n, xof(k)] = -sys.A
-        if k < N:
-            beq[row : row + n] = sys.B @ past_u[k]
-        else:
-            Aeq[row : row + n, uof(k - N)] = -sys.B
-        row += n
-    for k in range(N):
-        Aeq[row : row + p, xof(k)] = sys.C
-        beq[row : row + p] = past_y[k] - sys.D @ past_u[k]
-        row += p
-    for j in range(L):
-        Aeq[row : row + p, yof(j)] = np.eye(p)
-        Aeq[row : row + p, xof(N + j)] = -sys.C
-        Aeq[row : row + p, uof(j)] = -sys.D
-        row += p
-
-    Qbar, Rbar, rvec, const = _cost_blocks(cfg)
-    P = np.zeros((nv, nv))
-    P[W * n : W * n + L * m, W * n : W * n + L * m] = 2.0 * Rbar
-    P[W * n + L * m :, W * n + L * m :] = 2.0 * Qbar
-    q = np.zeros(nv)
-    q[W * n + L * m :] = -2.0 * Qbar @ rvec
-
-    lb = np.full(nv, -np.inf)
-    ub = np.full(nv, np.inf)
-    u_lo, u_hi = cfg.input_bounds()
-    y_lo, y_hi = cfg.output_bounds()
-    for j in range(L):
-        lb[uof(j)], ub[uof(j)] = u_lo, u_hi
-        lb[yof(j)], ub[yof(j)] = y_lo, y_hi
-
-    sol = _solve_or_raise(QuadraticProgram(P, q, Aeq, beq, lb, ub), t)
-    return sol.x[uof(0)].copy(), sol.objective + const
+    ops = response_operators(sys, N + L)
+    G = ops.convolution
+    rows = (N + L) * p
+    Aeq = np.hstack([ops.observability, G[:, N * m :], -np.eye(rows)[:, N * p :]])
+    beq = np.concatenate(
+        [history.outputs[t - N : t].reshape(-1), np.zeros(L * p)]
+    ) - G[:, : N * m] @ history.inputs[t - N : t].reshape(-1)
+    u0, objective, _ = _solve_window(cfg, n, Aeq, beq, t)
+    return u0, objective
 
 
 def deepc_step(
@@ -269,41 +254,18 @@ def deepc_step(
         )
 
     H = build_trajectory_matrix(dataset, depth)
-    ng = H.shape[1]
-    Hu, Hy = H[: m * depth], H[m * depth :]
-    nv = ng + L * m + L * p
-    uof = slice(ng, ng + L * m)
-    yof = slice(ng + L * m, nv)
-
     rows = depth * (m + p)
-    Aeq = np.zeros((rows, nv))
-    beq = np.zeros(rows)
-    Aeq[: N * m, :ng] = Hu[: N * m]
-    beq[: N * m] = history.inputs[t - N : t].reshape(-1)
-    Aeq[N * m : depth * m, :ng] = Hu[N * m :]
-    Aeq[N * m : depth * m, uof] = -np.eye(L * m)
-    Aeq[depth * m : depth * m + N * p, :ng] = Hy[: N * p]
-    beq[depth * m : depth * m + N * p] = history.outputs[t - N : t].reshape(-1)
-    Aeq[depth * m + N * p :, :ng] = Hy[N * p :]
-    Aeq[depth * m + N * p :, yof] = -np.eye(L * p)
-
-    Qbar, Rbar, rvec, const = _cost_blocks(cfg)
-    P = np.zeros((nv, nv))
-    P[uof, uof] = 2.0 * Rbar
-    P[yof, yof] = 2.0 * Qbar
-    q = np.zeros(nv)
-    q[yof] = -2.0 * Qbar @ rvec
-
-    lb = np.full(nv, -np.inf)
-    ub = np.full(nv, np.inf)
-    u_lo, u_hi = cfg.input_bounds()
-    y_lo, y_hi = cfg.output_bounds()
-    lb[uof], ub[uof] = np.tile(u_lo, L), np.tile(u_hi, L)
-    lb[yof], ub[yof] = np.tile(y_lo, L), np.tile(y_hi, L)
-
-    sol = _solve_or_raise(QuadraticProgram(P, q, Aeq, beq, lb, ub), t)
-    u0 = sol.x[ng : ng + m].copy()
-    return u0, sol.objective + const, sol.x[:ng].copy()
+    future = np.r_[N * m : depth * m, depth * m + N * p : rows]
+    Aeq = np.hstack([H, -np.eye(rows)[:, future]])
+    beq = np.concatenate(
+        [
+            history.inputs[t - N : t].reshape(-1),
+            np.zeros(L * m),
+            history.outputs[t - N : t].reshape(-1),
+            np.zeros(L * p),
+        ]
+    )
+    return _solve_window(cfg, H.shape[1], Aeq, beq, t)
 
 
 @dataclass(frozen=True)
@@ -369,11 +331,28 @@ class ClosedLoopLog:
         _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def excitation_order(sys: LtiSystem, cfg: PredictiveConfig) -> int:
+    """The model-aware order n + N + L the closed loop excites its data at.
+
+    A depth-d input Hankel matrix of T samples has m*d rows and T - d + 1
+    columns, so it can have full row rank only when T >= (m + 1) d - 1;
+    raises ValueError when T is shorter, since no draw could then succeed.
+    """
+    order = sys.n + cfg.N + cfg.L
+    need = (sys.m + 1) * order - 1
+    if cfg.T < need:
+        raise ValueError(
+            f"T={cfg.T} is too short for excitation order {order}: "
+            f"need T >= {need}"
+        )
+    return order
+
+
 def _draw_excitation(sys, cfg, seed):
     """Uniform input draws, retried until the model-aware excitation order
     holds (uniform draws pass with probability 1; the cap guards degenerate
     seeds)."""
-    order = sys.n + cfg.L + cfg.N
+    order = excitation_order(sys, cfg)
     rng = np.random.default_rng(seed)
     for _ in range(_EXCITE_RETRIES):
         u = rng.uniform(

@@ -11,6 +11,10 @@ instead an ADMM sweep (splitting on the stacked constraint matrix, so the
 iteration matrix is positive definite regardless of P and Aeq) localizes the
 active set, and a polish step re-solves the resulting equality-constrained
 program by minimum-norm least squares and verifies the full KKT system.
+The ADMM iteration matrix ``P + sigma I + M' diag(rho) M`` changes only when
+the penalty rho is rebalanced, so it is factored (as an explicit inverse;
+numpy offers no triangular solve) once when the sweep starts and once per
+rebalancing, and every iteration in between reuses that factor.
 Solutions carry the measured KKT residual. Everything is deterministic for
 fixed inputs: fixed starting point, fixed iteration schedule, no
 randomization.
@@ -264,24 +268,10 @@ def _polish(prob: QuadraticProgram, y_box, tol):
 
 
 def solve_qp(
-    prob: QuadraticProgram,
-    tol: float = 1e-8,
-    max_iter: int = 100000,
-    ridge: float = 0.0,
-    ridge_index=None,
+    prob: QuadraticProgram, tol: float = 1e-8, max_iter: int = 100000
 ) -> QpSolution:
-    """Solve the program; see the module docstring for the method.
-
-    `ridge` adds a Tikhonov term on the coordinates in `ridge_index` (all of
-    them when None). It changes the problem and is off by default; singular
-    P is otherwise resolved by the minimum-norm behavior of the polish step.
-    """
-    P = prob.P
-    if ridge > 0.0:
-        P = P.copy()
-        idx = np.arange(prob.n) if ridge_index is None else np.asarray(ridge_index)
-        P[idx, idx] += ridge
-        prob = QuadraticProgram(P, prob.q, prob.Aeq, prob.beq, prob.lb, prob.ub)
+    """Solve the program; see the module docstring for the method. Singular
+    P is resolved by the minimum-norm behavior of the polish step."""
     n = prob.n
     me = 0 if prob.Aeq is None else prob.Aeq.shape[0]
 
@@ -296,7 +286,12 @@ def solve_qp(
     low = np.concatenate([prob.beq, prob.lb]) if me else prob.lb
     high = np.concatenate([prob.beq, prob.ub]) if me else prob.ub
     rho = np.concatenate([np.full(me, _RHO_EQ), np.full(n, _RHO_BOX)])
-    K = prob.P + _SIGMA * np.eye(n) + (M.T * rho) @ M
+
+    def factor(rho):
+        return np.linalg.inv(prob.P + _SIGMA * np.eye(n) + (M.T * rho) @ M)
+
+    K_inv = factor(rho)
+    damp, last_up = 1.0, None
 
     x = np.zeros(n)
     z = np.clip(M @ x, low, high)
@@ -304,13 +299,13 @@ def solve_qp(
     x_mark, y_mark = x.copy(), y.copy()
 
     def admm_phase(eps, start, limit):
-        nonlocal x, z, y, x_mark, y_mark, rho, K
+        nonlocal x, z, y, x_mark, y_mark, rho, K_inv, damp, last_up
         it = start
         while it < limit:
             steps = min(_CHECK_EVERY, limit - it)
             for _ in range(steps):
                 rhs = _SIGMA * x - prob.q + M.T @ (rho * z - y)
-                xt = np.linalg.solve(K, rhs)
+                xt = K_inv @ rhs
                 zt = M @ xt
                 x = _ALPHA * xt + (1.0 - _ALPHA) * x
                 zbar = _ALPHA * zt + (1.0 - _ALPHA) * z
@@ -338,7 +333,10 @@ def solve_qp(
                 return status, it
             x_mark, y_mark = x.copy(), y.copy()
             # rebalance the penalty when one residual has raced ahead of
-            # the other, which otherwise stalls the sweep
+            # the other, which otherwise stalls the sweep; each reversal of
+            # direction halves the step's exponent, so a penalty bouncing
+            # between two values (each overshooting the other residual)
+            # settles between them instead of cycling forever
             prim_rel = r_prim / max(
                 np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0), 1e-12
             )
@@ -350,9 +348,13 @@ def solve_qp(
             )
             ratio = np.sqrt(prim_rel / max(dual_rel, 1e-16))
             if ratio > _BALANCE or ratio < 1.0 / _BALANCE:
-                scale = float(np.clip(ratio, 1e-3, 1e3))
+                up = ratio > 1.0
+                if last_up is not None and up != last_up:
+                    damp *= 0.5
+                last_up = up
+                scale = float(np.clip(ratio, 1e-3, 1e3)) ** damp
                 rho = np.clip(rho * scale, _RHO_MIN, _RHO_MAX)
-                K = prob.P + _SIGMA * np.eye(n) + (M.T * rho) @ M
+                K_inv = factor(rho)
         return "max_iter", it
 
     iterations = 0

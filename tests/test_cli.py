@@ -155,6 +155,20 @@ def test_deepc_single_control_step_when_k_equals_t(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deepc_too_short_data_exits_2_before_drawing(tmp_path, capsys):
+    # fig1 needs excitation order n + N + L = 13 from one input, hence
+    # T >= 2 * 13 - 1 = 25; with T = 24 no draw could ever succeed
+    bundled = json.loads(
+        files("willems").joinpath("configs/fig1_deepc.json").read_text()
+    )
+    bundled["T"] = 24
+    out = tmp_path / "out"
+    assert run(tmp_path, "deepc", bundled, out=out) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "T >= 25" in err
+    assert not out.exists()
+
+
 def test_deepc_infeasible_run_exits_4(tmp_path, capsys):
     cfg = {
         "system": {"A": [[2.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mpc_oracle import state_recursion_mpc
 from willems import (
     HypothesisViolated,
     InfeasibleStep,
@@ -12,9 +13,11 @@ from willems import (
     is_collectively_pe,
     mpc_step,
     random_system,
+    response_operators,
     run_closed_loop,
     simulate,
 )
+from willems.predictive import excitation_order
 from willems.subspace import controllability_matrix
 
 
@@ -129,6 +132,114 @@ def test_deepc_step_gates_on_excitation():
         deepc_step(data, hist, cfg, t=12)
 
 
+def uncontrollable_plant(rng):
+    """Random plant with a controllable block and one or two modes that the
+    input cannot reach but that still drive the outputs."""
+    nc = int(rng.integers(1, 4))
+    nu = int(rng.integers(1, 3))
+    m = int(rng.integers(1, 3))
+    p = int(rng.integers(1, 3))
+    ctrl = random_system(rng, nc, m, p, spectral_radius=0.95)
+    A = np.zeros((nc + nu, nc + nu))
+    A[:nc, :nc] = ctrl.A
+    A[:nc, nc:] = 0.5 * rng.normal(size=(nc, nu))
+    A[nc:, nc:] = np.diag(rng.uniform(-0.9, 0.9, nu))
+    B = np.vstack([ctrl.B, np.zeros((nu, m))])
+    C = rng.normal(size=(p, nc + nu))
+    D = ctrl.D if rng.integers(2) else np.zeros((p, m))
+    return LtiSystem(A, B, C, D)
+
+
+def test_condensed_mpc_matches_state_recursion_oracle():
+    # the condensed step (variables x_{t-N}, ubar, ybar) and the full
+    # state-recursion program solve the same problem; the reference is
+    # pushed beyond the output box so inputs and outputs saturate. The past
+    # window spans at least n samples of a well-observable plant, so the
+    # measured history determines x_{t-N} and the optimum is well posed.
+    rng = np.random.default_rng(2021)
+    cases, done, input_active, both_active = 60, 0, 0, 0
+    while done < cases:
+        sys = uncontrollable_plant(rng)
+        assert np.linalg.matrix_rank(controllability_matrix(sys)) < sys.n
+        N = sys.n + int(rng.integers(0, 2))
+        L = int(rng.integers(2, 6))
+        sv = np.linalg.svd(
+            response_operators(sys, N).observability, compute_uv=False
+        )
+        if sv[-1] < 1e-3 * sv[0]:
+            continue
+        t = N + 3
+        run = simulate(
+            sys, 2.0 * rng.normal(size=sys.n), rng.uniform(-1, 1, (t, sys.m))
+        )
+        hist = Trajectory(run.inputs, outputs=run.outputs)
+        cap = np.abs(hist.outputs).max()
+        cfg = PredictiveConfig(
+            N=N,
+            L=L,
+            Q=np.eye(sys.p),
+            R=0.1 * np.eye(sys.m),
+            r=3.0 * cap * rng.normal(size=sys.p),
+            T=t,
+            K=t,
+            u_min=-2.0,
+            u_max=2.0,
+            y_min=-cap,
+            y_max=cap,
+        )
+        done += 1
+        u_ref, obj_ref, status, ubar, ybar = state_recursion_mpc(sys, hist, cfg, t)
+        if status == "infeasible":
+            # the uncontrollable modes can push the outputs out of the box
+            with pytest.raises(InfeasibleStep):
+                mpc_step(sys, hist, cfg, t)
+            continue
+        u, obj = mpc_step(sys, hist, cfg, t)
+        assert np.abs(u - u_ref).max() <= 1e-7
+        assert obj == pytest.approx(obj_ref, rel=1e-7)
+        u_hit = np.isclose(np.abs(ubar), 2.0, rtol=0, atol=1e-9).any()
+        y_hit = np.isclose(np.abs(ybar), cap, rtol=0, atol=1e-9).any()
+        input_active += u_hit
+        both_active += u_hit and y_hit
+    assert input_active >= cases // 2
+    assert both_active >= cases // 6
+
+
+def test_mpc_step_settles_where_penalty_rebalancing_would_cycle():
+    # on this plant the ADMM penalty, rebalanced at full strength every
+    # check, bounced between two values 35x apart for all 100,000
+    # iterations, the polish could not recover, and the step applied an
+    # input of 1.28 through its unit box
+    A = [[0.73, 0.67, 0.47], [0.25, 0.19, 0.11], [0.0, 0.0, -0.18]]
+    B = [[2.85], [2.23], [0.0]]
+    C = [[1.39, 0.32, 0.55], [0.99, 1.63, 1.23]]
+    D = [[0.15], [0.49]]
+    sys = LtiSystem(np.array(A), np.array(B), np.array(C), np.array(D))
+    run = simulate(
+        sys, [0.42, -2.45, 0.58], [[0.75], [0.92], [-0.93], [-0.73], [0.67], [0.37]]
+    )
+    hist = Trajectory(run.inputs, outputs=run.outputs)
+    cfg = PredictiveConfig(
+        N=3,
+        L=5,
+        Q=np.eye(2),
+        R=np.array([[0.1]]),
+        r=np.array([43.11, 5.16]),
+        T=6,
+        K=6,
+        u_min=-1.0,
+        u_max=1.0,
+        y_min=-11.96,
+        y_max=11.96,
+    )
+    u, obj = mpc_step(sys, hist, cfg, 6)
+    u_ref, obj_ref, status, _, _ = state_recursion_mpc(sys, hist, cfg, 6)
+    assert status == "optimal"
+    assert u[0] == pytest.approx(1.0, abs=1e-7)
+    assert np.abs(u - u_ref).max() <= 1e-7
+    assert obj == pytest.approx(obj_ref, rel=1e-7)
+
+
 def test_controllers_agree_on_random_plants():
     # the data-driven and model-based steps solve the same problem whenever
     # the data is exciting enough and the plant is controllable
@@ -239,6 +350,16 @@ def test_closed_loop_aborts_on_infeasible_step():
     assert log.length == 9  # aborted at the first control step
     assert log.statuses[-1] == "infeasible"
     assert np.isnan(log.inputs[-1]).all()
+
+
+def test_closed_loop_rejects_too_short_excitation():
+    # order n + N + L = 4 with one input needs T >= 2 * 4 - 1 = 7 samples
+    sys = scalar_plant()
+    assert excitation_order(sys, scalar_config(T=7, K=10)) == 4
+    with pytest.raises(ValueError, match="too short"):
+        excitation_order(sys, scalar_config(T=6, K=10))
+    with pytest.raises(ValueError, match="too short"):
+        run_closed_loop(sys, scalar_config(T=6, K=10), controller="mpc", seed=0)
 
 
 def test_closed_loop_rejects_mismatched_config():

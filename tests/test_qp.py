@@ -112,15 +112,6 @@ def test_pinned_coordinates():
     assert sol.x[1] == pytest.approx(0.0, abs=1e-10)
 
 
-def test_ridge_changes_the_problem():
-    # min -x on [0, 1] sits at 1; a strong ridge pulls the optimum inside
-    prob = QuadraticProgram(np.zeros((1, 1)), [-1.0], lb=[0.0], ub=[1.0])
-    plain = solve_qp(prob)
-    assert plain.x[0] == pytest.approx(1.0, abs=1e-8)
-    ridged = solve_qp(prob, ridge=2.0)
-    assert ridged.x[0] == pytest.approx(0.5, abs=1e-8)
-
-
 def test_reported_residual_is_honest():
     rng = np.random.default_rng(33)
     for _ in range(30):
