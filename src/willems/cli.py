@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .hankel import is_collectively_pe, pe_order
+from .hankel import pe_order
 from .lti import (
     LtiSystem,
     Trajectory,
@@ -26,8 +26,8 @@ from .lti import (
     simulate,
     trajectory_from_csv,
     trajectory_to_csv,
+    write_csv,
 )
-from .lti import _atomic_write
 from .multiagent import (
     MultiAgentSpec,
     build_system,
@@ -49,6 +49,7 @@ from .subspace import (
     HypothesisViolated,
     Verdict,
     controllable_subspace,
+    draw_until_pe,
     initial_state_matrix,
     krylov_subspace,
     min_poly_degree,
@@ -134,14 +135,15 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
         rows.append((0, sys_.n, sys_.m, sys_.p, tau, L, delta, report))
         _state_condition_report(cfg, sys_, data, rng, out_dir)
 
-    lines = ["case,n,m,p,tau,L,delta,verdict,gap"]
-    for case, n, m, p, tau, L, delta, report in rows:
-        lines.append(
-            f"{case},{n},{m},{p},{tau},{L},{delta},{report.verdict.value},"
-            f"{report.gap:.17g}"
-        )
     path = _out_path(out_dir, "theorem1_report.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(
+        path,
+        ["case", "n", "m", "p", "tau", "L", "delta", "verdict", "gap"],
+        (
+            (case, n, m, p, tau, L, delta, report.verdict.value, report.gap)
+            for case, n, m, p, tau, L, delta, report in rows
+        ),
+    )
     verdicts = [r[-1].verdict for r in rows]
     holds = sum(v is Verdict.HOLDS for v in verdicts)
     print(f"image check: {holds}/{len(rows)} hold (report: {path})")
@@ -160,21 +162,16 @@ def _draw_pe_data(sys_, rng, tau, order, x0_columns=None, length=None):
     if length is None:
         # enough columns for the excitation order with slack
         length = max(2 * order, math.ceil(order * sys_.m / tau) + order + 4)
-    for _ in range(100):
+
+    def draw(_):
         trajs = []
         for i in range(tau):
-            if x0_columns is None:
-                x0 = rng.normal(size=sys_.n)
-            else:
-                x0 = x0_columns[:, i]
+            x0 = rng.normal(size=sys_.n) if x0_columns is None else x0_columns[:, i]
             u = rng.uniform(-1.0, 1.0, size=(length, sys_.m))
             trajs.append(simulate(sys_, x0, u))
-        data = TrajectorySet(tuple(trajs))
-        if is_collectively_pe(data, order):
-            return data
-    raise HypothesisViolated(
-        f"no input draw reached excitation order {order}", order
-    )
+        return TrajectorySet(tuple(trajs))
+
+    return draw_until_pe(draw, order)
 
 
 def _state_condition_report(cfg, sys_, data, rng, out_dir):
@@ -197,22 +194,23 @@ def _state_condition_report(cfg, sys_, data, rng, out_dir):
                 drawn.append(rng.normal(size=sys_.n))
         samples = drawn
     L = int(_require(cfg, "L"))
-    lines = ["sample,member,residual_norm,parameterizable"]
+    rows = []
     for idx, raw in enumerate(samples):
         xbar0 = np.asarray(raw, dtype=float)
         member = theorem1_state_condition(sys_, data, xbar0)
         u = rng.uniform(-1.0, 1.0, size=(L, sys_.m))
         probe = simulate(sys_, xbar0, u)
         sol = parameterize(data, probe.inputs, probe.outputs)
-        lines.append(
-            f"{idx},{member},{sol.residual_norm:.17g},{sol.parameterizable}"
-        )
+        rows.append((idx, member, sol.residual_norm, sol.parameterizable))
         print(
             f"xbar0 sample {idx}: member={member} "
             f"residual={sol.residual_norm:.3e}"
         )
-    path = _out_path(out_dir, "state_condition.csv")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(
+        _out_path(out_dir, "state_condition.csv"),
+        ["sample", "member", "residual_norm", "parameterizable"],
+        rows,
+    )
 
 
 def _predictive_config(cfg: dict) -> PredictiveConfig:
@@ -257,26 +255,22 @@ def cmd_deepc(cfg: dict, out_dir: str, seed: int) -> int:
     print(f"closed loop: {log.length} steps logged to {log_path}")
     if controller == "both" and log.completed:
         mask = ~np.isnan(log.alt_objectives)
-        du = np.abs(log.inputs[mask] - log.alt_inputs[mask]).max(initial=0.0)
-        dobj = np.abs(
-            log.objectives[mask] - log.alt_objectives[mask]
-        ).max(initial=0.0)
-        lines = ["t,input_diff,objective_diff"]
-        for t in np.flatnonzero(mask):
-            lines.append(
-                f"{t},"
-                f"{np.abs(log.inputs[t] - log.alt_inputs[t]).max():.17g},"
-                f"{abs(log.objectives[t] - log.alt_objectives[t]):.17g}"
-            )
+        du = np.abs(log.inputs[mask] - log.alt_inputs[mask]).max(axis=1)
+        dobj = np.abs(log.objectives[mask] - log.alt_objectives[mask])
         diff_path = _out_path(out_dir, "controller_diff.csv")
-        _atomic_write(diff_path, "\n".join(lines) + "\n")
+        write_csv(
+            diff_path,
+            ["t", "input_diff", "objective_diff"],
+            zip(np.flatnonzero(mask), du, dobj),
+        )
         print(
-            f"controller agreement: max input diff {du:.3e}, "
-            f"max objective diff {dobj:.3e} ({diff_path})"
+            f"controller agreement: max input diff {du.max(initial=0.0):.3e}, "
+            f"max objective diff {dobj.max(initial=0.0):.3e} ({diff_path})"
         )
     if not log.completed:
-        print("run aborted on an infeasible step; partial log written")
-        return 4
+        status = log.statuses[-1]
+        print(f"run aborted on a step that ended {status}; partial log written")
+        return 5 if status == "max_iter" else 4
     return 0
 
 
@@ -327,13 +321,11 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
             f"recovery errors: agent dynamics {ea:.3e}, input map {eb:.3e}, "
             f"graph {ee:.3e}"
         )
-        lines = ["quantity,frobenius_error"]
-        for name, err in (("Abar", ea), ("Bbar", eb), ("E", ee)):
-            lines.append(f"{name},{err:.17g}")
-        for k, err in enumerate(errs, start=1):
-            lines.append(f"M_{k},{err:.17g}")
-        _atomic_write(
-            _out_path(out_dir, "recovery_report.csv"), "\n".join(lines) + "\n"
+        write_csv(
+            _out_path(out_dir, "recovery_report.csv"),
+            ["quantity", "frobenius_error"],
+            [("Abar", ea), ("Bbar", eb), ("E", ee)]
+            + [(f"M_{k}", err) for k, err in enumerate(errs, start=1)],
         )
 
     agents = tuple(int(a) for a in cfg.get("sweep_agents", range(3, 9)))
@@ -352,6 +344,13 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     return 0
 
 
+def _read_trajectory(path: str) -> Trajectory:
+    try:
+        return trajectory_from_csv(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read trajectory CSV {path}: {exc}") from exc
+
+
 def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
     entries = cfg.get("trajectories")
     if entries is None:
@@ -359,7 +358,7 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
     trajs = []
     for entry in entries:
         if isinstance(entry, str):
-            trajs.append(trajectory_from_csv(entry))
+            trajs.append(_read_trajectory(entry))
         elif isinstance(entry, dict):
             trajs.append(
                 Trajectory(np.asarray(_require(entry, "inputs"), dtype=float))
@@ -377,7 +376,7 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
 def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     sys_ = _system(cfg)
     if "input" in cfg:
-        u = trajectory_from_csv(cfg["input"]).inputs
+        u = _read_trajectory(cfg["input"]).inputs
     elif "inputs" in cfg:
         u = np.asarray(cfg["inputs"], dtype=float)
     else:

@@ -230,12 +230,23 @@ def window(traj: Trajectory, start: int, length: int) -> Trajectory:
     )
 
 
-def _atomic_write(path: str, text: str) -> None:
+def write_csv(path: str, header, rows) -> None:
+    """Write `rows` under `header` atomically (temporary file, then rename).
+
+    Floats, ``numpy.float64`` included, are written as 17-significant-digit
+    decimal text, which reads back bit for bit; every other cell goes
+    through ``str``.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(
+            ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+        )
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.write("\n".join(lines) + "\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -248,19 +259,11 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
 
     Header: ``t,u_0..u_{m-1}[,x_0..x_{n-1}][,y_0..y_{p-1}]``.
     """
-    cols = [f"u_{i}" for i in range(traj.m)]
-    blocks = [traj.inputs]
-    if traj.states is not None:
-        cols += [f"x_{i}" for i in range(traj.states.shape[1])]
-        blocks.append(traj.states)
-    if traj.outputs is not None:
-        cols += [f"y_{i}" for i in range(traj.outputs.shape[1])]
-        blocks.append(traj.outputs)
-    data = np.hstack(blocks)
-    lines = ["t," + ",".join(cols)]
-    for t in range(traj.length):
-        lines.append(str(t) + "," + ",".join(f"{v:.17g}" for v in data[t]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    blocks = {"u": traj.inputs, "x": traj.states, "y": traj.outputs}
+    blocks = {c: b for c, b in blocks.items() if b is not None}
+    header = ["t"] + [f"{c}_{i}" for c, b in blocks.items() for i in range(b.shape[1])]
+    data = np.hstack(list(blocks.values()))
+    write_csv(path, header, ([t, *row] for t, row in enumerate(data)))
 
 
 def trajectory_from_csv(path: str) -> Trajectory:
@@ -277,6 +280,8 @@ def trajectory_from_csv(path: str) -> Trajectory:
     if m == 0 or 1 + m + n + p != len(names):
         raise ValueError(f"unexpected trajectory CSV columns: {names}")
     values = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
+    if values.ndim != 2 or values.shape[1] != len(names) - 1:
+        raise ValueError(f"trajectory CSV rows do not match the header {names}")
     u = values[:, :m]
     x = values[:, m : m + n] if n else None
     y = values[:, m + n :] if p else None

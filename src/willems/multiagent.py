@@ -21,15 +21,15 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from .hankel import is_collectively_pe
-from .lti import LtiSystem, Trajectory, TrajectorySet, _atomic_write, simulate
-from .numerics import as_matrix, least_squares, numerical_rank
+from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
+from .numerics import as_matrix, least_squares, numerical_rank, power_blocks
 from .parameterize import build_trajectory_matrix
-from .subspace import HypothesisViolated
+from .subspace import HypothesisViolated, draw_until_pe
 
 __all__ = [
     "MultiAgentSpec",
@@ -48,6 +48,8 @@ __all__ = [
 
 _ZERO_BLOCK_RTOL = 1e-6
 _STATE_NORM_WARN = 1e6
+# trajectory counts the sweep tries past the analytic bound before giving up
+_SWEEP_EXTRA = 20
 
 
 def star_edges(N: int) -> tuple:
@@ -82,12 +84,7 @@ class MultiAgentSpec:
                 raise ValueError(f"edge ({h}, {t}) is a self-loop")
             if not (0 <= h < self.N and 0 <= t < self.N):
                 raise ValueError(f"edge ({h}, {t}) names a node outside 0..{self.N - 1}")
-        ctrb = []
-        block = Bbar
-        for _ in range(nbar):
-            ctrb.append(block)
-            block = Abar @ block
-        if numerical_rank(np.hstack(ctrb)) != nbar:
+        if numerical_rank(np.hstack(power_blocks(Abar, Bbar, nbar))) != nbar:
             raise ValueError("(Abar, Bbar) is not controllable")
         object.__setattr__(self, "Abar", Abar)
         object.__setattr__(self, "Bbar", Bbar)
@@ -377,15 +374,14 @@ def min_trajectory_sweep(
     order_rule: str,
     seed: int,
     agents=tuple(range(3, 9)),
-    extra: int = 20,
 ) -> tuple:
     """Smallest trajectory count passing the rule's excitation order, per
     agent count.
 
     Only the input dimensions of `spec` matter: excitation is a property of
     the inputs alone. The search starts at the analytic lower bound (proved
-    necessary, so nothing below it can pass) and walks upward by 1, giving
-    up `extra` steps past the bound.
+    necessary, so nothing below it can pass) and walks upward by 1,
+    giving up (HypothesisViolated) 20 steps past the bound.
     """
     rows = []
     for N in agents:
@@ -397,30 +393,21 @@ def min_trajectory_sweep(
         floor = max(1, math.ceil(bound))
         rng = np.random.default_rng(seed)
         m = N * spec.mbar
-        tau_min = -1
-        for tau in range(floor, floor + extra + 1):
-            trajs = tuple(
-                Trajectory(rng.uniform(-0.1, 0.1, size=(T, m)))
-                for _ in range(tau)
-            )
-            if is_collectively_pe(TrajectorySet(trajs), d):
-                tau_min = tau
-                break
-        if tau_min < 0:
-            raise RuntimeError(
-                f"no excitation of order {d} found within {floor + extra} "
-                f"trajectories at N={N}"
-            )
+        data = draw_until_pe(
+            lambda k: TrajectorySet(
+                tuple(
+                    Trajectory(rng.uniform(-0.1, 0.1, size=(T, m)))
+                    for _ in range(floor + k)
+                )
+            ),
+            d,
+            _SWEEP_EXTRA + 1,
+        )
+        tau_min = len(data)
         elapsed = 1e3 * (time.perf_counter() - start)
         rows.append(SweepRow(N, order_rule, tau_min, floor, d, elapsed))
     return tuple(rows)
 
 
 def sweep_to_csv(rows, path):
-    lines = ["N,rule,tau_min,analytic_bound,pe_order,elapsed_ms"]
-    for r in rows:
-        lines.append(
-            f"{r.N},{r.rule},{r.tau_min},{r.analytic_bound},{r.pe_order},"
-            f"{r.elapsed_ms:.17g}"
-        )
-    _atomic_write(path, "\n".join(lines) + "\n")
+    write_csv(path, [f.name for f in fields(SweepRow)], map(astuple, rows))

@@ -55,6 +55,32 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
+def as_bound(value, n: int, fill: float, name: str) -> np.ndarray:
+    """Per-coordinate bound vector of length `n`.
+
+    ``None`` gives `fill` everywhere and a single value applies to every
+    coordinate; NaN entries or any other shape raise ValueError.
+    """
+    if value is None:
+        return np.full(n, fill)
+    arr = np.asarray(value, dtype=float).reshape(-1)
+    if arr.shape == (1,):
+        arr = np.full(n, arr[0])
+    if arr.shape != (n,):
+        raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
+    if np.isnan(arr).any():
+        raise ValueError(f"{name} contains NaN")
+    return arr
+
+
+def power_blocks(A, X, count: int) -> list:
+    """``[X, A X, ..., A^{count-1} X]``, each block one product from the last."""
+    blocks = [X]
+    for _ in range(1, count):
+        blocks.append(A @ blocks[-1])
+    return blocks[:count]
+
+
 @dataclass(frozen=True)
 class RankTolerance:
     """Relative threshold deciding which singular values count as nonzero.

@@ -23,6 +23,7 @@ from .numerics import (
     RankTolerance,
     as_vector,
     least_squares,
+    power_blocks,
 )
 from .subspace import Verdict, min_poly_degree
 
@@ -148,16 +149,11 @@ def response_operators(sys: LtiSystem, L: int) -> ResponseOperators:
     if L < 1:
         raise ValueError(f"L must be positive, got {L}")
     n, m, p = sys.n, sys.m, sys.p
-    obs = np.zeros((p * L, n))
+    obs = np.hstack(power_blocks(sys.A.T, sys.C.T, L)).T
     # impulse blocks, padded with a leading zero block: 0, D, CB, CAB, ...
     markov = np.zeros((L + 1, p, m))
     markov[1] = sys.D
-    block = sys.C
-    for k in range(L):
-        obs[k * p : (k + 1) * p] = block
-        if k + 2 <= L:
-            markov[k + 2] = block @ sys.B
-        block = block @ sys.A
+    markov[2:] = obs[: p * (L - 1)].reshape(L - 1, p, n) @ sys.B
     # block (i, j) of the convolution is markov[i - j + 1], zero above the
     # diagonal
     lag = np.arange(L)[:, None] - np.arange(L)[None, :] + 1

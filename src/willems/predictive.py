@@ -27,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hankel import is_collectively_pe
-from .lti import LtiSystem, Trajectory, TrajectorySet, _atomic_write, random_input
-from .numerics import as_matrix, as_vector
+from .lti import LtiSystem, Trajectory, TrajectorySet, write_csv
+from .numerics import as_bound, as_matrix, as_vector
 from .parameterize import build_trajectory_matrix, response_operators
 from .qp import QuadraticProgram, solve_qp
-from .subspace import HypothesisViolated
+from .subspace import HypothesisViolated, draw_until_pe
 
 __all__ = [
     "PredictiveConfig",
@@ -42,14 +42,12 @@ __all__ = [
     "run_closed_loop",
 ]
 
-_EXCITE_RETRIES = 100
-
-
 class InfeasibleStep(RuntimeError):
-    """A controller sub-problem came back infeasible at some step."""
+    """A controller sub-problem ended without an optimal solution at some
+    step; `status` is the solver's (infeasible, unbounded or max_iter)."""
 
     def __init__(self, t: int, status: str):
-        super().__init__(f"controller infeasible at t={t} (status {status})")
+        super().__init__(f"controller step failed at t={t} (status {status})")
         self.t = t
         self.status = status
 
@@ -63,17 +61,6 @@ def _weight(w, name) -> np.ndarray:
     if w.size and np.linalg.eigvalsh(w).min() < -1e-10:
         raise ValueError(f"{name} is not positive semidefinite")
     return w
-
-
-def _bound(value, dim: int, fill: float) -> np.ndarray:
-    if value is None:
-        return np.full(dim, fill)
-    arr = np.asarray(value, dtype=float).reshape(-1)
-    if arr.shape == (1,):
-        arr = np.full(dim, arr[0])
-    if arr.shape != (dim,):
-        raise ValueError(f"bound has shape {arr.shape}, expected ({dim},)")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -117,9 +104,11 @@ class PredictiveConfig:
         object.__setattr__(self, "Q", _weight(self.Q, "Q"))
         object.__setattr__(self, "R", _weight(self.R, "R"))
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        if self.excitation_low > self.excitation_high:
-            raise ValueError("excitation bounds out of order")
+        if self.excitation_low >= self.excitation_high:
+            raise ValueError("excitation_low must be below excitation_high")
         self.reference()
+        self.input_bounds()
+        self.output_bounds()
 
     @property
     def p(self) -> int:
@@ -144,14 +133,14 @@ class PredictiveConfig:
 
     def input_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return (
-            _bound(self.u_min, self.m, -np.inf),
-            _bound(self.u_max, self.m, np.inf),
+            as_bound(self.u_min, self.m, -np.inf, "u_min"),
+            as_bound(self.u_max, self.m, np.inf, "u_max"),
         )
 
     def output_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return (
-            _bound(self.y_min, self.p, -np.inf),
-            _bound(self.y_max, self.p, np.inf),
+            as_bound(self.y_min, self.p, -np.inf, "y_min"),
+            as_bound(self.y_max, self.p, np.inf, "y_max"),
         )
 
 
@@ -172,7 +161,7 @@ def _solve_window(cfg: PredictiveConfig, lead: int, Aeq, beq, t: int):
     combination g for DeePC) is free and carries no cost; the tail carries
     the tracking cost and the input/output boxes. Returns the first input,
     the tracking cost (the QP objective plus its constant term) and the
-    lead block.
+    lead block; raises InfeasibleStep unless the solve ended optimal.
     """
     L, m, p = cfg.L, cfg.m, cfg.p
     nv = lead + L * m + L * p
@@ -195,7 +184,7 @@ def _solve_window(cfg: PredictiveConfig, lead: int, Aeq, beq, t: int):
     lb[yof], ub[yof] = np.tile(y_lo, L), np.tile(y_hi, L)
 
     sol = solve_qp(QuadraticProgram(P, q, Aeq, beq, lb, ub))
-    if sol.status in ("infeasible", "unbounded"):
+    if sol.status != "optimal":
         raise InfeasibleStep(t, sol.status)
     const = float(rvec @ Qbar @ rvec)
     return sol.x[lead : lead + m].copy(), sol.objective + const, sol.x[:lead].copy()
@@ -275,7 +264,8 @@ class ClosedLoopLog:
     The excitation phase fills `objectives` with NaN and `statuses` with
     "excite". When the run compared both controllers, `alt_inputs` and
     `alt_objectives` hold the non-applied controller's step results.
-    `completed` is False when a step was infeasible and the run aborted.
+    `completed` is False when a step ended without an optimal solution and
+    the run aborted; that step's status is the last entry of `statuses`.
     """
 
     inputs: np.ndarray
@@ -302,33 +292,20 @@ class ClosedLoopLog:
             + [f"y_{i}" for i in range(p)]
             + ["objective", "status", "solve_ms"]
         )
-        lines = [",".join(header)]
-        for t in range(self.length):
-            cells = [str(t), self.phases[t]]
-            cells += [f"{v:.17g}" for v in self.inputs[t]]
-            cells += [f"{v:.17g}" for v in self.outputs[t]]
-            cells.append(f"{self.objectives[t]:.17g}")
-            cells.append(self.statuses[t])
-            cells.append(f"{self.solve_ms[t]:.17g}")
-            lines.append(",".join(cells))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        rows = (
+            [t, self.phases[t], *self.inputs[t], *self.outputs[t],
+             self.objectives[t], self.statuses[t], self.solve_ms[t]]
+            for t in range(self.length)
+        )
+        write_csv(path, header, rows)
 
     def to_plot_csv(self, path):
         """Outputs next to the constant reference lines, for plotting."""
         p = self.outputs.shape[1]
-        header = (
-            ["t"]
-            + [f"y_{i}" for i in range(p)]
-            + [f"r_{i}" for i in range(p)]
-        )
-        lines = [",".join(header)]
-        ref = np.asarray(self.reference, dtype=float).reshape(-1)[:p]
-        for t in range(self.length):
-            cells = [str(t)]
-            cells += [f"{v:.17g}" for v in self.outputs[t]]
-            cells += [f"{v:.17g}" for v in ref]
-            lines.append(",".join(cells))
-        _atomic_write(path, "\n".join(lines) + "\n")
+        header = ["t"] + [f"y_{i}" for i in range(p)] + [f"r_{i}" for i in range(p)]
+        ref = list(np.asarray(self.reference, dtype=float).reshape(-1)[:p])
+        rows = ([t, *self.outputs[t], *ref] for t in range(self.length))
+        write_csv(path, header, rows)
 
 
 def excitation_order(sys: LtiSystem, cfg: PredictiveConfig) -> int:
@@ -348,24 +325,6 @@ def excitation_order(sys: LtiSystem, cfg: PredictiveConfig) -> int:
     return order
 
 
-def _draw_excitation(sys, cfg, seed):
-    """Uniform input draws, retried until the model-aware excitation order
-    holds (uniform draws pass with probability 1; the cap guards degenerate
-    seeds)."""
-    order = excitation_order(sys, cfg)
-    rng = np.random.default_rng(seed)
-    for _ in range(_EXCITE_RETRIES):
-        u = rng.uniform(
-            cfg.excitation_low, cfg.excitation_high, size=(cfg.T, sys.m)
-        )
-        probe = TrajectorySet((Trajectory(u),))
-        if is_collectively_pe(probe, order):
-            return u
-    raise RuntimeError(
-        f"no excitation of order {order} found in {_EXCITE_RETRIES} draws"
-    )
-
-
 def run_closed_loop(
     sys: LtiSystem,
     cfg: PredictiveConfig,
@@ -383,7 +342,14 @@ def run_closed_loop(
         raise ValueError(f"unknown controller {controller!r}")
     if sys.m != cfg.m or sys.p != cfg.p:
         raise ValueError("config weight dimensions do not match the system")
-    u_exc = _draw_excitation(sys, cfg, seed)
+    rng = np.random.default_rng(seed)
+
+    def draw(_):
+        u = rng.uniform(cfg.excitation_low, cfg.excitation_high, (cfg.T, sys.m))
+        return TrajectorySet((Trajectory(u),))
+
+    # uniform draws pass with probability 1; the retries guard degenerate seeds
+    u_exc = draw_until_pe(draw, excitation_order(sys, cfg))[0].inputs
     if cfg.x0 is None:
         x = np.zeros(sys.n)
     else:

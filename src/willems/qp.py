@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector, least_squares
+from .numerics import as_bound, as_matrix, as_vector, least_squares
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
 
@@ -77,23 +77,12 @@ class QuadraticProgram:
                 )
             object.__setattr__(self, "Aeq", Aeq)
             object.__setattr__(self, "beq", beq)
-        lb = self._bound(self.lb, n, -np.inf, "lb")
-        ub = self._bound(self.ub, n, np.inf, "ub")
+        lb = as_bound(self.lb, n, -np.inf, "lb")
+        ub = as_bound(self.ub, n, np.inf, "ub")
         if (lb > ub).any():
             raise ValueError("lb exceeds ub on some coordinate")
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
-
-    @staticmethod
-    def _bound(value, n, fill, name):
-        if value is None:
-            return np.full(n, fill)
-        arr = np.asarray(value, dtype=float).reshape(-1)
-        if arr.shape != (n,):
-            raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
-        if np.isnan(arr).any():
-            raise ValueError(f"{name} contains NaN")
-        return arr
 
     @property
     def n(self) -> int:
@@ -130,18 +119,13 @@ def _kkt_residual(prob: QuadraticProgram, x, y_eq, y_box) -> float:
     lo[~np.isfinite(lo)] = -np.inf
     hi[~np.isfinite(hi)] = -np.inf
     worst = max(worst, float(np.maximum(lo, hi).max(initial=0.0)))
-    for i in range(prob.n):
-        yi = y_box[i]
-        if yi > 0:
-            bound = prob.ub[i]
-            comp = yi * (bound - x[i]) if np.isfinite(bound) else yi
-        elif yi < 0:
-            bound = prob.lb[i]
-            comp = -yi * (x[i] - bound) if np.isfinite(bound) else -yi
-        else:
-            continue
-        worst = max(worst, abs(comp))
-    return worst
+    # a multiplier on an infinite bound is itself the violation
+    gap_hi = np.where(np.isfinite(prob.ub), prob.ub - x, 1.0)
+    gap_lo = np.where(np.isfinite(prob.lb), x - prob.lb, 1.0)
+    comp = np.where(
+        y_box > 0, y_box * gap_hi, np.where(y_box < 0, -y_box * gap_lo, 0.0)
+    )
+    return max(worst, float(np.abs(comp).max(initial=0.0)))
 
 
 def _pinned_solve(prob: QuadraticProgram, lower, upper):
@@ -152,23 +136,12 @@ def _pinned_solve(prob: QuadraticProgram, lower, upper):
     """
     n = prob.n
     me = 0 if prob.Aeq is None else prob.Aeq.shape[0]
-    rows = []
-    rhs = []
+    pinned = np.array(list(lower) + list(upper), dtype=int)
+    Aact = np.eye(n)[pinned]
+    bact = np.concatenate([prob.lb[lower], prob.ub[upper]])
     if me:
-        rows.append(prob.Aeq)
-        rhs.append(prob.beq)
-    for idx, bounds in ((lower, prob.lb), (upper, prob.ub)):
-        for i in idx:
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append(e[None, :])
-            rhs.append(np.array([bounds[i]]))
-    if rows:
-        Aact = np.vstack(rows)
-        bact = np.concatenate(rhs)
-    else:
-        Aact = np.zeros((0, n))
-        bact = np.zeros(0)
+        Aact = np.vstack([prob.Aeq, Aact])
+        bact = np.concatenate([prob.beq, bact])
     ma = Aact.shape[0]
     kkt = np.zeros((n + ma, n + ma))
     kkt[:n, :n] = prob.P
@@ -181,8 +154,7 @@ def _pinned_solve(prob: QuadraticProgram, lower, upper):
     nu = sol[n:]
     y_eq = nu[:me]
     y_new = np.zeros(n)
-    for k, i in enumerate(list(lower) + list(upper)):
-        y_new[i] = nu[me + k]
+    y_new[pinned] = nu[me:]
     return x, y_eq, y_new, _kkt_residual(prob, x, y_eq, y_new), consistent
 
 
@@ -220,16 +192,13 @@ def _refine(prob: QuadraticProgram, lower, upper, always, tol):
         # pin only the single worst violation; adding every violated bound
         # at once can overshoot into an infeasible face
         feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))
-        worst_i, worst_side, worst_gap = -1, 0, feas
-        for i in range(n):
-            if i in lower or i in upper:
-                continue
-            if np.isfinite(prob.lb[i]) and prob.lb[i] - x[i] > worst_gap:
-                worst_i, worst_side, worst_gap = i, -1, prob.lb[i] - x[i]
-            if np.isfinite(prob.ub[i]) and x[i] - prob.ub[i] > worst_gap:
-                worst_i, worst_side, worst_gap = i, 1, x[i] - prob.ub[i]
-        if worst_i >= 0:
-            (lower if worst_side < 0 else upper).add(worst_i)
+        below = np.where(np.isfinite(prob.lb), prob.lb - x, -np.inf)
+        above = np.where(np.isfinite(prob.ub), x - prob.ub, -np.inf)
+        gap = np.maximum(below, above)
+        gap[list(lower | upper)] = -np.inf
+        worst = int(np.argmax(gap))  # the first index wins a tie
+        if gap[worst] > feas:
+            (lower if below[worst] > above[worst] else upper).add(worst)
             changed = True
         if not changed:
             break
@@ -245,19 +214,11 @@ def _polish(prob: QuadraticProgram, y_box, tol):
     grows the set from scratch out of primal violations alone, which
     recovers the cases where a stalled ADMM proposed an infeasible face.
     """
-    n = prob.n
     seed_thr = 1e-9 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
-    always = {
-        i
-        for i in range(n)
-        if np.isfinite(prob.lb[i]) and prob.lb[i] == prob.ub[i]
-    }
-    lower = {
-        i for i in range(n) if y_box[i] < -seed_thr and np.isfinite(prob.lb[i])
-    }
-    upper = {
-        i for i in range(n) if y_box[i] > seed_thr and np.isfinite(prob.ub[i])
-    }
+    finite_lb, finite_ub = np.isfinite(prob.lb), np.isfinite(prob.ub)
+    always = set(np.flatnonzero(finite_lb & (prob.lb == prob.ub)).tolist())
+    lower = set(np.flatnonzero(finite_lb & (y_box < -seed_thr)).tolist())
+    upper = set(np.flatnonzero(finite_ub & (y_box > seed_thr)).tolist())
     best = _refine(prob, lower, upper, always, tol)
     if best is not None and best[3] <= tol:
         return best
@@ -393,22 +354,15 @@ def _certificates(prob, M, low, high, dx, dy):
     ndy = float(np.abs(dy).max(initial=0.0))
     if ndy > 1e-14:
         if np.abs(M.T @ dy).max(initial=0.0) <= _EPS_INFEAS * ndy:
-            support = 0.0
-            valid = True
-            for i in range(dy.shape[0]):
-                d = dy[i]
-                if d > _EPS_INFEAS * ndy:
-                    if not np.isfinite(high[i]):
-                        valid = False
-                        break
-                    support += high[i] * d
-                elif d < -_EPS_INFEAS * ndy:
-                    if not np.isfinite(low[i]):
-                        valid = False
-                        break
-                    support += low[i] * d
-            if valid and support <= -_EPS_INFEAS * ndy:
-                return "infeasible"
+            up, down = dy > _EPS_INFEAS * ndy, dy < -_EPS_INFEAS * ndy
+            valid = np.isfinite(high[up]).all() and np.isfinite(low[down]).all()
+            if valid:
+                bound = np.where(up, high, np.where(down, low, 0.0))
+                # summed in index order, not pairwise, so the rounding
+                # matches a plain running sum
+                support = np.cumsum(bound * dy)[-1]
+                if support <= -_EPS_INFEAS * ndy:
+                    return "infeasible"
     ndx = float(np.abs(dx).max(initial=0.0))
     if ndx > 1e-14:
         if (
@@ -416,18 +370,10 @@ def _certificates(prob, M, low, high, dx, dy):
             and prob.q @ dx <= -_EPS_INFEAS * ndx
         ):
             Mdx = M @ dx
-            valid = True
-            for i in range(Mdx.shape[0]):
-                if low[i] == high[i]:
-                    if abs(Mdx[i]) > _EPS_INFEAS * ndx:
-                        valid = False
-                        break
-                elif Mdx[i] > _EPS_INFEAS * ndx and np.isfinite(high[i]):
-                    valid = False
-                    break
-                elif Mdx[i] < -_EPS_INFEAS * ndx and np.isfinite(low[i]):
-                    valid = False
-                    break
-            if valid:
+            fixed = low == high
+            blocked = (
+                (Mdx > _EPS_INFEAS * ndx) & (np.isfinite(high) | fixed)
+            ) | ((Mdx < -_EPS_INFEAS * ndx) & (np.isfinite(low) | fixed))
+            if not blocked.any():
                 return "unbounded"
     return None

@@ -26,6 +26,7 @@ from .numerics import (
     as_matrix,
     as_vector,
     numerical_rank,
+    power_blocks,
     right_kernel,
     subspace_contains,
     subspace_from_columns,
@@ -69,24 +70,30 @@ class HypothesisViolated(RuntimeError):
         self.verdict = Verdict.HYPOTHESIS_VIOLATED
 
 
+def draw_until_pe(draw, order: int, attempts: int = 100) -> TrajectorySet:
+    """Call ``draw(k)`` for k = 0, 1, ... until the returned trajectory set
+    is collectively persistently exciting of `order`, and return that set.
+
+    Raises HypothesisViolated when none of the `attempts` draws is.
+    """
+    for k in range(attempts):
+        data = draw(k)
+        if is_collectively_pe(data, order):
+            return data
+    raise HypothesisViolated(
+        f"no input draw reached excitation order {order} in {attempts} draws",
+        order,
+    )
+
+
 def controllability_matrix(sys: LtiSystem) -> np.ndarray:
     """``[B, AB, ..., A^{n-1}B]`` of shape ``(n, n*m)``."""
-    blocks = []
-    block = sys.B
-    for _ in range(sys.n):
-        blocks.append(block)
-        block = sys.A @ block
-    return np.hstack(blocks)
+    return np.hstack(power_blocks(sys.A, sys.B, sys.n))
 
 
 def observability_matrix(sys: LtiSystem) -> np.ndarray:
     """``[C; CA; ...; CA^{n-1}]`` of shape ``(n*p, n)``."""
-    blocks = []
-    block = sys.C
-    for _ in range(sys.n):
-        blocks.append(block)
-        block = block @ sys.A
-    return np.vstack(blocks)
+    return np.hstack(power_blocks(sys.A.T, sys.C.T, sys.n)).T
 
 
 def controllable_subspace(
@@ -115,12 +122,7 @@ def krylov_subspace(A, X0, tol: RankTolerance = DEFAULT_TOL) -> SubspaceBasis:
     X0 = as_matrix(X0, "X0")
     if X0.shape[0] != n:
         raise ValueError(f"X0 has {X0.shape[0]} rows, expected {n}")
-    blocks = []
-    block = X0
-    for _ in range(n):
-        blocks.append(block)
-        block = A @ block
-    return subspace_from_columns(np.hstack(blocks), tol)
+    return subspace_from_columns(np.hstack(power_blocks(A, X0, n)), tol)
 
 
 def min_poly_degree(A, tol: RankTolerance = DEFAULT_TOL) -> int:
@@ -135,11 +137,8 @@ def min_poly_degree(A, tol: RankTolerance = DEFAULT_TOL) -> int:
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError(f"A must be square, got {A.shape}")
-    powers = [np.eye(n)]
-    for _ in range(n):
-        powers.append(A @ powers[-1])
     cols = []
-    for P in powers:
+    for P in power_blocks(A, np.eye(n), n + 1):
         v = P.reshape(-1)
         norm = np.linalg.norm(v)
         cols.append(v / norm if norm > 0 else v)
@@ -212,12 +211,11 @@ def theorem1_image_check(
     ``delta + L`` with ``delta >= min_poly_degree(A)``; when they are not,
     the check reports HYPOTHESIS_VIOLATED instead of a verdict.
     """
+    dmin = min_poly_degree(sys.A, tol)
     if delta is None:
-        delta = min_poly_degree(sys.A, tol)
-    else:
-        dmin = min_poly_degree(sys.A, tol)
-        if delta < dmin:
-            raise ValueError(f"delta={delta} below minimal-polynomial degree {dmin}")
+        delta = dmin
+    elif delta < dmin:
+        raise ValueError(f"delta={delta} below minimal-polynomial degree {dmin}")
     order = delta + L
     if not is_collectively_pe(data, order, tol):
         return ImageCheck(Verdict.HYPOTHESIS_VIOLATED, float("nan"), order, -1, -1)

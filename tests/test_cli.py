@@ -7,6 +7,7 @@ import pytest
 
 from willems import trajectory_from_csv
 from willems.cli import main
+from willems.qp import QpSolution
 
 
 def run(tmp_path, command, cfg, seed=None, out=None):
@@ -28,6 +29,12 @@ def plant_section():
         "C": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],
         "D": [[0.0], [0.0]],
     }
+
+
+def bundled_config(name, **overrides):
+    cfg = json.loads(files("willems").joinpath(f"configs/{name}").read_text())
+    cfg.update(overrides)
+    return cfg
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -125,9 +132,7 @@ def test_verify_theorem1_pe_gate_exits_3(tmp_path, capsys):
 
 
 def test_deepc_command_runs_bundled_experiment(tmp_path, capsys):
-    bundled = json.loads(
-        files("willems").joinpath("configs/fig1_deepc.json").read_text()
-    )
+    bundled = bundled_config("fig1_deepc.json")
     bundled["K"] = 40  # shorten the run, keep everything else
     out = tmp_path / "out"
     assert run(tmp_path, "deepc", bundled, out=out) == 0
@@ -142,9 +147,7 @@ def test_deepc_command_runs_bundled_experiment(tmp_path, capsys):
 
 
 def test_deepc_single_control_step_when_k_equals_t(tmp_path, capsys):
-    bundled = json.loads(
-        files("willems").joinpath("configs/fig1_deepc.json").read_text()
-    )
+    bundled = bundled_config("fig1_deepc.json")
     bundled["K"] = bundled["T"]
     bundled["controller"] = "deepc"
     out = tmp_path / "out"
@@ -158,9 +161,7 @@ def test_deepc_single_control_step_when_k_equals_t(tmp_path, capsys):
 def test_deepc_too_short_data_exits_2_before_drawing(tmp_path, capsys):
     # fig1 needs excitation order n + N + L = 13 from one input, hence
     # T >= 2 * 13 - 1 = 25; with T = 24 no draw could ever succeed
-    bundled = json.loads(
-        files("willems").joinpath("configs/fig1_deepc.json").read_text()
-    )
+    bundled = bundled_config("fig1_deepc.json")
     bundled["T"] = 24
     out = tmp_path / "out"
     assert run(tmp_path, "deepc", bundled, out=out) == 2
@@ -184,9 +185,7 @@ def test_deepc_infeasible_run_exits_4(tmp_path, capsys):
 
 
 def test_identify_command_full_pipeline(tmp_path, capsys):
-    bundled = json.loads(
-        files("willems").joinpath("configs/fig2_multiagent.json").read_text()
-    )
+    bundled = bundled_config("fig2_multiagent.json")
     bundled["sweep_agents"] = [3, 4]
     out = tmp_path / "out"
     assert run(tmp_path, "identify", bundled, out=out) == 0
@@ -202,9 +201,7 @@ def test_identify_command_full_pipeline(tmp_path, capsys):
 
 
 def test_identify_bad_anchor_exits_5(tmp_path, capsys):
-    bundled = json.loads(
-        files("willems").joinpath("configs/fig2_multiagent.json").read_text()
-    )
+    bundled = bundled_config("fig2_multiagent.json")
     bundled["anchor"] = [9, 9, 1]
     bundled["sweep_agents"] = [3]
     assert run(tmp_path, "identify", bundled, out=tmp_path / "o") == 5
@@ -224,12 +221,29 @@ def test_identify_single_agent_skips(tmp_path, capsys):
     assert "skipped" in said
 
 
+def csv_without_timing(path):
+    rows = [line.split(",") for line in path.read_text().split("\n")]
+    keep = [i for i, h in enumerate(rows[0]) if h not in ("solve_ms", "elapsed_ms")]
+    return [[r[i] for i in keep] if len(r) > 1 else r for r in rows]
+
+
 def test_outputs_are_reproducible_bitwise(tmp_path, capsys):
-    cfg = {"system": plant_section(), "T": 18}
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run(tmp_path, "simulate", cfg, seed=11, out=out1) == 0
-    assert run(tmp_path, "simulate", cfg, seed=11, out=out2) == 0
-    assert (out1 / "trajectory.csv").read_bytes() == (out2 / "trajectory.csv").read_bytes()
+    # one test over every command that writes CSVs, timing columns aside
+    runs = [
+        ("simulate", {"system": plant_section(), "T": 18, "seed": 11}),
+        ("deepc", bundled_config("fig1_deepc.json", K=40)),
+        ("identify", bundled_config("fig2_multiagent.json", sweep_agents=[3, 4])),
+        ("verify-theorem1", {"random": {"count": 5}, "seed": 2}),
+    ]
+    for command, cfg in runs:
+        out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+        assert run(tmp_path, command, cfg, out=out1) == 0
+        assert run(tmp_path, command, cfg, out=out2) == 0
+        names = sorted(p.name for p in out1.glob("*.csv"))
+        assert names and names == sorted(p.name for p in out2.glob("*.csv"))
+        for name in names:
+            first, second = out1 / name, out2 / name
+            assert csv_without_timing(first) == csv_without_timing(second), name
     capsys.readouterr()
 
 
@@ -241,3 +255,62 @@ def test_seed_flag_overrides_config_seed(tmp_path):
     t1 = trajectory_from_csv(str(out1 / "trajectory.csv"))
     t2 = trajectory_from_csv(str(out2 / "trajectory.csv"))
     assert not np.array_equal(t1.inputs, t2.inputs)
+
+
+def test_deepc_max_iter_step_exits_5_and_logs_its_status(
+    tmp_path, capsys, monkeypatch
+):
+    def stalled(prob, **_):
+        return QpSolution(np.zeros(prob.n), 0.0, "max_iter", 1.0, 100000)
+
+    monkeypatch.setattr("willems.predictive.solve_qp", stalled)
+    cfg = bundled_config("fig1_deepc.json", K=30)
+    out = tmp_path / "out"
+    assert run(tmp_path, "deepc", cfg, out=out) == 5
+    assert "aborted" in capsys.readouterr().out
+    rows = (out / "closed_loop.csv").read_text().strip().split("\n")
+    assert len(rows) == 1 + cfg["T"] + 1
+    assert rows[-1].split(",")[-2] == "max_iter"
+    assert all(r.split(",")[-2] == "excite" for r in rows[1:-1])
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"u_max": [1, 2]},
+        {"u_max": float("nan")},
+        {"excitation_low": 0.5, "excitation_high": 0.5},
+    ],
+    ids=["wrong-shape", "nan", "empty-excitation-range"],
+)
+def test_deepc_bad_controller_config_exits_2_before_drawing(
+    tmp_path, capsys, override
+):
+    out = tmp_path / "out"
+    cfg = bundled_config("fig1_deepc.json", **override)
+    assert run(tmp_path, "deepc", cfg, out=out) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        None,
+        "t,u_0,y_0\n0,0.5,1.0\n1,0.25\n",
+        "t,u_0\n0,0.5\n1,nan\n",
+        "t,u_0\n",
+    ],
+    ids=["missing", "ragged", "nan", "no-rows"],
+)
+def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "traj.csv"
+    if content is not None:
+        path.write_text(content)
+    for command, cfg in (
+        ("check-pe", {"trajectory": str(path)}),
+        ("simulate", {"system": plant_section(), "input": str(path)}),
+    ):
+        assert run(tmp_path, command, cfg, out=tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(path) in err

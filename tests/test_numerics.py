@@ -4,6 +4,7 @@ import pytest
 from willems.numerics import (
     RankTolerance,
     SubspaceBasis,
+    as_bound,
     as_matrix,
     as_vector,
     least_squares,
@@ -151,3 +152,13 @@ def test_subspace_equal_needs_matching_dims():
     plane = subspace_from_columns(np.eye(2))
     assert not subspace_equal(line, plane)
     assert subspace_contains(plane, [0.3, -0.7])
+
+
+def test_as_bound_fills_broadcasts_and_rejects():
+    assert np.array_equal(as_bound(None, 3, -np.inf, "lb"), np.full(3, -np.inf))
+    assert np.array_equal(as_bound(2.0, 3, np.inf, "ub"), [2.0, 2.0, 2.0])
+    assert np.array_equal(as_bound([1, 2, 3], 3, np.inf, "ub"), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="ub has shape"):
+        as_bound([1, 2], 3, np.inf, "ub")
+    with pytest.raises(ValueError, match="lb contains NaN"):
+        as_bound([0.0, np.nan, 1.0], 3, -np.inf, "lb")

@@ -21,6 +21,7 @@ from willems import (
     unobservable_subspace,
 )
 from willems.numerics import subspace_sum
+from willems.subspace import draw_until_pe
 
 
 def pe_data(sys, rng, tau, order, length=None, x0=None):
@@ -204,3 +205,16 @@ def test_hypothesis_violated_carries_order():
     assert err.order_required == 9
     assert err.verdict is Verdict.HYPOTHESIS_VIOLATED
     assert isinstance(err, RuntimeError)
+
+
+def test_draw_until_pe_gives_up_with_the_required_order():
+    calls = []
+
+    def constant(k):
+        calls.append(k)
+        return TrajectorySet((Trajectory(np.ones((20, 1))),))
+
+    with pytest.raises(HypothesisViolated) as info:
+        draw_until_pe(constant, 3, attempts=7)
+    assert info.value.order_required == 3
+    assert calls == list(range(7))
