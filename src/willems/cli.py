@@ -48,16 +48,12 @@ from .predictive import (
 from .subspace import (
     HypothesisViolated,
     Verdict,
-    controllable_subspace,
     draw_until_pe,
-    initial_state_matrix,
-    krylov_subspace,
     min_poly_degree,
+    state_condition_space,
     theorem1_image_check,
-    theorem1_state_condition,
-    unobservable_subspace,
 )
-from .numerics import subspace_sum
+from .numerics import subspace_contains
 
 __all__ = ["main"]
 
@@ -178,14 +174,11 @@ def _state_condition_report(cfg, sys_, data, rng, out_dir):
     samples = cfg.get("xbar0_samples")
     if not samples:
         return
+    # the subspace the membership test accepts, the same for every sample
+    total = state_condition_space(sys_, data)
     if isinstance(samples, int):
-        # a bare count: draw that many states, alternating between the
-        # subspace the membership test accepts and the full state space
-        total = subspace_sum(
-            controllable_subspace(sys_),
-            unobservable_subspace(sys_),
-            krylov_subspace(sys_.A, initial_state_matrix(data)),
-        )
+        # a bare count: draw that many states, alternating between that
+        # subspace and the full state space
         drawn = []
         for idx in range(int(samples)):
             if idx % 2 == 0 and total.dim > 0:
@@ -197,7 +190,7 @@ def _state_condition_report(cfg, sys_, data, rng, out_dir):
     rows = []
     for idx, raw in enumerate(samples):
         xbar0 = np.asarray(raw, dtype=float)
-        member = theorem1_state_condition(sys_, data, xbar0)
+        member = subspace_contains(total, xbar0)
         u = rng.uniform(-1.0, 1.0, size=(L, sys_.m))
         probe = simulate(sys_, xbar0, u)
         sol = parameterize(data, probe.inputs, probe.outputs)
@@ -351,18 +344,29 @@ def _read_trajectory(path: str) -> Trajectory:
         raise ConfigError(f"cannot read trajectory CSV {path}: {exc}") from exc
 
 
+def _inline_inputs(value, field: str) -> np.ndarray:
+    """An input array written into the config, checked as a trajectory's."""
+    try:
+        return Trajectory(np.asarray(value, dtype=float)).inputs
+    except ValueError as exc:
+        raise ConfigError(f"config field '{field}': {exc}") from exc
+
+
 def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
-    entries = cfg.get("trajectories")
+    field = "trajectories"
+    entries = cfg.get(field)
     if entries is None:
-        entries = [_require(cfg, "trajectory")]
+        field = "trajectory"
+        entries = [_require(cfg, field)]
+    if not entries:
+        raise ConfigError(f"config field '{field}' lists no trajectory")
     trajs = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
         if isinstance(entry, str):
             trajs.append(_read_trajectory(entry))
         elif isinstance(entry, dict):
-            trajs.append(
-                Trajectory(np.asarray(_require(entry, "inputs"), dtype=float))
-            )
+            inputs = _require(entry, "inputs")
+            trajs.append(Trajectory(_inline_inputs(inputs, f"{field}[{i}].inputs")))
         else:
             raise ConfigError(
                 "each trajectory must be a CSV path or an object with "
@@ -378,7 +382,7 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     if "input" in cfg:
         u = _read_trajectory(cfg["input"]).inputs
     elif "inputs" in cfg:
-        u = np.asarray(cfg["inputs"], dtype=float)
+        u = _inline_inputs(cfg["inputs"], "inputs")
     else:
         T = int(cfg.get("T", cfg.get("length", 0)))
         if T < 1:

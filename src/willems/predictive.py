@@ -17,12 +17,20 @@ of the depth-(N+L) block-Hankel matrix of a recorded data trajectory. With
 online data (the prefix of the very trajectory being controlled) the two
 feasible sets coincide, which the closed-loop harness can verify side by
 side.
+
+From one step to the next only the measured past moves, and it enters the
+QP only through the equality right-hand side. So each controller's QP
+(cost, boxes, equality rows and, for the data-driven step, the Hankel
+matrix and its excitation check) is built once per closed loop, and every
+step solves it through one QP workspace that keeps its factorizations and
+warm start (see `willems.qp`). `mpc_step` and `deepc_step` build the same
+QP for a single step and solve it cold.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,7 +38,7 @@ from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, write_csv
 from .numerics import as_bound, as_matrix, as_vector
 from .parameterize import build_trajectory_matrix, response_operators
-from .qp import QuadraticProgram, solve_qp
+from .qp import QpSolution, QuadraticProgram, Workspace, solve_qp
 from .subspace import HypothesisViolated, draw_until_pe
 
 __all__ = [
@@ -44,12 +52,14 @@ __all__ = [
 
 class InfeasibleStep(RuntimeError):
     """A controller sub-problem ended without an optimal solution at some
-    step; `status` is the solver's (infeasible, unbounded or max_iter)."""
+    step; `solution` is the solver's answer and `status` its status
+    (infeasible, unbounded or max_iter)."""
 
-    def __init__(self, t: int, status: str):
-        super().__init__(f"controller step failed at t={t} (status {status})")
+    def __init__(self, t: int, solution: QpSolution):
+        super().__init__(f"controller step failed at t={t} (status {solution.status})")
         self.t = t
-        self.status = status
+        self.solution = solution
+        self.status = solution.status
 
 
 def _weight(w, name) -> np.ndarray:
@@ -153,41 +163,99 @@ def _check_history(history: Trajectory, cfg: PredictiveConfig, t: int):
         raise ValueError(f"t={t} is below the past-window length N={cfg.N}")
 
 
-def _solve_window(cfg: PredictiveConfig, lead: int, Aeq, beq, t: int):
-    """Solve the tracking QP over the stacked decision vector (lead block,
-    ubar, ybar) subject to Aeq x = beq.
+class _Window:
+    """The tracking QP of one controller over the stacked decision vector
+    (lead block, ubar, ybar) subject to Aeq x = beq.
 
     The lead block (the window's initial state for MPC, the column
     combination g for DeePC) is free and carries no cost; the tail carries
-    the tracking cost and the input/output boxes. Returns the first input,
-    the tracking cost (the QP objective plus its constant term) and the
-    lead block; raises InfeasibleStep unless the solve ended optimal.
+    the tracking cost and the input/output boxes. Only beq moves with the
+    measured past, through `beq(u_past, y_past)`, so P, q, the boxes and
+    Aeq are built once and every step shares one QP workspace.
     """
-    L, m, p = cfg.L, cfg.m, cfg.p
-    nv = lead + L * m + L * p
-    uof = slice(lead, lead + L * m)
-    yof = slice(lead + L * m, nv)
-    Qbar = np.kron(np.eye(L), cfg.Q)
-    Rbar = np.kron(np.eye(L), cfg.R)
-    rvec = cfg.reference()
 
-    P = np.zeros((nv, nv))
-    P[uof, uof] = 2.0 * Rbar
-    P[yof, yof] = 2.0 * Qbar
-    q = np.zeros(nv)
-    q[yof] = -2.0 * Qbar @ rvec
-    lb = np.full(nv, -np.inf)
-    ub = np.full(nv, np.inf)
-    u_lo, u_hi = cfg.input_bounds()
-    y_lo, y_hi = cfg.output_bounds()
-    lb[uof], ub[uof] = np.tile(u_lo, L), np.tile(u_hi, L)
-    lb[yof], ub[yof] = np.tile(y_lo, L), np.tile(y_hi, L)
+    def __init__(self, cfg: PredictiveConfig, lead: int, Aeq, beq):
+        L, m, p = cfg.L, cfg.m, cfg.p
+        nv = lead + L * m + L * p
+        uof = slice(lead, lead + L * m)
+        yof = slice(lead + L * m, nv)
+        Qbar = np.kron(np.eye(L), cfg.Q)
+        Rbar = np.kron(np.eye(L), cfg.R)
+        rvec = cfg.reference()
 
-    sol = solve_qp(QuadraticProgram(P, q, Aeq, beq, lb, ub))
-    if sol.status != "optimal":
-        raise InfeasibleStep(t, sol.status)
-    const = float(rvec @ Qbar @ rvec)
-    return sol.x[lead : lead + m].copy(), sol.objective + const, sol.x[:lead].copy()
+        P = np.zeros((nv, nv))
+        P[uof, uof] = 2.0 * Rbar
+        P[yof, yof] = 2.0 * Qbar
+        q = np.zeros(nv)
+        q[yof] = -2.0 * Qbar @ rvec
+        lb = np.full(nv, -np.inf)
+        ub = np.full(nv, np.inf)
+        u_lo, u_hi = cfg.input_bounds()
+        y_lo, y_hi = cfg.output_bounds()
+        lb[uof], ub[uof] = np.tile(u_lo, L), np.tile(u_hi, L)
+        lb[yof], ub[yof] = np.tile(y_lo, L), np.tile(y_hi, L)
+
+        self.program = QuadraticProgram(P, q, Aeq, np.zeros(Aeq.shape[0]), lb, ub)
+        self.workspace = Workspace(self.program)
+        self.beq = beq
+        self.lead, self.m = lead, m
+        self.const = float(rvec @ Qbar @ rvec)
+
+    def step(self, u_past, y_past, t: int):
+        """Solve for the measured past window; returns the first input, the
+        tracking cost (the QP objective plus its constant term) and the QP
+        solution. Raises InfeasibleStep unless the solve ended optimal."""
+        prob = replace(self.program, beq=self.beq(u_past, y_past))
+        sol = solve_qp(prob, workspace=self.workspace)
+        if sol.status != "optimal":
+            raise InfeasibleStep(t, sol)
+        u0 = sol.x[self.lead : self.lead + self.m].copy()
+        return u0, sol.objective + self.const, sol
+
+
+def _past(history: Trajectory, cfg: PredictiveConfig, t: int):
+    return history.inputs[t - cfg.N : t], history.outputs[t - cfg.N : t]
+
+
+def _mpc_window(sys: LtiSystem, cfg: PredictiveConfig) -> _Window:
+    N, L = cfg.N, cfg.L
+    m, p = sys.m, sys.p
+    ops = response_operators(sys, N + L)
+    G = ops.convolution
+    rows = (N + L) * p
+    Aeq = np.hstack([ops.observability, G[:, N * m :], -np.eye(rows)[:, N * p :]])
+    G_past = G[:, : N * m]
+    tail = np.zeros(L * p)
+
+    def beq(u_past, y_past):
+        return np.concatenate([y_past.reshape(-1), tail]) - G_past @ u_past.reshape(-1)
+
+    return _Window(cfg, sys.n, Aeq, beq)
+
+
+def _deepc_window(data: Trajectory, cfg: PredictiveConfig) -> _Window:
+    N, L = cfg.N, cfg.L
+    m, p = data.m, data.outputs.shape[1]
+    depth = N + L
+    order = cfg.pe_order if cfg.pe_order is not None else depth
+    dataset = TrajectorySet((data,))
+    if not is_collectively_pe(dataset, order):
+        raise HypothesisViolated(
+            f"data inputs are not persistently exciting of order {order}", order
+        )
+
+    H = build_trajectory_matrix(dataset, depth)
+    rows = depth * (m + p)
+    future = np.r_[N * m : depth * m, depth * m + N * p : rows]
+    Aeq = np.hstack([H, -np.eye(rows)[:, future]])
+    u_tail, y_tail = np.zeros(L * m), np.zeros(L * p)
+
+    def beq(u_past, y_past):
+        return np.concatenate(
+            [u_past.reshape(-1), u_tail, y_past.reshape(-1), y_tail]
+        )
+
+    return _Window(cfg, H.shape[1], Aeq, beq)
 
 
 def mpc_step(
@@ -204,16 +272,7 @@ def mpc_step(
     optimal tracking cost.
     """
     _check_history(history, cfg, t)
-    n, m, p = sys.n, sys.m, sys.p
-    N, L = cfg.N, cfg.L
-    ops = response_operators(sys, N + L)
-    G = ops.convolution
-    rows = (N + L) * p
-    Aeq = np.hstack([ops.observability, G[:, N * m :], -np.eye(rows)[:, N * p :]])
-    beq = np.concatenate(
-        [history.outputs[t - N : t].reshape(-1), np.zeros(L * p)]
-    ) - G[:, : N * m] @ history.inputs[t - N : t].reshape(-1)
-    u0, objective, _ = _solve_window(cfg, n, Aeq, beq, t)
+    u0, objective, _ = _mpc_window(sys, cfg).step(*_past(history, cfg, t), t)
     return u0, objective
 
 
@@ -232,29 +291,9 @@ def deepc_step(
         raise ValueError("data carries no outputs")
     if t < data.length:
         raise ValueError(f"t={t} precedes the end of the length-{data.length} data")
-    N, L = cfg.N, cfg.L
-    m, p = data.m, data.outputs.shape[1]
-    depth = N + L
-    order = cfg.pe_order if cfg.pe_order is not None else depth
-    dataset = TrajectorySet((data,))
-    if not is_collectively_pe(dataset, order):
-        raise HypothesisViolated(
-            f"data inputs are not persistently exciting of order {order}", order
-        )
-
-    H = build_trajectory_matrix(dataset, depth)
-    rows = depth * (m + p)
-    future = np.r_[N * m : depth * m, depth * m + N * p : rows]
-    Aeq = np.hstack([H, -np.eye(rows)[:, future]])
-    beq = np.concatenate(
-        [
-            history.inputs[t - N : t].reshape(-1),
-            np.zeros(L * m),
-            history.outputs[t - N : t].reshape(-1),
-            np.zeros(L * p),
-        ]
-    )
-    return _solve_window(cfg, H.shape[1], Aeq, beq, t)
+    window = _deepc_window(data, cfg)
+    u0, objective, sol = window.step(*_past(history, cfg, t), t)
+    return u0, objective, sol.x[: window.lead].copy()
 
 
 @dataclass(frozen=True)
@@ -262,16 +301,22 @@ class ClosedLoopLog:
     """Per-step record of a closed-loop run over t = 0..K.
 
     The excitation phase fills `objectives` with NaN and `statuses` with
-    "excite". When the run compared both controllers, `alt_inputs` and
-    `alt_objectives` hold the non-applied controller's step results.
-    `completed` is False when a step ended without an optimal solution and
-    the run aborted; that step's status is the last entry of `statuses`.
+    "excite". `iterations` and `kkt_residuals` are the ADMM iteration count
+    and the certified KKT residual of the applied controller's QP (0 and
+    NaN while exciting). When the run compared both controllers,
+    `alt_inputs` and `alt_objectives` hold the non-applied controller's step
+    results. `completed` is False when a step ended without an optimal
+    solution and the run aborted; that step's status is the last entry of
+    `statuses`, and its iterations and residual are those of the failed
+    solve.
     """
 
     inputs: np.ndarray
     outputs: np.ndarray
     phases: tuple
     objectives: np.ndarray
+    iterations: np.ndarray
+    kkt_residuals: np.ndarray
     statuses: tuple
     solve_ms: np.ndarray
     reference: np.ndarray
@@ -290,11 +335,12 @@ class ClosedLoopLog:
             ["t", "phase"]
             + [f"u_{i}" for i in range(m)]
             + [f"y_{i}" for i in range(p)]
-            + ["objective", "status", "solve_ms"]
+            + ["objective", "iterations", "kkt_residual", "status", "solve_ms"]
         )
         rows = (
             [t, self.phases[t], *self.inputs[t], *self.outputs[t],
-             self.objectives[t], self.statuses[t], self.solve_ms[t]]
+             self.objectives[t], self.iterations[t], self.kkt_residuals[t],
+             self.statuses[t], self.solve_ms[t]]
             for t in range(self.length)
         )
         write_csv(path, header, rows)
@@ -356,16 +402,18 @@ def run_closed_loop(
         x = as_vector(cfg.x0, "x0").copy()
         if x.shape != (sys.n,):
             raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
-    K, T = cfg.K, cfg.T
+    K, T, N = cfg.K, cfg.T, cfg.N
     inputs = np.zeros((K + 1, sys.m))
     outputs = np.zeros((K + 1, sys.p))
     objectives = np.full(K + 1, np.nan)
+    iterations = np.zeros(K + 1, dtype=int)
+    kkt_residuals = np.full(K + 1, np.nan)
     solve_ms = np.zeros(K + 1)
     phases = []
     statuses = []
     alt_inputs = np.full((K + 1, sys.m), np.nan) if controller == "both" else None
     alt_objectives = np.full(K + 1, np.nan) if controller == "both" else None
-    data = None
+    applied = compared = None
     completed = True
 
     for t in range(K + 1):
@@ -374,25 +422,29 @@ def run_closed_loop(
             phases.append("excite")
             statuses.append("excite")
         else:
-            if data is None:
-                data = Trajectory(
-                    inputs[:T].copy(), outputs=outputs[:T].copy()
-                )
-            history = Trajectory(
-                inputs[:t].copy(), outputs=outputs[:t].copy()
-            )
             start = time.perf_counter()
             try:
-                if controller == "mpc":
-                    u_t, obj = mpc_step(sys, history, cfg, t)
-                else:
-                    u_t, obj, _ = deepc_step(data, history, cfg, t)
-                    if controller == "both":
-                        alt_u, alt_obj = mpc_step(sys, history, cfg, t)
-                        alt_inputs[t] = alt_u
-                        alt_objectives[t] = alt_obj
+                if applied is None:
+                    # the data are fixed from here on, so each controller's
+                    # window (and its Hankel matrix and PE check) is built
+                    # once for the whole loop
+                    if controller == "mpc":
+                        applied = _mpc_window(sys, cfg)
+                    else:
+                        data = Trajectory(
+                            inputs[:T].copy(), outputs=outputs[:T].copy()
+                        )
+                        applied = _deepc_window(data, cfg)
+                        if controller == "both":
+                            compared = _mpc_window(sys, cfg)
+                past = inputs[t - N : t], outputs[t - N : t]
+                u_t, obj, sol = applied.step(*past, t)
+                if compared is not None:
+                    alt_inputs[t], alt_objectives[t], _ = compared.step(*past, t)
             except InfeasibleStep as exc:
                 solve_ms[t] = 1e3 * (time.perf_counter() - start)
+                iterations[t] = exc.solution.iterations
+                kkt_residuals[t] = exc.solution.kkt_residual
                 phases.append("control")
                 statuses.append(exc.status)
                 completed = False
@@ -401,12 +453,15 @@ def run_closed_loop(
                 outputs[t] = np.nan
                 inputs, outputs = inputs[:cut], outputs[:cut]
                 objectives, solve_ms = objectives[:cut], solve_ms[:cut]
+                iterations, kkt_residuals = iterations[:cut], kkt_residuals[:cut]
                 if alt_inputs is not None:
                     alt_inputs = alt_inputs[:cut]
                     alt_objectives = alt_objectives[:cut]
                 break
             solve_ms[t] = 1e3 * (time.perf_counter() - start)
             objectives[t] = obj
+            iterations[t] = sol.iterations
+            kkt_residuals[t] = sol.kkt_residual
             phases.append("control")
             statuses.append("optimal")
         inputs[t] = u_t
@@ -418,6 +473,8 @@ def run_closed_loop(
         outputs,
         tuple(phases),
         objectives,
+        iterations,
+        kkt_residuals,
         tuple(statuses),
         solve_ms,
         np.asarray(cfg.r, dtype=float),

@@ -11,13 +11,26 @@ instead an ADMM sweep (splitting on the stacked constraint matrix, so the
 iteration matrix is positive definite regardless of P and Aeq) localizes the
 active set, and a polish step re-solves the resulting equality-constrained
 program by minimum-norm least squares and verifies the full KKT system.
-The ADMM iteration matrix ``P + sigma I + M' diag(rho) M`` changes only when
-the penalty rho is rebalanced, so it is factored (as an explicit inverse;
-numpy offers no triangular solve) once when the sweep starts and once per
-rebalancing, and every iteration in between reuses that factor.
-Solutions carry the measured KKT residual. Everything is deterministic for
-fixed inputs: fixed starting point, fixed iteration schedule, no
-randomization.
+
+Everything that depends only on (P, Aeq, lb, ub) lives in a `Workspace`, so
+a sequence of programs that differ only in q and beq (the receding-horizon
+QPs of one closed loop) builds it once and passes it to every solve:
+
+- the ADMM iteration matrix ``P + sigma I + M' diag(rho) M`` at the starting
+  penalty, factored as an explicit inverse (numpy offers no triangular
+  solve); a rebalanced penalty is factored afresh and not kept;
+- a rank-revealing SVD of Aeq, whose range decides feasibility of
+  ``Aeq x = beq`` by projection residual;
+- the minimum-norm pseudo-inverses of the last two faces' KKT matrices (a
+  face pins a set of coordinates to their bounds), built from an SVD with
+  the rank cutoff of ``numpy.linalg.lstsq``, so the polish is a
+  matrix-vector product and a cached face gives the same bits as a new one;
+- the last solve's ADMM iterate, the starting point of the next sweep.
+
+`solve_qp` without a workspace builds a fresh one, so a one-off solve and a
+solve in a sequence take the same code path. Solutions carry the measured
+KKT residual. Everything is deterministic for fixed inputs and a fixed
+sequence of solves: fixed iteration schedule, no randomization.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_bound, as_matrix, as_vector, least_squares
+from .numerics import DEFAULT_TOL, as_bound, as_matrix, as_vector
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
 
@@ -43,6 +56,8 @@ _BALANCE = 5.0
 _ALPHA = 1.6
 _CHECK_EVERY = 25
 _EPS_INFEAS = 1e-6
+# face factorizations a workspace keeps; the least recently used goes first
+_FACES = 2
 
 
 @dataclass(frozen=True)
@@ -105,6 +120,81 @@ class QpSolution:
     iterations: int
 
 
+def _pseudo_inverse_parts(a):
+    """(U_r, s_r, V_r) of `a`, cut at the rank ``numpy.linalg.lstsq`` uses:
+    singular values at most ``eps * max(shape) * sigma_1`` count as zero."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > DEFAULT_TOL.absolute(a.shape, s[0]))) if s.size else 0
+    return u[:, :rank], s[:rank], vt[:rank].T
+
+
+class Workspace:
+    """Factorizations of one program's fixed data (P, Aeq, lb, ub), reused
+    by every solve of a program that differs from it only in q and beq.
+
+    Pass it to `solve_qp`, which raises ValueError for a program whose P,
+    Aeq or bounds differ. The workspace holds at most two face
+    factorizations and one warm start; drop it to free them.
+    """
+
+    def __init__(self, prob: QuadraticProgram):
+        self.P, self.Aeq, self.lb, self.ub = prob.P, prob.Aeq, prob.lb, prob.ub
+        n = prob.n
+        self.me = 0 if prob.Aeq is None else prob.Aeq.shape[0]
+        self.M = np.vstack([prob.Aeq, np.eye(n)]) if self.me else np.eye(n)
+        self.rho0 = np.concatenate(
+            [np.full(self.me, _RHO_EQ), np.full(n, _RHO_BOX)]
+        )
+        self.K0_inv = self.factor(self.rho0)
+        if self.me:
+            # range of Aeq, and the map from range coordinates to the
+            # minimum-norm least-squares solution
+            u, s, v = _pseudo_inverse_parts(prob.Aeq)
+            self.eq_range, self.eq_solve = u, v / s
+        self.warm = None
+        self._faces = {}
+
+    def factor(self, rho) -> np.ndarray:
+        """Inverse of the ADMM iteration matrix at penalty `rho`."""
+        n = self.P.shape[0]
+        return np.linalg.inv(self.P + _SIGMA * np.eye(n) + (self.M.T * rho) @ self.M)
+
+    def check(self, prob: QuadraticProgram):
+        """Raise ValueError unless `prob` has this workspace's P, Aeq and
+        bounds."""
+        ours = (self.P, self.Aeq, self.lb, self.ub)
+        theirs = (prob.P, prob.Aeq, prob.lb, prob.ub)
+        # None (no equality rows) equals only None
+        if not all(np.array_equal(a, b) for a, b in zip(ours, theirs)):
+            raise ValueError(
+                "the program's P, Aeq or bounds differ from its workspace's"
+            )
+
+    def face(self, lower, upper):
+        """(KKT matrix, its minimum-norm pseudo-inverse) of the face that
+        pins `lower` to lb and `upper` to ub, Aeq rows first."""
+        key = (tuple(lower), tuple(upper))
+        entry = self._faces.pop(key, None)
+        if entry is None:
+            # evict first, so the new factorization is built beside one
+            # kept face, not two
+            if len(self._faces) == _FACES:
+                del self._faces[next(iter(self._faces))]
+            n = self.P.shape[0]
+            Aact = np.eye(n)[np.array(list(lower) + list(upper), dtype=int)]
+            if self.me:
+                Aact = np.vstack([self.Aeq, Aact])
+            ma = Aact.shape[0]
+            kkt = np.zeros((n + ma, n + ma))
+            kkt[:n, :n] = self.P
+            kkt[:n, n:] = Aact.T
+            kkt[n:, :n] = Aact
+            u, s, v = _pseudo_inverse_parts(kkt)
+            entry = (kkt, (v / s) @ u.T)
+        self._faces[key] = entry
+        return entry
+
+
 def _kkt_residual(prob: QuadraticProgram, x, y_eq, y_box) -> float:
     """Worst violation over stationarity, primal feasibility, dual signs and
     complementarity."""
@@ -128,27 +218,22 @@ def _kkt_residual(prob: QuadraticProgram, x, y_eq, y_box) -> float:
     return max(worst, float(np.abs(comp).max(initial=0.0)))
 
 
-def _pinned_solve(prob: QuadraticProgram, lower, upper):
+def _pinned_solve(prob: QuadraticProgram, ws: Workspace, lower, upper):
     """Minimum-norm KKT solve with the listed coordinates pinned to their
     bounds. Returns (x, y_eq, y_box, kkt_residual, consistent); `consistent`
     is False when the stacked system has no exact solution, meaning the face
     is wrong or the objective is unbounded along it.
     """
     n = prob.n
-    me = 0 if prob.Aeq is None else prob.Aeq.shape[0]
+    me = ws.me
     pinned = np.array(list(lower) + list(upper), dtype=int)
-    Aact = np.eye(n)[pinned]
     bact = np.concatenate([prob.lb[lower], prob.ub[upper]])
     if me:
-        Aact = np.vstack([prob.Aeq, Aact])
         bact = np.concatenate([prob.beq, bact])
-    ma = Aact.shape[0]
-    kkt = np.zeros((n + ma, n + ma))
-    kkt[:n, :n] = prob.P
-    kkt[:n, n:] = Aact.T
-    kkt[n:, :n] = Aact
     rhs_full = np.concatenate([-prob.q, bact])
-    sol, res = least_squares(kkt, rhs_full)
+    kkt, pinv = ws.face(lower, upper)
+    sol = pinv @ rhs_full
+    res = float(np.linalg.norm(kkt @ sol - rhs_full))
     consistent = res <= 1e-6 * max(1.0, float(np.linalg.norm(rhs_full)))
     x = sol[:n]
     nu = sol[n:]
@@ -158,7 +243,7 @@ def _pinned_solve(prob: QuadraticProgram, lower, upper):
     return x, y_eq, y_new, _kkt_residual(prob, x, y_eq, y_new), consistent
 
 
-def _refine(prob: QuadraticProgram, lower, upper, always, tol):
+def _refine(prob: QuadraticProgram, ws: Workspace, lower, upper, always, tol):
     """Active-set refinement from a starting guess of pinned coordinates.
 
     Each pass re-solves the pinned KKT system by minimum-norm least squares,
@@ -173,7 +258,7 @@ def _refine(prob: QuadraticProgram, lower, upper, always, tol):
     best = None
     for _ in range(3 * n + 3):
         lo, up = sorted(lower), sorted(upper)
-        x, y_eq, y_new, res, consistent = _pinned_solve(prob, lo, up)
+        x, y_eq, y_new, res, consistent = _pinned_solve(prob, ws, lo, up)
         changed = False
         if consistent:
             if best is None or res < best[3]:
@@ -205,7 +290,7 @@ def _refine(prob: QuadraticProgram, lower, upper, always, tol):
     return best
 
 
-def _polish(prob: QuadraticProgram, y_box, tol):
+def _polish(prob: QuadraticProgram, ws: Workspace, y_box, tol):
     """Best certified solution from multiplier-seeded and blank refinements.
 
     The ADMM box multipliers (thresholded against their overall scale, so
@@ -219,44 +304,54 @@ def _polish(prob: QuadraticProgram, y_box, tol):
     always = set(np.flatnonzero(finite_lb & (prob.lb == prob.ub)).tolist())
     lower = set(np.flatnonzero(finite_lb & (y_box < -seed_thr)).tolist())
     upper = set(np.flatnonzero(finite_ub & (y_box > seed_thr)).tolist())
-    best = _refine(prob, lower, upper, always, tol)
+    best = _refine(prob, ws, lower, upper, always, tol)
     if best is not None and best[3] <= tol:
         return best
-    retry = _refine(prob, set(), set(), always, tol)
+    retry = _refine(prob, ws, set(), set(), always, tol)
     if retry is not None and (best is None or retry[3] < best[3]):
         best = retry
     return best
 
 
 def solve_qp(
-    prob: QuadraticProgram, tol: float = 1e-8, max_iter: int = 100000
+    prob: QuadraticProgram,
+    tol: float = 1e-8,
+    max_iter: int = 100000,
+    workspace: Workspace | None = None,
 ) -> QpSolution:
     """Solve the program; see the module docstring for the method. Singular
-    P is resolved by the minimum-norm behavior of the polish step."""
+    P is resolved by the minimum-norm behavior of the polish step.
+
+    `workspace` carries the factorizations and the warm start over from
+    earlier solves of programs with the same P, Aeq and bounds; without
+    one, a fresh workspace is built for this solve alone.
+    """
+    if workspace is None:
+        workspace = Workspace(prob)
+    else:
+        workspace.check(prob)
+    ws = workspace
     n = prob.n
-    me = 0 if prob.Aeq is None else prob.Aeq.shape[0]
+    me = ws.me
 
     if me:
-        x_ls, res = least_squares(prob.Aeq, prob.beq)
+        coef = ws.eq_range.T @ prob.beq
+        res = float(np.linalg.norm(prob.beq - ws.eq_range @ coef))
         if res > 1e-9 * max(1.0, float(np.linalg.norm(prob.beq))):
+            x_ls = ws.eq_solve @ coef
             return QpSolution(
                 x_ls, prob.objective(x_ls), "infeasible", float("inf"), 0
             )
 
-    M = np.vstack([prob.Aeq, np.eye(n)]) if me else np.eye(n)
+    M = ws.M
     low = np.concatenate([prob.beq, prob.lb]) if me else prob.lb
     high = np.concatenate([prob.beq, prob.ub]) if me else prob.ub
-    rho = np.concatenate([np.full(me, _RHO_EQ), np.full(n, _RHO_BOX)])
-
-    def factor(rho):
-        return np.linalg.inv(prob.P + _SIGMA * np.eye(n) + (M.T * rho) @ M)
-
-    K_inv = factor(rho)
+    rho = ws.rho0
+    K_inv = ws.K0_inv
     damp, last_up = 1.0, None
 
-    x = np.zeros(n)
+    x, y = (np.zeros(n), np.zeros(me + n)) if ws.warm is None else ws.warm
     z = np.clip(M @ x, low, high)
-    y = np.zeros(me + n)
     x_mark, y_mark = x.copy(), y.copy()
 
     def admm_phase(eps, start, limit):
@@ -315,7 +410,7 @@ def solve_qp(
                 last_up = up
                 scale = float(np.clip(ratio, 1e-3, 1e3)) ** damp
                 rho = np.clip(rho * scale, _RHO_MIN, _RHO_MAX)
-                K_inv = factor(rho)
+                K_inv = ws.factor(rho)
         return "max_iter", it
 
     iterations = 0
@@ -328,10 +423,12 @@ def solve_qp(
     for eps, limit in schedule:
         outcome, iterations = admm_phase(eps, iterations, limit)
         if outcome in ("infeasible", "unbounded"):
+            ws.warm = None
             return QpSolution(
                 x, prob.objective(x), outcome, float("inf"), iterations
             )
-        polished = _polish(prob, y[me:], tol)
+        ws.warm = (x, y)
+        polished = _polish(prob, ws, y[me:], tol)
         if polished is not None:
             px, _, _, pres = polished
             if best is None or pres < best[1]:

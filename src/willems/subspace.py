@@ -254,11 +254,18 @@ def theorem1_state_condition(
 ) -> bool:
     """Membership of `xbar0` in controllable + unobservable + invariant-span."""
     xbar0 = as_vector(xbar0, "xbar0")
-    X0 = initial_state_matrix(data)
-    total = subspace_sum(
+    return subspace_contains(state_condition_space(sys, data, tol), xbar0, rtol)
+
+
+def state_condition_space(
+    sys: LtiSystem, data: TrajectorySet, tol: RankTolerance = DEFAULT_TOL
+) -> SubspaceBasis:
+    """Controllable + unobservable + the smallest A-invariant subspace
+    containing the data's initial states: the initial states whose windows
+    the data can parameterize."""
+    return subspace_sum(
         controllable_subspace(sys, tol),
         unobservable_subspace(sys, tol),
-        krylov_subspace(sys.A, X0, tol),
+        krylov_subspace(sys.A, initial_state_matrix(data), tol),
         tol=tol,
     )
-    return subspace_contains(total, xbar0, rtol)

@@ -314,3 +314,28 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         assert run(tmp_path, command, cfg, out=tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "config error" in err and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        (
+            "check-pe",
+            {"trajectories": [{"inputs": [[1.0], [float("nan")], [2.0]]}]},
+            "trajectories[0].inputs",
+        ),
+        ("check-pe", {"trajectories": []}, "trajectories"),
+        (
+            "simulate",
+            {"system": plant_section(), "inputs": [[0.1], [float("nan")]]},
+            "inputs",
+        ),
+    ],
+    ids=["check-pe-nan", "check-pe-empty", "simulate-nan"],
+)
+def test_bad_inline_inputs_exit_2_naming_the_field(
+    tmp_path, capsys, command, cfg, field
+):
+    assert run(tmp_path, command, cfg, out=tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{field}'" in err

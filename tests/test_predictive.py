@@ -1,3 +1,6 @@
+import json
+from importlib.resources import files
+
 import numpy as np
 import pytest
 
@@ -281,6 +284,56 @@ def test_controllers_agree_on_random_plants():
         done += 1
 
 
+def assert_loop_matches_one_shot_steps(sys, cfg, seed):
+    # the closed loop builds each controller's QP once and warm-starts it
+    # from the previous step; a one-shot step builds and solves cold
+    log = run_closed_loop(sys, cfg, controller="both", seed=seed)
+    assert log.completed
+    T = cfg.T
+    data = Trajectory(log.inputs[:T], outputs=log.outputs[:T])
+    for t in range(T, cfg.K + 1):
+        assert log.statuses[t] == "optimal"
+        hist = Trajectory(log.inputs[:t], outputs=log.outputs[:t])
+        u_dd, _, _ = deepc_step(data, hist, cfg, t)
+        u_mb, _ = mpc_step(sys, hist, cfg, t)
+        assert np.abs(u_dd - log.inputs[t]).max() <= 1e-10
+        assert np.abs(u_mb - log.alt_inputs[t]).max() <= 1e-10
+
+
+def test_closed_loop_steps_match_one_shot_steps_on_fig1():
+    raw = json.loads(files("willems").joinpath("configs/fig1_deepc.json").read_text())
+    sys = LtiSystem(*(np.array(raw["system"][k]) for k in "ABCD"))
+    keys = ("N", "L", "T", "Q", "R", "r", "u_min", "u_max", "pe_order", "x0")
+    fields = {k: raw[k] for k in keys}
+    fields.update(
+        excitation_low=raw["excitation_low"],
+        excitation_high=raw["excitation_high"],
+        K=40,
+    )
+    assert_loop_matches_one_shot_steps(sys, PredictiveConfig(**fields), raw["seed"])
+
+
+def test_closed_loop_steps_match_one_shot_steps_on_uncontrollable_plant():
+    rng = np.random.default_rng(5)
+    sys = uncontrollable_plant(rng)
+    assert np.linalg.matrix_rank(controllability_matrix(sys)) < sys.n
+    N, L = sys.n, 4
+    T = (sys.m + 1) * (sys.n + N + L) + 5
+    cfg = PredictiveConfig(
+        N=N,
+        L=L,
+        Q=np.eye(sys.p),
+        R=0.1 * np.eye(sys.m),
+        r=3.0 * rng.normal(size=sys.p),
+        T=T,
+        K=T + 25,
+        u_min=-1.0,
+        u_max=1.0,
+        x0=rng.normal(size=sys.n),
+    )
+    assert_loop_matches_one_shot_steps(sys, cfg, seed=9)
+
+
 def test_closed_loop_log_shape_and_phases():
     sys = scalar_plant()
     cfg = scalar_config(T=8, K=14, pe_order=4, u_min=-4.0, u_max=4.0)
@@ -378,12 +431,17 @@ def test_log_csv_round_trip(tmp_path):
     path = tmp_path / "log.csv"
     log.to_csv(str(path))
     rows = path.read_text().strip().split("\n")
-    assert rows[0] == "t,phase,u_0,y_0,objective,status,solve_ms"
+    assert rows[0] == (
+        "t,phase,u_0,y_0,objective,iterations,kkt_residual,status,solve_ms"
+    )
     assert len(rows) == 1 + log.length
+    assert rows[1].split(",")[5:8] == ["0", "nan", "excite"]
     cells = rows[9].split(",")
     assert cells[1] == "control"
     assert float(cells[2]) == log.inputs[8, 0]
     assert float(cells[3]) == log.outputs[8, 0]
+    assert int(cells[5]) == log.iterations[8] > 0
+    assert float(cells[6]) == log.kkt_residuals[8] <= 1e-8
 
     plot = tmp_path / "plot.csv"
     log.to_plot_csv(str(plot))

@@ -3,6 +3,7 @@ import pytest
 
 from activeset_oracle import random_box_qp, solve_reference
 from willems import QuadraticProgram, solve_qp
+from willems.qp import Workspace
 
 
 def test_problem_validation():
@@ -147,3 +148,47 @@ def test_matches_reference_on_singular_batch():
         assert sol.objective == pytest.approx(ref_obj, abs=1e-6)
         if unique:
             assert np.allclose(sol.x, ref_x, atol=1e-5)
+
+
+def simplex_program(**changes):
+    data = dict(
+        P=np.diag([2.0, 1.0, 1.0]),
+        q=[1.0, -1.0, 0.5],
+        Aeq=[[1.0, 1.0, 1.0]],
+        beq=[1.0],
+        lb=[-1.0, -1.0, -1.0],
+        ub=[1.0, 1.0, 1.0],
+    )
+    data.update(changes)
+    return QuadraticProgram(**data)
+
+
+def test_workspace_takes_new_q_and_beq_but_rejects_other_data():
+    ws = Workspace(simplex_program())
+    sol = solve_qp(simplex_program(q=[0.0, 2.0, -1.0], beq=[0.5]), workspace=ws)
+    assert sol.status == "optimal"
+    for changed in (
+        simplex_program(P=np.eye(3)),
+        simplex_program(Aeq=[[1.0, 1.0, 0.0]]),
+        simplex_program(Aeq=None, beq=None),
+        simplex_program(lb=[-1.0, -1.0, -2.0]),
+        simplex_program(ub=[1.0, np.inf, 1.0]),
+    ):
+        with pytest.raises(ValueError, match="workspace"):
+            solve_qp(changed, workspace=ws)
+
+
+def test_repeat_solves_through_a_workspace_match_a_fresh_solve_bitwise():
+    # the second solve starts warm and polishes through a cached face
+    # factorization; the certified answer is the same bits as a cold solve
+    rng = np.random.default_rng(33)
+    for _ in range(30):
+        P, q, Aeq, beq, lb, ub = random_box_qp(rng)
+        prob = QuadraticProgram(P, q, Aeq=Aeq, beq=beq, lb=lb, ub=ub)
+        fresh = solve_qp(prob)
+        ws = Workspace(prob)
+        for sol in (solve_qp(prob, workspace=ws), solve_qp(prob, workspace=ws)):
+            assert sol.status == fresh.status == "optimal"
+            assert np.array_equal(sol.x, fresh.x)
+            assert sol.objective == fresh.objective
+            assert sol.kkt_residual == fresh.kkt_residual
