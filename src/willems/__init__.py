@@ -36,8 +36,6 @@ from .multiagent import (
     sweep_to_csv,
 )
 from .numerics import (
-    DEFAULT_TOL,
-    RankTolerance,
     SubspaceBasis,
     least_squares,
     numerical_rank,

@@ -29,6 +29,7 @@ from .lti import (
     write_csv,
 )
 from .multiagent import (
+    ORDER_RULES,
     MultiAgentSpec,
     build_system,
     collect_trajectories,
@@ -68,6 +69,21 @@ def _require(cfg: dict, field: str):
     return cfg[field]
 
 
+def _count(cfg: dict, field: str, default=None, least: int = 1) -> int:
+    """Integer config field of at least `least`; required when `default`
+    is None."""
+    raw = _require(cfg, field) if default is None else cfg.get(field, default)
+    try:
+        value = int(raw)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field '{field}' is not an integer") from exc
+    if value < least:
+        raise ConfigError(
+            f"config field '{field}' must be at least {least}, got {value}"
+        )
+    return value
+
+
 def _matrix(cfg: dict, field: str) -> np.ndarray:
     value = np.asarray(_require(cfg, field), dtype=float)
     if value.ndim == 1:
@@ -102,13 +118,18 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
     if "random" in cfg:
         recipe = cfg["random"]
         count = int(recipe.get("count", 50))
+        n_max = _count(recipe, "n_max", 6, least=2)
+        m_max = _count(recipe, "m_max", 3)
+        p_max = _count(recipe, "p_max", 3)
+        tau_max = _count(recipe, "tau_max", 3)
+        L_max = _count(recipe, "L_max", 4)
         rng = np.random.default_rng(seed)
         for case in range(count):
-            n = int(rng.integers(2, int(recipe.get("n_max", 6)) + 1))
-            m = int(rng.integers(1, int(recipe.get("m_max", 3)) + 1))
-            p = int(rng.integers(1, int(recipe.get("p_max", 3)) + 1))
-            tau = int(rng.integers(1, int(recipe.get("tau_max", 3)) + 1))
-            L = int(rng.integers(1, int(recipe.get("L_max", 4)) + 1))
+            n = int(rng.integers(2, n_max + 1))
+            m = int(rng.integers(1, m_max + 1))
+            p = int(rng.integers(1, p_max + 1))
+            tau = int(rng.integers(1, tau_max + 1))
+            L = int(rng.integers(1, L_max + 1))
             sys_ = random_system(rng, n, m, p)
             delta = min_poly_degree(sys_.A)
             data = _draw_pe_data(sys_, rng, tau, delta + L)
@@ -116,12 +137,18 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
             rows.append((case, n, m, p, tau, L, delta, report))
     else:
         sys_ = _system(cfg)
-        tau = int(_require(cfg, "tau"))
-        L = int(_require(cfg, "L"))
-        delta = int(cfg.get("delta", min_poly_degree(sys_.A)))
+        tau = _count(cfg, "tau")
+        L = _count(cfg, "L")
+        dmin = min_poly_degree(sys_.A)
+        delta = _count(cfg, "delta", dmin, least=dmin)
         rng = np.random.default_rng(seed)
         x0 = cfg.get("x0_columns")
         x0 = None if x0 is None else np.asarray(x0, dtype=float)
+        if x0 is not None and x0.shape != (sys_.n, tau):
+            raise ConfigError(
+                f"config field 'x0_columns' has shape {x0.shape}, expected "
+                f"({sys_.n}, {tau}): one initial state per trajectory"
+            )
         length = cfg.get("length")
         length = None if length is None else int(length)
         data = _draw_pe_data(
@@ -280,12 +307,19 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     T = int(_require(cfg, "T"))
+    tau = _count(cfg, "tau", 1)
+    rules = cfg.get("rules", list(ORDER_RULES))
+    unknown = [rule for rule in rules if rule not in ORDER_RULES]
+    if unknown:
+        raise ConfigError(
+            f"config field 'rules' names unknown rules {unknown}; "
+            f"known: {list(ORDER_RULES)}"
+        )
 
     if spec.M == 0:
         print("no edges: nothing is measured, identification skipped")
     else:
         sys_ = build_system(spec)
-        tau = int(cfg.get("tau", 1))
         low = float(cfg.get("input_low", -0.1))
         high = float(cfg.get("input_high", 0.1))
         data = collect_trajectories(sys_, tau, T, low, high, seed)
@@ -322,7 +356,6 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
         )
 
     agents = tuple(int(a) for a in cfg.get("sweep_agents", range(3, 9)))
-    rules = cfg.get("rules", ["corollary2", "full_n"])
     rows = []
     for rule in rules:
         rows.extend(min_trajectory_sweep(spec, T, rule, seed, agents))
@@ -379,6 +412,7 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
 
 def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     sys_ = _system(cfg)
+    field = "input" if "input" in cfg else "inputs"
     if "input" in cfg:
         u = _read_trajectory(cfg["input"]).inputs
     elif "inputs" in cfg:
@@ -389,8 +423,20 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
             raise ConfigError("need 'input', 'inputs', or a length 'T'")
         low = float(cfg.get("input_low", -1.0))
         high = float(cfg.get("input_high", 1.0))
+        if low >= high:
+            raise ConfigError(
+                f"config field 'input_low' ({low}) must be below "
+                f"'input_high' ({high})"
+            )
         u = random_input(sys_.m, T, low, high, seed)
+    if u.shape[1] != sys_.m:
+        raise ConfigError(
+            f"config field '{field}': inputs have {u.shape[1]} channels, "
+            f"the system has {sys_.m}"
+        )
     x0 = np.asarray(cfg.get("x0", np.zeros(sys_.n)), dtype=float)
+    if x0.size != sys_.n or not np.isfinite(x0).all():
+        raise ConfigError(f"config field 'x0' must hold {sys_.n} finite numbers")
     traj = simulate(sys_, x0, u)
     path = _out_path(out_dir, cfg.get("out_name", "trajectory.csv"))
     trajectory_to_csv(traj, path)

@@ -15,7 +15,7 @@ import logging
 import numpy as np
 
 from .lti import TrajectorySet
-from .numerics import DEFAULT_TOL, RankTolerance, numerical_rank
+from .numerics import numerical_rank
 
 __all__ = ["hankel", "mosaic_hankel", "is_collectively_pe", "pe_order"]
 
@@ -58,9 +58,7 @@ def mosaic_hankel(
     return np.hstack(blocks)
 
 
-def is_collectively_pe(
-    data: TrajectorySet, d: int, tol: RankTolerance = DEFAULT_TOL
-) -> bool:
+def is_collectively_pe(data: TrajectorySet, d: int) -> bool:
     """Collective persistency of excitation of order d on the input channel.
 
     Returns False (rather than raising) when some trajectory is shorter
@@ -73,10 +71,10 @@ def is_collectively_pe(
         log.debug("PE order %d impossible: trajectories %s shorter than d", d, short)
         return False
     mosaic = mosaic_hankel(data, d, "inputs")
-    return numerical_rank(mosaic, tol) == mosaic.shape[0]
+    return numerical_rank(mosaic) == mosaic.shape[0]
 
 
-def pe_order(data: TrajectorySet, tol: RankTolerance = DEFAULT_TOL) -> int:
+def pe_order(data: TrajectorySet) -> int:
     """Largest order d at which the set is collectively PE; 0 if none.
 
     PE is monotone in d, so the scan goes downward from the structural
@@ -89,6 +87,6 @@ def pe_order(data: TrajectorySet, tol: RankTolerance = DEFAULT_TOL) -> int:
     while d_max > 0 and d_max * m > total_cols - len(data) * (d_max - 1):
         d_max -= 1
     for d in range(d_max, 0, -1):
-        if is_collectively_pe(data, d, tol):
+        if is_collectively_pe(data, d):
             return d
     return 0

@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 _ZERO_BLOCK_RTOL = 1e-6
+# relative residual past which an impulse-window solve is inconsistent, and
+# relative distance within which a block of M_1 matches +-Bbar
+_FIT_RTOL = 1e-6
 _STATE_NORM_WARN = 1e6
 # trajectory counts the sweep tries past the analytic bound before giving up
 _SWEEP_EXTRA = 20
@@ -188,9 +191,7 @@ class MarkovParams:
         return self.values[k - 1]
 
 
-def markov_from_data(
-    data: TrajectorySet, n: int, kmax: int, tol: float = 1e-6
-) -> MarkovParams:
+def markov_from_data(data: TrajectorySet, n: int, kmax: int) -> MarkovParams:
     """Markov parameters M_1..M_kmax from input-output data alone.
 
     For each k a column combination G_k of the depth-(n+1) stacked
@@ -199,8 +200,8 @@ def markov_from_data(
     m(n+1)+pn rows of that demand involve only already-known quantities, so
     G_k is solved from them by least squares; the last p rows then read off
     M_k. The least-squares residual doubles as a consistency check: on data
-    that no LTI plant of the assumed order generated, it blows past `tol`
-    and the solve is rejected.
+    that no LTI plant of the assumed order generated, it blows past
+    `_FIT_RTOL` and the solve is rejected.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
@@ -249,7 +250,7 @@ def markov_from_data(
             rhs[r0 : r0 + p] = np.zeros((p, m)) if i == 0 else params[i - 1]
         G_k, res = least_squares(known_rows, rhs)
         scale = max(1.0, float(np.linalg.norm(rhs)))
-        if res > tol * scale:
+        if res > _FIT_RTOL * scale:
             raise ValueError(
                 f"impulse-window solve for M_{k} is inconsistent "
                 f"(residual {res:.3e}); data does not fit the assumed "
@@ -274,7 +275,6 @@ def recover_system(
     anchor: tuple,
     nbar: int,
     mbar: int,
-    tol: float = 1e-6,
 ) -> RecoveredSystem:
     """Recover (Abar, Bbar, E) from Markov parameters and one known E entry.
 
@@ -282,7 +282,7 @@ def recover_system(
     is known to carry sign (+1 or -1) in E. Needs parameters through index
     nbar+1. The shift solve for Abar requires the stacked anchored blocks
     to have full row rank nbar; block classification for E uses a relative
-    zero threshold of 1e-6 and match tolerance `tol`.
+    zero threshold of 1e-6 and match tolerance `_FIT_RTOL`.
     """
     i, j, sign = anchor
     if sign not in (1, -1):
@@ -324,15 +324,19 @@ def recover_system(
             cand = block(M1, bi, bj)
             if np.linalg.norm(cand) <= _ZERO_BLOCK_RTOL * scale:
                 continue
-            if np.linalg.norm(cand - Bbar) <= tol * max(1.0, scale):
+            if np.linalg.norm(cand - Bbar) <= _FIT_RTOL * max(1.0, scale):
                 E[bi, bj] = 1.0
-            elif np.linalg.norm(cand + Bbar) <= tol * max(1.0, scale):
+            elif np.linalg.norm(cand + Bbar) <= _FIT_RTOL * max(1.0, scale):
                 E[bi, bj] = -1.0
             else:
                 raise ValueError(
                     f"block ({bi}, {bj}) matches neither +-Bbar nor zero"
                 )
     return RecoveredSystem(Abar, Bbar, E, (i, j, sign))
+
+
+# excitation-order rules the trajectory-count sweep knows
+ORDER_RULES = ("corollary2", "full_n")
 
 
 def _rule_order(rule: str, N: int, nbar: int) -> int:

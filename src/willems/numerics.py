@@ -1,8 +1,11 @@
 """Dense linear-algebra kernels: rank, least squares, orthonormal bases, subspaces.
 
-All routines are SVD-backed and share a single rank-tolerance policy so that
-"full row rank" and "image equality" statements remain meaningful in floating
-point. Matrices are plain 2-D ``numpy`` arrays; vectors are 1-D arrays.
+All routines are SVD-backed and share one rank policy, applied by
+`svd_rank`: a singular value counts as nonzero when it exceeds
+``max(rows, cols) * eps * sigma_max``, the cutoff of
+``numpy.linalg.matrix_rank``. Membership and equality of computed subspaces
+are decided by projection residuals against `DEFAULT_RESIDUAL_RTOL`.
+Matrices are plain 2-D ``numpy`` arrays; vectors are 1-D arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RankTolerance",
     "SubspaceBasis",
     "as_matrix",
     "as_vector",
@@ -30,6 +32,7 @@ __all__ = [
 # Relative tolerance used for subspace membership/equality of *computed* data
 # (projection residuals), as opposed to the machine-epsilon rank policy.
 DEFAULT_RESIDUAL_RTOL = 1e-8
+_EPS = np.finfo(float).eps
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -81,39 +84,18 @@ def power_blocks(A, X, count: int) -> list:
     return blocks[:count]
 
 
-@dataclass(frozen=True)
-class RankTolerance:
-    """Relative threshold deciding which singular values count as nonzero.
-
-    The absolute cutoff is ``relative * sigma_max``. With ``relative=None``
-    the standard policy ``max(rows, cols) * eps`` is used, matching
-    ``numpy.linalg.matrix_rank``.
-    """
-
-    relative: float | None = None
-
-    def __post_init__(self):
-        if self.relative is not None and self.relative < 0:
-            raise ValueError("relative tolerance must be nonnegative")
-
-    def absolute(self, shape: tuple[int, int], sigma_max: float) -> float:
-        rel = self.relative
-        if rel is None:
-            rel = max(shape) * np.finfo(float).eps
-        return rel * sigma_max
+def svd_rank(s, shape) -> int:
+    """Number of the descending singular values `s` of a matrix of `shape`
+    strictly above the cutoff ``max(shape) * eps * s[0]``."""
+    return int(np.sum(s > max(shape) * _EPS * s[0]))
 
 
-DEFAULT_TOL = RankTolerance()
-
-
-def numerical_rank(m, tol: RankTolerance = DEFAULT_TOL) -> int:
-    """Number of singular values strictly above the resolved cutoff."""
+def numerical_rank(m) -> int:
+    """Number of singular values strictly above the rank cutoff."""
     a = as_matrix(m)
     if a.size == 0:
         return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = tol.absolute(a.shape, s[0])
-    return int(np.sum(s > cutoff))
+    return svd_rank(np.linalg.svd(a, compute_uv=False), a.shape)
 
 
 def least_squares(a, b) -> tuple[np.ndarray, float]:
@@ -138,7 +120,7 @@ def least_squares(a, b) -> tuple[np.ndarray, float]:
     return x, residual
 
 
-def orthonormal_image(m, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
+def orthonormal_image(m) -> np.ndarray:
     """Orthonormal basis of the numerical column space of `m`.
 
     Returns an ``rows x rank`` matrix; a zero matrix yields zero columns.
@@ -147,34 +129,27 @@ def orthonormal_image(m, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
     if a.size == 0:
         return np.zeros((a.shape[0], 0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    cutoff = tol.absolute(a.shape, s[0]) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    return u[:, :rank]
+    return u[:, : svd_rank(s, a.shape)]
 
 
-def right_kernel(m, tol: RankTolerance = DEFAULT_TOL) -> np.ndarray:
+def right_kernel(m) -> np.ndarray:
     """Orthonormal basis of the numerical right kernel of `m`."""
     a = as_matrix(m)
-    n = a.shape[1]
     if a.size == 0:
-        return np.eye(n)
+        return np.eye(a.shape[1])
     _, s, vt = np.linalg.svd(a)
-    cutoff = tol.absolute(a.shape, s[0]) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
-    return vt[rank:].T
+    return vt[svd_rank(s, a.shape) :].T
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of a subspace of R^n.
 
-    `basis` is an ``n x r`` matrix with orthonormal columns (``r`` may be 0);
-    `tol` records the rank tolerance used to construct it.
+    `basis` is an ``n x r`` matrix with orthonormal columns (``r`` may be 0).
     """
 
     n: int
     basis: np.ndarray
-    tol: RankTolerance = DEFAULT_TOL
 
     def __post_init__(self):
         b = as_matrix(self.basis, "basis")
@@ -190,25 +165,23 @@ class SubspaceBasis:
         return self.basis.shape[1]
 
 
-def subspace_from_columns(m, tol: RankTolerance = DEFAULT_TOL) -> SubspaceBasis:
+def subspace_from_columns(m) -> SubspaceBasis:
     """Subspace spanned by the columns of `m` (orthonormalized)."""
     a = as_matrix(m)
-    return SubspaceBasis(a.shape[0], orthonormal_image(a, tol), tol)
+    return SubspaceBasis(a.shape[0], orthonormal_image(a))
 
 
-def subspace_sum(*spaces: SubspaceBasis, tol: RankTolerance | None = None) -> SubspaceBasis:
+def subspace_sum(*spaces: SubspaceBasis) -> SubspaceBasis:
     """Sum (span of the union) of subspaces of a common ambient space."""
     if not spaces:
         raise ValueError("need at least one subspace")
     n = spaces[0].n
     if any(s.n != n for s in spaces):
         raise ValueError("ambient dimensions differ")
-    if tol is None:
-        tol = spaces[0].tol
-    stacked = np.hstack([s.basis for s in spaces]) if spaces else np.zeros((n, 0))
+    stacked = np.hstack([s.basis for s in spaces])
     if stacked.shape[1] == 0:
-        return SubspaceBasis(n, np.zeros((n, 0)), tol)
-    return SubspaceBasis(n, orthonormal_image(stacked, tol), tol)
+        return SubspaceBasis(n, np.zeros((n, 0)))
+    return SubspaceBasis(n, orthonormal_image(stacked))
 
 
 def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:
@@ -229,21 +202,19 @@ def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:
     return gap
 
 
-def subspace_equal(
-    a: SubspaceBasis, b: SubspaceBasis, rtol: float = DEFAULT_RESIDUAL_RTOL
-) -> bool:
-    """True iff the two subspaces coincide up to projection residual `rtol`."""
+def subspace_equal(a: SubspaceBasis, b: SubspaceBasis) -> bool:
+    """True iff the two subspaces coincide up to projection residual
+    `DEFAULT_RESIDUAL_RTOL`."""
     if a.n != b.n:
         raise ValueError(f"ambient dimension mismatch: {a.n} vs {b.n}")
     if a.dim != b.dim:
         return False
-    return subspace_gap(a, b) <= rtol
+    return subspace_gap(a, b) <= DEFAULT_RESIDUAL_RTOL
 
 
-def subspace_contains(
-    space: SubspaceBasis, vector, rtol: float = DEFAULT_RESIDUAL_RTOL
-) -> bool:
-    """Membership test by projection residual, relative to the vector norm.
+def subspace_contains(space: SubspaceBasis, vector) -> bool:
+    """Membership test by projection residual, relative to the vector norm
+    (at most `DEFAULT_RESIDUAL_RTOL`).
 
     The zero vector belongs to every subspace.
     """
@@ -255,4 +226,4 @@ def subspace_contains(
         return True
     q = space.basis
     residual = np.linalg.norm(v - q @ (q.T @ v))
-    return residual <= rtol * norm
+    return residual <= DEFAULT_RESIDUAL_RTOL * norm

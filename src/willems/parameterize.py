@@ -19,8 +19,6 @@ from .hankel import is_collectively_pe, mosaic_hankel
 from .lti import LtiSystem, Trajectory, TrajectorySet, window
 from .numerics import (
     DEFAULT_RESIDUAL_RTOL,
-    DEFAULT_TOL,
-    RankTolerance,
     as_vector,
     least_squares,
     power_blocks,
@@ -67,7 +65,8 @@ class ParamSolution:
     """Least-squares combination of data columns reproducing a window.
 
     `residual_norm` is the absolute residual ``||M g - b||``; the window is
-    declared reproducible when it is at most ``threshold * max(1, ||b||)``.
+    declared reproducible when it is at most
+    ``DEFAULT_RESIDUAL_RTOL * max(1, ||b||)``.
     """
 
     g: np.ndarray
@@ -75,12 +74,7 @@ class ParamSolution:
     parameterizable: bool
 
 
-def parameterize(
-    data: TrajectorySet,
-    u_bar,
-    y_bar,
-    threshold: float = DEFAULT_RESIDUAL_RTOL,
-) -> ParamSolution:
+def parameterize(data: TrajectorySet, u_bar, y_bar) -> ParamSolution:
     """Solve for the minimum-norm combination reproducing the given window.
 
     `u_bar` may be a time-major (L, m) array or a flat length-mL vector;
@@ -101,7 +95,7 @@ def parameterize(
             f"data rows ({matrix.shape[0]})"
         )
     g, abs_res = least_squares(matrix, target)
-    ok = abs_res <= threshold * max(1.0, float(np.linalg.norm(target)))
+    ok = abs_res <= DEFAULT_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(target)))
     return ParamSolution(g, abs_res, ok)
 
 
@@ -185,20 +179,19 @@ def check_corollary1(
     L: int,
     sys: LtiSystem | None = None,
     delta: int | None = None,
-    tol: RankTolerance = DEFAULT_TOL,
-    rtol: float = DEFAULT_RESIDUAL_RTOL,
 ) -> Corollary1Report:
     """Check every length-L window of `traj` against its length-T prefix.
 
     The prefix inputs must be PE of order ``delta + L``; `delta` may be given
     directly or derived from `sys` as the minimal-polynomial degree of A.
     Windows are checked at every start time, including those overlapping the
-    prefix itself.
+    prefix itself. A window holds when its relative residual is at most
+    `DEFAULT_RESIDUAL_RTOL`.
     """
     if delta is None:
         if sys is None:
             raise ValueError("provide either delta or sys")
-        delta = min_poly_degree(sys.A, tol)
+        delta = min_poly_degree(sys.A)
     if traj.outputs is None:
         raise ValueError("trajectory carries no outputs")
     if not 0 < L <= T <= traj.length:
@@ -206,7 +199,7 @@ def check_corollary1(
 
     prefix = TrajectorySet((window(traj, 0, T),))
     order = delta + L
-    if not is_collectively_pe(prefix, order, tol):
+    if not is_collectively_pe(prefix, order):
         return Corollary1Report(Verdict.HYPOTHESIS_VIOLATED, np.empty(0), order)
 
     matrix = build_trajectory_matrix(prefix, L)
@@ -217,7 +210,7 @@ def check_corollary1(
         target = window_target(seg.inputs, seg.outputs)
         _, abs_res = least_squares(matrix, target)
         residuals[k] = abs_res / max(1.0, float(np.linalg.norm(target)))
-    ok = bool((residuals <= rtol).all())
+    ok = bool((residuals <= DEFAULT_RESIDUAL_RTOL).all())
     return Corollary1Report(
         Verdict.HOLDS if ok else Verdict.FAILS, residuals, order
     )

@@ -441,44 +441,34 @@ def run_closed_loop(
                 u_t, obj, sol = applied.step(*past, t)
                 if compared is not None:
                     alt_inputs[t], alt_objectives[t], _ = compared.step(*past, t)
+                objectives[t] = obj
+                status = "optimal"
             except InfeasibleStep as exc:
-                solve_ms[t] = 1e3 * (time.perf_counter() - start)
-                iterations[t] = exc.solution.iterations
-                kkt_residuals[t] = exc.solution.kkt_residual
-                phases.append("control")
-                statuses.append(exc.status)
-                completed = False
-                cut = t + 1
-                inputs[t] = np.nan
-                outputs[t] = np.nan
-                inputs, outputs = inputs[:cut], outputs[:cut]
-                objectives, solve_ms = objectives[:cut], solve_ms[:cut]
-                iterations, kkt_residuals = iterations[:cut], kkt_residuals[:cut]
-                if alt_inputs is not None:
-                    alt_inputs = alt_inputs[:cut]
-                    alt_objectives = alt_objectives[:cut]
-                break
+                sol, status, completed = exc.solution, exc.status, False
             solve_ms[t] = 1e3 * (time.perf_counter() - start)
-            objectives[t] = obj
             iterations[t] = sol.iterations
             kkt_residuals[t] = sol.kkt_residual
             phases.append("control")
-            statuses.append("optimal")
+            statuses.append(status)
+            if not completed:
+                inputs[t] = outputs[t] = np.nan
+                break
         inputs[t] = u_t
         outputs[t] = sys.C @ x + sys.D @ u_t
         x = sys.A @ x + sys.B @ u_t
 
+    cut = len(phases)
     return ClosedLoopLog(
-        inputs,
-        outputs,
+        inputs[:cut],
+        outputs[:cut],
         tuple(phases),
-        objectives,
-        iterations,
-        kkt_residuals,
+        objectives[:cut],
+        iterations[:cut],
+        kkt_residuals[:cut],
         tuple(statuses),
-        solve_ms,
+        solve_ms[:cut],
         np.asarray(cfg.r, dtype=float),
         completed,
-        alt_inputs,
-        alt_objectives,
+        None if alt_inputs is None else alt_inputs[:cut],
+        None if alt_objectives is None else alt_objectives[:cut],
     )

@@ -22,9 +22,10 @@ QPs of one closed loop) builds it once and passes it to every solve:
 - a rank-revealing SVD of Aeq, whose range decides feasibility of
   ``Aeq x = beq`` by projection residual;
 - the minimum-norm pseudo-inverses of the last two faces' KKT matrices (a
-  face pins a set of coordinates to their bounds), built from an SVD with
-  the rank cutoff of ``numpy.linalg.lstsq``, so the polish is a
-  matrix-vector product and a cached face gives the same bits as a new one;
+  face pins a set of coordinates to their bounds), built from an SVD cut
+  at `numerics.svd_rank` (the rank ``numpy.linalg.lstsq`` uses), so the
+  polish is a matrix-vector product and a cached face gives the same bits
+  as a new one;
 - the last solve's ADMM iterate, the starting point of the next sweep.
 
 `solve_qp` without a workspace builds a fresh one, so a one-off solve and a
@@ -39,11 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DEFAULT_TOL, as_bound, as_matrix, as_vector
+from .numerics import as_bound, as_matrix, as_vector, svd_rank
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
 
 _SYM_TOL = 1e-10
+# KKT residual a solution must reach to be optimal, and the ADMM iteration cap
+_TOL = 1e-8
+_MAX_ITER = 100000
 
 # ADMM constants (fixed; tuning knobs are not exposed on purpose, the
 # contract is the KKT residual, not the path to it).
@@ -111,7 +115,7 @@ class QuadraticProgram:
 @dataclass(frozen=True)
 class QpSolution:
     """Solver outcome; `status` is optimal, infeasible, unbounded or
-    max_iter. When optimal, kkt_residual is at most the solve tolerance."""
+    max_iter. When optimal, kkt_residual is at most 1e-8."""
 
     x: np.ndarray
     objective: float
@@ -121,10 +125,10 @@ class QpSolution:
 
 
 def _pseudo_inverse_parts(a):
-    """(U_r, s_r, V_r) of `a`, cut at the rank ``numpy.linalg.lstsq`` uses:
-    singular values at most ``eps * max(shape) * sigma_1`` count as zero."""
+    """(U_r, s_r, V_r) of `a`, cut at the rank `svd_rank` gives, the rank
+    ``numpy.linalg.lstsq`` uses; `a` may have no rows or no columns."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = int(np.sum(s > DEFAULT_TOL.absolute(a.shape, s[0]))) if s.size else 0
+    rank = svd_rank(s, a.shape) if s.size else 0
     return u[:, :rank], s[:rank], vt[:rank].T
 
 
@@ -243,12 +247,12 @@ def _pinned_solve(prob: QuadraticProgram, ws: Workspace, lower, upper):
     return x, y_eq, y_new, _kkt_residual(prob, x, y_eq, y_new), consistent
 
 
-def _refine(prob: QuadraticProgram, ws: Workspace, lower, upper, always, tol):
+def _refine(prob: QuadraticProgram, ws: Workspace, lower, upper, always):
     """Active-set refinement from a starting guess of pinned coordinates.
 
     Each pass re-solves the pinned KKT system by minimum-norm least squares,
     releases pins whose multipliers came back wrong-signed, and pins bounds
-    the candidate violates, until the measured KKT residual meets `tol` or
+    the candidate violates, until the measured KKT residual meets `_TOL` or
     the set stops changing. Returns the best (x, y_eq, y_box, kkt_residual)
     seen, or None when every visited face was inconsistent.
     """
@@ -263,7 +267,7 @@ def _refine(prob: QuadraticProgram, ws: Workspace, lower, upper, always, tol):
         if consistent:
             if best is None or res < best[3]:
                 best = (x, y_eq, y_new, res)
-            if res <= tol:
+            if res <= _TOL:
                 return best
             rel = 1e-10 * max(1.0, float(np.abs(y_new).max(initial=0.0)))
             for i in lo:
@@ -290,12 +294,12 @@ def _refine(prob: QuadraticProgram, ws: Workspace, lower, upper, always, tol):
     return best
 
 
-def _polish(prob: QuadraticProgram, ws: Workspace, y_box, tol):
+def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
     """Best certified solution from multiplier-seeded and blank refinements.
 
     The ADMM box multipliers (thresholded against their overall scale, so
     near-zero noise on inactive coordinates is ignored) propose the first
-    active set. When that refinement cannot certify `tol`, a second one
+    active set. When that refinement cannot certify `_TOL`, a second one
     grows the set from scratch out of primal violations alone, which
     recovers the cases where a stalled ADMM proposed an infeasible face.
     """
@@ -304,23 +308,22 @@ def _polish(prob: QuadraticProgram, ws: Workspace, y_box, tol):
     always = set(np.flatnonzero(finite_lb & (prob.lb == prob.ub)).tolist())
     lower = set(np.flatnonzero(finite_lb & (y_box < -seed_thr)).tolist())
     upper = set(np.flatnonzero(finite_ub & (y_box > seed_thr)).tolist())
-    best = _refine(prob, ws, lower, upper, always, tol)
-    if best is not None and best[3] <= tol:
+    best = _refine(prob, ws, lower, upper, always)
+    if best is not None and best[3] <= _TOL:
         return best
-    retry = _refine(prob, ws, set(), set(), always, tol)
+    retry = _refine(prob, ws, set(), set(), always)
     if retry is not None and (best is None or retry[3] < best[3]):
         best = retry
     return best
 
 
 def solve_qp(
-    prob: QuadraticProgram,
-    tol: float = 1e-8,
-    max_iter: int = 100000,
-    workspace: Workspace | None = None,
+    prob: QuadraticProgram, workspace: Workspace | None = None
 ) -> QpSolution:
     """Solve the program; see the module docstring for the method. Singular
-    P is resolved by the minimum-norm behavior of the polish step.
+    P is resolved by the minimum-norm behavior of the polish step. The
+    solution is optimal when its KKT residual is at most 1e-8 within
+    100,000 ADMM iterations, and max_iter otherwise.
 
     `workspace` carries the factorizations and the warm start over from
     earlier solves of programs with the same P, Aeq and bounds; without
@@ -365,7 +368,7 @@ def solve_qp(
                 zt = M @ xt
                 x = _ALPHA * xt + (1.0 - _ALPHA) * x
                 zbar = _ALPHA * zt + (1.0 - _ALPHA) * z
-                z_new = np.clip(zbar + y / rho, low, high)
+                z_new = np.minimum(np.maximum(zbar + y / rho, low), high)
                 y = y + rho * (zbar - z_new)
                 z = z_new
             it += steps
@@ -416,10 +419,7 @@ def solve_qp(
     iterations = 0
     best = None
     # the first phase is capped so a stalled sweep still reaches the polish
-    schedule = (
-        (max(100.0 * tol, 1e-6), min(5000, max_iter)),
-        (max(tol, 1e-10), max_iter),
-    )
+    schedule = ((1e-6, 5000), (_TOL, _MAX_ITER))
     for eps, limit in schedule:
         outcome, iterations = admm_phase(eps, iterations, limit)
         if outcome in ("infeasible", "unbounded"):
@@ -428,12 +428,12 @@ def solve_qp(
                 x, prob.objective(x), outcome, float("inf"), iterations
             )
         ws.warm = (x, y)
-        polished = _polish(prob, ws, y[me:], tol)
+        polished = _polish(prob, ws, y[me:])
         if polished is not None:
             px, _, _, pres = polished
             if best is None or pres < best[1]:
                 best = (px, pres)
-            if pres <= tol:
+            if pres <= _TOL:
                 return QpSolution(
                     px, prob.objective(px), "optimal", pres, iterations
                 )
@@ -442,7 +442,7 @@ def solve_qp(
     if best is None or admm_res < best[1]:
         best = (x, admm_res)
     bx, bres = best
-    status = "optimal" if bres <= tol else "max_iter"
+    status = "optimal" if bres <= _TOL else "max_iter"
     return QpSolution(bx, prob.objective(bx), status, bres, iterations)
 
 

@@ -20,8 +20,6 @@ from .hankel import is_collectively_pe, mosaic_hankel
 from .lti import LtiSystem, TrajectorySet
 from .numerics import (
     DEFAULT_RESIDUAL_RTOL,
-    DEFAULT_TOL,
-    RankTolerance,
     SubspaceBasis,
     as_matrix,
     as_vector,
@@ -96,21 +94,17 @@ def observability_matrix(sys: LtiSystem) -> np.ndarray:
     return np.hstack(power_blocks(sys.A.T, sys.C.T, sys.n)).T
 
 
-def controllable_subspace(
-    sys: LtiSystem, tol: RankTolerance = DEFAULT_TOL
-) -> SubspaceBasis:
+def controllable_subspace(sys: LtiSystem) -> SubspaceBasis:
     """Image of the controllability matrix."""
-    return subspace_from_columns(controllability_matrix(sys), tol)
+    return subspace_from_columns(controllability_matrix(sys))
 
 
-def unobservable_subspace(
-    sys: LtiSystem, tol: RankTolerance = DEFAULT_TOL
-) -> SubspaceBasis:
+def unobservable_subspace(sys: LtiSystem) -> SubspaceBasis:
     """Kernel of the stacked observability matrix."""
-    return SubspaceBasis(sys.n, right_kernel(observability_matrix(sys), tol), tol)
+    return SubspaceBasis(sys.n, right_kernel(observability_matrix(sys)))
 
 
-def krylov_subspace(A, X0, tol: RankTolerance = DEFAULT_TOL) -> SubspaceBasis:
+def krylov_subspace(A, X0) -> SubspaceBasis:
     """Smallest A-invariant subspace containing the columns of X0.
 
     Computed as the image of ``[X0, A X0, ..., A^{n-1} X0]``.
@@ -122,10 +116,10 @@ def krylov_subspace(A, X0, tol: RankTolerance = DEFAULT_TOL) -> SubspaceBasis:
     X0 = as_matrix(X0, "X0")
     if X0.shape[0] != n:
         raise ValueError(f"X0 has {X0.shape[0]} rows, expected {n}")
-    return subspace_from_columns(np.hstack(power_blocks(A, X0, n)), tol)
+    return subspace_from_columns(np.hstack(power_blocks(A, X0, n)))
 
 
-def min_poly_degree(A, tol: RankTolerance = DEFAULT_TOL) -> int:
+def min_poly_degree(A) -> int:
     """Degree of the minimal polynomial of A.
 
     Smallest d >= 1 with vec(A^d) in span{vec(I), ..., vec(A^{d-1})},
@@ -144,9 +138,7 @@ def min_poly_degree(A, tol: RankTolerance = DEFAULT_TOL) -> int:
         cols.append(v / norm if norm > 0 else v)
     stacked = np.column_stack(cols)
     for d in range(1, n + 1):
-        if numerical_rank(stacked[:, : d + 1], tol) == numerical_rank(
-            stacked[:, :d], tol
-        ):
+        if numerical_rank(stacked[:, : d + 1]) == numerical_rank(stacked[:, :d]):
             return d
     return n
 
@@ -200,8 +192,6 @@ def theorem1_image_check(
     data: TrajectorySet,
     L: int,
     delta: int | None = None,
-    tol: RankTolerance = DEFAULT_TOL,
-    rtol: float = DEFAULT_RESIDUAL_RTOL,
 ) -> ImageCheck:
     """Check that the stacked state/input data matrix has the predicted image.
 
@@ -209,33 +199,32 @@ def theorem1_image_check(
     controllable subspace and K the smallest A-invariant subspace containing
     the initial states. The inputs must be collectively PE of order
     ``delta + L`` with ``delta >= min_poly_degree(A)``; when they are not,
-    the check reports HYPOTHESIS_VIOLATED instead of a verdict.
+    the check reports HYPOTHESIS_VIOLATED instead of a verdict. The
+    subspaces are equal when their gap is at most `DEFAULT_RESIDUAL_RTOL`.
     """
-    dmin = min_poly_degree(sys.A, tol)
+    dmin = min_poly_degree(sys.A)
     if delta is None:
         delta = dmin
     elif delta < dmin:
         raise ValueError(f"delta={delta} below minimal-polynomial degree {dmin}")
     order = delta + L
-    if not is_collectively_pe(data, order, tol):
+    if not is_collectively_pe(data, order):
         return ImageCheck(Verdict.HYPOTHESIS_VIOLATED, float("nan"), order, -1, -1)
 
     stacked = _state_input_data_matrix(data, L)
-    data_space = subspace_from_columns(stacked, tol)
+    data_space = subspace_from_columns(stacked)
 
     X0 = initial_state_matrix(data)
-    rk = subspace_sum(
-        controllable_subspace(sys, tol), krylov_subspace(sys.A, X0, tol), tol=tol
-    )
+    rk = subspace_sum(controllable_subspace(sys), krylov_subspace(sys.A, X0))
     mL = sys.m * L
     n = sys.n
     target = np.zeros((n + mL, rk.dim + mL))
     target[:n, : rk.dim] = rk.basis
     target[n:, rk.dim :] = np.eye(mL)
-    target_space = SubspaceBasis(n + mL, target, tol)
+    target_space = SubspaceBasis(n + mL, target)
 
     gap = subspace_gap(data_space, target_space)
-    ok = data_space.dim == target_space.dim and gap <= rtol
+    ok = data_space.dim == target_space.dim and gap <= DEFAULT_RESIDUAL_RTOL
     return ImageCheck(
         Verdict.HOLDS if ok else Verdict.FAILS,
         gap,
@@ -245,27 +234,18 @@ def theorem1_image_check(
     )
 
 
-def theorem1_state_condition(
-    sys: LtiSystem,
-    data: TrajectorySet,
-    xbar0,
-    tol: RankTolerance = DEFAULT_TOL,
-    rtol: float = DEFAULT_RESIDUAL_RTOL,
-) -> bool:
+def theorem1_state_condition(sys: LtiSystem, data: TrajectorySet, xbar0) -> bool:
     """Membership of `xbar0` in controllable + unobservable + invariant-span."""
     xbar0 = as_vector(xbar0, "xbar0")
-    return subspace_contains(state_condition_space(sys, data, tol), xbar0, rtol)
+    return subspace_contains(state_condition_space(sys, data), xbar0)
 
 
-def state_condition_space(
-    sys: LtiSystem, data: TrajectorySet, tol: RankTolerance = DEFAULT_TOL
-) -> SubspaceBasis:
+def state_condition_space(sys: LtiSystem, data: TrajectorySet) -> SubspaceBasis:
     """Controllable + unobservable + the smallest A-invariant subspace
     containing the data's initial states: the initial states whose windows
     the data can parameterize."""
     return subspace_sum(
-        controllable_subspace(sys, tol),
-        unobservable_subspace(sys, tol),
-        krylov_subspace(sys.A, initial_state_matrix(data), tol),
-        tol=tol,
+        controllable_subspace(sys),
+        unobservable_subspace(sys),
+        krylov_subspace(sys.A, initial_state_matrix(data)),
     )

@@ -330,12 +330,62 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
             {"system": plant_section(), "inputs": [[0.1], [float("nan")]]},
             "inputs",
         ),
+        ("simulate", {"system": plant_section(), "inputs": [[1.0, 2.0]]}, "inputs"),
+        ("simulate", {"system": plant_section(), "T": 5, "x0": [1.0, 0.0]}, "x0"),
+        (
+            "simulate",
+            {"system": plant_section(), "T": 5, "x0": [float("nan"), 0, 0, 0]},
+            "x0",
+        ),
+        (
+            "simulate",
+            {"system": plant_section(), "T": 5, "input_low": 1.0, "input_high": 1.0},
+            "input_low",
+        ),
+        (
+            "identify",
+            bundled_config("fig2_multiagent.json", rules=["corollary2", "bogus"]),
+            "rules",
+        ),
+        ("identify", bundled_config("fig2_multiagent.json", tau=0), "tau"),
+        ("verify-theorem1", {"system": plant_section(), "tau": 0, "L": 3}, "tau"),
+        ("verify-theorem1", {"system": plant_section(), "tau": 2, "L": 0}, "L"),
+        # the plant's minimal polynomial has degree 4
+        (
+            "verify-theorem1",
+            {"system": plant_section(), "tau": 2, "L": 3, "delta": 2},
+            "delta",
+        ),
+        ("verify-theorem1", {"random": {"count": 3, "n_max": 1}}, "n_max"),
+        (
+            "verify-theorem1",
+            {"system": plant_section(), "tau": 2, "L": 3, "x0_columns": [[1.0]] * 4},
+            "x0_columns",
+        ),
     ],
-    ids=["check-pe-nan", "check-pe-empty", "simulate-nan"],
+    ids=[
+        "check-pe-nan",
+        "check-pe-empty",
+        "simulate-nan",
+        "simulate-wide-inputs",
+        "simulate-x0-dimension",
+        "simulate-x0-nan",
+        "simulate-empty-input-range",
+        "identify-unknown-rule",
+        "identify-tau-0",
+        "theorem1-tau-0",
+        "theorem1-L-0",
+        "theorem1-delta-below-min-poly",
+        "theorem1-n_max-1",
+        "theorem1-too-few-x0-columns",
+    ],
 )
 def test_bad_inline_inputs_exit_2_naming_the_field(
     tmp_path, capsys, command, cfg, field
 ):
-    assert run(tmp_path, command, cfg, out=tmp_path / "o") == 2
+    # rejected before anything runs, so nothing is written
+    out = tmp_path / "o"
+    assert run(tmp_path, command, cfg, out=out) == 2
     err = capsys.readouterr().err
     assert "config error" in err and f"'{field}'" in err
+    assert not out.exists()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from willems import qp
 from willems.numerics import (
-    RankTolerance,
     SubspaceBasis,
     as_bound,
     as_matrix,
@@ -49,11 +49,25 @@ def test_rank_is_scale_invariant():
 
 
 def test_rank_tolerance_override():
-    a = np.diag([1.0, 1e-5])
-    assert numerical_rank(a) == 2
-    assert numerical_rank(a, RankTolerance(1e-3)) == 1
-    with pytest.raises(ValueError):
-        RankTolerance(-1.0)
+    # the one rank policy keeps a singular value far above eps * sigma_max
+    assert numerical_rank(np.diag([1.0, 1e-5])) == 2
+
+
+def test_every_rank_cutoff_site_agrees():
+    # values-only rank, image, kernel and the QP's pseudo-inverse all cut
+    # through the same helper, so they agree on every matrix and every
+    # scale, empty matrices included
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        rows, cols = rng.integers(0, 9, size=2)
+        r = rng.integers(0, min(rows, cols) + 1)
+        a = rng.normal(size=(rows, r)) @ rng.normal(size=(r, cols))
+        for scale in (1.0, 1e-12, 1e12):
+            b = scale * a
+            assert numerical_rank(b) == r
+            assert orthonormal_image(b).shape[1] == r
+            assert b.shape[1] - right_kernel(b).shape[1] == r
+            assert qp._pseudo_inverse_parts(b)[1].size == r
 
 
 def test_least_squares_hand_case():
