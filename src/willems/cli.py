@@ -51,8 +51,8 @@ from .subspace import (
     Verdict,
     draw_until_pe,
     min_poly_degree,
+    pe_image_check,
     state_condition_space,
-    theorem1_image_check,
 )
 from .numerics import subspace_contains
 
@@ -117,7 +117,7 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
     worst = 0
     if "random" in cfg:
         recipe = cfg["random"]
-        count = int(recipe.get("count", 50))
+        count = _count(recipe, "count", 50)
         n_max = _count(recipe, "n_max", 6, least=2)
         m_max = _count(recipe, "m_max", 3)
         p_max = _count(recipe, "p_max", 3)
@@ -133,7 +133,7 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
             sys_ = random_system(rng, n, m, p)
             delta = min_poly_degree(sys_.A)
             data = _draw_pe_data(sys_, rng, tau, delta + L)
-            report = theorem1_image_check(sys_, data, L)
+            report = pe_image_check(sys_, data, L, delta + L)
             rows.append((case, n, m, p, tau, L, delta, report))
     else:
         sys_ = _system(cfg)
@@ -149,14 +149,14 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
                 f"config field 'x0_columns' has shape {x0.shape}, expected "
                 f"({sys_.n}, {tau}): one initial state per trajectory"
             )
-        length = cfg.get("length")
-        length = None if length is None else int(length)
+        samples = _xbar0_samples(cfg, sys_.n)
+        length = None if cfg.get("length") is None else _count(cfg, "length")
         data = _draw_pe_data(
             sys_, rng, tau, delta + L, x0_columns=x0, length=length
         )
-        report = theorem1_image_check(sys_, data, L, delta=delta)
+        report = pe_image_check(sys_, data, L, delta + L)
         rows.append((0, sys_.n, sys_.m, sys_.p, tau, L, delta, report))
-        _state_condition_report(cfg, sys_, data, rng, out_dir)
+        _state_condition_report(samples, L, sys_, data, rng, out_dir)
 
     path = _out_path(out_dir, "theorem1_report.csv")
     write_csv(
@@ -197,8 +197,25 @@ def _draw_pe_data(sys_, rng, tau, order, x0_columns=None, length=None):
     return draw_until_pe(draw, order)
 
 
-def _state_condition_report(cfg, sys_, data, rng, out_dir):
+def _xbar0_samples(cfg: dict, n: int):
+    """The `xbar0_samples` field: a count of states to draw, or a list of
+    n-vectors."""
     samples = cfg.get("xbar0_samples")
+    if not samples or isinstance(samples, int):
+        return samples
+    try:
+        vectors = np.asarray(samples, dtype=float)
+    except (TypeError, ValueError):
+        vectors = np.empty(0)
+    if vectors.ndim != 2 or vectors.shape[1] != n or not np.isfinite(vectors).all():
+        raise ConfigError(
+            f"config field 'xbar0_samples' must be a count or a list of "
+            f"vectors of {n} finite numbers"
+        )
+    return list(vectors)
+
+
+def _state_condition_report(samples, L, sys_, data, rng, out_dir):
     if not samples:
         return
     # the subspace the membership test accepts, the same for every sample
@@ -213,10 +230,8 @@ def _state_condition_report(cfg, sys_, data, rng, out_dir):
             else:
                 drawn.append(rng.normal(size=sys_.n))
         samples = drawn
-    L = int(_require(cfg, "L"))
     rows = []
-    for idx, raw in enumerate(samples):
-        xbar0 = np.asarray(raw, dtype=float)
+    for idx, xbar0 in enumerate(samples):
         member = subspace_contains(total, xbar0)
         u = rng.uniform(-1.0, 1.0, size=(L, sys_.m))
         probe = simulate(sys_, xbar0, u)
@@ -306,7 +321,7 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
         spec = MultiAgentSpec(Abar, Bbar, N, edges)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    T = int(_require(cfg, "T"))
+    T = _count(cfg, "T")
     tau = _count(cfg, "tau", 1)
     rules = cfg.get("rules", list(ORDER_RULES))
     unknown = [rule for rule in rules if rule not in ORDER_RULES]
@@ -319,6 +334,20 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     if spec.M == 0:
         print("no edges: nothing is measured, identification skipped")
     else:
+        # markov_from_data needs windows of n+1 samples and at most n
+        # parameters; recover_system needs them through index nbar+1
+        n = spec.N * spec.nbar
+        if T < n + 1:
+            raise ConfigError(
+                f"config field 'T' must be at least the network's state "
+                f"dimension plus one, {n + 1}, got {T}"
+            )
+        kmax = _count(cfg, "kmax", spec.nbar + 1, least=spec.nbar + 1)
+        if kmax > n:
+            raise ConfigError(
+                f"config field 'kmax' must be at most the network's state "
+                f"dimension {n}, got {kmax}"
+            )
         sys_ = build_system(spec)
         low = float(cfg.get("input_low", -0.1))
         high = float(cfg.get("input_high", 0.1))
@@ -326,7 +355,6 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
         io_only = TrajectorySet(
             tuple(Trajectory(t.inputs, outputs=t.outputs) for t in data)
         )
-        kmax = int(cfg.get("kmax", spec.nbar + 1))
         params = markov_from_data(io_only, sys_.n, kmax)
         E = spec.incidence()
         errs = []
@@ -405,7 +433,11 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
                 "each trajectory must be a CSV path or an object with "
                 "an 'inputs' array"
             )
-    order = pe_order(TrajectorySet(tuple(trajs)))
+    try:
+        data = TrajectorySet(tuple(trajs))
+    except ValueError as exc:
+        raise ConfigError(f"config field '{field}': {exc}") from exc
+    order = pe_order(data)
     print(f"collective excitation order: {order}")
     return 0
 

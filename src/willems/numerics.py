@@ -84,18 +84,32 @@ def power_blocks(A, X, count: int) -> list:
     return blocks[:count]
 
 
+def _relative_cutoff(shape) -> float:
+    return max(shape) * _EPS
+
+
 def svd_rank(s, shape) -> int:
     """Number of the descending singular values `s` of a matrix of `shape`
     strictly above the cutoff ``max(shape) * eps * s[0]``."""
-    return int(np.sum(s > max(shape) * _EPS * s[0]))
+    return int(np.sum(s > _relative_cutoff(shape) * s[0]))
+
+
+def rank_margin(m) -> tuple[int, float, float]:
+    """`numerical_rank` of `m`, with the margin of that count: the ratio
+    sigma_min / sigma_1 of its extreme singular values (0 for a zero or
+    empty matrix) and the relative cutoff ``max(shape) * eps`` that the
+    ratio is compared against. Outside ``__all__``, like `svd_rank`."""
+    a = as_matrix(m)
+    if a.size == 0:
+        return 0, 0.0, 0.0
+    s = np.linalg.svd(a, compute_uv=False)
+    ratio = float(s[-1] / s[0]) if s[0] > 0 else 0.0
+    return svd_rank(s, a.shape), ratio, _relative_cutoff(a.shape)
 
 
 def numerical_rank(m) -> int:
     """Number of singular values strictly above the rank cutoff."""
-    a = as_matrix(m)
-    if a.size == 0:
-        return 0
-    return svd_rank(np.linalg.svd(a, compute_uv=False), a.shape)
+    return rank_margin(m)[0]
 
 
 def least_squares(a, b) -> tuple[np.ndarray, float]:

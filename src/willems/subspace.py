@@ -137,9 +137,12 @@ def min_poly_degree(A) -> int:
         norm = np.linalg.norm(v)
         cols.append(v / norm if norm > 0 else v)
     stacked = np.column_stack(cols)
+    rank = 1  # the normalized vec(I)
     for d in range(1, n + 1):
-        if numerical_rank(stacked[:, : d + 1]) == numerical_rank(stacked[:, :d]):
+        grown = numerical_rank(stacked[:, : d + 1])
+        if grown == rank:
             return d
+        rank = grown
     return n
 
 
@@ -210,7 +213,16 @@ def theorem1_image_check(
     order = delta + L
     if not is_collectively_pe(data, order):
         return ImageCheck(Verdict.HYPOTHESIS_VIOLATED, float("nan"), order, -1, -1)
+    return pe_image_check(sys, data, L, order)
 
+
+def pe_image_check(
+    sys: LtiSystem, data: TrajectorySet, L: int, order: int
+) -> ImageCheck:
+    """The image comparison of `theorem1_image_check`, for a caller that
+    already knows the inputs to be collectively PE of `order` = delta + L
+    with delta at least the degree of the minimal polynomial of A, so that
+    neither is computed again."""
     stacked = _state_input_data_matrix(data, L)
     data_space = subspace_from_columns(stacked)
 

@@ -348,6 +348,18 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
             "rules",
         ),
         ("identify", bundled_config("fig2_multiagent.json", tau=0), "tau"),
+        ("identify", bundled_config("fig2_multiagent.json", T=0), "T"),
+        # three four-state agents: windows of 13 samples
+        ("identify", bundled_config("fig2_multiagent.json", T=12), "T"),
+        ("identify", bundled_config("fig2_multiagent.json", kmax=0), "kmax"),
+        # recovery needs Markov parameters through index nbar + 1 = 5
+        ("identify", bundled_config("fig2_multiagent.json", kmax=4), "kmax"),
+        ("identify", bundled_config("fig2_multiagent.json", kmax=13), "kmax"),
+        (
+            "check-pe",
+            {"trajectories": [{"inputs": [[1.0], [2.0]]}, {"inputs": [[1.0, 2.0]]}]},
+            "trajectories",
+        ),
         ("verify-theorem1", {"system": plant_section(), "tau": 0, "L": 3}, "tau"),
         ("verify-theorem1", {"system": plant_section(), "tau": 2, "L": 0}, "L"),
         # the plant's minimal polynomial has degree 4
@@ -357,10 +369,25 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
             "delta",
         ),
         ("verify-theorem1", {"random": {"count": 3, "n_max": 1}}, "n_max"),
+        ("verify-theorem1", {"random": {"count": 0}}, "count"),
+        ("verify-theorem1", {"random": {"count": "many"}}, "count"),
+        (
+            "verify-theorem1",
+            {"system": plant_section(), "tau": 2, "L": 3, "length": 0},
+            "length",
+        ),
         (
             "verify-theorem1",
             {"system": plant_section(), "tau": 2, "L": 3, "x0_columns": [[1.0]] * 4},
             "x0_columns",
+        ),
+        (
+            "verify-theorem1",
+            {
+                "system": plant_section(), "tau": 2, "L": 3,
+                "xbar0_samples": [[1.0, 2.0]],
+            },
+            "xbar0_samples",
         ),
     ],
     ids=[
@@ -373,11 +400,21 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         "simulate-empty-input-range",
         "identify-unknown-rule",
         "identify-tau-0",
+        "identify-T-0",
+        "identify-T-below-state-dimension",
+        "identify-kmax-0",
+        "identify-kmax-below-recovery",
+        "identify-kmax-above-state-dimension",
+        "check-pe-mixed-input-widths",
         "theorem1-tau-0",
         "theorem1-L-0",
         "theorem1-delta-below-min-poly",
         "theorem1-n_max-1",
+        "theorem1-count-0",
+        "theorem1-count-not-an-integer",
+        "theorem1-length-0",
         "theorem1-too-few-x0-columns",
+        "theorem1-xbar0-dimension",
     ],
 )
 def test_bad_inline_inputs_exit_2_naming_the_field(

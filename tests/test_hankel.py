@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from willems import (
     hankel,
     is_collectively_pe,
     mosaic_hankel,
+    numerical_rank,
     pe_order,
 )
 
@@ -116,3 +119,142 @@ def test_pe_order_structural_ceiling():
         T = int(rng.integers(m + 1, 30))
         data = TrajectorySet((Trajectory(rng.normal(size=(T, m))),))
         assert pe_order(data) == (T + 1) // (m + 1)
+
+
+# -- the Cholesky certificate and its SVD fallback ---------------------------
+
+
+def svd_verdict(data, d):
+    """The verdict the SVD of the mosaic gives, the contract of
+    is_collectively_pe whenever every trajectory has at least d samples."""
+    mosaic = mosaic_hankel(data, d)
+    return numerical_rank(mosaic) == mosaic.shape[0]
+
+
+def trajectory_set(inputs):
+    return TrajectorySet(tuple(Trajectory(u) for u in inputs))
+
+
+def recursion_input(rng, T, m, coeffs):
+    """Inputs whose every channel obeys u[t] = sum_k coeffs[k] u[t-1-k]."""
+    u = rng.normal(size=(T, m))
+    for t in range(len(coeffs), T):
+        u[t] = sum(c * u[t - 1 - k] for k, c in enumerate(coeffs))
+    return u
+
+
+def prescribed_mosaic(rng, rows, cols, ratio):
+    """Single-column trajectories whose depth-d mosaic is a matrix with
+    singular values spread geometrically from 1 down to `ratio`."""
+    q_left, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+    q_right, _ = np.linalg.qr(rng.normal(size=(cols, rows)))
+    sigma = np.geomspace(1.0, ratio, rows)
+    return (q_left * sigma) @ q_right.T
+
+
+def deficient_sets(rng):
+    """(set, order) pairs with at least as many mosaic columns as rows whose
+    inputs cannot be PE of that order."""
+    u = rng.normal(size=(9, 2))
+    yield trajectory_set([u, u]), 4  # repeated: 12 columns, rank at most 6
+    yield trajectory_set([np.ones((30, 1))]), 3
+    yield trajectory_set([np.zeros((30, 2))]), 2
+    yield trajectory_set([recursion_input(rng, 40, 1, [0.7, -0.1])]), 3
+    yield trajectory_set([recursion_input(rng, 40, 2, [1.2, -0.5, 0.1])] * 2), 5
+
+
+def test_certificate_verdict_matches_svd_on_random_shapes():
+    rng = np.random.default_rng(61)
+    for _ in range(150):
+        m = int(rng.integers(1, 4))
+        d = int(rng.integers(1, 9))
+        tau = int(rng.integers(1, 4))
+        rows = d * m
+        # total columns rows + slack, slack 0 (square) to a few (near-square)
+        # and sometimes wide
+        cols = rows + int(rng.choice([0, 1, 2, 3, int(rng.integers(4, 30))]))
+        widths = np.full(tau, cols // tau)
+        widths[: cols % tau] += 1
+        if widths.min() < 1:
+            continue
+        data = trajectory_set(rng.normal(size=(w + d - 1, m)) for w in widths)
+        assert is_collectively_pe(data, d) == svd_verdict(data, d)
+
+
+def test_certificate_verdict_matches_svd_on_deficient_sets():
+    rng = np.random.default_rng(62)
+    for data, d in deficient_sets(rng):
+        assert not svd_verdict(data, d)
+        assert not is_collectively_pe(data, d)
+
+
+# 1e-16 lies below the cutoff max(rows, cols) * eps, so the SVD says False
+@pytest.mark.parametrize("ratio", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16])
+def test_certificate_verdict_matches_svd_across_conditioning(ratio):
+    rng = np.random.default_rng(63)
+    d, m = 4, 3
+    for cols in (12, 13, 20):  # square, near-square and wide
+        mosaic = prescribed_mosaic(rng, d * m, cols, ratio)
+        data = trajectory_set(mosaic[:, j].reshape(d, m) for j in range(cols))
+        assert np.array_equal(mosaic_hankel(data, d), mosaic)
+        assert is_collectively_pe(data, d) == svd_verdict(data, d)
+
+
+def counting_svd(monkeypatch):
+    """Patch np.linalg.svd to record the shape of every matrix it gets."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+# past 2^±512 and 1e±160 the unscaled Gram entries overflow or underflow
+@pytest.mark.parametrize(
+    "scale",
+    [2.0**500, 2.0**-500, 1e150, 1e-150, 2.0**600, 2.0**-600, 1e200, 1e-200],
+    ids=["2^500", "2^-500", "1e150", "1e-150", "2^600", "2^-600", "1e200", "1e-200"],
+)
+def test_certificate_verdict_matches_svd_on_scaled_data(scale, monkeypatch):
+    rng = np.random.default_rng(64)
+    rich = trajectory_set([rng.normal(size=(25, 2))])
+    cases = [(rich, 6)] + list(deficient_sets(rng))
+    mosaic = prescribed_mosaic(rng, 8, 9, 1e-12)
+    cases.append((trajectory_set(mosaic[:, j].reshape(4, 2) for j in range(9)), 4))
+    for data, d in cases:
+        scaled = trajectory_set(t.inputs * scale for t in data)
+        verdict = is_collectively_pe(scaled, d)
+        assert verdict == svd_verdict(scaled, d)
+        if np.log2(scale).is_integer():
+            assert verdict == is_collectively_pe(data, d)
+    # the Gram matrix neither overflows nor underflows: still certified
+    calls = counting_svd(monkeypatch)
+    assert is_collectively_pe(trajectory_set(t.inputs * scale for t in rich), 6)
+    assert not calls
+
+
+def test_svd_runs_only_when_the_certificate_fails(monkeypatch, caplog):
+    rng = np.random.default_rng(65)
+    rich = trajectory_set([rng.normal(size=(40, 2))])
+    calls = counting_svd(monkeypatch)
+    caplog.set_level(logging.DEBUG, logger="willems.hankel")
+    cases = [
+        (rich, 8, True, 0, "cholesky"),
+        (rich, 14, False, 0, "shape"),  # 28 rows, 27 columns
+        (trajectory_set([np.zeros((30, 2))]), 8, False, 1, "svd"),
+    ]
+    for data, d, verdict, svds, path in cases:
+        calls.clear()
+        caplog.clear()
+        assert is_collectively_pe(data, d) is verdict
+        assert len(calls) == svds
+        (record,) = caplog.records
+        assert f": {path}" in record.getMessage()
+    caplog.clear()
+    assert not is_collectively_pe(trajectory_set([np.ones((30, 1))]), 2)
+    assert "sigma_r/sigma_1" in caplog.records[0].getMessage()
+

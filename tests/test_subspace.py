@@ -21,7 +21,7 @@ from willems import (
     unobservable_subspace,
 )
 from willems.numerics import subspace_sum
-from willems.subspace import draw_until_pe
+from willems.subspace import draw_until_pe, pe_image_check
 
 
 def pe_data(sys, rng, tau, order, length=None, x0=None):
@@ -143,6 +143,8 @@ def test_image_check_holds_on_random_systems():
         assert report.verdict is Verdict.HOLDS
         assert report.gap <= 1e-8
         assert report.data_dim == report.target_dim
+        # the CLI's path, which skips the degree and PE tests it already ran
+        assert pe_image_check(sys, data, L, delta + L) == report
 
 
 def test_image_check_gates_on_excitation(bench):
@@ -161,6 +163,7 @@ def test_image_check_fails_for_mismatched_model(bench):
     data = pe_data(other, rng, 2, 4 + 2)
     report = theorem1_image_check(bench, data, 2)
     assert report.verdict is Verdict.FAILS
+    assert pe_image_check(bench, data, 2, 4 + 2) == report
 
 
 def test_image_check_explicit_delta_gate(bench):
