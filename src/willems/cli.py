@@ -69,14 +69,14 @@ def _require(cfg: dict, field: str):
     return cfg[field]
 
 
-def _count(cfg: dict, field: str, default=None, least: int = 1) -> int:
-    """Integer config field of at least `least`; required when `default`
-    is None."""
-    raw = _require(cfg, field) if default is None else cfg.get(field, default)
-    try:
-        value = int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field '{field}' is not an integer") from exc
+def _integer(raw, field: str, least: int = 1) -> int:
+    """`raw` as an integer of at least `least`; a boolean, a non-integral
+    number or a non-number is a config error naming `field`."""
+    if isinstance(raw, bool) or not (
+        isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    ):
+        raise ConfigError(f"config field '{field}' is not an integer")
+    value = int(raw)
     if value < least:
         raise ConfigError(
             f"config field '{field}' must be at least {least}, got {value}"
@@ -84,8 +84,33 @@ def _count(cfg: dict, field: str, default=None, least: int = 1) -> int:
     return value
 
 
+def _count(cfg: dict, field: str, default=None, least: int = 1) -> int:
+    """Integer config field of at least `least`; required when `default`
+    is None."""
+    raw = _require(cfg, field) if default is None else cfg.get(field, default)
+    return _integer(raw, field, least)
+
+
+def _number(cfg: dict, field: str, default: float) -> float:
+    """Finite real config field, `default` when absent."""
+    raw = cfg.get(field, default)
+    real = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if not (real and math.isfinite(raw)):
+        raise ConfigError(f"config field '{field}' is not a finite number")
+    return float(raw)
+
+
+def _floats(value, field: str) -> np.ndarray:
+    """`value` as a float array; a non-numeric entry is a config error
+    naming `field`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field '{field}' is not numeric") from exc
+
+
 def _matrix(cfg: dict, field: str) -> np.ndarray:
-    value = np.asarray(_require(cfg, field), dtype=float)
+    value = _floats(_require(cfg, field), field)
     if value.ndim == 1:
         value = value[None, :]
     if value.ndim != 2:
@@ -143,7 +168,7 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
         delta = _count(cfg, "delta", dmin, least=dmin)
         rng = np.random.default_rng(seed)
         x0 = cfg.get("x0_columns")
-        x0 = None if x0 is None else np.asarray(x0, dtype=float)
+        x0 = None if x0 is None else _floats(x0, "x0_columns")
         if x0 is not None and x0.shape != (sys_.n, tau):
             raise ConfigError(
                 f"config field 'x0_columns' has shape {x0.shape}, expected "
@@ -201,8 +226,10 @@ def _xbar0_samples(cfg: dict, n: int):
     """The `xbar0_samples` field: a count of states to draw, or a list of
     n-vectors."""
     samples = cfg.get("xbar0_samples")
-    if not samples or isinstance(samples, int):
-        return samples
+    if isinstance(samples, (int, float)):  # a bool too, which is rejected
+        return _count(cfg, "xbar0_samples", least=0)
+    if not samples:
+        return None
     try:
         vectors = np.asarray(samples, dtype=float)
     except (TypeError, ValueError):
@@ -251,21 +278,21 @@ def _state_condition_report(samples, L, sys_, data, rng, out_dir):
 def _predictive_config(cfg: dict) -> PredictiveConfig:
     try:
         return PredictiveConfig(
-            N=int(_require(cfg, "N")),
-            L=int(_require(cfg, "L")),
+            N=_count(cfg, "N"),
+            L=_count(cfg, "L"),
             Q=_matrix(cfg, "Q"),
             R=_matrix(cfg, "R"),
-            r=np.asarray(_require(cfg, "r"), dtype=float),
-            T=int(_require(cfg, "T")),
-            K=int(_require(cfg, "K")),
+            r=_floats(_require(cfg, "r"), "r"),
+            T=_count(cfg, "T"),
+            K=_count(cfg, "K"),
             u_min=cfg.get("u_min"),
             u_max=cfg.get("u_max"),
             y_min=cfg.get("y_min"),
             y_max=cfg.get("y_max"),
-            excitation_low=float(cfg.get("excitation_low", -1.0)),
-            excitation_high=float(cfg.get("excitation_high", 1.0)),
+            excitation_low=_number(cfg, "excitation_low", -1.0),
+            excitation_high=_number(cfg, "excitation_high", 1.0),
             pe_order=(
-                None if cfg.get("pe_order") is None else int(cfg["pe_order"])
+                None if cfg.get("pe_order") is None else _count(cfg, "pe_order")
             ),
             x0=cfg.get("x0"),
         )
@@ -312,14 +339,17 @@ def cmd_deepc(cfg: dict, out_dir: str, seed: int) -> int:
 def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     Abar = _matrix(cfg, "Abar")
     Bbar = _matrix(cfg, "Bbar")
-    N = int(_require(cfg, "N"))
+    N = _count(cfg, "N")
     if cfg.get("graph", "star") == "star":
         edges = star_edges(N)
     else:
-        edges = tuple(tuple(e) for e in _require(cfg, "edges"))
+        try:
+            edges = tuple(tuple(e) for e in _require(cfg, "edges"))
+        except TypeError as exc:
+            raise ConfigError("config field 'edges' is not a list of pairs") from exc
     try:
         spec = MultiAgentSpec(Abar, Bbar, N, edges)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     T = _count(cfg, "T")
     tau = _count(cfg, "tau", 1)
@@ -330,6 +360,12 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
             f"config field 'rules' names unknown rules {unknown}; "
             f"known: {list(ORDER_RULES)}"
         )
+    agents = cfg.get("sweep_agents", list(range(3, 9)))
+    if not isinstance(agents, list):
+        raise ConfigError("config field 'sweep_agents' is not a list")
+    agents = tuple(_integer(a, f"sweep_agents[{i}]") for i, a in enumerate(agents))
+    low = _number(cfg, "input_low", -0.1)
+    high = _number(cfg, "input_high", 0.1)
 
     if spec.M == 0:
         print("no edges: nothing is measured, identification skipped")
@@ -349,8 +385,6 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
                 f"dimension {n}, got {kmax}"
             )
         sys_ = build_system(spec)
-        low = float(cfg.get("input_low", -0.1))
-        high = float(cfg.get("input_high", 0.1))
         data = collect_trajectories(sys_, tau, T, low, high, seed)
         io_only = TrajectorySet(
             tuple(Trajectory(t.inputs, outputs=t.outputs) for t in data)
@@ -383,7 +417,6 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
             + [(f"M_{k}", err) for k, err in enumerate(errs, start=1)],
         )
 
-    agents = tuple(int(a) for a in cfg.get("sweep_agents", range(3, 9)))
     rows = []
     for rule in rules:
         rows.extend(min_trajectory_sweep(spec, T, rule, seed, agents))
@@ -419,7 +452,7 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
     if entries is None:
         field = "trajectory"
         entries = [_require(cfg, field)]
-    if not entries:
+    if not isinstance(entries, list) or not entries:
         raise ConfigError(f"config field '{field}' lists no trajectory")
     trajs = []
     for i, entry in enumerate(entries):
@@ -450,11 +483,12 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     elif "inputs" in cfg:
         u = _inline_inputs(cfg["inputs"], "inputs")
     else:
-        T = int(cfg.get("T", cfg.get("length", 0)))
-        if T < 1:
+        field = "T" if "T" in cfg else "length"
+        if field not in cfg:
             raise ConfigError("need 'input', 'inputs', or a length 'T'")
-        low = float(cfg.get("input_low", -1.0))
-        high = float(cfg.get("input_high", 1.0))
+        T = _count(cfg, field)
+        low = _number(cfg, "input_low", -1.0)
+        high = _number(cfg, "input_high", 1.0)
         if low >= high:
             raise ConfigError(
                 f"config field 'input_low' ({low}) must be below "
@@ -466,11 +500,14 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
             f"config field '{field}': inputs have {u.shape[1]} channels, "
             f"the system has {sys_.m}"
         )
-    x0 = np.asarray(cfg.get("x0", np.zeros(sys_.n)), dtype=float)
+    x0 = _floats(cfg.get("x0", np.zeros(sys_.n)), "x0")
     if x0.size != sys_.n or not np.isfinite(x0).all():
         raise ConfigError(f"config field 'x0' must hold {sys_.n} finite numbers")
     traj = simulate(sys_, x0, u)
-    path = _out_path(out_dir, cfg.get("out_name", "trajectory.csv"))
+    name = cfg.get("out_name", "trajectory.csv")
+    if not isinstance(name, str):
+        raise ConfigError("config field 'out_name' is not a file name")
+    path = _out_path(out_dir, name)
     trajectory_to_csv(traj, path)
     print(f"trajectory of length {traj.length} written to {path}")
     return 0
@@ -508,11 +545,15 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
-
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    out_dir = args.out if args.out is not None else cfg.get("out", ".")
+    if not isinstance(cfg, dict):
+        print(f"config error: {args.config} is not a JSON object", file=sys.stderr)
+        return 2
 
     try:
+        seed = args.seed if args.seed is not None else _count(cfg, "seed", 0, least=0)
+        out_dir = args.out if args.out is not None else cfg.get("out", ".")
+        if not isinstance(out_dir, str):
+            raise ConfigError("config field 'out' is not a path")
         return _COMMANDS[args.command](cfg, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

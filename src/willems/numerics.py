@@ -90,8 +90,9 @@ def _relative_cutoff(shape) -> float:
 
 def svd_rank(s, shape) -> int:
     """Number of the descending singular values `s` of a matrix of `shape`
-    strictly above the cutoff ``max(shape) * eps * s[0]``."""
-    return int(np.sum(s > _relative_cutoff(shape) * s[0]))
+    strictly above the cutoff ``max(shape) * eps * s[0]``; 0 when `s` is
+    empty."""
+    return int(np.sum(s > _relative_cutoff(shape) * s[:1]))
 
 
 def rank_margin(m) -> tuple[int, float, float]:

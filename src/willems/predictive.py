@@ -63,11 +63,14 @@ class InfeasibleStep(RuntimeError):
 
 
 def _weight(w, name) -> np.ndarray:
+    """`w` symmetrized as (w + w')/2, which leaves a symmetric weight's
+    bits alone and makes the QP's P = 2 kron(I, w) exactly symmetric."""
     w = as_matrix(w, name)
     if w.shape[0] != w.shape[1]:
         raise ValueError(f"{name} must be square, got {w.shape}")
     if np.abs(w - w.T).max(initial=0.0) > 1e-10:
         raise ValueError(f"{name} is not symmetric")
+    w = (w + w.T) / 2
     if w.size and np.linalg.eigvalsh(w).min() < -1e-10:
         raise ValueError(f"{name} is not positive semidefinite")
     return w

@@ -5,12 +5,15 @@ Solves
     minimize    0.5 x'Px + q'x
     subject to  Aeq x = beq,  lb <= x <= ub
 
-for symmetric positive-semidefinite P. The cost may be singular and the
-equality rows rank-deficient, which rules out textbook KKT factorizations;
-instead an ADMM sweep (splitting on the stacked constraint matrix, so the
-iteration matrix is positive definite regardless of P and Aeq) localizes the
-active set, and a polish step re-solves the resulting equality-constrained
-program by minimum-norm least squares and verifies the full KKT system.
+for symmetric positive-semidefinite P. A program without equality rows has
+a 0 x n Aeq, so every step below runs the same way with or without them.
+The cost may be singular and the equality rows rank-deficient, which rules
+out textbook KKT factorizations; instead an ADMM sweep (splitting on the
+stacked constraint matrix, so the iteration matrix is positive definite
+regardless of P and Aeq) localizes the active set, and a polish step runs
+one active-set refinement seeded by the ADMM box multipliers: it re-solves
+the equality-constrained program of each face it visits by minimum-norm
+least squares and verifies the full KKT system.
 
 Everything that depends only on (P, Aeq, lb, ub) lives in a `Workspace`, so
 a sequence of programs that differ only in q and beq (the receding-horizon
@@ -66,7 +69,9 @@ _FACES = 2
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Problem data. Bounds are per-coordinate, +-inf for absent ones."""
+    """Problem data. Bounds are per-coordinate, +-inf for absent ones.
+    Absent equality rows (Aeq and beq both None) are stored as a 0 x n
+    system: Aeq of shape (0, n) and an empty beq."""
 
     P: np.ndarray
     q: np.ndarray
@@ -87,15 +92,12 @@ class QuadraticProgram:
         object.__setattr__(self, "q", q)
         if (self.Aeq is None) != (self.beq is None):
             raise ValueError("Aeq and beq must be given together")
-        if self.Aeq is not None:
-            Aeq = as_matrix(self.Aeq, "Aeq")
-            beq = as_vector(self.beq, "beq")
-            if Aeq.shape != (beq.shape[0], n):
-                raise ValueError(
-                    f"Aeq is {Aeq.shape}, expected ({beq.shape[0]}, {n})"
-                )
-            object.__setattr__(self, "Aeq", Aeq)
-            object.__setattr__(self, "beq", beq)
+        Aeq = as_matrix(np.zeros((0, n)) if self.Aeq is None else self.Aeq, "Aeq")
+        beq = as_vector(np.zeros(0) if self.beq is None else self.beq, "beq")
+        if Aeq.shape != (beq.shape[0], n):
+            raise ValueError(f"Aeq is {Aeq.shape}, expected ({beq.shape[0]}, {n})")
+        object.__setattr__(self, "Aeq", Aeq)
+        object.__setattr__(self, "beq", beq)
         lb = as_bound(self.lb, n, -np.inf, "lb")
         ub = as_bound(self.ub, n, np.inf, "ub")
         if (lb > ub).any():
@@ -128,7 +130,7 @@ def _pseudo_inverse_parts(a):
     """(U_r, s_r, V_r) of `a`, cut at the rank `svd_rank` gives, the rank
     ``numpy.linalg.lstsq`` uses; `a` may have no rows or no columns."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = svd_rank(s, a.shape) if s.size else 0
+    rank = svd_rank(s, a.shape)
     return u[:, :rank], s[:rank], vt[:rank].T
 
 
@@ -144,17 +146,15 @@ class Workspace:
     def __init__(self, prob: QuadraticProgram):
         self.P, self.Aeq, self.lb, self.ub = prob.P, prob.Aeq, prob.lb, prob.ub
         n = prob.n
-        self.me = 0 if prob.Aeq is None else prob.Aeq.shape[0]
-        self.M = np.vstack([prob.Aeq, np.eye(n)]) if self.me else np.eye(n)
+        self.M = np.vstack([prob.Aeq, np.eye(n)])
         self.rho0 = np.concatenate(
-            [np.full(self.me, _RHO_EQ), np.full(n, _RHO_BOX)]
+            [np.full(prob.Aeq.shape[0], _RHO_EQ), np.full(n, _RHO_BOX)]
         )
         self.K0_inv = self.factor(self.rho0)
-        if self.me:
-            # range of Aeq, and the map from range coordinates to the
-            # minimum-norm least-squares solution
-            u, s, v = _pseudo_inverse_parts(prob.Aeq)
-            self.eq_range, self.eq_solve = u, v / s
+        # range of Aeq, and the map from range coordinates to the
+        # minimum-norm least-squares solution
+        u, s, v = _pseudo_inverse_parts(prob.Aeq)
+        self.eq_range, self.eq_solve = u, v / s
         self.warm = None
         self._faces = {}
 
@@ -168,7 +168,6 @@ class Workspace:
         bounds."""
         ours = (self.P, self.Aeq, self.lb, self.ub)
         theirs = (prob.P, prob.Aeq, prob.lb, prob.ub)
-        # None (no equality rows) equals only None
         if not all(np.array_equal(a, b) for a, b in zip(ours, theirs)):
             raise ValueError(
                 "the program's P, Aeq or bounds differ from its workspace's"
@@ -185,9 +184,8 @@ class Workspace:
             if len(self._faces) == _FACES:
                 del self._faces[next(iter(self._faces))]
             n = self.P.shape[0]
-            Aact = np.eye(n)[np.array(list(lower) + list(upper), dtype=int)]
-            if self.me:
-                Aact = np.vstack([self.Aeq, Aact])
+            pinned = np.eye(n)[np.array(list(lower) + list(upper), dtype=int)]
+            Aact = np.vstack([self.Aeq, pinned])
             ma = Aact.shape[0]
             kkt = np.zeros((n + ma, n + ma))
             kkt[:n, :n] = self.P
@@ -202,12 +200,11 @@ class Workspace:
 def _kkt_residual(prob: QuadraticProgram, x, y_eq, y_box) -> float:
     """Worst violation over stationarity, primal feasibility, dual signs and
     complementarity."""
-    station = prob.P @ x + prob.q + y_box
-    if prob.Aeq is not None:
-        station = station + prob.Aeq.T @ y_eq
-    worst = float(np.abs(station).max(initial=0.0))
-    if prob.Aeq is not None:
-        worst = max(worst, float(np.abs(prob.Aeq @ x - prob.beq).max(initial=0.0)))
+    station = prob.P @ x + prob.q + y_box + prob.Aeq.T @ y_eq
+    worst = max(
+        float(np.abs(station).max(initial=0.0)),
+        float(np.abs(prob.Aeq @ x - prob.beq).max(initial=0.0)),
+    )
     lo = prob.lb - x
     hi = x - prob.ub
     lo[~np.isfinite(lo)] = -np.inf
@@ -224,49 +221,49 @@ def _kkt_residual(prob: QuadraticProgram, x, y_eq, y_box) -> float:
 
 def _pinned_solve(prob: QuadraticProgram, ws: Workspace, lower, upper):
     """Minimum-norm KKT solve with the listed coordinates pinned to their
-    bounds. Returns (x, y_eq, y_box, kkt_residual, consistent); `consistent`
-    is False when the stacked system has no exact solution, meaning the face
+    bounds. Returns (x, y_box, kkt_residual, consistent); `consistent` is
+    False when the stacked system has no exact solution, meaning the face
     is wrong or the objective is unbounded along it.
     """
-    n = prob.n
-    me = ws.me
-    pinned = np.array(list(lower) + list(upper), dtype=int)
-    bact = np.concatenate([prob.lb[lower], prob.ub[upper]])
-    if me:
-        bact = np.concatenate([prob.beq, bact])
-    rhs_full = np.concatenate([-prob.q, bact])
+    n, me = prob.n, prob.beq.shape[0]
+    rhs = np.concatenate([-prob.q, prob.beq, prob.lb[lower], prob.ub[upper]])
     kkt, pinv = ws.face(lower, upper)
-    sol = pinv @ rhs_full
-    res = float(np.linalg.norm(kkt @ sol - rhs_full))
-    consistent = res <= 1e-6 * max(1.0, float(np.linalg.norm(rhs_full)))
+    sol = pinv @ rhs
+    res = float(np.linalg.norm(kkt @ sol - rhs))
+    consistent = res <= 1e-6 * max(1.0, float(np.linalg.norm(rhs)))
     x = sol[:n]
-    nu = sol[n:]
-    y_eq = nu[:me]
-    y_new = np.zeros(n)
-    y_new[pinned] = nu[me:]
-    return x, y_eq, y_new, _kkt_residual(prob, x, y_eq, y_new), consistent
+    y_eq = sol[n : n + me]
+    y_box = np.zeros(n)
+    y_box[np.array(lower + upper, dtype=int)] = sol[n + me :]
+    return x, y_box, _kkt_residual(prob, x, y_eq, y_box), consistent
 
 
-def _refine(prob: QuadraticProgram, ws: Workspace, lower, upper, always):
-    """Active-set refinement from a starting guess of pinned coordinates.
+def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
+    """Active-set refinement seeded by the ADMM box multipliers `y_box`.
 
-    Each pass re-solves the pinned KKT system by minimum-norm least squares,
-    releases pins whose multipliers came back wrong-signed, and pins bounds
-    the candidate violates, until the measured KKT residual meets `_TOL` or
-    the set stops changing. Returns the best (x, y_eq, y_box, kkt_residual)
-    seen, or None when every visited face was inconsistent.
+    The multipliers (thresholded against their overall scale, so near-zero
+    noise on inactive coordinates is ignored) propose the first pinned set;
+    coordinates with lb == ub stay pinned to lb throughout. Each pass
+    re-solves the pinned KKT system by minimum-norm least squares, releases
+    pins whose multipliers came back wrong-signed, and pins the bound the
+    candidate violates most, until the measured KKT residual meets `_TOL`
+    or the set stops changing. Returns the best (x, kkt_residual) seen, or
+    (None, inf) when every visited face was inconsistent.
     """
     n = prob.n
-    lower = set(lower) | always
-    upper = set(upper) - always
-    best = None
+    seed_thr = 1e-9 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
+    finite_lb, finite_ub = np.isfinite(prob.lb), np.isfinite(prob.ub)
+    always = set(np.flatnonzero(finite_lb & (prob.lb == prob.ub)).tolist())
+    lower = set(np.flatnonzero(finite_lb & (y_box < -seed_thr)).tolist()) | always
+    upper = set(np.flatnonzero(finite_ub & (y_box > seed_thr)).tolist()) - always
+    best = (None, np.inf)
     for _ in range(3 * n + 3):
         lo, up = sorted(lower), sorted(upper)
-        x, y_eq, y_new, res, consistent = _pinned_solve(prob, ws, lo, up)
+        x, y_new, res, consistent = _pinned_solve(prob, ws, lo, up)
         changed = False
         if consistent:
-            if best is None or res < best[3]:
-                best = (x, y_eq, y_new, res)
+            if res < best[1]:
+                best = (x, res)
             if res <= _TOL:
                 return best
             rel = 1e-10 * max(1.0, float(np.abs(y_new).max(initial=0.0)))
@@ -281,8 +278,8 @@ def _refine(prob: QuadraticProgram, ws: Workspace, lower, upper, always):
         # pin only the single worst violation; adding every violated bound
         # at once can overshoot into an infeasible face
         feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))
-        below = np.where(np.isfinite(prob.lb), prob.lb - x, -np.inf)
-        above = np.where(np.isfinite(prob.ub), x - prob.ub, -np.inf)
+        below = np.where(finite_lb, prob.lb - x, -np.inf)
+        above = np.where(finite_ub, x - prob.ub, -np.inf)
         gap = np.maximum(below, above)
         gap[list(lower | upper)] = -np.inf
         worst = int(np.argmax(gap))  # the first index wins a tie
@@ -291,29 +288,6 @@ def _refine(prob: QuadraticProgram, ws: Workspace, lower, upper, always):
             changed = True
         if not changed:
             break
-    return best
-
-
-def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
-    """Best certified solution from multiplier-seeded and blank refinements.
-
-    The ADMM box multipliers (thresholded against their overall scale, so
-    near-zero noise on inactive coordinates is ignored) propose the first
-    active set. When that refinement cannot certify `_TOL`, a second one
-    grows the set from scratch out of primal violations alone, which
-    recovers the cases where a stalled ADMM proposed an infeasible face.
-    """
-    seed_thr = 1e-9 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
-    finite_lb, finite_ub = np.isfinite(prob.lb), np.isfinite(prob.ub)
-    always = set(np.flatnonzero(finite_lb & (prob.lb == prob.ub)).tolist())
-    lower = set(np.flatnonzero(finite_lb & (y_box < -seed_thr)).tolist())
-    upper = set(np.flatnonzero(finite_ub & (y_box > seed_thr)).tolist())
-    best = _refine(prob, ws, lower, upper, always)
-    if best is not None and best[3] <= _TOL:
-        return best
-    retry = _refine(prob, ws, set(), set(), always)
-    if retry is not None and (best is None or retry[3] < best[3]):
-        best = retry
     return best
 
 
@@ -334,21 +308,17 @@ def solve_qp(
     else:
         workspace.check(prob)
     ws = workspace
-    n = prob.n
-    me = ws.me
+    n, me = prob.n, prob.beq.shape[0]
 
-    if me:
-        coef = ws.eq_range.T @ prob.beq
-        res = float(np.linalg.norm(prob.beq - ws.eq_range @ coef))
-        if res > 1e-9 * max(1.0, float(np.linalg.norm(prob.beq))):
-            x_ls = ws.eq_solve @ coef
-            return QpSolution(
-                x_ls, prob.objective(x_ls), "infeasible", float("inf"), 0
-            )
+    coef = ws.eq_range.T @ prob.beq
+    res = float(np.linalg.norm(prob.beq - ws.eq_range @ coef))
+    if res > 1e-9 * max(1.0, float(np.linalg.norm(prob.beq))):
+        x_ls = ws.eq_solve @ coef
+        return QpSolution(x_ls, prob.objective(x_ls), "infeasible", float("inf"), 0)
 
     M = ws.M
-    low = np.concatenate([prob.beq, prob.lb]) if me else prob.lb
-    high = np.concatenate([prob.beq, prob.ub]) if me else prob.ub
+    low = np.concatenate([prob.beq, prob.lb])
+    high = np.concatenate([prob.beq, prob.ub])
     rho = ws.rho0
     K_inv = ws.K0_inv
     damp, last_up = 1.0, None
@@ -373,19 +343,17 @@ def solve_qp(
                 z = z_new
             it += steps
             Mx = M @ x
-            r_prim = float(np.abs(Mx - z).max(initial=0.0))
             Px = prob.P @ x
             MTy = M.T @ y
+            r_prim = float(np.abs(Mx - z).max(initial=0.0))
             r_dual = float(np.abs(Px + prob.q + MTy).max(initial=0.0))
-            e_prim = eps + eps * max(
-                np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0)
-            )
-            e_dual = eps + eps * max(
+            prim_scale = max(np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0))
+            dual_scale = max(
                 np.abs(Px).max(initial=0.0),
                 np.abs(prob.q).max(initial=0.0),
                 np.abs(MTy).max(initial=0.0),
             )
-            if r_prim <= e_prim and r_dual <= e_dual:
+            if r_prim <= eps + eps * prim_scale and r_dual <= eps + eps * dual_scale:
                 return "converged", it
             status = _certificates(prob, M, low, high, x - x_mark, y - y_mark)
             if status:
@@ -396,15 +364,8 @@ def solve_qp(
             # direction halves the step's exponent, so a penalty bouncing
             # between two values (each overshooting the other residual)
             # settles between them instead of cycling forever
-            prim_rel = r_prim / max(
-                np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0), 1e-12
-            )
-            dual_rel = r_dual / max(
-                np.abs(Px).max(initial=0.0),
-                np.abs(prob.q).max(initial=0.0),
-                np.abs(MTy).max(initial=0.0),
-                1e-12,
-            )
+            prim_rel = r_prim / max(prim_scale, 1e-12)
+            dual_rel = r_dual / max(dual_scale, 1e-12)
             ratio = np.sqrt(prim_rel / max(dual_rel, 1e-16))
             if ratio > _BALANCE or ratio < 1.0 / _BALANCE:
                 up = ratio > 1.0
@@ -417,29 +378,23 @@ def solve_qp(
         return "max_iter", it
 
     iterations = 0
-    best = None
+    best = (None, np.inf)
     # the first phase is capped so a stalled sweep still reaches the polish
-    schedule = ((1e-6, 5000), (_TOL, _MAX_ITER))
-    for eps, limit in schedule:
+    for eps, limit in ((1e-6, 5000), (_TOL, _MAX_ITER)):
         outcome, iterations = admm_phase(eps, iterations, limit)
         if outcome in ("infeasible", "unbounded"):
             ws.warm = None
-            return QpSolution(
-                x, prob.objective(x), outcome, float("inf"), iterations
-            )
+            return QpSolution(x, prob.objective(x), outcome, float("inf"), iterations)
         ws.warm = (x, y)
-        polished = _polish(prob, ws, y[me:])
-        if polished is not None:
-            px, _, _, pres = polished
-            if best is None or pres < best[1]:
-                best = (px, pres)
-            if pres <= _TOL:
-                return QpSolution(
-                    px, prob.objective(px), "optimal", pres, iterations
-                )
+        px, pres = _polish(prob, ws, y[me:])
+        if pres <= _TOL:
+            return QpSolution(px, prob.objective(px), "optimal", pres, iterations)
+        if pres < best[1]:
+            best = (px, pres)
 
+    # neither polish certified: the better of the polish and the ADMM iterate
     admm_res = _kkt_residual(prob, x, y[:me], y[me:])
-    if best is None or admm_res < best[1]:
+    if best[0] is None or admm_res < best[1]:
         best = (x, admm_res)
     bx, bres = best
     status = "optimal" if bres <= _TOL else "max_iter"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from importlib.resources import files
@@ -44,6 +45,20 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad)]) == 2
     assert main(["unknown-command", "--config", str(bad)]) == 2
     capsys.readouterr()
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run(tmp_path, "simulate", [1, 2], out=out) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_field_that_is_not_a_path_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(tmp_path, "simulate", {"system": plant_section(), "T": 5, "out": 5}) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'out'" in err
 
 
 def test_missing_config_field_exits_2(tmp_path, capsys):
@@ -247,6 +262,44 @@ def test_outputs_are_reproducible_bitwise(tmp_path, capsys):
     capsys.readouterr()
 
 
+# SHA-256 of each CSV the bundled commands write, with the wall-clock
+# columns dropped, cells joined with "," and rows with "\n" (no trailing
+# newline). Pinned with numpy 2.4.6 and the OpenBLAS 0.3.31 its wheel
+# bundles (DYNAMIC_ARCH, Haswell kernels); another numpy or BLAS build may
+# round the last digits differently and move them.
+BUNDLED_SHA256 = {
+    "deepc": {
+        "closed_loop.csv": "fe3f956aa6f7ada09297bacff3c3ca58eff55917e5be111c61d965b580b494a1",
+        "closed_loop_plot.csv": "862214f0e524cbeb79f63c1cc95a667b6623885a6c23fe28cd9320b2565432dd",
+        "controller_diff.csv": "7b95f706d3833c41fc3f45002c3d3dc2692bd7d52202276dcc292af6b4e309ec",
+    },
+    "identify": {
+        "recovery_report.csv": "6bd63ff58f9eac13c7319984fb03843f5c336bbbb8094d87b5e8f9f196e412cf",
+        "sweep.csv": "299105f0e66b08efcf33878da90553ce395f6175919cdb9470d204111234ac3d",
+    },
+    "verify-theorem1": {
+        "theorem1_report.csv": "ac656075073e0ef161aa924e2f7c61c8751bf62e8ddbeb2783a6cb6003fe40ba",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUNDLED_SHA256))
+def test_bundled_outputs_keep_their_bytes(tmp_path, capsys, command):
+    cfg = {
+        "deepc": bundled_config("fig1_deepc.json"),
+        "identify": bundled_config("fig2_multiagent.json"),
+        "verify-theorem1": {"random": {"count": 50}, "seed": 3},
+    }[command]
+    out = tmp_path / "out"
+    assert run(tmp_path, command, cfg, out=out) == 0
+    digests = {}
+    for path in out.glob("*.csv"):
+        text = "\n".join(",".join(row) for row in csv_without_timing(path))
+        digests[path.name] = hashlib.sha256(text.rstrip("\n").encode()).hexdigest()
+    assert digests == BUNDLED_SHA256[command]
+    capsys.readouterr()
+
+
 def test_seed_flag_overrides_config_seed(tmp_path):
     cfg = {"system": plant_section(), "T": 18, "seed": 1}
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -272,6 +325,14 @@ def test_deepc_max_iter_step_exits_5_and_logs_its_status(
     assert len(rows) == 1 + cfg["T"] + 1
     assert rows[-1].split(",")[-2] == "max_iter"
     assert all(r.split(",")[-2] == "excite" for r in rows[1:-1])
+
+
+def test_deepc_accepts_weights_asymmetric_within_tolerance(tmp_path, capsys):
+    # the stored weight is (Q + Q')/2, so the QP's P = 2 kron(I, Q) is
+    # symmetric even though Q itself is not quite
+    cfg = bundled_config("fig1_deepc.json", Q=[[1.0, 8e-11], [0.0, 1.0]], K=30)
+    assert run(tmp_path, "deepc", cfg, out=tmp_path / "o") == 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -389,6 +450,54 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
             },
             "xbar0_samples",
         ),
+        ("identify", bundled_config("fig2_multiagent.json", tau=1.7), "tau"),
+        ("identify", bundled_config("fig2_multiagent.json", tau=True), "tau"),
+        ("identify", bundled_config("fig2_multiagent.json", N="three"), "N"),
+        (
+            "identify",
+            bundled_config("fig2_multiagent.json", sweep_agents=[3, "x"]),
+            "sweep_agents[1]",
+        ),
+        (
+            "identify",
+            bundled_config("fig2_multiagent.json", sweep_agents=[0]),
+            "sweep_agents[0]",
+        ),
+        (
+            "identify",
+            bundled_config("fig2_multiagent.json", input_low="low"),
+            "input_low",
+        ),
+        ("verify-theorem1", {"random": {"count": 2.9}}, "count"),
+        (
+            "verify-theorem1",
+            {"system": plant_section(), "tau": 2, "L": 3, "xbar0_samples": True},
+            "xbar0_samples",
+        ),
+        ("simulate", {"system": plant_section(), "T": "ten"}, "T"),
+        ("deepc", bundled_config("fig1_deepc.json", N=4.9), "N"),
+        ("deepc", bundled_config("fig1_deepc.json", K=80.5), "K"),
+        ("deepc", bundled_config("fig1_deepc.json", pe_order=0), "pe_order"),
+        (
+            "deepc",
+            bundled_config("fig1_deepc.json", excitation_high=float("inf")),
+            "excitation_high",
+        ),
+        ("simulate", {"system": plant_section(), "T": 5, "seed": "abc"}, "seed"),
+        ("identify", bundled_config("fig2_multiagent.json", Abar="x"), "Abar"),
+        (
+            "identify",
+            bundled_config("fig2_multiagent.json", graph="given", edges=5),
+            "edges",
+        ),
+        ("check-pe", {"trajectories": 5}, "trajectories"),
+        ("simulate", {"system": plant_section(), "T": 5, "x0": "abc"}, "x0"),
+        ("simulate", {"system": plant_section(), "T": 5, "out_name": 5}, "out_name"),
+        (
+            "verify-theorem1",
+            {"system": plant_section(), "tau": 2, "L": 3, "x0_columns": "abc"},
+            "x0_columns",
+        ),
     ],
     ids=[
         "check-pe-nan",
@@ -415,6 +524,26 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         "theorem1-length-0",
         "theorem1-too-few-x0-columns",
         "theorem1-xbar0-dimension",
+        "identify-tau-not-integral",
+        "identify-tau-boolean",
+        "identify-N-not-a-number",
+        "identify-sweep-agent-not-a-number",
+        "identify-sweep-agent-0",
+        "identify-input-low-not-a-number",
+        "theorem1-count-not-integral",
+        "theorem1-xbar0-boolean",
+        "simulate-T-not-a-number",
+        "deepc-N-not-integral",
+        "deepc-K-not-integral",
+        "deepc-pe-order-0",
+        "deepc-excitation-high-infinite",
+        "seed-not-a-number",
+        "identify-Abar-not-a-matrix",
+        "identify-edges-not-a-list",
+        "check-pe-trajectories-not-a-list",
+        "simulate-x0-not-numeric",
+        "simulate-out-name-not-a-name",
+        "theorem1-x0-columns-not-numeric",
     ],
 )
 def test_bad_inline_inputs_exit_2_naming_the_field(

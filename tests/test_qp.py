@@ -20,6 +20,25 @@ def test_problem_validation():
     assert prob.objective([1.0, 0.0]) == pytest.approx(1.5)
 
 
+def test_absent_equality_rows_are_an_empty_system():
+    # a program without equality rows is the 0 x n system, and solves to
+    # the same bits as that system passed explicitly
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        P, q, _, _, lb, ub = random_box_qp(rng)
+        n = q.shape[0]
+        bare = QuadraticProgram(P, q, lb=lb, ub=ub)
+        assert bare.Aeq.shape == (0, n) and bare.beq.shape == (0,)
+        empty = QuadraticProgram(
+            P, q, Aeq=np.zeros((0, n)), beq=np.zeros(0), lb=lb, ub=ub
+        )
+        first, second = solve_qp(bare), solve_qp(empty)
+        assert first.status == second.status == "optimal"
+        assert np.array_equal(first.x, second.x)
+        assert first.iterations == second.iterations
+        assert first.kkt_residual == second.kkt_residual
+
+
 def test_unconstrained_quadratic():
     # min 0.5 x'x - (1,2)'x at x = (1, 2), objective -2.5
     sol = solve_qp(QuadraticProgram(np.eye(2), [-1.0, -2.0]))
