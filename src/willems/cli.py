@@ -336,6 +336,27 @@ def cmd_deepc(cfg: dict, out_dir: str, seed: int) -> int:
     return 0
 
 
+def _anchor(cfg: dict, spec: MultiAgentSpec) -> tuple:
+    """The `anchor` field of `identify`: (edge, agent, sign), an edge index,
+    an agent index and +-1, naming the block of E known to carry the sign."""
+    raw = cfg.get("anchor", (0, 0, 1))
+    if not isinstance(raw, (list, tuple)) or len(raw) != 3:
+        raise ConfigError(
+            "config field 'anchor' is not a triple (edge, agent, sign)"
+        )
+    i = _integer(raw[0], "anchor", least=0)
+    j = _integer(raw[1], "anchor", least=0)
+    sign = _integer(raw[2], "anchor", least=-1)
+    if sign not in (1, -1):
+        raise ConfigError(f"config field 'anchor' has sign {sign}, not +1 or -1")
+    if i >= spec.M or j >= spec.N:
+        raise ConfigError(
+            f"config field 'anchor' names block ({i}, {j}) outside the "
+            f"{spec.M} x {spec.N} grid of edges by agents"
+        )
+    return i, j, sign
+
+
 def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     Abar = _matrix(cfg, "Abar")
     Bbar = _matrix(cfg, "Bbar")
@@ -344,7 +365,10 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
         edges = star_edges(N)
     else:
         try:
-            edges = tuple(tuple(e) for e in _require(cfg, "edges"))
+            edges = tuple(
+                tuple(_integer(v, f"edges[{k}]", least=0) for v in e)
+                for k, e in enumerate(_require(cfg, "edges"))
+            )
         except TypeError as exc:
             raise ConfigError("config field 'edges' is not a list of pairs") from exc
     try:
@@ -384,6 +408,7 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
                 f"config field 'kmax' must be at most the network's state "
                 f"dimension {n}, got {kmax}"
             )
+        anchor = _anchor(cfg, spec)
         sys_ = build_system(spec)
         data = collect_trajectories(sys_, tau, T, low, high, seed)
         io_only = TrajectorySet(
@@ -401,7 +426,6 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
             "markov parameters: worst error vs known system "
             f"{max(errs):.3e} over k=1..{kmax}"
         )
-        anchor = tuple(cfg.get("anchor", (0, 0, 1)))
         rec = recover_system(params, anchor, spec.nbar, spec.mbar)
         ea = float(np.linalg.norm(rec.Abar - spec.Abar))
         eb = float(np.linalg.norm(rec.Bbar - spec.Bbar))

@@ -8,11 +8,12 @@ collectively persistently exciting (PE) of order d when the depth-d input
 mosaic has full row rank under the rank cutoff of `numerics.svd_rank`.
 
 `is_collectively_pe` decides that without an SVD in the common case: a
-mosaic with fewer columns than rows is rejected by its shape, and a
-Cholesky factorization of the shifted Gram matrix of the mosaic certifies
-full row rank whenever the smallest singular value clears the cutoff by a
-wide margin. Only a verdict that neither settles goes to the values-only
-SVD of the mosaic, so every verdict is the one the SVD gives.
+mosaic with fewer columns than rows is rejected by its shape, and
+`numerics.gram_certifies_full_rank` (where the derivation lives) certifies
+full row rank by a Cholesky factorization of the shifted Gram matrix of the
+mosaic whenever the smallest singular value clears the cutoff by a wide
+margin. Only a verdict that neither settles goes to the values-only SVD of
+the mosaic, so every verdict is the one the SVD gives.
 """
 
 from __future__ import annotations
@@ -22,13 +23,11 @@ import logging
 import numpy as np
 
 from .lti import TrajectorySet
-from .numerics import rank_margin
+from .numerics import gram_certifies_full_rank, rank_margin
 
 __all__ = ["hankel", "mosaic_hankel", "is_collectively_pe", "pe_order"]
 
 log = logging.getLogger(__name__)
-
-_EPS = np.finfo(float).eps
 
 
 def hankel(f, d: int) -> np.ndarray:
@@ -41,11 +40,14 @@ def hankel(f, d: int) -> np.ndarray:
         raise ValueError(f"depth must be positive, got {d}")
     if d > T:
         raise ValueError(f"depth {d} exceeds sequence length {T}")
-    cols = T - d + 1
-    out = np.empty((d * q, cols))
-    for j in range(cols):
-        out[:, j] = arr[j : j + d].reshape(-1)
-    return out
+    # column j is the run of d*q values from sample j on: one strided view
+    # over the C-ordered samples holds every column, and one copy fills H
+    arr = np.ascontiguousarray(arr)
+    step = arr.itemsize
+    windows = np.ndarray(
+        (T - d + 1, d * q), float, buffer=arr, strides=(q * step, step)
+    )
+    return windows.T.copy()
 
 
 def mosaic_hankel(
@@ -67,25 +69,6 @@ def mosaic_hankel(
     return np.hstack(blocks)
 
 
-def _gram_certifies_full_rank(data: TrajectorySet, d: int) -> bool:
-    """True when a Cholesky factorization of the shifted Gram matrix of the
-    scaled depth-d input mosaic succeeds; see `is_collectively_pe` for why
-    that proves full row rank."""
-    h = mosaic_hankel(data, d, "inputs")
-    rows, cols = h.shape
-    _, e = np.frexp(max(h.max(), -h.min()))
-    np.ldexp(h, -e, out=h)
-    gram = h @ h.T
-    # freed before the factorization, which holds two r x r copies of its own
-    del h
-    gram.flat[:: rows + 1] -= 2 * (rows + cols + 2) * _EPS * gram.trace()
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def is_collectively_pe(data: TrajectorySet, d: int) -> bool:
     """Collective persistency of excitation of order d on the input channel.
 
@@ -97,46 +80,14 @@ def is_collectively_pe(data: TrajectorySet, d: int) -> bool:
     verdict open:
 
     1. Shape: with c < r the SVD can never report rank r, so False.
-    2. Certificate: the mosaic is scaled by the power of two that puts
-       max|H| in [1/2, 1), which is exact and keeps the Gram entries from
-       overflowing or underflowing. G = H H^T is formed by one product of
-       the scaled mosaic, which is then freed, and if the Cholesky
-       factorization of G - s*I succeeds with s = 2 (r + c + 2) eps
-       trace(G), the answer is True.
-    3. Fallback: `numerical_rank` of the mosaic, built again unscaled, so
-       that the SVD sees the same matrix as without the certificate;
-       `numerics.rank_margin` also returns the margin to log.
-
-    Why s proves what the SVD would report. Let u = eps/2,
-    gamma_k = k u / (1 - k u) and t the computed trace of G, which is
-    ||H||_F^2 (1 + O((r + c) u)). Three rounding errors separate the
-    factorized matrix from H H^T:
-
-    - forming G: every entry is an inner product of length c, so
-      fl(H H^T) = H H^T + E1 with |E1| <= gamma_c |H| |H|^T (Higham,
-      *Accuracy and Stability of Numerical Algorithms*, 2nd ed., §3.5),
-      and ||E1||_2 <= gamma_c ||H||_F^2;
-    - the shift: each diagonal entry is rounded once, so
-      M = fl(G - s I) = G - s I + E2 with ||E2||_2 <= u t;
-    - the factorization: a Cholesky that runs to completion on M returns R
-      with R^T R = M + E3 and |E3| <= gamma_{r+1} |R^T| |R| (Higham,
-      Thm 10.3). As ||R||_F^2 = trace(M + E3), this gives
-      ||E3||_2 <= gamma_{r+1} t (1 + O(r u)).
-
-    Entries of the scaled mosaic or of the products that underflow add at
-    most 2^-1075 each, nothing next to u t >= u/4. Since R^T R is positive
-    semidefinite, H H^T = R^T R - E3 + s I - E2 - E1 has
-
-        sigma_r(H)^2 >= s - (r + c + 2) u t (1 + O((r + c) u)) >= s / 2,
-
-    the last step because s = 4 (r + c + 2) u t leaves a factor of two to
-    spare (Rump, "Verification of positive definiteness", BIT 46, 2006).
-    With t >= sigma_1^2 this reads sigma_r / sigma_1 >= sqrt((r + c + 2) eps),
-    far above the cutoff's max(r, c) eps: the ratio of the two exceeds
-    10^4 for any mosaic with fewer than 10^7 rows plus columns, far more
-    than the rounding error of a backward-stable SVD. So a certified True
-    is a True of the SVD too, and a failed factorization decides nothing:
-    the SVD then has the last word, and no verdict differs from it.
+    2. Certificate: `numerics.gram_certifies_full_rank` of the mosaic, a
+       shifted Cholesky factorization of H H^T that, when it succeeds,
+       proves sigma_r / sigma_1 >= sqrt((r + c + 2) eps), far above the
+       cutoff, so the answer is True; the derivation is beside the helper.
+       The mosaic is not kept, so the helper frees it before factorizing.
+    3. Fallback: `numerical_rank` of the mosaic, built again as the helper
+       freed the first one; `numerics.rank_margin` also returns the margin
+       to log.
 
     Logs one DEBUG line per call naming the step that decided; after the
     SVD it gives sigma_r / sigma_1 against the cutoff, so a verdict close
@@ -153,7 +104,7 @@ def is_collectively_pe(data: TrajectorySet, d: int) -> bool:
     if cols < rows:
         log.debug("PE order %d: shape, %d columns < %d rows: False", d, cols, rows)
         return False
-    if _gram_certifies_full_rank(data, d):
+    if gram_certifies_full_rank(mosaic_hankel(data, d, "inputs")):
         log.debug("PE order %d: cholesky certifies %d x %d: True", d, rows, cols)
         return True
     rank, ratio, cutoff = rank_margin(mosaic_hankel(data, d, "inputs"))

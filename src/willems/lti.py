@@ -89,7 +89,7 @@ class Trajectory:
             u = u.reshape(-1, 1)
         if u.ndim != 2 or u.shape[0] == 0:
             raise ValueError("inputs must be a nonempty (T, m) array")
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise ValueError("inputs contain non-finite entries")
         object.__setattr__(self, "inputs", u)
         for name in ("states", "outputs"):
@@ -101,7 +101,7 @@ class Trajectory:
                 arr = arr.reshape(-1, 1)
             if arr.shape[0] != u.shape[0]:
                 raise ValueError(f"{name} length {arr.shape[0]} != T={u.shape[0]}")
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"{name} contain non-finite entries")
             object.__setattr__(self, name, arr)
 
@@ -163,6 +163,16 @@ def simulate(sys: LtiSystem, x0, inputs) -> Trajectory:
 
     The result carries inputs, states and outputs, with
     ``x[t+1] = A x[t] + B u[t]`` and ``y[t] = C x[t] + D u[t]``.
+
+    Only the state recursion runs step by step. ``B u[t]``, ``C x[t]`` and
+    ``D u[t]`` are stacked products over all t, ``(B @ u[:, :, None])``
+    and the like, which keep every bit of the step-by-step products: numpy
+    runs a stacked matrix-vector product as one BLAS gemv (a dot when the
+    matrix has one row) per item, with the same dimensions and strides as
+    the single product. ``u @ B.T`` would not: it is one gemm, whose
+    blocking sums in another order, and it moves the last bit of most
+    outputs. ``C x[0]`` reads the stored copy of `x0`, so the layout of
+    `x0` does not matter.
     """
     x0 = as_vector(x0, "x0")
     if x0.size != sys.n:
@@ -172,14 +182,14 @@ def simulate(sys: LtiSystem, x0, inputs) -> Trajectory:
         u = u.reshape(-1, 1)
     if u.ndim != 2 or u.shape[1] != sys.m:
         raise ValueError(f"inputs must be (T, {sys.m}), got {u.shape}")
-    T = u.shape[0]
-    x = np.zeros((T, sys.n))
-    y = np.zeros((T, sys.p))
+    A = sys.A
+    Bu = (sys.B @ u[:, :, None])[:, :, 0]
+    x = np.empty((u.shape[0], sys.n))
     xt = x0
-    for t in range(T):
+    for t, bu in enumerate(Bu):
         x[t] = xt
-        y[t] = sys.C @ xt + sys.D @ u[t]
-        xt = sys.A @ xt + sys.B @ u[t]
+        xt = A @ xt + bu
+    y = (sys.C @ x[:, :, None])[:, :, 0] + (sys.D @ u[:, :, None])[:, :, 0]
     return Trajectory(inputs=u, states=x, outputs=y)
 
 

@@ -1,11 +1,15 @@
 """Dense linear-algebra kernels: rank, least squares, orthonormal bases, subspaces.
 
-All routines are SVD-backed and share one rank policy, applied by
-`svd_rank`: a singular value counts as nonzero when it exceeds
-``max(rows, cols) * eps * sigma_max``, the cutoff of
-``numpy.linalg.matrix_rank``. Membership and equality of computed subspaces
-are decided by projection residuals against `DEFAULT_RESIDUAL_RTOL`.
-Matrices are plain 2-D ``numpy`` arrays; vectors are 1-D arrays.
+Every rank decision follows one policy, applied by `svd_rank`: a singular
+value counts as nonzero when it exceeds ``max(rows, cols) * eps *
+sigma_max``, the cutoff of ``numpy.linalg.matrix_rank``. The routines are
+SVD-backed, with one exception that decides the same way:
+`gram_certifies_full_rank` proves full rank under that cutoff by a shifted
+Cholesky factorization of a Gram matrix, far cheaper than an SVD, and when
+it cannot prove it the caller asks the SVD. Membership and equality of
+computed subspaces are decided by projection residuals against
+`DEFAULT_RESIDUAL_RTOL`. Matrices are plain 2-D ``numpy`` arrays; vectors
+are 1-D arrays.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -53,7 +57,7 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Validate and return `v` as a finite float 1-D array."""
     a = np.asarray(v, dtype=float).reshape(-1)
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
 
@@ -92,7 +96,7 @@ def svd_rank(s, shape) -> int:
     """Number of the descending singular values `s` of a matrix of `shape`
     strictly above the cutoff ``max(shape) * eps * s[0]``; 0 when `s` is
     empty."""
-    return int(np.sum(s > _relative_cutoff(shape) * s[:1]))
+    return int((s > _relative_cutoff(shape) * s[:1]).sum())
 
 
 def rank_margin(m) -> tuple[int, float, float]:
@@ -106,6 +110,66 @@ def rank_margin(m) -> tuple[int, float, float]:
     s = np.linalg.svd(a, compute_uv=False)
     ratio = float(s[-1] / s[0]) if s[0] > 0 else 0.0
     return svd_rank(s, a.shape), ratio, _relative_cutoff(a.shape)
+
+
+def gram_certifies_full_rank(a: np.ndarray) -> bool:
+    """True when a Cholesky factorization proves that the float matrix `a`,
+    r x c, has full rank k = min(r, c) under the cutoff of `svd_rank`; False
+    decides nothing, and the caller then asks the SVD. Outside ``__all__``,
+    like `svd_rank`.
+
+    `a` is scaled by the power of two that puts max|a| in [1/2, 1), which is
+    exact and keeps the Gram entries from overflowing or underflowing. The
+    scaled copy replaces `a`, so an argument the caller passes without
+    keeping it is freed at once. The k x k Gram matrix G of the short side
+    (a a^T when r <= c, else a^T a) is formed by one product, the scaled copy
+    is freed before the factorization, which holds two k x k copies of its
+    own, and the answer is True when the Cholesky factorization of G - s*I
+    succeeds, with s = 2 (r + c + 2) eps trace(G).
+
+    Why s proves what the SVD would report. Let u = eps/2,
+    gamma_j = j u / (1 - j u), l = max(r, c) and t the computed trace of G,
+    which is ||a||_F^2 (1 + O(l u)). Three rounding errors separate the
+    factorized matrix from the exact Gram matrix H of the scaled `a`:
+
+    - forming G: every entry is an inner product of length l, so
+      G = H + E1 with |E1| <= gamma_l |a| |a|^T (Higham, *Accuracy and
+      Stability of Numerical Algorithms*, 2nd ed., §3.5; for a^T a read
+      |a|^T |a|), and ||E1||_2 <= gamma_l ||a||_F^2;
+    - the shift: each diagonal entry is rounded once, so
+      M = fl(G - s I) = G - s I + E2 with ||E2||_2 <= u t;
+    - the factorization: a Cholesky that runs to completion on M returns R
+      with R^T R = M + E3 and |E3| <= gamma_{k+1} |R^T| |R| (Higham,
+      Thm 10.3). As ||R||_F^2 = trace(M + E3), this gives
+      ||E3||_2 <= gamma_{k+1} t (1 + O(k u)).
+
+    Entries of the scaled matrix or of the products that underflow add at
+    most 2^-1075 each, nothing next to u t >= u/4. Since R^T R is positive
+    semidefinite and l + k = r + c, H = R^T R - E3 + s I - E2 - E1 has
+
+        sigma_k(a)^2 >= s - (r + c + 2) u t (1 + O((r + c) u)) >= s / 2,
+
+    the last step because s = 4 (r + c + 2) u t leaves a factor of two to
+    spare (Rump, "Verification of positive definiteness", BIT 46, 2006).
+    With t >= sigma_1^2 this reads sigma_k / sigma_1 >= sqrt((r + c + 2) eps),
+    far above the cutoff's max(r, c) eps: the ratio of the two exceeds
+    10^4 for any matrix with fewer than 10^7 rows plus columns, far more
+    than the rounding error of a backward-stable SVD. So a certified True
+    is a True of the SVD too, and a failed factorization decides nothing:
+    no verdict that falls back to the SVD differs from it.
+    """
+    rows, cols = a.shape
+    _, e = np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))
+    a = np.ldexp(a, -e)
+    gram = a @ a.T if rows <= cols else a.T @ a
+    # freed before the factorization, which holds two k x k copies of its own
+    del a
+    gram.flat[:: gram.shape[0] + 1] -= 2 * (rows + cols + 2) * _EPS * gram.trace()
+    try:
+        np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def numerical_rank(m) -> int:

@@ -23,6 +23,7 @@ from .numerics import (
     SubspaceBasis,
     as_matrix,
     as_vector,
+    gram_certifies_full_rank,
     numerical_rank,
     power_blocks,
     right_kernel,
@@ -123,22 +124,31 @@ def min_poly_degree(A) -> int:
     """Degree of the minimal polynomial of A.
 
     Smallest d >= 1 with vec(A^d) in span{vec(I), ..., vec(A^{d-1})},
-    decided by rank tests on the vectorized powers. Columns are normalized
-    before the rank test; this does not change their span but keeps the
-    test meaningful when powers of A grow or decay.
+    decided by rank tests on the vectorized powers; by Cayley-Hamilton
+    d <= n, so A^n is never formed. Columns are normalized before the rank
+    test; this does not change their span but keeps the test meaningful
+    when powers of A grow or decay.
+
+    When `numerics.gram_certifies_full_rank` proves that the n normalized
+    columns [vec I, ..., vec A^{n-1}] have full column rank, the answer is
+    n: the first d + 1 columns have a ratio of extreme singular values at
+    least that of all n (by interlacing), far above the cutoff, so the
+    scan over prefixes would return n too. Otherwise the scan runs, one
+    rank test per prefix.
     """
     A = as_matrix(A, "A")
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError(f"A must be square, got {A.shape}")
-    cols = []
-    for P in power_blocks(A, np.eye(n), n + 1):
+    stacked = np.empty((n * n, n))
+    for k, P in enumerate(power_blocks(A, np.eye(n), n)):
         v = P.reshape(-1)
         norm = np.linalg.norm(v)
-        cols.append(v / norm if norm > 0 else v)
-    stacked = np.column_stack(cols)
+        stacked[:, k] = v / norm if norm > 0 else v
+    if gram_certifies_full_rank(stacked):
+        return n
     rank = 1  # the normalized vec(I)
-    for d in range(1, n + 1):
+    for d in range(1, n):
         grown = numerical_rank(stacked[:, : d + 1])
         if grown == rank:
             return d

@@ -6,7 +6,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from willems import trajectory_from_csv
+from willems import multiagent, trajectory_from_csv
 from willems.cli import main
 from willems.qp import QpSolution
 
@@ -215,10 +215,51 @@ def test_identify_command_full_pipeline(tmp_path, capsys):
     assert len(sweep) == 1 + 2 * 2  # two rules, two agent counts
 
 
-def test_identify_bad_anchor_exits_5(tmp_path, capsys):
-    bundled = bundled_config("fig2_multiagent.json")
-    bundled["anchor"] = [9, 9, 1]
-    bundled["sweep_agents"] = [3]
+@pytest.mark.parametrize(
+    "anchor",
+    [
+        "abc",
+        [0, 1],
+        [0, 0.5, 1],
+        [0, -1, 1],
+        [0, 0, 0],
+        [0, 0, 2],
+        [9, 9, 1],
+        [2, 0, 1],
+    ],
+    ids=[
+        "text",
+        "pair",
+        "agent-not-integral",
+        "agent-negative",
+        "sign-0",
+        "sign-2",
+        "outside-grid",
+        "edge-past-last",
+    ],
+)
+def test_identify_bad_anchor_exits_2_before_any_simulation(
+    tmp_path, capsys, monkeypatch, anchor
+):
+    # the bundled star has 2 edges and 3 agents: a 2 x 3 grid of blocks
+    calls = []
+    monkeypatch.setattr(multiagent, "simulate", lambda *args: calls.append(args))
+    bundled = bundled_config(
+        "fig2_multiagent.json", anchor=anchor, sweep_agents=[3]
+    )
+    assert run(tmp_path, "identify", bundled, out=tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'anchor'" in err
+    assert not calls
+
+
+def test_identify_anchor_on_a_zero_block_exits_5(tmp_path, capsys):
+    # edge 0 of the star joins agents 0 and 1, so its block at agent 2 is
+    # zero: the anchored blocks lack the rank the shift solve needs, which
+    # only the data show
+    bundled = bundled_config(
+        "fig2_multiagent.json", anchor=[0, 2, 1], sweep_agents=[3]
+    )
     assert run(tmp_path, "identify", bundled, out=tmp_path / "o") == 5
     assert "numerical failure" in capsys.readouterr().err
 
@@ -490,6 +531,20 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
             bundled_config("fig2_multiagent.json", graph="given", edges=5),
             "edges",
         ),
+        (
+            "identify",
+            bundled_config(
+                "fig2_multiagent.json", graph="given", edges=[[0.5, 1]]
+            ),
+            "edges[0]",
+        ),
+        (
+            "identify",
+            bundled_config(
+                "fig2_multiagent.json", graph="given", edges=[[0, 1], [2, True]]
+            ),
+            "edges[1]",
+        ),
         ("check-pe", {"trajectories": 5}, "trajectories"),
         ("simulate", {"system": plant_section(), "T": 5, "x0": "abc"}, "x0"),
         ("simulate", {"system": plant_section(), "T": 5, "out_name": 5}, "out_name"),
@@ -540,6 +595,8 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         "seed-not-a-number",
         "identify-Abar-not-a-matrix",
         "identify-edges-not-a-list",
+        "identify-edge-endpoint-not-integral",
+        "identify-edge-endpoint-boolean",
         "check-pe-trajectories-not-a-list",
         "simulate-x0-not-numeric",
         "simulate-out-name-not-a-name",

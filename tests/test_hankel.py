@@ -29,10 +29,12 @@ def test_hankel_of_vector_sequence():
 
 
 def test_hankel_depth_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^depth 3 exceeds sequence length 2$"):
         hankel([1.0, 2.0], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^depth must be positive, got 0$"):
         hankel([1.0, 2.0], 0)
+    with pytest.raises(ValueError, match="^depth must be positive, got -1$"):
+        hankel(np.ones((4, 2)), -1)
 
 
 def test_hankel_shift_structure():
@@ -46,6 +48,45 @@ def test_hankel_shift_structure():
         f = rng.normal(size=(T, q))
         h = hankel(f, d)
         assert np.array_equal(h[: q * (d - 1), 1:], h[q:, :-1])
+
+
+def column_definition(f, d):
+    """Depth-d Hankel matrix filled one column (one window) at a time."""
+    arr = np.asarray(f, dtype=float)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    T, q = arr.shape
+    out = np.empty((d * q, T - d + 1))
+    for j in range(T - d + 1):
+        out[:, j] = arr[j : j + d].reshape(-1)
+    return out
+
+
+def test_hankel_equals_the_per_column_definition():
+    rng = np.random.default_rng(66)
+    raw = rng.normal(size=(40, 9))
+    cases = [
+        (raw[:, 0].copy(), 5),  # 1-D
+        (raw[:17, 0].copy(), 17),  # d = T: one column
+        (raw[:12, :3].copy(), 12),
+        (raw[:, :3].copy(), 1),  # d = 1: the samples as columns
+        (raw[:, :4].copy(), 6),  # q > 1
+        (np.asfortranarray(raw[:25, :3]), 4),
+        (raw[::2, ::3], 5),  # strided both ways
+        (raw[::-1, 2], 7),  # negative stride
+        (rng.integers(-9, 9, size=(20, 2)), 3),  # integer samples
+        ([[1, 2], [3, 4], [5, 6]], 2),  # nested lists
+    ]
+    for f, d in cases:
+        h = hankel(f, d)
+        expected = column_definition(f, d)
+        assert h.dtype == np.float64 and h.flags.c_contiguous
+        assert np.array_equal(h, expected)
+    # a copy, not a view of the samples
+    f = raw[:10, :2].copy()
+    h = hankel(f, 3)
+    f[:] = 0.0
+    assert np.array_equal(h, column_definition(raw[:10, :2], 3))
 
 
 def test_mosaic_concatenates_in_order():

@@ -7,6 +7,7 @@ from willems.numerics import (
     as_bound,
     as_matrix,
     as_vector,
+    gram_certifies_full_rank,
     least_squares,
     numerical_rank,
     orthonormal_image,
@@ -176,3 +177,35 @@ def test_as_bound_fills_broadcasts_and_rejects():
         as_bound([1, 2], 3, np.inf, "ub")
     with pytest.raises(ValueError, match="lb contains NaN"):
         as_bound([0.0, np.nan, 1.0], 3, -np.inf, "lb")
+
+
+def prescribed_matrix(rng, rows, cols, ratio):
+    """rows x cols matrix whose min(rows, cols) singular values fall
+    geometrically from 1 to `ratio`."""
+    k = min(rows, cols)
+    q_left, _ = np.linalg.qr(rng.normal(size=(rows, k)))
+    q_right, _ = np.linalg.qr(rng.normal(size=(cols, k)))
+    return (q_left * np.geomspace(1.0, ratio, k)) @ q_right.T
+
+
+@pytest.mark.parametrize("shape", [(20, 6), (6, 20), (8, 8), (1, 5), (5, 1)])
+def test_gram_certificate_never_claims_full_rank_the_svd_denies(shape):
+    rng = np.random.default_rng(67)
+    k = min(shape)
+    certified = []
+    for ratio in [1e-1, 1e-3, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9, 1e-12, 1e-15, 1e-17]:
+        for scale in [1e-150, 1e-3, 1.0, 1e3, 1e150]:
+            a = scale * prescribed_matrix(rng, *shape, ratio)
+            kept = a.copy()
+            verdict = gram_certifies_full_rank(a)
+            assert np.array_equal(a, kept)  # the argument is left as it was
+            if verdict:
+                assert numerical_rank(a) == k, (ratio, scale)
+                certified.append(ratio)
+    # rank-deficient: a product through a thinner factor, and zeros
+    for inner in range(k):
+        a = rng.normal(size=(shape[0], inner)) @ rng.normal(size=(inner, shape[1]))
+        assert not gram_certifies_full_rank(a)
+    assert not gram_certifies_full_rank(np.zeros(shape))
+    # not vacuous: the well-conditioned matrices are certified at every scale
+    assert certified[:10] == [1e-1] * 5 + [1e-3] * 5

@@ -20,7 +20,7 @@ from willems import (
     theorem1_state_condition,
     unobservable_subspace,
 )
-from willems.numerics import subspace_sum
+from willems.numerics import numerical_rank, subspace_sum
 from willems.subspace import draw_until_pe, pe_image_check
 
 
@@ -116,6 +116,92 @@ def test_min_poly_degree_of_block_copies():
         Abar = rng.normal(size=(nbar, nbar))
         d = min_poly_degree(Abar)
         assert min_poly_degree(np.kron(np.eye(3), Abar)) == d
+
+
+def plain_scan_degree(A):
+    """The minimal-polynomial degree by one SVD rank per prefix of the
+    n + 1 normalized vectorized powers, with no certificate."""
+    n = A.shape[0]
+    cols, P = [], np.eye(n)
+    for _ in range(n + 1):
+        v = P.reshape(-1)
+        norm = np.linalg.norm(v)
+        cols.append(v / norm if norm > 0 else v)
+        P = A @ P
+    stacked = np.column_stack(cols)
+    rank = 1
+    for d in range(1, n + 1):
+        grown = numerical_rank(stacked[:, : d + 1])
+        if grown == rank:
+            return d
+        rank = grown
+    return n
+
+
+def jordan(eigenvalue, size):
+    return eigenvalue * np.eye(size) + np.eye(size, k=1)
+
+
+def block_diag(*blocks):
+    n = sum(b.shape[0] for b in blocks)
+    out = np.zeros((n, n))
+    k = 0
+    for b in blocks:
+        out[k : k + b.shape[0], k : k + b.shape[0]] = b
+        k += b.shape[0]
+    return out
+
+
+def structured_matrices(rng):
+    """(matrix, degree) pairs whose minimal polynomial is known exactly."""
+    yield np.zeros((1, 1)), 1
+    yield np.array([[-3.5]]), 1
+    yield np.zeros((4, 4)), 1
+    yield jordan(0.0, 4), 4  # nilpotent of index 4
+    yield np.triu(rng.normal(size=(5, 5)), k=1), 5  # generic nilpotent
+    yield jordan(0.7, 3), 3
+    yield block_diag(jordan(0.5, 2), jordan(0.5, 2)), 2
+    yield block_diag(jordan(0.5, 3), jordan(0.5, 1), np.diag([-0.2])), 4
+    yield np.diag([2.0, 2.0, 5.0, 5.0, 5.0]), 2
+    yield np.diag([1.0, -1.0, 1.0, -1.0]), 2
+    for nbar in (1, 2, 3):
+        Abar = rng.normal(size=(nbar, nbar))
+        yield np.kron(np.eye(3), Abar), nbar
+    # a dense similarity transform keeps the minimal polynomial
+    S = rng.normal(size=(4, 4))
+    yield S @ block_diag(jordan(0.4, 2), np.diag([0.4, -0.8])) @ np.linalg.inv(S), 3
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_min_poly_degree_equals_the_plain_scan(scale):
+    rng = np.random.default_rng(68)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        A = scale * rng.normal(size=(n, n))
+        if rng.random() < 0.3:
+            A = A * (rng.random(size=(n, n)) < 0.4)  # sparse, often defective
+        assert min_poly_degree(A) == plain_scan_degree(A)
+    for A, degree in structured_matrices(rng):
+        assert plain_scan_degree(scale * A) == degree
+        assert min_poly_degree(scale * A) == degree
+
+
+def test_min_poly_degree_of_a_generic_matrix_needs_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(69)
+    for n in range(1, 7):
+        assert min_poly_degree(rng.normal(size=(n, n))) == n
+    assert not calls
+    # a degree below n is left to the scan
+    assert min_poly_degree(np.diag([2.0, 2.0, 5.0])) == 2
+    assert calls
 
 
 def test_initial_state_matrix_collects_first_states(bench):
