@@ -41,7 +41,6 @@ from .multiagent import (
 )
 from .parameterize import parameterize
 from .predictive import (
-    InfeasibleStep,
     PredictiveConfig,
     excitation_order,
     run_closed_loop,
@@ -91,6 +90,14 @@ def _count(cfg: dict, field: str, default=None, least: int = 1) -> int:
     return _integer(raw, field, least)
 
 
+def _integers(cfg: dict, field: str, default: list) -> tuple:
+    """List of integers of at least 1, entry i read as `field[i]`."""
+    raw = cfg.get(field, default)
+    if not isinstance(raw, list):
+        raise ConfigError(f"config field '{field}' is not a list")
+    return tuple(_integer(v, f"{field}[{i}]") for i, v in enumerate(raw))
+
+
 def _number(cfg: dict, field: str, default: float) -> float:
     """Finite real config field, `default` when absent."""
     raw = cfg.get(field, default)
@@ -98,6 +105,32 @@ def _number(cfg: dict, field: str, default: float) -> float:
     if not (real and math.isfinite(raw)):
         raise ConfigError(f"config field '{field}' is not a finite number")
     return float(raw)
+
+
+def _range(cfg: dict, low: str, high: str, default: tuple) -> tuple:
+    """The finite (low, high) pair of fields `low` and `high`, low below high."""
+    lo, hi = _number(cfg, low, default[0]), _number(cfg, high, default[1])
+    if lo >= hi:
+        raise ConfigError(f"config field '{low}' ({lo}) must be below '{high}' ({hi})")
+    return lo, hi
+
+
+def _string(raw, field: str, choices=None) -> str:
+    """`raw` as a string, one of `choices` when they are given."""
+    if not isinstance(raw, str):
+        raise ConfigError(f"config field '{field}' is not a string")
+    if choices is not None and raw not in choices:
+        raise ConfigError(
+            f"config field '{field}' names unknown {raw!r}; known: {list(choices)}"
+        )
+    return raw
+
+
+def _object(cfg: dict, field: str) -> dict:
+    value = _require(cfg, field)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field '{field}' is not an object")
+    return value
 
 
 def _floats(value, field: str) -> np.ndarray:
@@ -118,8 +151,20 @@ def _matrix(cfg: dict, field: str) -> np.ndarray:
     return value
 
 
+def _array(raw, field: str, shape: tuple) -> np.ndarray:
+    """`raw` as a finite float array of `shape`; a vector may come nested."""
+    value = _floats(raw, field)
+    if len(shape) == 1:
+        value = value.reshape(-1)
+    if value.shape != shape or not np.isfinite(value).all():
+        raise ConfigError(
+            f"config field '{field}' is not a finite array of shape {shape}"
+        )
+    return value
+
+
 def _system(cfg: dict) -> LtiSystem:
-    section = _require(cfg, "system")
+    section = _object(cfg, "system")
     try:
         return LtiSystem(
             _matrix(section, "A"),
@@ -139,16 +184,15 @@ def _out_path(out_dir: str, name: str) -> str:
 def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
     """Image-equality and state-condition checks, randomized or explicit."""
     rows = []
-    worst = 0
+    rng = np.random.default_rng(seed)
     if "random" in cfg:
-        recipe = cfg["random"]
+        recipe = _object(cfg, "random")
         count = _count(recipe, "count", 50)
         n_max = _count(recipe, "n_max", 6, least=2)
         m_max = _count(recipe, "m_max", 3)
         p_max = _count(recipe, "p_max", 3)
         tau_max = _count(recipe, "tau_max", 3)
         L_max = _count(recipe, "L_max", 4)
-        rng = np.random.default_rng(seed)
         for case in range(count):
             n = int(rng.integers(2, n_max + 1))
             m = int(rng.integers(1, m_max + 1))
@@ -166,15 +210,15 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
         L = _count(cfg, "L")
         dmin = min_poly_degree(sys_.A)
         delta = _count(cfg, "delta", dmin, least=dmin)
-        rng = np.random.default_rng(seed)
+        # one initial state per trajectory
         x0 = cfg.get("x0_columns")
-        x0 = None if x0 is None else _floats(x0, "x0_columns")
-        if x0 is not None and x0.shape != (sys_.n, tau):
-            raise ConfigError(
-                f"config field 'x0_columns' has shape {x0.shape}, expected "
-                f"({sys_.n}, {tau}): one initial state per trajectory"
-            )
-        samples = _xbar0_samples(cfg, sys_.n)
+        x0 = None if x0 is None else _array(x0, "x0_columns", (sys_.n, tau))
+        # a count of states to draw, or a list of n-vectors
+        samples = cfg.get("xbar0_samples")
+        if isinstance(samples, list):
+            samples = [_array(v, "xbar0_samples", (sys_.n,)) for v in samples]
+        elif samples is not None:
+            samples = _count(cfg, "xbar0_samples", least=0)
         length = None if cfg.get("length") is None else _count(cfg, "length")
         data = _draw_pe_data(
             sys_, rng, tau, delta + L, x0_columns=x0, length=length
@@ -192,16 +236,13 @@ def cmd_verify_theorem1(cfg: dict, out_dir: str, seed: int) -> int:
             for case, n, m, p, tau, L, delta, report in rows
         ),
     )
-    verdicts = [r[-1].verdict for r in rows]
-    holds = sum(v is Verdict.HOLDS for v in verdicts)
+    # pe_image_check answers HOLDS or FAILS; a failed PE draw raised above
+    holds = sum(r[-1].verdict is Verdict.HOLDS for r in rows)
     print(f"image check: {holds}/{len(rows)} hold (report: {path})")
-    if any(v is Verdict.HYPOTHESIS_VIOLATED for v in verdicts):
-        print("hypothesis violated in at least one case; no verdict there")
-        worst = 3
-    if any(v is Verdict.FAILS for v in verdicts):
+    if holds < len(rows):
         print("image equality FAILED in at least one case")
-        worst = 5
-    return worst
+        return 5
+    return 0
 
 
 def _draw_pe_data(sys_, rng, tau, order, x0_columns=None, length=None):
@@ -220,26 +261,6 @@ def _draw_pe_data(sys_, rng, tau, order, x0_columns=None, length=None):
         return TrajectorySet(tuple(trajs))
 
     return draw_until_pe(draw, order)
-
-
-def _xbar0_samples(cfg: dict, n: int):
-    """The `xbar0_samples` field: a count of states to draw, or a list of
-    n-vectors."""
-    samples = cfg.get("xbar0_samples")
-    if isinstance(samples, (int, float)):  # a bool too, which is rejected
-        return _count(cfg, "xbar0_samples", least=0)
-    if not samples:
-        return None
-    try:
-        vectors = np.asarray(samples, dtype=float)
-    except (TypeError, ValueError):
-        vectors = np.empty(0)
-    if vectors.ndim != 2 or vectors.shape[1] != n or not np.isfinite(vectors).all():
-        raise ConfigError(
-            f"config field 'xbar0_samples' must be a count or a list of "
-            f"vectors of {n} finite numbers"
-        )
-    return list(vectors)
 
 
 def _state_condition_report(samples, L, sys_, data, rng, out_dir):
@@ -275,9 +296,19 @@ def _state_condition_report(samples, L, sys_, data, rng, out_dir):
     )
 
 
-def _predictive_config(cfg: dict) -> PredictiveConfig:
+def cmd_deepc(cfg: dict, out_dir: str, seed: int) -> int:
+    sys_ = _system(cfg)
+    controller = _string(
+        cfg.get("controller", "deepc"), "controller", ("mpc", "deepc", "both")
+    )
+    low, high = _range(cfg, "excitation_low", "excitation_high", (-1.0, 1.0))
+    bounds = {
+        b: None if cfg.get(b) is None else _floats(cfg[b], b)
+        for b in ("u_min", "u_max", "y_min", "y_max")
+    }
+    x0 = cfg.get("x0")
     try:
-        return PredictiveConfig(
+        pcfg = PredictiveConfig(
             N=_count(cfg, "N"),
             L=_count(cfg, "L"),
             Q=_matrix(cfg, "Q"),
@@ -285,28 +316,14 @@ def _predictive_config(cfg: dict) -> PredictiveConfig:
             r=_floats(_require(cfg, "r"), "r"),
             T=_count(cfg, "T"),
             K=_count(cfg, "K"),
-            u_min=cfg.get("u_min"),
-            u_max=cfg.get("u_max"),
-            y_min=cfg.get("y_min"),
-            y_max=cfg.get("y_max"),
-            excitation_low=_number(cfg, "excitation_low", -1.0),
-            excitation_high=_number(cfg, "excitation_high", 1.0),
+            excitation_low=low,
+            excitation_high=high,
             pe_order=(
                 None if cfg.get("pe_order") is None else _count(cfg, "pe_order")
             ),
-            x0=cfg.get("x0"),
+            x0=None if x0 is None else _array(x0, "x0", (sys_.n,)),
+            **bounds,
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def cmd_deepc(cfg: dict, out_dir: str, seed: int) -> int:
-    sys_ = _system(cfg)
-    pcfg = _predictive_config(cfg)
-    controller = cfg.get("controller", "deepc")
-    if controller not in ("mpc", "deepc", "both"):
-        raise ConfigError(f"unknown controller '{controller}'")
-    try:
         excitation_order(sys_, pcfg)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -361,16 +378,19 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     Abar = _matrix(cfg, "Abar")
     Bbar = _matrix(cfg, "Bbar")
     N = _count(cfg, "N")
-    if cfg.get("graph", "star") == "star":
+    if _string(cfg.get("graph", "star"), "graph", ("star", "given")) == "star":
         edges = star_edges(N)
     else:
-        try:
-            edges = tuple(
-                tuple(_integer(v, f"edges[{k}]", least=0) for v in e)
-                for k, e in enumerate(_require(cfg, "edges"))
-            )
-        except TypeError as exc:
-            raise ConfigError("config field 'edges' is not a list of pairs") from exc
+        edges = _require(cfg, "edges")
+        pairs = isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 for e in edges
+        )
+        if not pairs:
+            raise ConfigError("config field 'edges' is not a list of pairs")
+        edges = tuple(
+            tuple(_integer(v, f"edges[{k}]", least=0) for v in e)
+            for k, e in enumerate(edges)
+        )
     try:
         spec = MultiAgentSpec(Abar, Bbar, N, edges)
     except (TypeError, ValueError) as exc:
@@ -378,18 +398,11 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     T = _count(cfg, "T")
     tau = _count(cfg, "tau", 1)
     rules = cfg.get("rules", list(ORDER_RULES))
-    unknown = [rule for rule in rules if rule not in ORDER_RULES]
-    if unknown:
-        raise ConfigError(
-            f"config field 'rules' names unknown rules {unknown}; "
-            f"known: {list(ORDER_RULES)}"
-        )
-    agents = cfg.get("sweep_agents", list(range(3, 9)))
-    if not isinstance(agents, list):
-        raise ConfigError("config field 'sweep_agents' is not a list")
-    agents = tuple(_integer(a, f"sweep_agents[{i}]") for i, a in enumerate(agents))
-    low = _number(cfg, "input_low", -0.1)
-    high = _number(cfg, "input_high", 0.1)
+    if not isinstance(rules, list):
+        raise ConfigError("config field 'rules' is not a list")
+    rules = [_string(rule, "rules", ORDER_RULES) for rule in rules]
+    agents = _integers(cfg, "sweep_agents", list(range(3, 9)))
+    low, high = _range(cfg, "input_low", "input_high", (-0.1, 0.1))
 
     if spec.M == 0:
         print("no edges: nothing is measured, identification skipped")
@@ -455,19 +468,14 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _read_trajectory(path: str) -> Trajectory:
+def _trajectory(raw, field: str) -> Trajectory:
+    """The trajectory in the CSV file a string names, or the inputs-only
+    trajectory of a float array; a bad file or array names `field`."""
     try:
-        return trajectory_from_csv(path)
+        return trajectory_from_csv(raw) if isinstance(raw, str) else Trajectory(raw)
     except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read trajectory CSV {path}: {exc}") from exc
-
-
-def _inline_inputs(value, field: str) -> np.ndarray:
-    """An input array written into the config, checked as a trajectory's."""
-    try:
-        return Trajectory(np.asarray(value, dtype=float)).inputs
-    except ValueError as exc:
-        raise ConfigError(f"config field '{field}': {exc}") from exc
+        where = f" (trajectory CSV {raw})" if isinstance(raw, str) else ""
+        raise ConfigError(f"config field '{field}'{where}: {exc}") from exc
 
 
 def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
@@ -480,16 +488,16 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
         raise ConfigError(f"config field '{field}' lists no trajectory")
     trajs = []
     for i, entry in enumerate(entries):
-        if isinstance(entry, str):
-            trajs.append(_read_trajectory(entry))
-        elif isinstance(entry, dict):
-            inputs = _require(entry, "inputs")
-            trajs.append(Trajectory(_inline_inputs(inputs, f"{field}[{i}].inputs")))
-        else:
+        name = field if field == "trajectory" else f"{field}[{i}]"
+        if isinstance(entry, dict):
+            name += ".inputs"
+            entry = _floats(_require(entry, "inputs"), name)
+        elif not isinstance(entry, str):
             raise ConfigError(
-                "each trajectory must be a CSV path or an object with "
-                "an 'inputs' array"
+                f"config field '{name}' is neither a CSV path nor an object "
+                "with an 'inputs' array"
             )
+        trajs.append(_trajectory(entry, name))
     try:
         data = TrajectorySet(tuple(trajs))
     except ValueError as exc:
@@ -501,36 +509,25 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
 
 def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     sys_ = _system(cfg)
-    field = "input" if "input" in cfg else "inputs"
-    if "input" in cfg:
-        u = _read_trajectory(cfg["input"]).inputs
-    elif "inputs" in cfg:
-        u = _inline_inputs(cfg["inputs"], "inputs")
+    x0 = _array(cfg.get("x0", np.zeros(sys_.n)), "x0", (sys_.n,))
+    name = _string(cfg.get("out_name", "trajectory.csv"), "out_name")
+    if "input" in cfg or "inputs" in cfg:
+        # a trajectory CSV path, or an inline array
+        field, read = ("input", _string) if "input" in cfg else ("inputs", _floats)
+        u = _trajectory(read(cfg[field], field), field).inputs
     else:
         field = "T" if "T" in cfg else "length"
         if field not in cfg:
             raise ConfigError("need 'input', 'inputs', or a length 'T'")
         T = _count(cfg, field)
-        low = _number(cfg, "input_low", -1.0)
-        high = _number(cfg, "input_high", 1.0)
-        if low >= high:
-            raise ConfigError(
-                f"config field 'input_low' ({low}) must be below "
-                f"'input_high' ({high})"
-            )
+        low, high = _range(cfg, "input_low", "input_high", (-1.0, 1.0))
         u = random_input(sys_.m, T, low, high, seed)
     if u.shape[1] != sys_.m:
         raise ConfigError(
             f"config field '{field}': inputs have {u.shape[1]} channels, "
             f"the system has {sys_.m}"
         )
-    x0 = _floats(cfg.get("x0", np.zeros(sys_.n)), "x0")
-    if x0.size != sys_.n or not np.isfinite(x0).all():
-        raise ConfigError(f"config field 'x0' must hold {sys_.n} finite numbers")
     traj = simulate(sys_, x0, u)
-    name = cfg.get("out_name", "trajectory.csv")
-    if not isinstance(name, str):
-        raise ConfigError("config field 'out_name' is not a file name")
     path = _out_path(out_dir, name)
     trajectory_to_csv(traj, path)
     print(f"trajectory of length {traj.length} written to {path}")
@@ -569,25 +566,19 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
-    if not isinstance(cfg, dict):
-        print(f"config error: {args.config} is not a JSON object", file=sys.stderr)
-        return 2
 
     try:
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{args.config} is not a JSON object")
         seed = args.seed if args.seed is not None else _count(cfg, "seed", 0, least=0)
-        out_dir = args.out if args.out is not None else cfg.get("out", ".")
-        if not isinstance(out_dir, str):
-            raise ConfigError("config field 'out' is not a path")
-        return _COMMANDS[args.command](cfg, out_dir, seed)
+        out = args.out if args.out is not None else _string(cfg.get("out", "."), "out")
+        return _COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 3
-    except InfeasibleStep as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 4
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 5

@@ -81,6 +81,9 @@ class MultiAgentSpec:
             raise ValueError(f"Bbar has {Bbar.shape[0]} rows, expected {nbar}")
         if self.N < 1:
             raise ValueError(f"agent count must be positive, got {self.N}")
+        for edge in self.edges:
+            if any(isinstance(v, (bool, np.bool_, str)) or v % 1 for v in edge):
+                raise ValueError(f"edge {tuple(edge)} has a non-integer endpoint")
         edges = tuple((int(h), int(t)) for h, t in self.edges)
         for h, t in edges:
             if h == t:

@@ -83,7 +83,8 @@ class PredictiveConfig:
     N is the pinned past-window length, L the prediction horizon. The
     reference `r` is a single output sample (held constant over the horizon)
     or an (L, p) array. `u_min`/`u_max` bound the inputs; `y_min`/`y_max`
-    are optional output bounds (None means unbounded). `excitation_low/high`
+    are optional output bounds (None means unbounded); a box that no value
+    meets raises ValueError. `excitation_low/high`
     set the uniform input range of the excitation phase, `pe_order` the
     excitation order the data-driven step demands of its data (defaults to
     N + L, the bare minimum for the window depth; the closed-loop harness
@@ -120,8 +121,9 @@ class PredictiveConfig:
         if self.excitation_low >= self.excitation_high:
             raise ValueError("excitation_low must be below excitation_high")
         self.reference()
-        self.input_bounds()
-        self.output_bounds()
+        for (lo, hi), box in zip((self.input_bounds(), self.output_bounds()), "uy"):
+            if (lo > hi).any() or (lo == np.inf).any() or (hi == -np.inf).any():
+                raise ValueError(f"no value meets '{box}_min' <= '{box}_max'")
 
     @property
     def p(self) -> int:
@@ -362,8 +364,11 @@ def excitation_order(sys: LtiSystem, cfg: PredictiveConfig) -> int:
 
     A depth-d input Hankel matrix of T samples has m*d rows and T - d + 1
     columns, so it can have full row rank only when T >= (m + 1) d - 1;
-    raises ValueError when T is shorter, since no draw could then succeed.
+    raises ValueError when T is shorter, since no draw could then succeed,
+    and when the weights Q and R do not match the plant.
     """
+    if sys.m != cfg.m or sys.p != cfg.p:
+        raise ValueError("weights 'Q' and 'R' do not match the system")
     order = sys.n + cfg.N + cfg.L
     need = (sys.m + 1) * order - 1
     if cfg.T < need:
@@ -389,8 +394,6 @@ def run_closed_loop(
     """
     if controller not in ("mpc", "deepc", "both"):
         raise ValueError(f"unknown controller {controller!r}")
-    if sys.m != cfg.m or sys.p != cfg.p:
-        raise ValueError("config weight dimensions do not match the system")
     rng = np.random.default_rng(seed)
 
     def draw(_):

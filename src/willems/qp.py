@@ -69,7 +69,8 @@ _FACES = 2
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Problem data. Bounds are per-coordinate, +-inf for absent ones.
+    """Problem data. Bounds are per-coordinate, +-inf for absent ones; lb > ub,
+    lb = +inf or ub = -inf, which no value meets, raises ValueError.
     Absent equality rows (Aeq and beq both None) are stored as a 0 x n
     system: Aeq of shape (0, n) and an empty beq."""
 
@@ -100,8 +101,8 @@ class QuadraticProgram:
         object.__setattr__(self, "beq", beq)
         lb = as_bound(self.lb, n, -np.inf, "lb")
         ub = as_bound(self.ub, n, np.inf, "ub")
-        if (lb > ub).any():
-            raise ValueError("lb exceeds ub on some coordinate")
+        if (lb > ub).any() or (lb == np.inf).any() or (ub == -np.inf).any():
+            raise ValueError("no value meets lb <= x <= ub on some coordinate")
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
 

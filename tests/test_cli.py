@@ -382,8 +382,16 @@ def test_deepc_accepts_weights_asymmetric_within_tolerance(tmp_path, capsys):
         {"u_max": [1, 2]},
         {"u_max": float("nan")},
         {"excitation_low": 0.5, "excitation_high": 0.5},
+        {"u_min": 1.5},
+        {"y_min": float("inf")},
     ],
-    ids=["wrong-shape", "nan", "empty-excitation-range"],
+    ids=[
+        "wrong-shape",
+        "nan",
+        "empty-excitation-range",
+        "input-bounds-cross",
+        "output-lower-bound-infinite",
+    ],
 )
 def test_deepc_bad_controller_config_exits_2_before_drawing(
     tmp_path, capsys, override
@@ -553,6 +561,23 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
             {"system": plant_section(), "tau": 2, "L": 3, "x0_columns": "abc"},
             "x0_columns",
         ),
+        ("simulate", {"system": 5, "T": 5}, "system"),
+        ("verify-theorem1", {"random": [1, 2]}, "random"),
+        ("deepc", bundled_config("fig1_deepc.json", u_max={"a": 1}), "u_max"),
+        ("deepc", bundled_config("fig1_deepc.json", x0=[0.0, 0.5]), "x0"),
+        ("deepc", bundled_config("fig1_deepc.json", x0=["a", "b"]), "x0"),
+        ("deepc", bundled_config("fig1_deepc.json", Q=[[1.0]], r=[0.0]), "Q"),
+        ("identify", bundled_config("fig2_multiagent.json", rules=True), "rules"),
+        (
+            "identify",
+            bundled_config("fig2_multiagent.json", input_low=0.2),
+            "input_low",
+        ),
+        ("simulate", {"system": plant_section(), "inputs": {"a": 1}}, "inputs"),
+        ("simulate", {"system": plant_section(), "input": [[0.1]]}, "input"),
+        # an integer is not a path: open() would take it as a descriptor
+        ("simulate", {"system": plant_section(), "input": 0}, "input"),
+        ("simulate", {"system": plant_section(), "input": 1}, "input"),
     ],
     ids=[
         "check-pe-nan",
@@ -601,6 +626,18 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         "simulate-x0-not-numeric",
         "simulate-out-name-not-a-name",
         "theorem1-x0-columns-not-numeric",
+        "system-not-an-object",
+        "theorem1-random-not-an-object",
+        "deepc-bound-an-object",
+        "deepc-x0-dimension",
+        "deepc-x0-not-numeric",
+        "deepc-weights-not-matching-the-plant",
+        "identify-rules-not-a-list",
+        "identify-input-range-reversed",
+        "simulate-inputs-an-object",
+        "simulate-input-a-list",
+        "simulate-input-stdin-descriptor",
+        "simulate-input-stdout-descriptor",
     ],
 )
 def test_bad_inline_inputs_exit_2_naming_the_field(
@@ -612,3 +649,56 @@ def test_bad_inline_inputs_exit_2_naming_the_field(
     err = capsys.readouterr().err
     assert "config error" in err and f"'{field}'" in err
     assert not out.exists()
+
+
+# every value the sweep below puts in place of each config field in turn
+MALFORMED = [
+    {"a": 1}, ["a", "b"], "abc", True, None, [[1, 2], [3]], -1, 1.5, [], float("inf")
+]
+
+
+def test_malformed_fields_never_raise_and_exit_2_writing_nothing(tmp_path, capsys):
+    # small base configs, one per form of each command; the fields nested
+    # in `system` and `random` are swept in their first base only
+    csv = tmp_path / "traj.csv"
+    csv.write_text("t,u_0\n" + "".join(f"{t},{t * t % 7 - 3}\n" for t in range(12)))
+    recipe = {"count": 1, "n_max": 2, "m_max": 1, "p_max": 1, "tau_max": 1, "L_max": 1}
+    plant = plant_section()
+    bases = [
+        (
+            "simulate",
+            {"system": plant, "T": 6, "x0": [0, 0, 0, 0], "input_low": -1,
+             "input_high": 1, "out_name": "t.csv"},
+        ),
+        ("simulate", {"system": plant, "input": str(csv)}),
+        ("simulate", {"system": plant, "inputs": [[0.1], [0.2]]}),
+        ("check-pe", {"trajectories": [{"inputs": [[1.0], [2.0], [4.0]]}, str(csv)]}),
+        ("check-pe", {"trajectory": str(csv)}),
+        ("verify-theorem1", {"random": recipe}),
+        (
+            "verify-theorem1",
+            {"system": plant, "tau": 2, "L": 1, "delta": 4, "length": 14,
+             "x0_columns": [[0.0, 0.0]] * 4, "xbar0_samples": 2},
+        ),
+        ("deepc", bundled_config("fig1_deepc.json", K=25)),
+        ("identify", bundled_config("fig2_multiagent.json", sweep_agents=[3])),
+    ]
+    configs, nested = [], set()
+    for command, base in bases:
+        for key, value in base.items():
+            configs += [(command, key, {**base, key: bad}) for bad in MALFORMED]
+            if isinstance(value, dict) and key not in nested:
+                nested.add(key)
+                for sub in value:
+                    configs += [
+                        (command, f"{key}.{sub}", {**base, key: {**value, sub: bad}})
+                        for bad in MALFORMED
+                    ]
+    assert len(configs) == 590
+    for k, (command, field, cfg) in enumerate(configs):
+        out = tmp_path / f"o{k}"
+        code = run(tmp_path, command, cfg, out=out)
+        err = capsys.readouterr().err
+        assert code != 5, (command, field, cfg[field.split(".")[0]], err)
+        if code == 2:
+            assert err.startswith("config error") and not out.exists(), (command, field)

@@ -73,6 +73,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         # uncontrollable pair is rejected
         MultiAgentSpec(np.eye(2), np.ones((2, 1)), 3, star_edges(3))
+    # endpoints that int() would truncate to a valid-looking edge
+    for edge in ((0.5, 1), (0, 1.9), (True, 2), (0, np.True_), (0, np.inf)):
+        with pytest.raises(ValueError, match="non-integer endpoint"):
+            MultiAgentSpec(Abar, Bbar, 3, (edge,))
+
+
+def test_spec_takes_integral_endpoints_of_any_numeric_type():
+    Abar, Bbar = agent_pair()
+    spec = MultiAgentSpec(Abar, Bbar, 3, ((0.0, np.int64(1)), (2, 1.0)))
+    assert spec.edges == ((0, 1), (2, 1))
+    assert all(type(v) is int for edge in spec.edges for v in edge)
 
 
 def test_build_system_kronecker_structure():

@@ -59,6 +59,9 @@ def test_config_validation():
         scalar_config(R=np.ones((1, 2)))
     with pytest.raises(ValueError):
         scalar_config(r=np.zeros(3))
+    for box in ({"u_min": 1.0, "u_max": 0.0}, {"y_min": np.inf}, {"u_max": -np.inf}):
+        with pytest.raises(ValueError, match="no value meets"):
+            scalar_config(**box)
 
 
 def test_reference_tiling():
@@ -418,6 +421,8 @@ def test_closed_loop_rejects_too_short_excitation():
 def test_closed_loop_rejects_mismatched_config():
     sys = scalar_plant()
     cfg = scalar_config(Q=np.eye(2), r=np.zeros(2))
+    with pytest.raises(ValueError, match="'Q' and 'R'"):
+        excitation_order(sys, cfg)
     with pytest.raises(ValueError):
         run_closed_loop(sys, cfg, controller="mpc", seed=0)
     with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from activeset_oracle import random_box_qp, solve_reference
-from willems import QuadraticProgram, solve_qp
+from willems import QuadraticProgram, qp, solve_qp
 from willems.qp import Workspace
 
 
@@ -13,6 +13,9 @@ def test_problem_validation():
         QuadraticProgram(np.eye(2), np.zeros(3))
     with pytest.raises(ValueError):
         QuadraticProgram(np.eye(1), np.zeros(1), lb=[1.0], ub=[0.0])
+    for box in ({"lb": [np.inf]}, {"ub": [-np.inf]}):  # no value meets them
+        with pytest.raises(ValueError):
+            QuadraticProgram(np.eye(1), np.zeros(1), **box)
     with pytest.raises(ValueError):
         QuadraticProgram(np.eye(1), np.zeros(1), Aeq=np.eye(1))  # beq missing
     prob = QuadraticProgram(np.eye(2), np.ones(2))
@@ -211,3 +214,55 @@ def test_repeat_solves_through_a_workspace_match_a_fresh_solve_bitwise():
             assert np.array_equal(sol.x, fresh.x)
             assert sol.objective == fresh.objective
             assert sol.kkt_residual == fresh.kkt_residual
+
+
+def test_polish_releases_wrong_pins_over_several_passes(monkeypatch):
+    # min 0.5|x|^2 - 2 x_0 + 0.5 x_1 over [-1, 1]^2 has x = (1, -0.5): x_0 at
+    # its upper bound, x_1 free. Seeded with x_0 at its lower bound and x_1
+    # at its upper one, the polish must release both pins, then pin x_0 up.
+    P, q = np.eye(2), np.array([-2.0, 0.5])
+    lb, ub = -np.ones(2), np.ones(2)
+    prob = QuadraticProgram(P, q, lb=lb, ub=ub)
+    passes = []
+    pinned_solve = qp._pinned_solve
+
+    def counted(*args):
+        passes.append(args[2:])
+        return pinned_solve(*args)
+
+    monkeypatch.setattr(qp, "_pinned_solve", counted)
+    x, res = qp._polish(prob, Workspace(prob), np.array([-1.0, 1.0]))
+    _, x_ref, _ = solve_reference(P, q, np.zeros((0, 2)), np.zeros(0), lb, ub)
+    assert len(passes) >= 2
+    assert passes[0] == ([0], [1])
+    assert res <= 1e-8
+    assert np.allclose(x, x_ref, atol=1e-12) and np.allclose(x, [1.0, -0.5])
+
+
+@pytest.mark.parametrize(
+    "seed, residual",
+    [(6245, 1.0e-9), (6854, 1.6e-12), (7284, 2.4e-11), (8146, 4.5e-10)],
+)
+def test_admm_iterate_rescues_programs_no_polish_certifies(
+    monkeypatch, seed, residual
+):
+    # scaled by 10^3, these programs stop ADMM in both phases with a polish
+    # whose residual misses 1e-8, while the ADMM iterate itself meets it
+    rng = np.random.default_rng(seed)
+    P, q, Aeq, beq, lb, ub = random_box_qp(rng, singular=seed % 3 == 0)
+    scale = 10.0 ** rng.integers(-3, 4)
+    assert scale == 1e3
+    polished = []
+    polish = qp._polish
+
+    def recorded(*args):
+        polished.append(polish(*args))
+        return polished[-1]
+
+    monkeypatch.setattr(qp, "_polish", recorded)
+    sol = solve_qp(QuadraticProgram(scale * P, scale * q, Aeq, beq, lb, ub))
+    assert len(polished) == 2 and min(res for _, res in polished) > 1e-8
+    assert sol.status == "optimal"
+    assert sol.kkt_residual == pytest.approx(residual, rel=0.05)
+    _, x_ref, _ = solve_reference(scale * P, scale * q, Aeq, beq, lb, ub)
+    assert np.allclose(sol.x, x_ref, atol=1e-6)
