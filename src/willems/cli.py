@@ -133,13 +133,23 @@ def _object(cfg: dict, field: str) -> dict:
     return value
 
 
+def _numeric(value) -> bool:
+    """Whether `value` is a number, not a boolean, or nested lists of them."""
+    if isinstance(value, list):
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _floats(value, field: str) -> np.ndarray:
-    """`value` as a float array; a non-numeric entry is a config error
-    naming `field`."""
+    """`value`, a number or nested lists of numbers, as a float array; a
+    boolean, string or object at any depth, a ragged list or an integer
+    beyond the float range is a config error naming `field`."""
     try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field '{field}' is not numeric") from exc
+        if _numeric(value):
+            return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"config field '{field}' is not numeric")
 
 
 def _matrix(cfg: dict, field: str) -> np.ndarray:
@@ -318,9 +328,6 @@ def cmd_deepc(cfg: dict, out_dir: str, seed: int) -> int:
             K=_count(cfg, "K"),
             excitation_low=low,
             excitation_high=high,
-            pe_order=(
-                None if cfg.get("pe_order") is None else _count(cfg, "pe_order")
-            ),
             x0=None if x0 is None else _array(x0, "x0", (sys_.n,)),
             **bounds,
         )
@@ -509,7 +516,7 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
 
 def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     sys_ = _system(cfg)
-    x0 = _array(cfg.get("x0", np.zeros(sys_.n)), "x0", (sys_.n,))
+    x0 = _array(cfg.get("x0", [0.0] * sys_.n), "x0", (sys_.n,))
     name = _string(cfg.get("out_name", "trajectory.csv"), "out_name")
     if "input" in cfg or "inputs" in cfg:
         # a trajectory CSV path, or an inline array
@@ -562,7 +569,10 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
+            # a null field means the same as an absent one, at any depth
+            cfg = json.load(
+                fh, object_pairs_hook=lambda kv: {k: v for k, v in kv if v is not None}
+            )
     except (OSError, json.JSONDecodeError) as exc:
         print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2

@@ -21,10 +21,10 @@ side.
 From one step to the next only the measured past moves, and it enters the
 QP only through the equality right-hand side. So each controller's QP
 (cost, boxes, equality rows and, for the data-driven step, the Hankel
-matrix and its excitation check) is built once per closed loop, and every
-step solves it through one QP workspace that keeps its factorizations and
-warm start (see `willems.qp`). `mpc_step` and `deepc_step` build the same
-QP for a single step and solve it cold.
+matrix) is built once per closed loop, and every step solves it through
+one QP workspace that keeps its factorizations and warm start (see
+`willems.qp`). `mpc_step` and `deepc_step` build the same QP for a single
+step and solve it cold.
 """
 
 from __future__ import annotations
@@ -35,11 +35,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .hankel import is_collectively_pe
-from .lti import LtiSystem, Trajectory, TrajectorySet, write_csv
-from .numerics import as_bound, as_matrix, as_vector
+from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
+from .numerics import as_bound, as_matrix
 from .parameterize import build_trajectory_matrix, response_operators
 from .qp import QpSolution, QuadraticProgram, Workspace, solve_qp
-from .subspace import HypothesisViolated, draw_until_pe
+from .subspace import HypothesisViolated, draw_until_pe, min_poly_degree
 
 __all__ = [
     "PredictiveConfig",
@@ -84,12 +84,10 @@ class PredictiveConfig:
     reference `r` is a single output sample (held constant over the horizon)
     or an (L, p) array. `u_min`/`u_max` bound the inputs; `y_min`/`y_max`
     are optional output bounds (None means unbounded); a box that no value
-    meets raises ValueError. `excitation_low/high`
-    set the uniform input range of the excitation phase, `pe_order` the
-    excitation order the data-driven step demands of its data (defaults to
-    N + L, the bare minimum for the window depth; the closed-loop harness
-    draws excitation at the stronger model-aware order regardless), and `x0`
-    the plant's initial state (defaults to zero).
+    meets raises ValueError. `excitation_low/high` set the uniform input
+    range of the closed loop's excitation phase, which is drawn at the
+    order `excitation_order` fixes, and `x0` the plant's initial state
+    (defaults to zero).
     """
 
     N: int
@@ -105,7 +103,6 @@ class PredictiveConfig:
     y_max: object = None
     excitation_low: float = -1.0
     excitation_high: float = 1.0
-    pe_order: int | None = None
     x0: object = None
 
     def __post_init__(self):
@@ -242,14 +239,7 @@ def _deepc_window(data: Trajectory, cfg: PredictiveConfig) -> _Window:
     N, L = cfg.N, cfg.L
     m, p = data.m, data.outputs.shape[1]
     depth = N + L
-    order = cfg.pe_order if cfg.pe_order is not None else depth
-    dataset = TrajectorySet((data,))
-    if not is_collectively_pe(dataset, order):
-        raise HypothesisViolated(
-            f"data inputs are not persistently exciting of order {order}", order
-        )
-
-    H = build_trajectory_matrix(dataset, depth)
+    H = build_trajectory_matrix(TrajectorySet((data,)), depth)
     rows = depth * (m + p)
     future = np.r_[N * m : depth * m, depth * m + N * p : rows]
     Aeq = np.hstack([H, -np.eye(rows)[:, future]])
@@ -287,15 +277,21 @@ def deepc_step(
     """One data-driven receding-horizon step at time t.
 
     `data` is the recorded trajectory whose depth-(N+L) block-Hankel matrix
-    replaces the model; its inputs must be persistently exciting of the
-    configured order. Returns the input to apply, the optimal tracking cost
-    and the column-combination certificate g.
+    replaces the model; its inputs must be persistently exciting of order
+    N + L, the window depth, or HypothesisViolated is raised. Returns the
+    input to apply, the optimal tracking cost and the column-combination
+    certificate g.
     """
     _check_history(history, cfg, t)
     if data.outputs is None:
         raise ValueError("data carries no outputs")
     if t < data.length:
         raise ValueError(f"t={t} precedes the end of the length-{data.length} data")
+    depth = cfg.N + cfg.L
+    if not is_collectively_pe(TrajectorySet((data,)), depth):
+        raise HypothesisViolated(
+            f"data inputs are not persistently exciting of order {depth}", depth
+        )
     window = _deepc_window(data, cfg)
     u0, objective, sol = window.step(*_past(history, cfg, t), t)
     return u0, objective, sol.x[: window.lead].copy()
@@ -360,7 +356,10 @@ class ClosedLoopLog:
 
 
 def excitation_order(sys: LtiSystem, cfg: PredictiveConfig) -> int:
-    """The model-aware order n + N + L the closed loop excites its data at.
+    """The order delta + N + L the closed loop excites its data at, with
+    delta the degree of the minimal polynomial of A (at most n). By
+    Theorem 1 that order suffices with online data: every window of the
+    controlled trajectory starts where the data's own windows can.
 
     A depth-d input Hankel matrix of T samples has m*d rows and T - d + 1
     columns, so it can have full row rank only when T >= (m + 1) d - 1;
@@ -369,12 +368,14 @@ def excitation_order(sys: LtiSystem, cfg: PredictiveConfig) -> int:
     """
     if sys.m != cfg.m or sys.p != cfg.p:
         raise ValueError("weights 'Q' and 'R' do not match the system")
-    order = sys.n + cfg.N + cfg.L
+    delta = min_poly_degree(sys.A)
+    order = delta + cfg.N + cfg.L
     need = (sys.m + 1) * order - 1
     if cfg.T < need:
         raise ValueError(
-            f"T={cfg.T} is too short for excitation order {order}: "
-            f"need T >= {need}"
+            f"T={cfg.T} is too short for excitation order delta + N + L = "
+            f"{order}, with delta = {delta} the degree of the minimal "
+            f"polynomial of A: need T >= {need}"
         )
     return order
 
@@ -388,9 +389,11 @@ def run_closed_loop(
     """Simulate the full experiment: seeded excitation on [0, T-1], then the
     chosen controller from t = T through K inclusive.
 
-    `controller` is "mpc", "deepc", or "both"; with "both" the data-driven
-    input is applied and the model-based step is solved alongside for
-    comparison, filling the `alt_*` log fields.
+    The excitation draw at `excitation_order` is the run's one excitation
+    check. Both controllers' windows are built once, inside the first
+    control step's `solve_ms`. `controller` is "mpc", "deepc", or "both";
+    with "both" the data-driven input is applied and the model-based step
+    is solved alongside for comparison, filling the `alt_*` log fields.
     """
     if controller not in ("mpc", "deepc", "both"):
         raise ValueError(f"unknown controller {controller!r}")
@@ -402,72 +405,57 @@ def run_closed_loop(
 
     # uniform draws pass with probability 1; the retries guard degenerate seeds
     u_exc = draw_until_pe(draw, excitation_order(sys, cfg))[0].inputs
-    if cfg.x0 is None:
-        x = np.zeros(sys.n)
-    else:
-        x = as_vector(cfg.x0, "x0").copy()
-        if x.shape != (sys.n,):
-            raise ValueError(f"x0 has shape {x.shape}, expected ({sys.n},)")
+    excite = simulate(sys, np.zeros(sys.n) if cfg.x0 is None else cfg.x0, u_exc)
+    x = sys.A @ excite.states[-1] + sys.B @ u_exc[-1]
     K, T, N = cfg.K, cfg.T, cfg.N
     inputs = np.zeros((K + 1, sys.m))
     outputs = np.zeros((K + 1, sys.p))
+    inputs[:T], outputs[:T] = u_exc, excite.outputs
     objectives = np.full(K + 1, np.nan)
     iterations = np.zeros(K + 1, dtype=int)
     kkt_residuals = np.full(K + 1, np.nan)
     solve_ms = np.zeros(K + 1)
-    phases = []
-    statuses = []
+    statuses = ["excite"] * T
     alt_inputs = np.full((K + 1, sys.m), np.nan) if controller == "both" else None
     alt_objectives = np.full(K + 1, np.nan) if controller == "both" else None
-    applied = compared = None
     completed = True
 
-    for t in range(K + 1):
-        if t < T:
-            u_t = u_exc[t]
-            phases.append("excite")
-            statuses.append("excite")
-        else:
-            start = time.perf_counter()
-            try:
-                if applied is None:
-                    # the data are fixed from here on, so each controller's
-                    # window (and its Hankel matrix and PE check) is built
-                    # once for the whole loop
-                    if controller == "mpc":
-                        applied = _mpc_window(sys, cfg)
-                    else:
-                        data = Trajectory(
-                            inputs[:T].copy(), outputs=outputs[:T].copy()
-                        )
-                        applied = _deepc_window(data, cfg)
-                        if controller == "both":
-                            compared = _mpc_window(sys, cfg)
-                past = inputs[t - N : t], outputs[t - N : t]
-                u_t, obj, sol = applied.step(*past, t)
-                if compared is not None:
-                    alt_inputs[t], alt_objectives[t], _ = compared.step(*past, t)
-                objectives[t] = obj
-                status = "optimal"
-            except InfeasibleStep as exc:
-                sol, status, completed = exc.solution, exc.status, False
-            solve_ms[t] = 1e3 * (time.perf_counter() - start)
-            iterations[t] = sol.iterations
-            kkt_residuals[t] = sol.kkt_residual
-            phases.append("control")
-            statuses.append(status)
-            if not completed:
-                inputs[t] = outputs[t] = np.nan
-                break
+    # the data are fixed from here on, so each controller's window (and
+    # its Hankel matrix) is built once for the whole loop
+    start = time.perf_counter()
+    if controller == "mpc":
+        applied = _mpc_window(sys, cfg)
+    else:
+        applied = _deepc_window(excite, cfg)
+    compared = _mpc_window(sys, cfg) if controller == "both" else None
+
+    for t in range(T, K + 1):
+        try:
+            past = inputs[t - N : t], outputs[t - N : t]
+            u_t, obj, sol = applied.step(*past, t)
+            if compared is not None:
+                alt_inputs[t], alt_objectives[t], _ = compared.step(*past, t)
+            objectives[t] = obj
+            status = "optimal"
+        except InfeasibleStep as exc:
+            sol, status, completed = exc.solution, exc.status, False
+        solve_ms[t] = 1e3 * (time.perf_counter() - start)
+        iterations[t] = sol.iterations
+        kkt_residuals[t] = sol.kkt_residual
+        statuses.append(status)
+        if not completed:
+            inputs[t] = outputs[t] = np.nan
+            break
         inputs[t] = u_t
         outputs[t] = sys.C @ x + sys.D @ u_t
         x = sys.A @ x + sys.B @ u_t
+        start = time.perf_counter()
 
-    cut = len(phases)
+    cut = len(statuses)
     return ClosedLoopLog(
         inputs[:cut],
         outputs[:cut],
-        tuple(phases),
+        ("excite",) * T + ("control",) * (cut - T),
         objectives[:cut],
         iterations[:cut],
         kkt_residuals[:cut],

@@ -113,7 +113,6 @@ def benchmark_run():
         u_max=raw["u_max"],
         excitation_low=raw["excitation_low"],
         excitation_high=raw["excitation_high"],
-        pe_order=raw["pe_order"],
         x0=np.array(raw["x0"]),
     )
     start = time.perf_counter()

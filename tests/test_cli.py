@@ -174,7 +174,8 @@ def test_deepc_single_control_step_when_k_equals_t(tmp_path, capsys):
 
 
 def test_deepc_too_short_data_exits_2_before_drawing(tmp_path, capsys):
-    # fig1 needs excitation order n + N + L = 13 from one input, hence
+    # fig1 needs excitation order delta + N + L = 13 (its minimal polynomial
+    # has degree delta = n = 4) from one input, hence
     # T >= 2 * 13 - 1 = 25; with T = 24 no draw could ever succeed
     bundled = bundled_config("fig1_deepc.json")
     bundled["T"] = 24
@@ -338,6 +339,59 @@ def test_bundled_outputs_keep_their_bytes(tmp_path, capsys, command):
         text = "\n".join(",".join(row) for row in csv_without_timing(path))
         digests[path.name] = hashlib.sha256(text.rstrip("\n").encode()).hexdigest()
     assert digests == BUNDLED_SHA256[command]
+    capsys.readouterr()
+
+
+def csv_bytes(out):
+    return {p.name: csv_without_timing(p) for p in out.glob("*.csv")}
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("simulate", {"system": plant_section(), "T": 6}, "x0"),
+        ("simulate", {"system": plant_section(), "T": 6}, "seed"),
+        ("simulate", {"system": plant_section(), "T": 6}, "input_low"),
+        ("deepc", bundled_config("fig1_deepc.json", K=30), "y_max"),
+        ("deepc", bundled_config("fig1_deepc.json", K=30), "controller"),
+        ("verify-theorem1", {"random": {"count": 2}}, "random.n_max"),
+        ("check-pe", {"trajectories": [{"inputs": [1, 3, 2]}]}, "trajectory"),
+    ],
+    ids=[
+        "simulate-x0",
+        "simulate-seed",
+        "simulate-input-low",
+        "deepc-y-max",
+        "deepc-controller",
+        "theorem1-random-n-max",
+        "check-pe-trajectory",
+    ],
+)
+def test_null_field_writes_what_the_absent_field_writes(
+    tmp_path, capsys, command, cfg, field
+):
+    section, _, sub = field.rpartition(".")
+    with_null = json.loads(json.dumps(cfg))
+    (with_null[section] if section else with_null)[sub] = None
+    without = json.loads(json.dumps(with_null))
+    del (without[section] if section else without)[sub]
+    a, b = tmp_path / "null", tmp_path / "absent"
+    assert run(tmp_path, command, with_null, out=a) == 0
+    said = capsys.readouterr()
+    assert run(tmp_path, command, without, out=b) == 0
+    assert capsys.readouterr().out.replace(str(b), "") == said.out.replace(str(a), "")
+    assert csv_bytes(a) == csv_bytes(b)
+
+
+@pytest.mark.parametrize("order", [13, 23, 99])
+def test_deepc_ignores_a_stray_pe_order(tmp_path, capsys, order):
+    # the data are excited once, at delta + N + L; an old config's
+    # pe_order field is ignored like any other unknown field
+    cfg = bundled_config("fig1_deepc.json", K=30)
+    a, b = tmp_path / "with", tmp_path / "without"
+    assert run(tmp_path, "deepc", {**cfg, "pe_order": order}, out=a) == 0
+    assert run(tmp_path, "deepc", cfg, out=b) == 0
+    assert csv_bytes(a) == csv_bytes(b)
     capsys.readouterr()
 
 
@@ -526,7 +580,6 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         ("simulate", {"system": plant_section(), "T": "ten"}, "T"),
         ("deepc", bundled_config("fig1_deepc.json", N=4.9), "N"),
         ("deepc", bundled_config("fig1_deepc.json", K=80.5), "K"),
-        ("deepc", bundled_config("fig1_deepc.json", pe_order=0), "pe_order"),
         (
             "deepc",
             bundled_config("fig1_deepc.json", excitation_high=float("inf")),
@@ -578,6 +631,19 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         # an integer is not a path: open() would take it as a descriptor
         ("simulate", {"system": plant_section(), "input": 0}, "input"),
         ("simulate", {"system": plant_section(), "input": 1}, "input"),
+        # JSON booleans and numeric strings are not numbers, at any depth
+        ("deepc", bundled_config("fig1_deepc.json", u_max=True), "u_max"),
+        ("deepc", bundled_config("fig1_deepc.json", u_max="0.5"), "u_max"),
+        ("deepc", bundled_config("fig1_deepc.json", r=[True, "1"]), "r"),
+        ("deepc", bundled_config("fig1_deepc.json", Q=[[1, 0], [0, True]]), "Q"),
+        ("deepc", bundled_config("fig1_deepc.json", x0=[0, 0, "0.5", 0.2]), "x0"),
+        (
+            "simulate",
+            {"system": {**plant_section(), "D": [[0.0], [False]]}, "T": 5},
+            "D",
+        ),
+        ("simulate", {"system": plant_section(), "inputs": [[0.1], ["0.2"]]}, "inputs"),
+        ("deepc", bundled_config("fig1_deepc.json", u_max=10**400), "u_max"),
     ],
     ids=[
         "check-pe-nan",
@@ -615,7 +681,6 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         "simulate-T-not-a-number",
         "deepc-N-not-integral",
         "deepc-K-not-integral",
-        "deepc-pe-order-0",
         "deepc-excitation-high-infinite",
         "seed-not-a-number",
         "identify-Abar-not-a-matrix",
@@ -638,6 +703,14 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         "simulate-input-a-list",
         "simulate-input-stdin-descriptor",
         "simulate-input-stdout-descriptor",
+        "deepc-bound-boolean",
+        "deepc-bound-numeric-string",
+        "deepc-reference-boolean-and-string",
+        "deepc-weight-boolean-entry",
+        "deepc-x0-numeric-string-entry",
+        "simulate-system-boolean-entry",
+        "simulate-inputs-numeric-string-entry",
+        "deepc-bound-beyond-float-range",
     ],
 )
 def test_bad_inline_inputs_exit_2_naming_the_field(
@@ -694,7 +767,7 @@ def test_malformed_fields_never_raise_and_exit_2_writing_nothing(tmp_path, capsy
                         (command, f"{key}.{sub}", {**base, key: {**value, sub: bad}})
                         for bad in MALFORMED
                     ]
-    assert len(configs) == 590
+    assert len(configs) == 580
     for k, (command, field, cfg) in enumerate(configs):
         out = tmp_path / f"o{k}"
         code = run(tmp_path, command, cfg, out=out)

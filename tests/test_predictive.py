@@ -1,4 +1,6 @@
+import importlib
 import json
+import time
 from importlib.resources import files
 
 import numpy as np
@@ -9,9 +11,11 @@ from willems import (
     HypothesisViolated,
     InfeasibleStep,
     LtiSystem,
+    MultiAgentSpec,
     PredictiveConfig,
     Trajectory,
     TrajectorySet,
+    build_system,
     deepc_step,
     is_collectively_pe,
     mpc_step,
@@ -19,9 +23,10 @@ from willems import (
     response_operators,
     run_closed_loop,
     simulate,
+    star_edges,
 )
 from willems.predictive import excitation_order
-from willems.subspace import controllability_matrix
+from willems.subspace import controllability_matrix, min_poly_degree
 
 
 def scalar_plant():
@@ -114,7 +119,7 @@ def test_mpc_step_needs_enough_history():
 
 def test_deepc_step_matches_hand_case():
     sys = scalar_plant()
-    cfg = scalar_config(T=12, K=20, pe_order=4)
+    cfg = scalar_config(T=12, K=20)
     rng = np.random.default_rng(14)
     data = simulate(sys, [0.0], rng.uniform(-1, 1, size=(12, 1)))
     data = Trajectory(data.inputs, outputs=data.outputs)
@@ -269,7 +274,6 @@ def test_controllers_agree_on_random_plants():
             K=40,
             u_min=-2.0,
             u_max=2.0,
-            pe_order=n + N + L,
         )
         data = None
         for _ in range(30):
@@ -306,7 +310,7 @@ def assert_loop_matches_one_shot_steps(sys, cfg, seed):
 def test_closed_loop_steps_match_one_shot_steps_on_fig1():
     raw = json.loads(files("willems").joinpath("configs/fig1_deepc.json").read_text())
     sys = LtiSystem(*(np.array(raw["system"][k]) for k in "ABCD"))
-    keys = ("N", "L", "T", "Q", "R", "r", "u_min", "u_max", "pe_order", "x0")
+    keys = ("N", "L", "T", "Q", "R", "r", "u_min", "u_max", "x0")
     fields = {k: raw[k] for k in keys}
     fields.update(
         excitation_low=raw["excitation_low"],
@@ -339,7 +343,7 @@ def test_closed_loop_steps_match_one_shot_steps_on_uncontrollable_plant():
 
 def test_closed_loop_log_shape_and_phases():
     sys = scalar_plant()
-    cfg = scalar_config(T=8, K=14, pe_order=4, u_min=-4.0, u_max=4.0)
+    cfg = scalar_config(T=8, K=14, u_min=-4.0, u_max=4.0)
     log = run_closed_loop(sys, cfg, controller="mpc", seed=3)
     assert log.completed
     assert log.length == 15
@@ -356,7 +360,7 @@ def test_closed_loop_log_shape_and_phases():
 
 def test_closed_loop_is_deterministic():
     sys = scalar_plant()
-    cfg = scalar_config(T=8, K=12, pe_order=4)
+    cfg = scalar_config(T=8, K=12)
     a = run_closed_loop(sys, cfg, controller="deepc", seed=5)
     b = run_closed_loop(sys, cfg, controller="deepc", seed=5)
     assert np.array_equal(a.inputs, b.inputs)
@@ -367,14 +371,14 @@ def test_closed_loop_is_deterministic():
 
 def test_closed_loop_tracks_the_reference():
     sys = scalar_plant()
-    cfg = scalar_config(T=8, K=25, pe_order=4)
+    cfg = scalar_config(T=8, K=25)
     log = run_closed_loop(sys, cfg, controller="deepc", seed=3)
     assert abs(log.outputs[-1, 0] - 5.0) < 1e-3
 
 
 def test_closed_loop_both_mode_fills_alt_fields():
     sys = scalar_plant()
-    cfg = scalar_config(T=8, K=14, pe_order=4)
+    cfg = scalar_config(T=8, K=14)
     log = run_closed_loop(sys, cfg, controller="both", seed=3)
     assert log.alt_inputs is not None
     assert np.all(np.isnan(log.alt_inputs[:8]))
@@ -409,13 +413,75 @@ def test_closed_loop_aborts_on_infeasible_step():
 
 
 def test_closed_loop_rejects_too_short_excitation():
-    # order n + N + L = 4 with one input needs T >= 2 * 4 - 1 = 7 samples
+    # order delta + N + L = 4 with one input needs T >= 2 * 4 - 1 = 7 samples
     sys = scalar_plant()
     assert excitation_order(sys, scalar_config(T=7, K=10)) == 4
     with pytest.raises(ValueError, match="too short"):
         excitation_order(sys, scalar_config(T=6, K=10))
     with pytest.raises(ValueError, match="too short"):
         run_closed_loop(sys, scalar_config(T=6, K=10), controller="mpc", seed=0)
+
+
+def test_closed_loop_excites_a_network_below_the_classical_order():
+    # identical agents repeat one block in A, so its minimal polynomial has
+    # the agent's degree delta = 2 < n; online data exciting of order
+    # delta + N + L, too short for order n + N + L, make DeePC match MPC
+    rng = np.random.default_rng(1)
+    N, L = 3, 4
+    for agents in (3, 5):
+        agent = random_system(rng, 2, 1, 1, spectral_radius=0.9)
+        sys = build_system(
+            MultiAgentSpec(agent.A, agent.B, agents, star_edges(agents))
+        )
+        delta = min_poly_degree(sys.A)
+        assert delta == 2 < sys.n
+        T = (sys.m + 1) * (delta + N + L) - 1
+        assert T < (sys.m + 1) * (sys.n + N + L) - 1
+        cfg = PredictiveConfig(
+            N=N,
+            L=L,
+            Q=np.eye(sys.p),
+            R=0.5 * np.eye(sys.m),
+            r=rng.normal(size=sys.p),
+            T=T,
+            K=T + 40,
+            u_min=-1.0,
+            u_max=1.0,
+        )
+        assert excitation_order(sys, cfg) == delta + N + L
+        log = run_closed_loop(sys, cfg, controller="both", seed=agents)
+        assert log.statuses[T:] == ("optimal",) * 41
+        assert np.abs(log.inputs[T:] - log.alt_inputs[T:]).max() <= 1e-5
+
+
+@pytest.mark.parametrize("controller", ["mpc", "deepc", "both"])
+def test_closed_loop_checks_its_excitation_once(monkeypatch, controller):
+    orders = []
+
+    def counted(data, d):
+        orders.append(d)
+        return is_collectively_pe(data, d)
+
+    # the two modules of the closed loop that ask for a PE verdict
+    for name in ("willems.subspace", "willems.predictive"):
+        module = importlib.import_module(name)
+        monkeypatch.setattr(module, "is_collectively_pe", counted)
+    log = run_closed_loop(scalar_plant(), scalar_config(T=8, K=14), controller, 3)
+    assert log.completed
+    assert orders == [4]  # the draw, at delta + N + L = 1 + 1 + 2
+
+
+def test_first_control_step_times_building_the_windows(monkeypatch):
+    predictive = importlib.import_module("willems.predictive")
+    build = predictive._mpc_window
+
+    def slow_build(sys, cfg):
+        time.sleep(0.05)
+        return build(sys, cfg)
+
+    monkeypatch.setattr(predictive, "_mpc_window", slow_build)
+    log = run_closed_loop(scalar_plant(), scalar_config(T=8, K=12), "mpc", seed=3)
+    assert log.solve_ms[8] >= 50.0 > log.solve_ms[9:].max()
 
 
 def test_closed_loop_rejects_mismatched_config():
@@ -431,7 +497,7 @@ def test_closed_loop_rejects_mismatched_config():
 
 def test_log_csv_round_trip(tmp_path):
     sys = scalar_plant()
-    cfg = scalar_config(T=8, K=12, pe_order=4)
+    cfg = scalar_config(T=8, K=12)
     log = run_closed_loop(sys, cfg, controller="deepc", seed=5)
     path = tmp_path / "log.csv"
     log.to_csv(str(path))
