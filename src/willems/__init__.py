@@ -8,76 +8,29 @@ This package provides the subspace machinery behind that statement, the
 window-parameterization checks, a data-driven receding-horizon controller
 shown step-for-step equivalent to model-based MPC, and an identification
 pipeline for networks of identical agents.
+
+The package exports the ``__all__`` of each library module, the command
+line `willems.cli` aside. ``willems.hankel`` and ``willems.parameterize``
+are the functions of those names; their modules are in ``sys.modules``.
 """
 
-from .hankel import hankel, is_collectively_pe, mosaic_hankel, pe_order
-from .lti import (
-    LtiSystem,
-    Trajectory,
-    TrajectorySet,
-    random_input,
-    random_system,
-    simulate,
-    trajectory_from_csv,
-    trajectory_to_csv,
-    window,
+# bound before the star imports, after which ``from . import hankel`` would
+# return the function
+from . import hankel as _hankel, lti as _lti, multiagent as _multiagent
+from . import numerics as _numerics, parameterize as _parameterize
+from . import predictive as _predictive, qp as _qp, subspace as _subspace
+from .hankel import *  # noqa: F403
+from .lti import *  # noqa: F403
+from .multiagent import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .parameterize import *  # noqa: F403
+from .predictive import *  # noqa: F403
+from .qp import *  # noqa: F403
+from .subspace import *  # noqa: F403
+
+_MODULES = (
+    _hankel, _lti, _multiagent, _numerics, _parameterize, _predictive, _qp, _subspace
 )
-from .multiagent import (
-    MarkovParams,
-    MultiAgentSpec,
-    RecoveredSystem,
-    analytic_tau_bound,
-    build_system,
-    collect_trajectories,
-    markov_from_data,
-    min_trajectory_sweep,
-    recover_system,
-    star_edges,
-    sweep_to_csv,
-)
-from .numerics import (
-    SubspaceBasis,
-    least_squares,
-    numerical_rank,
-    orthonormal_image,
-    right_kernel,
-    subspace_contains,
-    subspace_equal,
-    subspace_from_columns,
-    subspace_gap,
-    subspace_sum,
-)
-from .parameterize import (
-    ParamSolution,
-    ResponseOperators,
-    build_trajectory_matrix,
-    check_corollary1,
-    parameterize,
-    reconstruct_state,
-    response_operators,
-    window_target,
-)
-from .predictive import (
-    ClosedLoopLog,
-    InfeasibleStep,
-    PredictiveConfig,
-    deepc_step,
-    mpc_step,
-    run_closed_loop,
-)
-from .qp import QpSolution, QuadraticProgram, solve_qp
-from .subspace import (
-    HypothesisViolated,
-    Verdict,
-    controllability_matrix,
-    controllable_subspace,
-    initial_state_matrix,
-    krylov_subspace,
-    min_poly_degree,
-    observability_matrix,
-    theorem1_image_check,
-    theorem1_state_condition,
-    unobservable_subspace,
-)
+__all__ = [name for module in _MODULES for name in module.__all__]
 
 __version__ = "0.1.0"

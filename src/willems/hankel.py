@@ -121,16 +121,13 @@ def is_collectively_pe(data: TrajectorySet, d: int) -> bool:
 def pe_order(data: TrajectorySet) -> int:
     """Largest order d at which the set is collectively PE; 0 if none.
 
-    PE is monotone in d, so the scan goes downward from the structural
-    bound and stops at the first success.
+    The scan goes downward from min(T_i), the longest window every
+    trajectory holds, and returns the first order that passes, so the
+    largest passing order. Orders whose mosaic has fewer columns than rows
+    are rejected by the shape step of `is_collectively_pe`, without a
+    factorization.
     """
-    m = data[0].m
-    total_cols = sum(data.lengths)
-    # full row rank needs d*m <= sum(T_i - d + 1) and d <= min(T_i)
-    d_max = min(data.lengths)
-    while d_max > 0 and d_max * m > total_cols - len(data) * (d_max - 1):
-        d_max -= 1
-    for d in range(d_max, 0, -1):
+    for d in range(min(data.lengths), 0, -1):
         if is_collectively_pe(data, d):
             return d
     return 0

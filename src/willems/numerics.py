@@ -99,6 +99,16 @@ def svd_rank(s, shape) -> int:
     return int((s > _relative_cutoff(shape) * s[:1]).sum())
 
 
+def pseudo_inverse_parts(a):
+    """(U_r, s_r, V_r) of the float matrix `a`, cut at the rank `svd_rank`
+    gives, the rank ``numpy.linalg.lstsq`` uses; `a` may have no rows or no
+    columns, and numpy's SVD then returns empty factors. Outside
+    ``__all__``, like `svd_rank`."""
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank = svd_rank(s, a.shape)
+    return u[:, :rank], s[:rank], vt[:rank].T
+
+
 def rank_margin(m) -> tuple[int, float, float]:
     """`numerical_rank` of `m`, with the margin of that count: the ratio
     sigma_min / sigma_1 of its extreme singular values (0 for a zero or
@@ -204,11 +214,7 @@ def orthonormal_image(m) -> np.ndarray:
 
     Returns an ``rows x rank`` matrix; a zero matrix yields zero columns.
     """
-    a = as_matrix(m)
-    if a.size == 0:
-        return np.zeros((a.shape[0], 0))
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    return u[:, : svd_rank(s, a.shape)]
+    return pseudo_inverse_parts(as_matrix(m))[0]
 
 
 def right_kernel(m) -> np.ndarray:
@@ -246,8 +252,8 @@ class SubspaceBasis:
 
 def subspace_from_columns(m) -> SubspaceBasis:
     """Subspace spanned by the columns of `m` (orthonormalized)."""
-    a = as_matrix(m)
-    return SubspaceBasis(a.shape[0], orthonormal_image(a))
+    basis = orthonormal_image(m)
+    return SubspaceBasis(basis.shape[0], basis)
 
 
 def subspace_sum(*spaces: SubspaceBasis) -> SubspaceBasis:
@@ -257,10 +263,7 @@ def subspace_sum(*spaces: SubspaceBasis) -> SubspaceBasis:
     n = spaces[0].n
     if any(s.n != n for s in spaces):
         raise ValueError("ambient dimensions differ")
-    stacked = np.hstack([s.basis for s in spaces])
-    if stacked.shape[1] == 0:
-        return SubspaceBasis(n, np.zeros((n, 0)))
-    return SubspaceBasis(n, orthonormal_image(stacked))
+    return subspace_from_columns(np.hstack([s.basis for s in spaces]))
 
 
 def subspace_gap(a: SubspaceBasis, b: SubspaceBasis) -> float:

@@ -23,7 +23,7 @@ from .numerics import (
     least_squares,
     power_blocks,
 )
-from .subspace import Verdict, min_poly_degree
+from .subspace import Verdict, min_poly_degree, window_start_states
 
 __all__ = [
     "ParamSolution",
@@ -120,12 +120,7 @@ def reconstruct_state(data: TrajectorySet, g) -> np.ndarray:
             f"coefficient length {g.shape[0]} matches no window depth for "
             f"this data set"
         )
-    cols = []
-    for i, traj in enumerate(data):
-        if traj.states is None:
-            raise ValueError(f"trajectory {i} carries no states")
-        cols.append(traj.states[: traj.length - L + 1].T)
-    return np.hstack(cols) @ g
+    return window_start_states(data, L) @ g
 
 
 @dataclass(frozen=True)

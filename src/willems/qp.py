@@ -25,10 +25,10 @@ QPs of one closed loop) builds it once and passes it to every solve:
 - a rank-revealing SVD of Aeq, whose range decides feasibility of
   ``Aeq x = beq`` by projection residual;
 - the minimum-norm pseudo-inverses of the last two faces' KKT matrices (a
-  face pins a set of coordinates to their bounds), built from an SVD cut
-  at `numerics.svd_rank` (the rank ``numpy.linalg.lstsq`` uses), so the
-  polish is a matrix-vector product and a cached face gives the same bits
-  as a new one;
+  face pins a set of coordinates to their bounds), built from the SVD cut
+  of `numerics.pseudo_inverse_parts` (the rank ``numpy.linalg.lstsq``
+  uses), so the polish is a matrix-vector product and a cached face gives
+  the same bits as a new one;
 - the last solve's ADMM iterate, the starting point of the next sweep.
 
 `solve_qp` without a workspace builds a fresh one, so a one-off solve and a
@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_bound, as_matrix, as_vector, svd_rank
+from .numerics import as_bound, as_matrix, as_vector, pseudo_inverse_parts
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
 
@@ -127,14 +127,6 @@ class QpSolution:
     iterations: int
 
 
-def _pseudo_inverse_parts(a):
-    """(U_r, s_r, V_r) of `a`, cut at the rank `svd_rank` gives, the rank
-    ``numpy.linalg.lstsq`` uses; `a` may have no rows or no columns."""
-    u, s, vt = np.linalg.svd(a, full_matrices=False)
-    rank = svd_rank(s, a.shape)
-    return u[:, :rank], s[:rank], vt[:rank].T
-
-
 class Workspace:
     """Factorizations of one program's fixed data (P, Aeq, lb, ub), reused
     by every solve of a program that differs from it only in q and beq.
@@ -154,7 +146,7 @@ class Workspace:
         self.K0_inv = self.factor(self.rho0)
         # range of Aeq, and the map from range coordinates to the
         # minimum-norm least-squares solution
-        u, s, v = _pseudo_inverse_parts(prob.Aeq)
+        u, s, v = pseudo_inverse_parts(prob.Aeq)
         self.eq_range, self.eq_solve = u, v / s
         self.warm = None
         self._faces = {}
@@ -192,7 +184,7 @@ class Workspace:
             kkt[:n, :n] = self.P
             kkt[:n, n:] = Aact.T
             kkt[n:, :n] = Aact
-            u, s, v = _pseudo_inverse_parts(kkt)
+            u, s, v = pseudo_inverse_parts(kkt)
             entry = (kkt, (v / s) @ u.T)
         self._faces[key] = entry
         return entry
@@ -313,7 +305,7 @@ def solve_qp(
 
     coef = ws.eq_range.T @ prob.beq
     res = float(np.linalg.norm(prob.beq - ws.eq_range @ coef))
-    if res > 1e-9 * max(1.0, float(np.linalg.norm(prob.beq))):
+    if res > 1e-9 * float(np.linalg.norm(prob.beq)):
         x_ls = ws.eq_solve @ coef
         return QpSolution(x_ls, prob.objective(x_ls), "infeasible", float("inf"), 0)
 

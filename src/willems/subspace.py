@@ -37,6 +37,8 @@ __all__ = [
     "Verdict",
     "HypothesisViolated",
     "ImageCheck",
+    "controllability_matrix",
+    "observability_matrix",
     "controllable_subspace",
     "unobservable_subspace",
     "krylov_subspace",
@@ -166,22 +168,18 @@ def initial_state_matrix(data: TrajectorySet) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _state_input_data_matrix(data: TrajectorySet, L: int) -> np.ndarray:
-    """Stack of width-1 state windows over depth-L input windows.
-
-    Rows: the state ``x_j`` starting each length-L window (one block row),
-    then the depth-L input mosaic; columns align across both blocks.
-    """
-    state_blocks = []
+def window_start_states(data: TrajectorySet, L: int) -> np.ndarray:
+    """The state ``x_j`` starting each length-L window, one column per
+    window in the column order of the depth-L mosaic. Outside ``__all__``;
+    `parameterize.reconstruct_state` shares it."""
+    cols = []
     for i, traj in enumerate(data):
         if traj.states is None:
             raise ValueError(f"trajectory {i} carries no states")
         if traj.length < L:
             raise ValueError(f"trajectory {i} shorter than L={L}")
-        state_blocks.append(traj.states[: traj.length - L + 1].T)
-    x_row = np.hstack(state_blocks)
-    u_rows = mosaic_hankel(data, L, "inputs")
-    return np.vstack([x_row, u_rows])
+        cols.append(traj.states[: traj.length - L + 1].T)
+    return np.hstack(cols)
 
 
 @dataclass(frozen=True)
@@ -233,8 +231,9 @@ def pe_image_check(
     already knows the inputs to be collectively PE of `order` = delta + L
     with delta at least the degree of the minimal polynomial of A, so that
     neither is computed again."""
-    stacked = _state_input_data_matrix(data, L)
-    data_space = subspace_from_columns(stacked)
+    # the state starting each window over the window's inputs
+    x_row = window_start_states(data, L)
+    data_space = subspace_from_columns(np.vstack([x_row, mosaic_hankel(data, L)]))
 
     X0 = initial_state_matrix(data)
     rk = subspace_sum(controllable_subspace(sys), krylov_subspace(sys.A, X0))

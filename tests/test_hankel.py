@@ -299,3 +299,28 @@ def test_svd_runs_only_when_the_certificate_fails(monkeypatch, caplog):
     assert not is_collectively_pe(trajectory_set([np.ones((30, 1))]), 2)
     assert "sigma_r/sigma_1" in caplog.records[0].getMessage()
 
+
+
+def test_pe_order_is_invariant_to_trajectory_order_and_input_scale():
+    # metamorphic suite: reordering the trajectories permutes the mosaic's
+    # columns, scaling by 2^k is exact, and scaling by 10^k rounds every
+    # sample; none of them may move the excitation order. Half the sets
+    # obey a short recursion, so their order sits below the shape ceiling.
+    rng = np.random.default_rng(606)
+    orders = set()
+    for case in range(100):
+        m = int(rng.integers(1, 3))
+        lengths = rng.integers(3, 20, size=int(rng.integers(1, 4)))
+        if case % 2:
+            coeffs = rng.uniform(-0.6, 0.6, size=int(rng.integers(1, 4)))
+            inputs = [recursion_input(rng, int(T), m, coeffs) for T in lengths]
+        else:
+            inputs = [rng.uniform(-1, 1, size=(int(T), m)) for T in lengths]
+        base = pe_order(trajectory_set(inputs))
+        orders.add(base)
+        variants = [inputs[::-1], [inputs[i] for i in rng.permutation(len(inputs))]]
+        variants += [[2.0**k * u for u in inputs] for k in range(-40, 41)]
+        variants += [[10.0**k * u for u in inputs] for k in range(-3, 4)]
+        for variant in variants:
+            assert pe_order(trajectory_set(variant)) == base, case
+    assert len(orders) >= 8

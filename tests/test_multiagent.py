@@ -256,6 +256,26 @@ def test_identification_pipeline_end_to_end():
     assert np.array_equal(rec.E, spec.incidence())
 
 
+@pytest.mark.parametrize("N, tau, tau_full", [(4, 2, 3), (5, 3, 6)])
+def test_identification_at_the_analytic_trajectory_bound(N, tau, tau_full):
+    # the bundled agents on a star, identified from as few trajectories as
+    # corollary 2's excitation order allows; the full-state order asks
+    # for more
+    Abar, Bbar = agent_pair()
+    spec = MultiAgentSpec(Abar, Bbar, N, star_edges(N))
+    T = 120
+    _, bound = analytic_tau_bound(spec.nbar, spec.mbar, N, T, "corollary2")
+    _, full = analytic_tau_bound(spec.nbar, spec.mbar, N, T, "full_n")
+    assert (math.ceil(bound), math.ceil(full)) == (tau, tau_full)
+    sys = build_system(spec)
+    data = strip_states(collect_trajectories(sys, tau, T, -0.1, 0.1, seed=12))
+    params = markov_from_data(data, sys.n, spec.nbar + 1)
+    rec = recover_system(params, (0, 0, 1), spec.nbar, spec.mbar)
+    assert np.linalg.norm(rec.Abar - Abar) <= 1e-6
+    assert np.linalg.norm(rec.Bbar - Bbar) <= 1e-6
+    assert np.linalg.norm(rec.E - spec.incidence()) <= 1e-6
+
+
 def test_analytic_bound_hand_values():
     # depth d = (N+1) nbar + 1 or 2 N nbar + 1; bound = d N mbar / (T-d+1)
     d, bound = analytic_tau_bound(4, 2, 3, 120, "corollary2")

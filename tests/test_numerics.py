@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from willems import qp
 from willems.numerics import (
     SubspaceBasis,
     as_bound,
@@ -11,6 +10,7 @@ from willems.numerics import (
     least_squares,
     numerical_rank,
     orthonormal_image,
+    pseudo_inverse_parts,
     right_kernel,
     subspace_contains,
     subspace_equal,
@@ -68,7 +68,7 @@ def test_every_rank_cutoff_site_agrees():
             assert numerical_rank(b) == r
             assert orthonormal_image(b).shape[1] == r
             assert b.shape[1] - right_kernel(b).shape[1] == r
-            assert qp._pseudo_inverse_parts(b)[1].size == r
+            assert pseudo_inverse_parts(b)[1].size == r
 
 
 def test_least_squares_hand_case():

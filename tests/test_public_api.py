@@ -6,6 +6,30 @@ import pkgutil
 import willems
 
 KNOBS = {"tol", "rtol", "threshold", "max_iter"}
+LIBRARY = (
+    "hankel",
+    "lti",
+    "multiagent",
+    "numerics",
+    "parameterize",
+    "predictive",
+    "qp",
+    "subspace",
+)
+
+
+def test_package_exports_each_library_module_all_once():
+    # the package's export list is the modules' own lists, in module-name
+    # order, with no name declared twice; the command line stays out
+    modules = [importlib.import_module(f"willems.{name}") for name in LIBRARY]
+    expected = [name for mod in modules for name in mod.__all__]
+    assert willems.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(willems, name) is getattr(mod, name), name
+    names = {info.name for info in pkgutil.iter_modules(willems.__path__)}
+    assert names == set(LIBRARY) | {"cli"}
 
 
 def test_no_public_function_or_dataclass_takes_a_tolerance_knob():

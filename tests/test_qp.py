@@ -104,6 +104,23 @@ def test_inconsistent_equalities_detected():
     assert solve_qp(prob).status == "infeasible"
 
 
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-3, 4))
+def test_equality_feasibility_does_not_depend_on_the_scale(scale):
+    # two copies of one row that ask for values a relative gap apart are
+    # inconsistent at every scale; with no gap they are one row
+    for gap in (1e-4, 1e-7, 0.0):
+        prob = QuadraticProgram(
+            scale * np.eye(2),
+            np.zeros(2),
+            Aeq=scale * np.ones((2, 2)),
+            beq=scale * np.array([1.0, 1.0 + gap]),
+        )
+        sol = solve_qp(prob)
+        assert sol.status == ("optimal" if gap == 0.0 else "infeasible"), gap
+        if gap == 0.0:
+            assert np.allclose(sol.x, [0.5, 0.5])
+
+
 def test_box_equality_conflict_detected():
     # x must equal 5 but the box stops at 1
     prob = QuadraticProgram(

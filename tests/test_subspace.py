@@ -233,6 +233,49 @@ def test_image_check_holds_on_random_systems():
         assert pe_image_check(sys, data, L, delta + L) == report
 
 
+def test_image_check_verdict_is_invariant_to_trajectory_order():
+    # metamorphic suite: reordering the trajectories permutes the columns
+    # of the data matrix, not its image. Plants with an uncontrollable
+    # block, and data drawn from a plant with another B from rest, give
+    # FAILS verdicts; short records give HYPOTHESIS_VIOLATED.
+    rng = np.random.default_rng(707)
+    seen = set()
+    for _ in range(100):
+        n1 = int(rng.integers(1, 4))
+        n2 = int(rng.integers(0, 3))
+        n = n1 + n2
+        m = int(rng.integers(1, 3))
+        p = int(rng.integers(1, 3))
+        if n2 == 0:
+            sys = random_system(rng, n, m, p)
+        else:
+            A = np.zeros((n, n))
+            A[:n1, :n1] = 0.8 * rng.normal(size=(n1, n1))
+            A[n1:, n1:] = 0.8 * rng.normal(size=(n2, n2))
+            B = np.vstack([rng.normal(size=(n1, m)), np.zeros((n2, m))])
+            sys = LtiSystem(A, B, rng.normal(size=(p, n)), np.zeros((p, m)))
+        L = int(rng.integers(1, 4))
+        tau = int(rng.integers(2, 5))
+        order = min_poly_degree(sys.A) + L
+        T = int(rng.integers(order, 2 * order + 8))
+        x0 = rng.normal(size=(tau, n)) * (rng.random(tau) < 0.7)[:, None]
+        source = sys
+        if rng.random() < 0.3:
+            source = LtiSystem(sys.A, sys.B + rng.normal(size=(n, m)), sys.C, sys.D)
+            x0[:] = 0.0
+        runs = [simulate(source, x0[i], rng.uniform(-1, 1, (T, m))) for i in range(tau)]
+        base = theorem1_image_check(sys, TrajectorySet(tuple(runs)), L)
+        seen.add(base.verdict)
+        for shuffled in (runs[::-1], [runs[i] for i in rng.permutation(tau)]):
+            report = theorem1_image_check(sys, TrajectorySet(tuple(shuffled)), L)
+            assert (report.verdict, report.data_dim, report.target_dim) == (
+                base.verdict,
+                base.data_dim,
+                base.target_dim,
+            )
+    assert seen == set(Verdict)
+
+
 def test_image_check_gates_on_excitation(bench):
     rng = np.random.default_rng(6)
     # zero input cannot excite anything
