@@ -53,7 +53,7 @@ from .subspace import (
     pe_image_check,
     state_condition_space,
 )
-from .numerics import subspace_contains
+from .numerics import power_blocks, subspace_contains
 
 __all__ = ["main"]
 
@@ -436,12 +436,11 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
         )
         params = markov_from_data(io_only, sys_.n, kmax)
         E = spec.incidence()
-        errs = []
-        power = np.eye(spec.nbar)
-        for k in range(1, kmax + 1):
-            truth = np.kron(E, power @ spec.Bbar)
-            errs.append(float(np.linalg.norm(params.param(k) - truth)))
-            power = spec.Abar @ power
+        powers = power_blocks(spec.Abar, np.eye(spec.nbar), kmax)
+        errs = [
+            float(np.linalg.norm(params.param(k) - np.kron(E, P @ spec.Bbar)))
+            for k, P in enumerate(powers, 1)
+        ]
         print(
             "markov parameters: worst error vs known system "
             f"{max(errs):.3e} over k=1..{kmax}"

@@ -23,7 +23,7 @@ import logging
 import numpy as np
 
 from .lti import TrajectorySet
-from .numerics import gram_certifies_full_rank, rank_margin
+from .numerics import as_matrix, gram_certifies_full_rank, rank_margin
 
 __all__ = ["hankel", "mosaic_hankel", "is_collectively_pe", "pe_order"]
 
@@ -32,9 +32,7 @@ log = logging.getLogger(__name__)
 
 def hankel(f, d: int) -> np.ndarray:
     """Depth-d Hankel matrix of a ``(T, q)`` (or length-T scalar) sequence."""
-    arr = np.asarray(f, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
+    arr = as_matrix(f, "f")
     T, q = arr.shape
     if d < 1:
         raise ValueError(f"depth must be positive, got {d}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import as_matrix, as_vector
+from .numerics import as_matrix, as_square, as_vector
 
 __all__ = [
     "LtiSystem",
@@ -38,13 +38,11 @@ class LtiSystem:
     D: np.ndarray
 
     def __post_init__(self):
-        A = as_matrix(self.A, "A")
+        A = as_square(self.A, "A")
         B = as_matrix(self.B, "B")
         C = as_matrix(self.C, "C")
         D = as_matrix(self.D, "D")
         n = A.shape[0]
-        if A.shape[1] != n:
-            raise ValueError(f"A must be square, got {A.shape}")
         if B.shape[0] != n:
             raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
         if C.shape[1] != n:
@@ -84,25 +82,17 @@ class Trajectory:
     outputs: np.ndarray | None = None
 
     def __post_init__(self):
-        u = np.asarray(self.inputs, dtype=float)
-        if u.ndim == 1:
-            u = u.reshape(-1, 1)
-        if u.ndim != 2 or u.shape[0] == 0:
+        u = as_matrix(self.inputs, "inputs")
+        if u.shape[0] == 0:
             raise ValueError("inputs must be a nonempty (T, m) array")
-        if not np.isfinite(u).all():
-            raise ValueError("inputs contain non-finite entries")
         object.__setattr__(self, "inputs", u)
         for name in ("states", "outputs"):
             seq = getattr(self, name)
             if seq is None:
                 continue
-            arr = np.asarray(seq, dtype=float)
-            if arr.ndim == 1:
-                arr = arr.reshape(-1, 1)
+            arr = as_matrix(seq, name)
             if arr.shape[0] != u.shape[0]:
                 raise ValueError(f"{name} length {arr.shape[0]} != T={u.shape[0]}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} contain non-finite entries")
             object.__setattr__(self, name, arr)
 
     @property
@@ -177,10 +167,8 @@ def simulate(sys: LtiSystem, x0, inputs) -> Trajectory:
     x0 = as_vector(x0, "x0")
     if x0.size != sys.n:
         raise ValueError(f"x0 has dim {x0.size}, expected {sys.n}")
-    u = np.asarray(inputs, dtype=float)
-    if u.ndim == 1:
-        u = u.reshape(-1, 1)
-    if u.ndim != 2 or u.shape[1] != sys.m:
+    u = as_matrix(inputs, "inputs")
+    if u.shape[1] != sys.m:
         raise ValueError(f"inputs must be (T, {sys.m}), got {u.shape}")
     A = sys.A
     Bu = (sys.B @ u[:, :, None])[:, :, 0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
-from .numerics import as_matrix, least_squares, numerical_rank, power_blocks
+from .numerics import as_matrix, as_square, least_squares, numerical_rank, power_blocks
 from .parameterize import build_trajectory_matrix
 from .subspace import HypothesisViolated, draw_until_pe
 
@@ -72,11 +72,9 @@ class MultiAgentSpec:
     edges: tuple
 
     def __post_init__(self):
-        Abar = as_matrix(self.Abar, "Abar")
+        Abar = as_square(self.Abar, "Abar")
         Bbar = as_matrix(self.Bbar, "Bbar")
         nbar = Abar.shape[0]
-        if Abar.shape[1] != nbar:
-            raise ValueError(f"Abar must be square, got {Abar.shape}")
         if Bbar.shape[0] != nbar:
             raise ValueError(f"Bbar has {Bbar.shape[0]} rows, expected {nbar}")
         if self.N < 1:
@@ -165,13 +163,13 @@ class MarkovParams:
     def __post_init__(self):
         if not self.values:
             raise ValueError("at least one Markov parameter required")
-        shape = self.values[0].shape
-        for k, v in enumerate(self.values):
-            if v.shape != shape:
-                raise ValueError(f"parameter {k + 1} has shape {v.shape}, expected {shape}")
-        object.__setattr__(
-            self, "values", tuple(np.asarray(v, dtype=float) for v in self.values)
-        )
+        values = tuple(as_matrix(v, f"M_{k}") for k, v in enumerate(self.values, 1))
+        for k, v in enumerate(values, 1):
+            if v.shape != values[0].shape:
+                raise ValueError(
+                    f"parameter {k} has shape {v.shape}, expected {values[0].shape}"
+                )
+        object.__setattr__(self, "values", values)
 
     @property
     def kmax(self) -> int:

@@ -62,6 +62,15 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
+def as_square(m, name: str) -> np.ndarray:
+    """`as_matrix` of `m`, which must be square. Outside ``__all__``, like
+    `as_bound`."""
+    a = as_matrix(m, name)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"{name} must be square, got {a.shape}")
+    return a
+
+
 def as_bound(value, n: int, fill: float, name: str) -> np.ndarray:
     """Per-coordinate bound vector of length `n`.
 

@@ -19,6 +19,7 @@ from .hankel import is_collectively_pe, mosaic_hankel
 from .lti import LtiSystem, Trajectory, TrajectorySet, window
 from .numerics import (
     DEFAULT_RESIDUAL_RTOL,
+    as_matrix,
     as_vector,
     least_squares,
     power_blocks,
@@ -53,11 +54,8 @@ def window_target(u_bar, y_bar) -> np.ndarray:
     """Flatten a time-major (L, m) input and (L, p) output window into the
     stacked vector the trajectory matrix acts on. Already-flat vectors pass
     through."""
-    u_bar = np.asarray(u_bar, dtype=float)
-    y_bar = np.asarray(y_bar, dtype=float)
-    if u_bar.ndim > 2 or y_bar.ndim > 2:
-        raise ValueError("windows must be flat or 2-D time-major arrays")
-    return np.concatenate([u_bar.reshape(-1), y_bar.reshape(-1)])
+    u_flat = as_matrix(u_bar, "u_bar").reshape(-1)
+    return np.concatenate([u_flat, as_matrix(y_bar, "y_bar").reshape(-1)])
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
-from .numerics import as_bound, as_matrix
+from .numerics import as_bound, as_square, as_vector
 from .parameterize import build_trajectory_matrix, response_operators
 from .qp import QpSolution, QuadraticProgram, Workspace, solve_qp
 from .subspace import HypothesisViolated, draw_until_pe, min_poly_degree
@@ -65,9 +65,7 @@ class InfeasibleStep(RuntimeError):
 def _weight(w, name) -> np.ndarray:
     """`w` symmetrized as (w + w')/2, which leaves a symmetric weight's
     bits alone and makes the QP's P = 2 kron(I, w) exactly symmetric."""
-    w = as_matrix(w, name)
-    if w.shape[0] != w.shape[1]:
-        raise ValueError(f"{name} must be square, got {w.shape}")
+    w = as_square(w, name)
     if np.abs(w - w.T).max(initial=0.0) > 1e-10:
         raise ValueError(f"{name} is not symmetric")
     w = (w + w.T) / 2
@@ -81,13 +79,13 @@ class PredictiveConfig:
     """Shared controller/experiment parameters.
 
     N is the pinned past-window length, L the prediction horizon. The
-    reference `r` is a single output sample (held constant over the horizon)
-    or an (L, p) array. `u_min`/`u_max` bound the inputs; `y_min`/`y_max`
-    are optional output bounds (None means unbounded); a box that no value
-    meets raises ValueError. `excitation_low/high` set the uniform input
-    range of the closed loop's excitation phase, which is drawn at the
-    order `excitation_order` fixes, and `x0` the plant's initial state
-    (defaults to zero).
+    reference `r` is a finite single output sample (held constant over the
+    horizon) or a finite (L, p) array. `u_min`/`u_max` bound the inputs;
+    `y_min`/`y_max` are optional output bounds (None means unbounded); a
+    box that no value meets raises ValueError. `excitation_low/high` set
+    the uniform input range of the closed loop's excitation phase, which is
+    drawn at the order `excitation_order` fixes, and `x0` the plant's
+    initial state (defaults to zero).
     """
 
     N: int
@@ -115,6 +113,9 @@ class PredictiveConfig:
         object.__setattr__(self, "Q", _weight(self.Q, "Q"))
         object.__setattr__(self, "R", _weight(self.R, "R"))
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        as_vector(self.r, "reference 'r'")  # finite; `reference` checks the shape
+        if self.x0 is not None:
+            object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
         if self.excitation_low >= self.excitation_high:
             raise ValueError("excitation_low must be below excitation_high")
         self.reference()
@@ -350,7 +351,7 @@ class ClosedLoopLog:
         """Outputs next to the constant reference lines, for plotting."""
         p = self.outputs.shape[1]
         header = ["t"] + [f"y_{i}" for i in range(p)] + [f"r_{i}" for i in range(p)]
-        ref = list(np.asarray(self.reference, dtype=float).reshape(-1)[:p])
+        ref = self.reference.reshape(-1)[:p]
         rows = ([t, *self.outputs[t], *ref] for t in range(self.length))
         write_csv(path, header, rows)
 
@@ -461,7 +462,7 @@ def run_closed_loop(
         kkt_residuals[:cut],
         tuple(statuses),
         solve_ms[:cut],
-        np.asarray(cfg.r, dtype=float),
+        cfg.r,
         completed,
         None if alt_inputs is None else alt_inputs[:cut],
         None if alt_objectives is None else alt_objectives[:cut],

@@ -22,6 +22,7 @@ from .numerics import (
     DEFAULT_RESIDUAL_RTOL,
     SubspaceBasis,
     as_matrix,
+    as_square,
     as_vector,
     gram_certifies_full_rank,
     numerical_rank,
@@ -112,10 +113,8 @@ def krylov_subspace(A, X0) -> SubspaceBasis:
 
     Computed as the image of ``[X0, A X0, ..., A^{n-1} X0]``.
     """
-    A = as_matrix(A, "A")
+    A = as_square(A, "A")
     n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"A must be square, got {A.shape}")
     X0 = as_matrix(X0, "X0")
     if X0.shape[0] != n:
         raise ValueError(f"X0 has {X0.shape[0]} rows, expected {n}")
@@ -138,10 +137,8 @@ def min_poly_degree(A) -> int:
     scan over prefixes would return n too. Otherwise the scan runs, one
     rank test per prefix.
     """
-    A = as_matrix(A, "A")
+    A = as_square(A, "A")
     n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValueError(f"A must be square, got {A.shape}")
     stacked = np.empty((n * n, n))
     for k, P in enumerate(power_blocks(A, np.eye(n), n)):
         v = P.reshape(-1)
@@ -160,12 +157,7 @@ def min_poly_degree(A) -> int:
 
 def initial_state_matrix(data: TrajectorySet) -> np.ndarray:
     """``[x0^1, ..., x0^tau]`` collected from state-carrying trajectories."""
-    cols = []
-    for i, traj in enumerate(data):
-        if traj.states is None:
-            raise ValueError(f"trajectory {i} carries no states")
-        cols.append(traj.states[0])
-    return np.column_stack(cols)
+    return np.column_stack([traj.channel("states")[0] for traj in data])
 
 
 def window_start_states(data: TrajectorySet, L: int) -> np.ndarray:
@@ -174,11 +166,9 @@ def window_start_states(data: TrajectorySet, L: int) -> np.ndarray:
     `parameterize.reconstruct_state` shares it."""
     cols = []
     for i, traj in enumerate(data):
-        if traj.states is None:
-            raise ValueError(f"trajectory {i} carries no states")
         if traj.length < L:
             raise ValueError(f"trajectory {i} shorter than L={L}")
-        cols.append(traj.states[: traj.length - L + 1].T)
+        cols.append(traj.channel("states")[: traj.length - L + 1].T)
     return np.hstack(cols)
 
 

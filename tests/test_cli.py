@@ -644,6 +644,9 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         ),
         ("simulate", {"system": plant_section(), "inputs": [[0.1], ["0.2"]]}, "inputs"),
         ("deepc", bundled_config("fig1_deepc.json", u_max=10**400), "u_max"),
+        # a non-finite reference is rejected before the excitation draw
+        ("deepc", bundled_config("fig1_deepc.json", r=[float("nan"), 0.1]), "r"),
+        ("deepc", bundled_config("fig1_deepc.json", r=[float("inf"), 0.1]), "r"),
     ],
     ids=[
         "check-pe-nan",
@@ -711,6 +714,8 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         "simulate-system-boolean-entry",
         "simulate-inputs-numeric-string-entry",
         "deepc-bound-beyond-float-range",
+        "deepc-r-nan",
+        "deepc-r-inf",
     ],
 )
 def test_bad_inline_inputs_exit_2_naming_the_field(

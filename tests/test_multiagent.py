@@ -321,3 +321,35 @@ def test_sweep_csv_round_trip(tmp_path):
     assert int(cells[0]) == 3
     assert cells[1] == "corollary2"
     assert int(cells[2]) == rows[0].tau_min
+
+
+def identify(spec, anchor):
+    """The bundled identification pipeline on `spec`: three trajectories of
+    120 samples at seed 12, Markov parameters through nbar + 1."""
+    sys = build_system(spec)
+    data = strip_states(collect_trajectories(sys, 3, 120, -0.1, 0.1, seed=12))
+    params = markov_from_data(data, sys.n, spec.nbar + 1)
+    return recover_system(params, anchor, spec.nbar, spec.mbar)
+
+
+@pytest.mark.parametrize("draw", range(6))
+def test_identification_is_invariant_to_relabelling_agents_and_edges(draw):
+    # node k becomes pi[k] and edge e becomes sigma[e], the anchor moving
+    # with them: the agents are recovered unchanged and E with its columns
+    # permuted by pi and its rows by sigma
+    Abar, Bbar = agent_pair()
+    edges = ((0, 1), (0, 2), (1, 3), (2, 3))
+    base = identify(MultiAgentSpec(Abar, Bbar, 4, edges), (0, 0, 1))
+    rng = np.random.default_rng(draw)
+    pi, sigma = rng.permutation(4), rng.permutation(len(edges))
+    moved = [None] * len(edges)
+    for e, (head, tail) in enumerate(edges):
+        moved[sigma[e]] = (pi[head], pi[tail])
+    rec = identify(
+        MultiAgentSpec(Abar, Bbar, 4, tuple(moved)), (sigma[0], pi[0], 1)
+    )
+    E = np.empty_like(base.E)
+    E[np.ix_(sigma, pi)] = base.E
+    assert np.abs(rec.E - E).max() <= 1e-6
+    assert np.abs(rec.Abar - base.Abar).max() <= 1e-6
+    assert np.abs(rec.Bbar - base.Bbar).max() <= 1e-6

@@ -1,6 +1,25 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from conftest import agent_pair, mixed_plant
+from willems import (
+    LtiSystem,
+    MarkovParams,
+    MultiAgentSpec,
+    PredictiveConfig,
+    Trajectory,
+    TrajectorySet,
+    hankel,
+    krylov_subspace,
+    min_poly_degree,
+    parameterize,
+    reconstruct_state,
+    simulate,
+    star_edges,
+    theorem1_state_condition,
+)
 from willems.numerics import (
     SubspaceBasis,
     as_bound,
@@ -209,3 +228,100 @@ def test_gram_certificate_never_claims_full_rank_the_svd_denies(shape):
     assert not gram_certifies_full_rank(np.zeros(shape))
     # not vacuous: the well-conditioned matrices are certified at every scale
     assert certified[:10] == [1e-1] * 5 + [1e-3] * 5
+
+
+def malformed_arrays(good, rng, vector):
+    """NaN, inf, 3-D, ragged and string stand-ins for the array `good`; the
+    NaN and the inf land at a seeded entry. No 3-D stand-in for a vector
+    slot, whose reader flattens what it is given."""
+    good = np.asarray(good, dtype=float)
+    bad = {}
+    for kind, value in (("nan", np.nan), ("inf", np.inf)):
+        a = good.copy()
+        a.flat[rng.integers(good.size)] = value
+        bad[kind] = a
+    if not vector:
+        bad["3-D"] = good[..., None]
+    rows = good.reshape(good.shape[0], -1).tolist()
+    bad["ragged"] = rows + [rows[0] + [0.0]]  # a last row one number longer
+    bad["string"] = "abc"
+    return bad
+
+
+def test_every_entry_rejects_a_malformed_array_where_it_enters():
+    # each slot is one library entry with one array argument replaced by a
+    # malformed stand-in, every other argument valid; the entry itself
+    # must raise ValueError, not accept the array, fail later or raise
+    # another kind of error
+    rng = np.random.default_rng(29)
+    sys = mixed_plant()
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    u = rng.uniform(-1, 1, size=(12, 1))
+    traj = simulate(sys, np.zeros(4), u)
+    x, y = traj.states, traj.outputs
+    data = TrajectorySet((traj,))
+    Abar, Bbar = agent_pair()
+    M1 = rng.normal(size=(3, 2))
+    Q, R, r = np.eye(2), np.array([[0.1]]), np.array([0.5, -0.5])
+    R4 = subspace_from_columns(np.eye(4))
+
+    def config(**changed):
+        base = dict(N=2, L=3, Q=Q, R=R, r=r, T=20, K=30, x0=np.zeros(4))
+        return PredictiveConfig(**{**base, **changed})
+
+    # (slot, valid array, entry taking the stand-in, vector slot)
+    slots = [
+        ("LtiSystem A", A, lambda a: LtiSystem(a, B, C, D), False),
+        ("LtiSystem B", B, lambda a: LtiSystem(A, a, C, D), False),
+        ("LtiSystem C", C, lambda a: LtiSystem(A, B, a, D), False),
+        ("LtiSystem D", D, lambda a: LtiSystem(A, B, C, a), False),
+        ("Trajectory inputs", u, lambda a: Trajectory(a), False),
+        ("Trajectory states", x, lambda a: Trajectory(u, states=a), False),
+        ("Trajectory outputs", y, lambda a: Trajectory(u, outputs=a), False),
+        ("simulate x0", np.zeros(4), lambda a: simulate(sys, a, u), True),
+        ("simulate inputs", u, lambda a: simulate(sys, np.zeros(4), a), False),
+        ("hankel f", y, lambda a: hankel(a, 3), False),
+        ("krylov_subspace A", A, lambda a: krylov_subspace(a, x[:1].T), False),
+        ("krylov_subspace X0", x[:2].T, lambda a: krylov_subspace(A, a), False),
+        ("min_poly_degree A", A, min_poly_degree, False),
+        (
+            "MultiAgentSpec Abar", Abar,
+            lambda a: MultiAgentSpec(a, Bbar, 3, star_edges(3)), False,
+        ),
+        (
+            "MultiAgentSpec Bbar", Bbar,
+            lambda a: MultiAgentSpec(Abar, a, 3, star_edges(3)), False,
+        ),
+        ("MarkovParams M_1", M1, lambda a: MarkovParams((a, M1)), False),
+        ("MarkovParams M_2", M1, lambda a: MarkovParams((M1, a)), False),
+        ("PredictiveConfig Q", Q, lambda a: config(Q=a), False),
+        ("PredictiveConfig R", R, lambda a: config(R=a), False),
+        ("PredictiveConfig r", r, lambda a: config(r=a), False),
+        ("PredictiveConfig r (L, p)", np.tile(r, (3, 1)), lambda a: config(r=a), False),
+        ("PredictiveConfig x0", np.zeros(4), lambda a: config(x0=a), True),
+        (
+            "theorem1_state_condition xbar0", np.zeros(4),
+            lambda a: theorem1_state_condition(sys, data, a), True,
+        ),
+        ("parameterize u_bar", u[:3], lambda a: parameterize(data, a, y[:3]), False),
+        ("parameterize y_bar", y[:3], lambda a: parameterize(data, u[:3], a), False),
+        ("reconstruct_state g", np.ones(10), partial(reconstruct_state, data), True),
+        ("least_squares a", x, lambda a: least_squares(a, y), False),
+        ("least_squares b", y, lambda a: least_squares(x, a), False),
+        ("subspace_contains vector", np.ones(4), partial(subspace_contains, R4), True),
+    ]
+    for _, good, entry, _ in slots:
+        entry(good)  # the valid array passes
+    failures, calls = [], 0
+    for slot, good, entry, vector in slots:
+        for kind, bad in malformed_arrays(good, rng, vector).items():
+            calls += 1
+            try:
+                entry(bad)
+                failures.append(f"{slot} {kind}: accepted")
+            except ValueError:
+                pass
+            except Exception as exc:  # noqa: BLE001 - any other kind fails
+                failures.append(f"{slot} {kind}: {type(exc).__name__}: {exc}")
+    assert calls == 140
+    assert failures == []
