@@ -44,12 +44,12 @@ class LtiSystem:
         D = as_matrix(self.D, "D")
         n = A.shape[0]
         if B.shape[0] != n:
-            raise ValueError(f"B has {B.shape[0]} rows, expected {n}")
+            raise ValueError(f"'B' has {B.shape[0]} rows, expected {n}")
         if C.shape[1] != n:
-            raise ValueError(f"C has {C.shape[1]} cols, expected {n}")
+            raise ValueError(f"'C' has {C.shape[1]} cols, expected {n}")
         if D.shape != (C.shape[0], B.shape[1]):
             raise ValueError(
-                f"D has shape {D.shape}, expected {(C.shape[0], B.shape[1])}"
+                f"'D' has shape {D.shape}, expected {(C.shape[0], B.shape[1])}"
             )
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
@@ -104,7 +104,8 @@ class Trajectory:
         return self.inputs.shape[1]
 
     def channel(self, name: str) -> np.ndarray:
-        """Return the named signal ('inputs', 'states' or 'outputs')."""
+        """Return the named signal ('inputs', 'states' or 'outputs');
+        ValueError when the trajectory does not carry it."""
         if name not in ("inputs", "states", "outputs"):
             raise ValueError(f"unknown channel {name!r}")
         seq = getattr(self, name)

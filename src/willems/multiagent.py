@@ -76,7 +76,7 @@ class MultiAgentSpec:
         Bbar = as_matrix(self.Bbar, "Bbar")
         nbar = Abar.shape[0]
         if Bbar.shape[0] != nbar:
-            raise ValueError(f"Bbar has {Bbar.shape[0]} rows, expected {nbar}")
+            raise ValueError(f"'Bbar' has {Bbar.shape[0]} rows, expected {nbar}")
         if self.N < 1:
             raise ValueError(f"agent count must be positive, got {self.N}")
         for edge in self.edges:
@@ -209,8 +209,7 @@ def markov_from_data(data: TrajectorySet, n: int, kmax: int) -> MarkovParams:
     if kmax > n:
         raise ValueError(f"kmax={kmax} exceeds the state dimension {n}")
     for i, traj in enumerate(data):
-        if traj.outputs is None:
-            raise ValueError(f"trajectory {i} carries no outputs")
+        traj.channel("outputs")
         if traj.length < n + 1:
             raise ValueError(
                 f"trajectory {i} has {traj.length} samples, need {n + 1}"
@@ -244,11 +243,9 @@ def markov_from_data(data: TrajectorySet, n: int, kmax: int) -> MarkovParams:
     for k in range(1, kmax + 1):
         rhs = np.zeros((m * (n + 1) + p * n, m))
         rhs[m * (n - k) : m * (n - k + 1)] = np.eye(m)
-        # Output blocks y_{n-k}..y_{n-1} carry M_0..M_{k-1}; earlier blocks
-        # stay zero (the window starts at rest).
-        for i in range(k):
-            r0 = m * (n + 1) + p * (n - k + i)
-            rhs[r0 : r0 + p] = np.zeros((p, m)) if i == 0 else params[i - 1]
+        # Output blocks y_{n-k}..y_{n-1} carry M_0..M_{k-1}; M_0 = 0 and the
+        # earlier blocks stay zero too (the window starts at rest).
+        rhs[m * (n + 1) + p * (n - k + 1) :] = np.reshape(params, (-1, m))
         G_k, res = least_squares(known_rows, rhs)
         scale = max(1.0, float(np.linalg.norm(rhs)))
         if res > _FIT_RTOL * scale:

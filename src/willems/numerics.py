@@ -48,9 +48,9 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     if a.ndim == 1:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got ndim={a.ndim}")
+        raise ValueError(f"'{name}' must be 2-D, got ndim={a.ndim}")
     if a.size and not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"'{name}' contains non-finite entries")
     return a
 
 
@@ -58,7 +58,7 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     """Validate and return `v` as a finite float 1-D array."""
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.size and not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
+        raise ValueError(f"'{name}' contains non-finite entries")
     return a
 
 
@@ -67,7 +67,7 @@ def as_square(m, name: str) -> np.ndarray:
     `as_bound`."""
     a = as_matrix(m, name)
     if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got {a.shape}")
+        raise ValueError(f"'{name}' must be square, got {a.shape}")
     return a
 
 
@@ -83,9 +83,9 @@ def as_bound(value, n: int, fill: float, name: str) -> np.ndarray:
     if arr.shape == (1,):
         arr = np.full(n, arr[0])
     if arr.shape != (n,):
-        raise ValueError(f"{name} has shape {arr.shape}, expected ({n},)")
+        raise ValueError(f"'{name}' has shape {arr.shape}, expected ({n},)")
     if np.isnan(arr).any():
-        raise ValueError(f"{name} contains NaN")
+        raise ValueError(f"'{name}' contains NaN")
     return arr
 
 

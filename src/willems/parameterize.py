@@ -63,8 +63,8 @@ class ParamSolution:
     """Least-squares combination of data columns reproducing a window.
 
     `residual_norm` is the absolute residual ``||M g - b||``; the window is
-    declared reproducible when it is at most
-    ``DEFAULT_RESIDUAL_RTOL * max(1, ||b||)``.
+    declared reproducible when it is at most ``DEFAULT_RESIDUAL_RTOL * ||b||``,
+    at any scale of the data (g = 0 reproduces a zero window).
     """
 
     g: np.ndarray
@@ -93,7 +93,7 @@ def parameterize(data: TrajectorySet, u_bar, y_bar) -> ParamSolution:
             f"data rows ({matrix.shape[0]})"
         )
     g, abs_res = least_squares(matrix, target)
-    ok = abs_res <= DEFAULT_RESIDUAL_RTOL * max(1.0, float(np.linalg.norm(target)))
+    ok = abs_res <= DEFAULT_RESIDUAL_RTOL * float(np.linalg.norm(target))
     return ParamSolution(g, abs_res, ok)
 
 
@@ -104,16 +104,9 @@ def reconstruct_state(data: TrajectorySet, g) -> np.ndarray:
     carry states. Returns ``sum_j x_j g_j`` over the window-start states.
     """
     g = as_vector(g, "g")
-    total = sum(data.lengths)
-    tau = len(data)
-    L_num = total + tau - g.shape[0]
-    if L_num <= 0 or L_num % tau != 0:
-        raise ValueError(
-            f"coefficient length {g.shape[0]} matches no window depth for "
-            f"this data set"
-        )
-    L = L_num // tau
-    if L > min(data.lengths):
+    # g has one entry per column of the depth-L matrix: sum_i (T_i - L + 1)
+    L, rest = divmod(sum(data.lengths) + len(data) - g.shape[0], len(data))
+    if rest or not 0 < L <= min(data.lengths):
         raise ValueError(
             f"coefficient length {g.shape[0]} matches no window depth for "
             f"this data set"
@@ -152,9 +145,9 @@ def response_operators(sys: LtiSystem, L: int) -> ResponseOperators:
 class Corollary1Report:
     """Per-window outcome of the segment check.
 
-    `residuals[k]` is the relative reproduction residual of the window
-    starting at time k (empty when the prefix failed its excitation
-    hypothesis and the windows were not checked).
+    `residuals[k]` is the reproduction residual of the window starting at
+    time k over the norm of that window (0 for a zero window, which g = 0
+    reproduces); empty when the prefix failed its excitation hypothesis.
     """
 
     verdict: Verdict
@@ -177,16 +170,17 @@ def check_corollary1(
 
     The prefix inputs must be PE of order ``delta + L``; `delta` may be given
     directly or derived from `sys` as the minimal-polynomial degree of A.
-    Windows are checked at every start time, including those overlapping the
-    prefix itself. A window holds when its relative residual is at most
-    `DEFAULT_RESIDUAL_RTOL`.
+    Every window, including those overlapping the prefix, is a column of
+    the trajectory's own depth-L data matrix, so one least-squares solve
+    against the prefix's matrix checks them all. A window holds when its
+    relative residual is at most `DEFAULT_RESIDUAL_RTOL`, as in
+    `parameterize`.
     """
     if delta is None:
         if sys is None:
             raise ValueError("provide either delta or sys")
         delta = min_poly_degree(sys.A)
-    if traj.outputs is None:
-        raise ValueError("trajectory carries no outputs")
+    traj.channel("outputs")
     if not 0 < L <= T <= traj.length:
         raise ValueError(f"need 0 < L <= T <= length, got L={L} T={T}")
 
@@ -196,13 +190,11 @@ def check_corollary1(
         return Corollary1Report(Verdict.HYPOTHESIS_VIOLATED, np.empty(0), order)
 
     matrix = build_trajectory_matrix(prefix, L)
-    starts = traj.length - L + 1
-    residuals = np.empty(starts)
-    for k in range(starts):
-        seg = window(traj, k, L)
-        target = window_target(seg.inputs, seg.outputs)
-        _, abs_res = least_squares(matrix, target)
-        residuals[k] = abs_res / max(1.0, float(np.linalg.norm(target)))
+    targets = build_trajectory_matrix(TrajectorySet((traj,)), L)
+    g, _ = least_squares(matrix, targets)
+    residuals = np.linalg.norm(matrix @ g - targets, axis=0)
+    norms = np.linalg.norm(targets, axis=0)
+    residuals[norms > 0] /= norms[norms > 0]
     ok = bool((residuals <= DEFAULT_RESIDUAL_RTOL).all())
     return Corollary1Report(
         Verdict.HOLDS if ok else Verdict.FAILS, residuals, order

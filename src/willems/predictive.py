@@ -67,10 +67,10 @@ def _weight(w, name) -> np.ndarray:
     bits alone and makes the QP's P = 2 kron(I, w) exactly symmetric."""
     w = as_square(w, name)
     if np.abs(w - w.T).max(initial=0.0) > 1e-10:
-        raise ValueError(f"{name} is not symmetric")
+        raise ValueError(f"'{name}' is not symmetric")
     w = (w + w.T) / 2
     if w.size and np.linalg.eigvalsh(w).min() < -1e-10:
-        raise ValueError(f"{name} is not positive semidefinite")
+        raise ValueError(f"'{name}' is not positive semidefinite")
     return w
 
 
@@ -113,7 +113,7 @@ class PredictiveConfig:
         object.__setattr__(self, "Q", _weight(self.Q, "Q"))
         object.__setattr__(self, "R", _weight(self.R, "R"))
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        as_vector(self.r, "reference 'r'")  # finite; `reference` checks the shape
+        as_vector(self.r, "r")  # finite; `reference` checks the shape
         if self.x0 is not None:
             object.__setattr__(self, "x0", as_vector(self.x0, "x0"))
         if self.excitation_low >= self.excitation_high:
@@ -136,11 +136,11 @@ class PredictiveConfig:
         r = self.r
         if r.ndim == 1:
             if r.shape != (self.p,):
-                raise ValueError(f"r has shape {r.shape}, expected ({self.p},)")
+                raise ValueError(f"'r' has shape {r.shape}, expected ({self.p},)")
             return np.tile(r, self.L)
         if r.shape != (self.L, self.p):
             raise ValueError(
-                f"r has shape {r.shape}, expected ({self.L}, {self.p})"
+                f"'r' has shape {r.shape}, expected ({self.L}, {self.p})"
             )
         return r.reshape(-1)
 
@@ -158,8 +158,7 @@ class PredictiveConfig:
 
 
 def _check_history(history: Trajectory, cfg: PredictiveConfig, t: int):
-    if history.outputs is None:
-        raise ValueError("history carries no outputs")
+    history.channel("outputs")
     if history.length < t:
         raise ValueError(f"history has {history.length} samples, need {t}")
     if t < cfg.N:
@@ -284,8 +283,7 @@ def deepc_step(
     certificate g.
     """
     _check_history(history, cfg, t)
-    if data.outputs is None:
-        raise ValueError("data carries no outputs")
+    data.channel("outputs")
     if t < data.length:
         raise ValueError(f"t={t} precedes the end of the length-{data.length} data")
     depth = cfg.N + cfg.L

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 from importlib.resources import files
 
@@ -731,7 +732,8 @@ def test_bad_inline_inputs_exit_2_naming_the_field(
 
 # every value the sweep below puts in place of each config field in turn
 MALFORMED = [
-    {"a": 1}, ["a", "b"], "abc", True, None, [[1, 2], [3]], -1, 1.5, [], float("inf")
+    {"a": 1}, ["a", "b"], "abc", True, None, [[1, 2], [3]], -1, 1.5, [], float("inf"),
+    float("nan"), [[float("nan")]], [[1, float("inf")], [0, 1]],
 ]
 
 
@@ -772,7 +774,7 @@ def test_malformed_fields_never_raise_and_exit_2_writing_nothing(tmp_path, capsy
                         (command, f"{key}.{sub}", {**base, key: {**value, sub: bad}})
                         for bad in MALFORMED
                     ]
-    assert len(configs) == 580
+    assert len(configs) == 754
     for k, (command, field, cfg) in enumerate(configs):
         out = tmp_path / f"o{k}"
         code = run(tmp_path, command, cfg, out=out)
@@ -780,3 +782,11 @@ def test_malformed_fields_never_raise_and_exit_2_writing_nothing(tmp_path, capsy
         assert code != 5, (command, field, cfg[field.split(".")[0]], err)
         if code == 2:
             assert err.startswith("config error") and not out.exists(), (command, field)
+            # the message quotes the swept field (`system.A` by its key, a
+            # list by an entry); a null or an object in its place may leave
+            # out a required field, and then the message names that one
+            *section, key = field.split(".")
+            value = (cfg[section[0]] if section else cfg)[key]
+            named = re.search(rf"'{re.escape(key)}(\[\d+\])*'", err)
+            absent = value is None or isinstance(value, dict)
+            assert named or (absent and "missing config field" in err), (field, err)

@@ -192,9 +192,9 @@ def test_as_bound_fills_broadcasts_and_rejects():
     assert np.array_equal(as_bound(None, 3, -np.inf, "lb"), np.full(3, -np.inf))
     assert np.array_equal(as_bound(2.0, 3, np.inf, "ub"), [2.0, 2.0, 2.0])
     assert np.array_equal(as_bound([1, 2, 3], 3, np.inf, "ub"), [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError, match="ub has shape"):
+    with pytest.raises(ValueError, match="'ub' has shape"):
         as_bound([1, 2], 3, np.inf, "ub")
-    with pytest.raises(ValueError, match="lb contains NaN"):
+    with pytest.raises(ValueError, match="'lb' contains NaN"):
         as_bound([0.0, np.nan, 1.0], 3, -np.inf, "lb")
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,63 @@ def test_segment_check_validates_window_sizes(bench):
         check_corollary1(traj, T=8, L=0, sys=bench)
     with pytest.raises(ValueError):
         check_corollary1(traj, T=8, L=3)  # neither sys nor delta
+
+
+def test_window_verdicts_do_not_depend_on_the_scale_of_the_data(bench):
+    # the same data, probes and records in units 10^k apart: each verdict
+    # is the one at k = 0
+    rng = np.random.default_rng(10)
+    data = drive(bench, rng, 2, 40)
+    probe = simulate(bench, rng.normal(size=4), rng.uniform(-1, 1, size=(5, 1)))
+    u = rng.uniform(-1, 1, size=(60, 1))
+    clean = simulate(bench, rng.normal(size=4), u)
+    dirty = clean.outputs.copy()
+    dirty[40:] *= 1.01  # one percent off after the prefix
+    for k in range(-9, 7):
+        s = 10.0**k
+        scaled = TrajectorySet(
+            tuple(Trajectory(t.inputs * s, outputs=t.outputs * s) for t in data)
+        )
+        u_bar, y_bar = probe.inputs * s, probe.outputs * s
+        assert parameterize(scaled, u_bar, y_bar).parameterizable, k
+        assert not parameterize(scaled, u_bar, y_bar * 1.01).parameterizable, k
+        for y, verdict in ((clean.outputs, Verdict.HOLDS), (dirty, Verdict.FAILS)):
+            record = Trajectory(u * s, outputs=y * s)
+            assert check_corollary1(record, 25, 5, delta=4).verdict is verdict, k
+
+
+def test_segment_check_is_one_solve(bench, monkeypatch):
+    # `willems.parameterize` is the function; the module is in sys.modules
+    module = importlib.import_module("willems.parameterize")
+    calls = []
+    solve = module.least_squares
+    monkeypatch.setattr(
+        module, "least_squares", lambda a, b: calls.append(b.shape) or solve(a, b)
+    )
+    rng = np.random.default_rng(11)
+    traj = simulate(bench, rng.normal(size=4), rng.uniform(-1, 1, size=(60, 1)))
+    report = check_corollary1(traj, T=25, L=5, sys=bench)
+    assert report.verdict is Verdict.HOLDS
+    # every one of the 56 windows is a column of the one right-hand side
+    assert calls == [(15, 56)]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_segment_check_agrees_with_parameterizing_each_window(bench, corrupt):
+    rng = np.random.default_rng(12)
+    traj = simulate(bench, rng.normal(size=4), rng.uniform(-1, 1, size=(50, 1)))
+    if corrupt:
+        outputs = traj.outputs.copy()
+        outputs[40:] += 0.5
+        traj = Trajectory(traj.inputs, outputs=outputs)
+    T, L = 25, 5
+    report = check_corollary1(traj, T, L, delta=4)
+    prefix = TrajectorySet((window(traj, 0, T),))
+    segs = [window(traj, k, L) for k in range(traj.length - L + 1)]
+    sols = [parameterize(prefix, seg.inputs, seg.outputs) for seg in segs]
+    norms = [np.linalg.norm(window_target(seg.inputs, seg.outputs)) for seg in segs]
+    expected = np.array([sol.residual_norm for sol in sols]) / norms
+    assert np.abs(report.residuals - expected).max() <= 1e-12
+    holds = all(sol.parameterizable for sol in sols)
+    assert holds is not corrupt
+    assert (report.verdict is Verdict.HOLDS) is holds
