@@ -22,9 +22,10 @@ From one step to the next only the measured past moves, and it enters the
 QP only through the equality right-hand side. So each controller's QP
 (cost, boxes, equality rows and, for the data-driven step, the Hankel
 matrix) is built once per closed loop, and every step solves it through
-one QP workspace that keeps its factorizations and warm start (see
-`willems.qp`). `mpc_step` and `deepc_step` build the same QP for a single
-step and solve it cold.
+one QP workspace that keeps its factorizations and the last certified
+face, which the next step tries before any ADMM sweep (see `willems.qp`).
+`mpc_step` and `deepc_step` build the same QP for a single step and solve
+it cold.
 """
 
 from __future__ import annotations
@@ -64,12 +65,15 @@ class InfeasibleStep(RuntimeError):
 
 def _weight(w, name) -> np.ndarray:
     """`w` symmetrized as (w + w')/2, which leaves a symmetric weight's
-    bits alone and makes the QP's P = 2 kron(I, w) exactly symmetric."""
+    bits alone and makes the QP's P = 2 kron(I, w) exactly symmetric. The
+    symmetry and semidefiniteness tests are relative to w's largest entry,
+    so a weight passes or fails them at every scale alike."""
     w = as_square(w, name)
-    if np.abs(w - w.T).max(initial=0.0) > 1e-10:
+    tol = 1e-10 * np.abs(w).max(initial=0.0)
+    if np.abs(w - w.T).max(initial=0.0) > tol:
         raise ValueError(f"'{name}' is not symmetric")
     w = (w + w.T) / 2
-    if w.size and np.linalg.eigvalsh(w).min() < -1e-10:
+    if w.size and np.linalg.eigvalsh(w).min() < -tol:
         raise ValueError(f"'{name}' is not positive semidefinite")
     return w
 
@@ -303,12 +307,13 @@ class ClosedLoopLog:
     The excitation phase fills `objectives` with NaN and `statuses` with
     "excite". `iterations` and `kkt_residuals` are the ADMM iteration count
     and the certified KKT residual of the applied controller's QP (0 and
-    NaN while exciting). When the run compared both controllers,
-    `alt_inputs` and `alt_objectives` hold the non-applied controller's step
-    results. `completed` is False when a step ended without an optimal
-    solution and the run aborted; that step's status is the last entry of
-    `statuses`, and its iterations and residual are those of the failed
-    solve.
+    NaN while exciting; `iterations` is also 0 for a step whose QP
+    certified on the face of the previous certified solve, with no ADMM
+    sweep). When the run compared both controllers, `alt_inputs` and
+    `alt_objectives` hold the non-applied controller's step results.
+    `completed` is False when a step ended without an optimal solution and
+    the run aborted; that step's status is the last entry of `statuses`,
+    and its iterations and residual are those of the failed solve.
     """
 
     inputs: np.ndarray

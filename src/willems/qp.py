@@ -29,12 +29,16 @@ QPs of one closed loop) builds it once and passes it to every solve:
   of `numerics.pseudo_inverse_parts` (the rank ``numpy.linalg.lstsq``
   uses), so the polish is a matrix-vector product and a cached face gives
   the same bits as a new one;
-- the last solve's ADMM iterate, the starting point of the next sweep.
+- the face the last certifying polish ended on. The next solve polishes
+  from it first and runs ADMM only if that does not certify; the polish
+  answer depends only on its final face and on (q, beq), so a hit returns
+  the bits ADMM and the polish would, with 0 iterations.
 
 `solve_qp` without a workspace builds a fresh one, so a one-off solve and a
 solve in a sequence take the same code path. Solutions carry the measured
 KKT residual. Everything is deterministic for fixed inputs and a fixed
-sequence of solves: fixed iteration schedule, no randomization.
+sequence of solves: ADMM starts from zero on a fixed iteration schedule,
+no randomization.
 """
 
 from __future__ import annotations
@@ -133,7 +137,9 @@ class Workspace:
 
     Pass it to `solve_qp`, which raises ValueError for a program whose P,
     Aeq or bounds differ. The workspace holds at most two face
-    factorizations and one warm start; drop it to free them.
+    factorizations and the last certified face (`last_face`: -1 for a
+    coordinate pinned to lb, +1 for one pinned to ub, 0 for a free one, or
+    None before the first certificate); drop it to free them.
     """
 
     def __init__(self, prob: QuadraticProgram):
@@ -148,7 +154,7 @@ class Workspace:
         # minimum-norm least-squares solution
         u, s, v = pseudo_inverse_parts(prob.Aeq)
         self.eq_range, self.eq_solve = u, v / s
-        self.warm = None
+        self.last_face = None
         self._faces = {}
 
     def factor(self, rho) -> np.ndarray:
@@ -232,7 +238,8 @@ def _pinned_solve(prob: QuadraticProgram, ws: Workspace, lower, upper):
 
 
 def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
-    """Active-set refinement seeded by the ADMM box multipliers `y_box`.
+    """Active-set refinement seeded by the ADMM box multipliers `y_box`, or
+    by a face's signs (`Workspace.last_face`).
 
     The multipliers (thresholded against their overall scale, so near-zero
     noise on inactive coordinates is ignored) propose the first pinned set;
@@ -240,8 +247,9 @@ def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
     re-solves the pinned KKT system by minimum-norm least squares, releases
     pins whose multipliers came back wrong-signed, and pins the bound the
     candidate violates most, until the measured KKT residual meets `_TOL`
-    or the set stops changing. Returns the best (x, kkt_residual) seen, or
-    (None, inf) when every visited face was inconsistent.
+    or the set stops changing; a certified face is kept as `ws.last_face`.
+    Returns the best (x, kkt_residual) seen, or (None, inf) when every
+    visited face was inconsistent.
     """
     n = prob.n
     seed_thr = 1e-9 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
@@ -258,6 +266,9 @@ def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
             if res < best[1]:
                 best = (x, res)
             if res <= _TOL:
+                ws.last_face = np.zeros(n)
+                ws.last_face[lo] = -1.0
+                ws.last_face[up] = 1.0
                 return best
             rel = 1e-10 * max(1.0, float(np.abs(y_new).max(initial=0.0)))
             for i in lo:
@@ -292,8 +303,8 @@ def solve_qp(
     solution is optimal when its KKT residual is at most 1e-8 within
     100,000 ADMM iterations, and max_iter otherwise.
 
-    `workspace` carries the factorizations and the warm start over from
-    earlier solves of programs with the same P, Aeq and bounds; without
+    `workspace` carries the factorizations and the last certified face over
+    from earlier solves of programs with the same P, Aeq and bounds; without
     one, a fresh workspace is built for this solve alone.
     """
     if workspace is None:
@@ -309,6 +320,11 @@ def solve_qp(
         x_ls = ws.eq_solve @ coef
         return QpSolution(x_ls, prob.objective(x_ls), "infeasible", float("inf"), 0)
 
+    if ws.last_face is not None:
+        px, pres = _polish(prob, ws, ws.last_face)
+        if pres <= _TOL:
+            return QpSolution(px, prob.objective(px), "optimal", pres, 0)
+
     M = ws.M
     low = np.concatenate([prob.beq, prob.lb])
     high = np.concatenate([prob.beq, prob.ub])
@@ -316,7 +332,7 @@ def solve_qp(
     K_inv = ws.K0_inv
     damp, last_up = 1.0, None
 
-    x, y = (np.zeros(n), np.zeros(me + n)) if ws.warm is None else ws.warm
+    x, y = np.zeros(n), np.zeros(me + n)
     z = np.clip(M @ x, low, high)
     x_mark, y_mark = x.copy(), y.copy()
 
@@ -376,9 +392,7 @@ def solve_qp(
     for eps, limit in ((1e-6, 5000), (_TOL, _MAX_ITER)):
         outcome, iterations = admm_phase(eps, iterations, limit)
         if outcome in ("infeasible", "unbounded"):
-            ws.warm = None
             return QpSolution(x, prob.objective(x), outcome, float("inf"), iterations)
-        ws.warm = (x, y)
         px, pres = _polish(prob, ws, y[me:])
         if pres <= _TOL:
             return QpSolution(px, prob.objective(px), "optimal", pres, iterations)

@@ -279,9 +279,10 @@ def test_identify_single_agent_skips(tmp_path, capsys):
     assert "skipped" in said
 
 
-def csv_without_timing(path):
+def csv_without_timing(path, drop=()):
     rows = [line.split(",") for line in path.read_text().split("\n")]
-    keep = [i for i, h in enumerate(rows[0]) if h not in ("solve_ms", "elapsed_ms")]
+    dropped = ("solve_ms", "elapsed_ms", *drop)
+    keep = [i for i, h in enumerate(rows[0]) if h not in dropped]
     return [[r[i] for i in keep] if len(r) > 1 else r for r in rows]
 
 
@@ -312,7 +313,7 @@ def test_outputs_are_reproducible_bitwise(tmp_path, capsys):
 # round the last digits differently and move them.
 BUNDLED_SHA256 = {
     "deepc": {
-        "closed_loop.csv": "fe3f956aa6f7ada09297bacff3c3ca58eff55917e5be111c61d965b580b494a1",
+        "closed_loop.csv": "f067584d0d9052f7af8e74adde41a3e77a6a397e6398666a9539f019a900b7bb",
         "closed_loop_plot.csv": "862214f0e524cbeb79f63c1cc95a667b6623885a6c23fe28cd9320b2565432dd",
         "controller_diff.csv": "7b95f706d3833c41fc3f45002c3d3dc2692bd7d52202276dcc292af6b4e309ec",
     },
@@ -324,6 +325,14 @@ BUNDLED_SHA256 = {
         "theorem1_report.csv": "ac656075073e0ef161aa924e2f7c61c8751bf62e8ddbeb2783a6cb6003fe40ba",
     },
 }
+# the same bundled closed_loop.csv with `iterations` dropped too: that
+# column counts the solver's path, the rest are its answers
+DEEPC_ANSWERS_SHA256 = "48e94e162ae93115bfb84ecee3d22ba458ff77582716d96a66b54d2f108a512b"
+
+
+def csv_digest(path, drop=()):
+    text = "\n".join(",".join(row) for row in csv_without_timing(path, drop))
+    return hashlib.sha256(text.rstrip("\n").encode()).hexdigest()
 
 
 @pytest.mark.parametrize("command", sorted(BUNDLED_SHA256))
@@ -335,11 +344,11 @@ def test_bundled_outputs_keep_their_bytes(tmp_path, capsys, command):
     }[command]
     out = tmp_path / "out"
     assert run(tmp_path, command, cfg, out=out) == 0
-    digests = {}
-    for path in out.glob("*.csv"):
-        text = "\n".join(",".join(row) for row in csv_without_timing(path))
-        digests[path.name] = hashlib.sha256(text.rstrip("\n").encode()).hexdigest()
+    digests = {path.name: csv_digest(path) for path in out.glob("*.csv")}
     assert digests == BUNDLED_SHA256[command]
+    if command == "deepc":
+        answers = csv_digest(out / "closed_loop.csv", drop=("iterations",))
+        assert answers == DEEPC_ANSWERS_SHA256
     capsys.readouterr()
 
 

@@ -69,6 +69,30 @@ def test_config_validation():
             scalar_config(**box)
 
 
+def test_weight_checks_are_relative_to_the_weight_scale():
+    # the same indefinite, skewed and semidefinite shapes get the same
+    # verdicts at every scale
+    rng = np.random.default_rng(15)
+    for k in range(-12, 7):
+        scale = 10.0**k
+        U, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        psd = U @ np.diag(rng.uniform(0.1, 1.0, 3) * [1, 1, 0]) @ U.T
+        indefinite = U @ np.diag([1.0, 0.5, -rng.uniform(0.1, 1.0)]) @ U.T
+        skew = rng.normal(size=(3, 3))
+        r = np.zeros(3)
+        with pytest.raises(ValueError, match="semidefinite"):
+            scalar_config(Q=scale * indefinite, r=r)
+        with pytest.raises(ValueError, match="symmetric"):
+            scalar_config(Q=scale * (psd + 0.1 * (skew - skew.T)), r=r)
+        cfg = scalar_config(Q=scale * (psd + psd.T) / 2, r=r)
+        assert np.array_equal(cfg.Q, scale * (psd + psd.T) / 2)
+    for w in (1e-11 * np.diag([1.0, -1.0]), 1e-11 * np.array([[1.0, 0.5], [0, 1]])):
+        with pytest.raises(ValueError):
+            scalar_config(R=w)
+    for w in (1e-11 * np.eye(2), np.zeros((2, 2)), 1e6 * np.eye(2)):
+        assert np.array_equal(scalar_config(R=w).R, w)
+
+
 def test_reference_tiling():
     cfg = scalar_config()
     assert np.array_equal(cfg.reference(), [5.0, 5.0])
@@ -292,8 +316,8 @@ def test_controllers_agree_on_random_plants():
 
 
 def assert_loop_matches_one_shot_steps(sys, cfg, seed):
-    # the closed loop builds each controller's QP once and warm-starts it
-    # from the previous step; a one-shot step builds and solves cold
+    # the closed loop builds each controller's QP once and tries the face
+    # the previous step certified; a one-shot step builds and solves cold
     log = run_closed_loop(sys, cfg, controller="both", seed=seed)
     assert log.completed
     T = cfg.T
@@ -339,6 +363,40 @@ def test_closed_loop_steps_match_one_shot_steps_on_uncontrollable_plant():
         x0=rng.normal(size=sys.n),
     )
     assert_loop_matches_one_shot_steps(sys, cfg, seed=9)
+
+
+def test_closed_loop_finishes_where_a_warm_started_sweep_stalls():
+    # one of 60 random closed loops: an ADMM sweep started from the previous
+    # step's iterate runs out of iterations at t = T + 1 (KKT residual
+    # 3.5e-6), while trying the last certified face first certifies it
+    rng = np.random.default_rng(1022)
+    n, m, p = (int(rng.integers(*span)) for span in ((1, 6), (1, 3), (1, 3)))
+    sys = random_system(rng, n, m, p, spectral_radius=rng.uniform(0.5, 1.05))
+    N, L = int(rng.integers(1, n + 2)), int(rng.integers(2, 9))
+    T = (m + 1) * (n + N + L) + int(rng.integers(0, 15))
+    y_box = {}
+    if rng.random() < 0.5:
+        y_max = rng.uniform(0.5, 3)
+        y_box = dict(y_min=-y_max, y_max=y_max)
+    cfg = PredictiveConfig(
+        N=N,
+        L=L,
+        Q=np.eye(p),
+        R=rng.uniform(0.01, 1) * np.eye(m),
+        r=2 * rng.normal(size=p),
+        T=T,
+        K=T + 40,
+        u_min=-1.0,
+        u_max=1.0,
+        excitation_low=-0.5,
+        excitation_high=0.5,
+        **y_box,
+    )
+    assert (n, m, p, N, L, T) == (5, 1, 1, 6, 7, 37)
+    log = run_closed_loop(sys, cfg, controller="both", seed=1022)
+    assert log.completed
+    assert set(log.statuses[T:]) == {"optimal"}
+    assert np.abs(log.alt_inputs[T:] - log.inputs[T:]).max() <= 1e-5
 
 
 def test_closed_loop_log_shape_and_phases():

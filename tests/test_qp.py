@@ -217,9 +217,16 @@ def test_workspace_takes_new_q_and_beq_but_rejects_other_data():
             solve_qp(changed, workspace=ws)
 
 
+def assert_same_answer(sol, fresh):
+    assert sol.status == fresh.status == "optimal"
+    assert np.array_equal(sol.x, fresh.x)
+    assert sol.objective == fresh.objective
+    assert sol.kkt_residual == fresh.kkt_residual
+
+
 def test_repeat_solves_through_a_workspace_match_a_fresh_solve_bitwise():
-    # the second solve starts warm and polishes through a cached face
-    # factorization; the certified answer is the same bits as a cold solve
+    # the second solve certifies on the face the first one ended on,
+    # through its cached factorization, with the same bits as a cold solve
     rng = np.random.default_rng(33)
     for _ in range(30):
         P, q, Aeq, beq, lb, ub = random_box_qp(rng)
@@ -227,10 +234,38 @@ def test_repeat_solves_through_a_workspace_match_a_fresh_solve_bitwise():
         fresh = solve_qp(prob)
         ws = Workspace(prob)
         for sol in (solve_qp(prob, workspace=ws), solve_qp(prob, workspace=ws)):
-            assert sol.status == fresh.status == "optimal"
-            assert np.array_equal(sol.x, fresh.x)
-            assert sol.objective == fresh.objective
-            assert sol.kkt_residual == fresh.kkt_residual
+            assert_same_answer(sol, fresh)
+
+
+def test_a_workspace_tries_its_last_certified_face_before_admm():
+    # x_1 sits at its upper bound for both right-hand sides, so the second
+    # solve certifies on the first one's face without an ADMM sweep
+    ws = Workspace(simplex_program())
+    first = solve_qp(simplex_program(), workspace=ws)
+    assert first.iterations > 0
+    assert np.array_equal(ws.last_face, [0.0, 1.0, 0.0])
+    moved = simplex_program(beq=[0.8])
+    sol = solve_qp(moved, workspace=ws)
+    assert sol.iterations == 0
+    assert_same_answer(sol, solve_qp(moved))
+
+
+def test_a_face_that_does_not_certify_falls_back_to_admm(monkeypatch):
+    ws = Workspace(simplex_program())
+    solve_qp(simplex_program(), workspace=ws)
+    polish = qp._polish
+    calls = []
+
+    def first_misses(*args):
+        calls.append(args[2])
+        return (None, np.inf) if len(calls) == 1 else polish(*args)
+
+    monkeypatch.setattr(qp, "_polish", first_misses)
+    moved = simplex_program(beq=[0.8])
+    sol = solve_qp(moved, workspace=ws)
+    assert np.array_equal(calls[0], [0.0, 1.0, 0.0]) and len(calls) == 2
+    assert sol.iterations > 0
+    assert_same_answer(sol, solve_qp(moved))
 
 
 def test_polish_releases_wrong_pins_over_several_passes(monkeypatch):
