@@ -6,30 +6,28 @@ Both controllers minimize the same finite-horizon tracking cost
     sum_k (ybar_k - r_k)' Q (ybar_k - r_k) + ubar_k' R ubar_k
 
 over a window that pins the last N measured input/output samples and leaves
-the next L free. Both decision vectors end in the same (ubar, ybar) block,
-which carries the cost and the input/output boxes; they differ only in
-their leading block and equality rows. The model-based step leads with the
-window's initial state x_{t-N} and ties the window's outputs to it and to
-the inputs through the observability and Markov-parameter matrices (the
-state recursion is condensed away); the data-driven step leads with the
-column combination g and requires the whole window to be that combination
-of the depth-(N+L) block-Hankel matrix of a recorded data trajectory. With
-online data (the prefix of the very trajectory being controlled) the two
-feasible sets coincide, which the closed-loop harness can verify side by
-side.
+the next L free, subject to y = O z + G u over the window with a free lead
+block z. Both solve the one QP `_Window` builds from the response operators
+(O, G); they differ only in where (O, G) comes from. MPC takes the model's
+observability and Markov-parameter matrices, and z is the window's initial
+state x_{t-N}. DeePC reads them off the depth-(N+L) block-Hankel matrix H of
+a recorded trajectory, and z holds the coordinates of the data's own free
+responses: unregularized DeePC is this condensed predictor (Fiedler and
+Lucia, ECC 2021). With online data (the prefix of the very trajectory being
+controlled) the two feasible sets coincide, which the closed-loop harness
+can verify side by side.
 
 From one step to the next only the measured past moves, and it enters the
-QP only through the equality right-hand side. So each controller's QP
-(cost, boxes, equality rows and, for the data-driven step, the Hankel
-matrix) is built once per closed loop, and every step solves it through
-one QP workspace that keeps its factorizations and the last certified
-face, which the next step tries before any ADMM sweep (see `willems.qp`).
-`mpc_step` and `deepc_step` build the same QP for a single step and solve
-it cold.
+QP only through the equality right-hand side. So each controller's QP is
+built once per closed loop, and every step solves it through one QP
+workspace that keeps its factorizations and the last certified face, which
+the next step tries before any ADMM sweep (see `willems.qp`). `mpc_step`
+and `deepc_step` build the same QP for a single step and solve it cold.
 """
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, replace
 
@@ -37,8 +35,10 @@ import numpy as np
 
 from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
-from .numerics import as_bound, as_square, as_vector
-from .parameterize import build_trajectory_matrix, response_operators
+from .numerics import (
+    as_bound, as_square, as_vector, least_squares, pseudo_inverse_parts,
+)
+from .parameterize import ResponseOperators, build_trajectory_matrix, response_operators
 from .qp import QpSolution, QuadraticProgram, Workspace, solve_qp
 from .subspace import HypothesisViolated, draw_until_pe, min_poly_degree
 
@@ -50,6 +50,9 @@ __all__ = [
     "deepc_step",
     "run_closed_loop",
 ]
+
+log = logging.getLogger(__name__)
+
 
 class InfeasibleStep(RuntimeError):
     """A controller sub-problem ended without an optimal solution at some
@@ -170,21 +173,23 @@ def _check_history(history: Trajectory, cfg: PredictiveConfig, t: int):
 
 
 class _Window:
-    """The tracking QP of one controller over the stacked decision vector
-    (lead block, ubar, ybar) subject to Aeq x = beq.
+    """The tracking QP of either controller over the stacked decision vector
+    (z, ubar, ybar), built from its depth-(N+L) response operators
+    `ops` = (O, G): y = O z + G u over the window.
 
-    The lead block (the window's initial state for MPC, the column
-    combination g for DeePC) is free and carries no cost; the tail carries
-    the tracking cost and the input/output boxes. Only beq moves with the
-    measured past, through `beq(u_past, y_past)`, so P, q, the boxes and
-    Aeq are built once and every step shares one QP workspace.
+    The lead block z is free and carries no cost; the tail carries the
+    tracking cost and the input/output boxes. The rows [O, G_future,
+    -I_future] pin the N past outputs and tie the L future ones to z and the
+    inputs. Only beq = [y_past; 0] - G_past u_past moves with the measured
+    past, so P, q, the boxes and Aeq are built once and every step shares
+    one QP workspace.
     """
 
-    def __init__(self, cfg: PredictiveConfig, lead: int, Aeq, beq):
-        L, m, p = cfg.L, cfg.m, cfg.p
+    def __init__(self, cfg: PredictiveConfig, ops: ResponseOperators):
+        N, L, m, p = cfg.N, cfg.L, cfg.m, cfg.p
+        lead = ops.observability.shape[1]
         nv = lead + L * m + L * p
-        uof = slice(lead, lead + L * m)
-        yof = slice(lead + L * m, nv)
+        uof, yof = slice(lead, lead + L * m), slice(lead + L * m, nv)
         Qbar = np.kron(np.eye(L), cfg.Q)
         Rbar = np.kron(np.eye(L), cfg.R)
         rvec = cfg.reference()
@@ -194,67 +199,54 @@ class _Window:
         P[yof, yof] = 2.0 * Qbar
         q = np.zeros(nv)
         q[yof] = -2.0 * Qbar @ rvec
-        lb = np.full(nv, -np.inf)
-        ub = np.full(nv, np.inf)
+        lb, ub = np.full(nv, -np.inf), np.full(nv, np.inf)
         u_lo, u_hi = cfg.input_bounds()
         y_lo, y_hi = cfg.output_bounds()
         lb[uof], ub[uof] = np.tile(u_lo, L), np.tile(u_hi, L)
         lb[yof], ub[yof] = np.tile(y_lo, L), np.tile(y_hi, L)
+        G = ops.convolution
+        rows = (N + L) * p
+        Aeq = np.hstack([ops.observability, G[:, N * m :], -np.eye(rows)[:, N * p :]])
 
-        self.program = QuadraticProgram(P, q, Aeq, np.zeros(Aeq.shape[0]), lb, ub)
+        self.program = QuadraticProgram(P, q, Aeq, np.zeros(rows), lb, ub)
         self.workspace = Workspace(self.program)
-        self.beq = beq
-        self.lead, self.m = lead, m
+        self.G_past, self.tail = G[:, : N * m], np.zeros(L * p)
+        self.N, self.lead, self.m = N, lead, m
         self.const = float(rvec @ Qbar @ rvec)
 
-    def step(self, u_past, y_past, t: int):
-        """Solve for the measured past window; returns the first input, the
-        tracking cost (the QP objective plus its constant term) and the QP
-        solution. Raises InfeasibleStep unless the solve ended optimal."""
-        prob = replace(self.program, beq=self.beq(u_past, y_past))
-        sol = solve_qp(prob, workspace=self.workspace)
+    def step(self, inputs, outputs, t: int):
+        """Solve at time t for the N samples of the measured `inputs` and
+        `outputs` before t; returns the first input, the tracking cost (the
+        QP objective plus its constant term) and the QP solution. Raises
+        InfeasibleStep unless the solve ended optimal."""
+        u_past, y_past = inputs[t - self.N : t], outputs[t - self.N : t]
+        beq = np.concatenate([y_past.reshape(-1), self.tail])
+        beq -= self.G_past @ u_past.reshape(-1)
+        sol = solve_qp(replace(self.program, beq=beq), workspace=self.workspace)
         if sol.status != "optimal":
             raise InfeasibleStep(t, sol)
         u0 = sol.x[self.lead : self.lead + self.m].copy()
         return u0, sol.objective + self.const, sol
 
 
-def _past(history: Trajectory, cfg: PredictiveConfig, t: int):
-    return history.inputs[t - cfg.N : t], history.outputs[t - cfg.N : t]
-
-
-def _mpc_window(sys: LtiSystem, cfg: PredictiveConfig) -> _Window:
-    N, L = cfg.N, cfg.L
-    m, p = sys.m, sys.p
-    ops = response_operators(sys, N + L)
-    G = ops.convolution
-    rows = (N + L) * p
-    Aeq = np.hstack([ops.observability, G[:, N * m :], -np.eye(rows)[:, N * p :]])
-    G_past = G[:, : N * m]
-    tail = np.zeros(L * p)
-
-    def beq(u_past, y_past):
-        return np.concatenate([y_past.reshape(-1), tail]) - G_past @ u_past.reshape(-1)
-
-    return _Window(cfg, sys.n, Aeq, beq)
-
-
-def _deepc_window(data: Trajectory, cfg: PredictiveConfig) -> _Window:
-    N, L = cfg.N, cfg.L
-    m, p = data.m, data.outputs.shape[1]
-    depth = N + L
-    H = build_trajectory_matrix(TrajectorySet((data,)), depth)
-    rows = depth * (m + p)
-    future = np.r_[N * m : depth * m, depth * m + N * p : rows]
-    Aeq = np.hstack([H, -np.eye(rows)[:, future]])
-    u_tail, y_tail = np.zeros(L * m), np.zeros(L * p)
-
-    def beq(u_past, y_past):
-        return np.concatenate(
-            [u_past.reshape(-1), u_tail, y_past.reshape(-1), y_tail]
-        )
-
-    return _Window(cfg, H.shape[1], Aeq, beq)
+def _data_operators(H: np.ndarray, cfg: PredictiveConfig) -> ResponseOperators:
+    """The response operators of the depth-(N+L) data matrix H = [Hu; Hy]:
+    G = Hy Hu^+ and O = U_r diag(s_r) of Hy (I - Hu^+ Hu), the free
+    responses of the data's own window-start states. With Hu of full row
+    rank, y = O z + G u for some z exactly when H g = [u; y] for some g, so
+    the window is the data's own. Both come from the SVD cut of
+    `pseudo_inverse_parts`; one DEBUG line gives the rank of O and the
+    sigma_r/sigma_1 of the part kept, so a rank decision near the cutoff
+    shows."""
+    Hu, Hy = np.split(H, [(cfg.N + cfg.L) * cfg.m])
+    U, s, V = pseudo_inverse_parts(Hu)
+    HyV = Hy @ V
+    Ur, sr, _ = pseudo_inverse_parts(Hy - HyV @ V.T)
+    ratio = sr[-1] / sr[0] if sr.size else 0.0
+    log.debug(
+        "DeePC window: free response rank %d, sigma_r/sigma_1 = %.3e", sr.size, ratio
+    )
+    return ResponseOperators(Ur * sr, (HyV / s) @ U.T)
 
 
 def mpc_step(
@@ -262,16 +254,14 @@ def mpc_step(
 ) -> tuple[np.ndarray, float]:
     """One model-based receding-horizon step at time t.
 
-    The decision variables are the window's initial state x_{t-N}, the
-    future inputs and the future outputs. With y = O x_{t-N} + G u the
-    window's response (observability matrix O, block-Toeplitz matrix G of
-    the Markov parameters D, CB, CAB, ...), the equality rows pin the N
-    past outputs to the measured history and tie the L future outputs to
-    x_{t-N} and the future inputs. Returns the input to apply and the
-    optimal tracking cost.
+    The window's response operators are the model's: the observability
+    matrix O and the block-Toeplitz matrix G of the Markov parameters
+    D, CB, CAB, ..., with the window's initial state x_{t-N} as the lead
+    block. Returns the input to apply and the optimal tracking cost.
     """
     _check_history(history, cfg, t)
-    u0, objective, _ = _mpc_window(sys, cfg).step(*_past(history, cfg, t), t)
+    window = _Window(cfg, response_operators(sys, cfg.N + cfg.L))
+    u0, objective, _ = window.step(history.inputs, history.outputs, t)
     return u0, objective
 
 
@@ -281,10 +271,12 @@ def deepc_step(
     """One data-driven receding-horizon step at time t.
 
     `data` is the recorded trajectory whose depth-(N+L) block-Hankel matrix
-    replaces the model; its inputs must be persistently exciting of order
-    N + L, the window depth, or HypothesisViolated is raised. Returns the
-    input to apply, the optimal tracking cost and the column-combination
-    certificate g.
+    H replaces the model; its inputs must be persistently exciting of order
+    N + L, the window depth, or HypothesisViolated is raised. The window is
+    `mpc_step`'s, with the response operators read off H (see
+    `_data_operators`). Returns the input to apply, the optimal tracking
+    cost and the column-combination certificate g, the minimum-norm g with
+    H g equal to the solved window.
     """
     _check_history(history, cfg, t)
     data.channel("outputs")
@@ -295,9 +287,14 @@ def deepc_step(
         raise HypothesisViolated(
             f"data inputs are not persistently exciting of order {depth}", depth
         )
-    window = _deepc_window(data, cfg)
-    u0, objective, sol = window.step(*_past(history, cfg, t), t)
-    return u0, objective, sol.x[: window.lead].copy()
+    H = build_trajectory_matrix(TrajectorySet((data,)), depth)
+    window = _Window(cfg, _data_operators(H, cfg))
+    u0, objective, sol = window.step(history.inputs, history.outputs, t)
+    u_bar, y_bar = np.split(sol.x[window.lead :], [cfg.L * cfg.m])
+    u_past, y_past = history.inputs[t - cfg.N : t], history.outputs[t - cfg.N : t]
+    target = np.concatenate([u_past.reshape(-1), u_bar, y_past.reshape(-1), y_bar])
+    g, _ = least_squares(H, target)
+    return u0, objective, g
 
 
 @dataclass(frozen=True)
@@ -411,7 +408,7 @@ def run_closed_loop(
     u_exc = draw_until_pe(draw, excitation_order(sys, cfg))[0].inputs
     excite = simulate(sys, np.zeros(sys.n) if cfg.x0 is None else cfg.x0, u_exc)
     x = sys.A @ excite.states[-1] + sys.B @ u_exc[-1]
-    K, T, N = cfg.K, cfg.T, cfg.N
+    K, T = cfg.K, cfg.T
     inputs = np.zeros((K + 1, sys.m))
     outputs = np.zeros((K + 1, sys.p))
     inputs[:T], outputs[:T] = u_exc, excite.outputs
@@ -425,20 +422,23 @@ def run_closed_loop(
     completed = True
 
     # the data are fixed from here on, so each controller's window (and
-    # its Hankel matrix) is built once for the whole loop
+    # the response operators it is built from) is built once for the loop
     start = time.perf_counter()
+    depth = cfg.N + cfg.L
     if controller == "mpc":
-        applied = _mpc_window(sys, cfg)
+        applied = _Window(cfg, response_operators(sys, depth))
     else:
-        applied = _deepc_window(excite, cfg)
-    compared = _mpc_window(sys, cfg) if controller == "both" else None
+        H = build_trajectory_matrix(TrajectorySet((excite,)), depth)
+        applied = _Window(cfg, _data_operators(H, cfg))
+    compared = None
+    if controller == "both":
+        compared = _Window(cfg, response_operators(sys, depth))
 
     for t in range(T, K + 1):
         try:
-            past = inputs[t - N : t], outputs[t - N : t]
-            u_t, obj, sol = applied.step(*past, t)
+            u_t, obj, sol = applied.step(inputs, outputs, t)
             if compared is not None:
-                alt_inputs[t], alt_objectives[t], _ = compared.step(*past, t)
+                alt_inputs[t], alt_objectives[t], _ = compared.step(inputs, outputs, t)
             objectives[t] = obj
             status = "optimal"
         except InfeasibleStep as exc:

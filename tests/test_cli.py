@@ -313,9 +313,9 @@ def test_outputs_are_reproducible_bitwise(tmp_path, capsys):
 # round the last digits differently and move them.
 BUNDLED_SHA256 = {
     "deepc": {
-        "closed_loop.csv": "f067584d0d9052f7af8e74adde41a3e77a6a397e6398666a9539f019a900b7bb",
-        "closed_loop_plot.csv": "862214f0e524cbeb79f63c1cc95a667b6623885a6c23fe28cd9320b2565432dd",
-        "controller_diff.csv": "7b95f706d3833c41fc3f45002c3d3dc2692bd7d52202276dcc292af6b4e309ec",
+        "closed_loop.csv": "305726ba6148e569ab7dedcaa31872058cc80a7cba4a9ed631d80c6a115322be",
+        "closed_loop_plot.csv": "d574c23fe0424186fda936598ae9e518f559c360be8613fae08715fdcc53bf22",
+        "controller_diff.csv": "c92c838a0c4a6582ea8131da511511407c34b543e269868423a66c2d399d669f",
     },
     "identify": {
         "recovery_report.csv": "6bd63ff58f9eac13c7319984fb03843f5c336bbbb8094d87b5e8f9f196e412cf",
@@ -327,7 +327,7 @@ BUNDLED_SHA256 = {
 }
 # the same bundled closed_loop.csv with `iterations` dropped too: that
 # column counts the solver's path, the rest are its answers
-DEEPC_ANSWERS_SHA256 = "48e94e162ae93115bfb84ecee3d22ba458ff77582716d96a66b54d2f108a512b"
+DEEPC_ANSWERS_SHA256 = "7b23fe16dbac1cf3a90988602b98102d4a5a95824aef99c985fc2a0290741624"
 
 
 def csv_digest(path, drop=()):

@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 import time
 from importlib.resources import files
 
@@ -16,17 +17,26 @@ from willems import (
     Trajectory,
     TrajectorySet,
     build_system,
+    build_trajectory_matrix,
     deepc_step,
     is_collectively_pe,
+    least_squares,
     mpc_step,
     random_system,
     response_operators,
     run_closed_loop,
     simulate,
     star_edges,
+    subspace_sum,
 )
+from willems import predictive
 from willems.predictive import excitation_order
-from willems.subspace import controllability_matrix, min_poly_degree
+from willems.subspace import (
+    controllability_matrix,
+    controllable_subspace,
+    krylov_subspace,
+    min_poly_degree,
+)
 
 
 def scalar_plant():
@@ -154,6 +164,14 @@ def test_deepc_step_matches_hand_case():
     assert u[0] == pytest.approx(-14.0 / 3.0, abs=1e-6)
     assert obj == pytest.approx(4.0 * 49.0 / 3.0, rel=1e-6)
     assert g.shape == (12 - 3 + 1,)
+    # g certifies the solved window [u_11, u*, 0, y_11, 12, 12 + u*] (the
+    # last input reaches no output of the horizon) and is its minimum-norm
+    # combination, so it lies in the row space of H
+    H = build_trajectory_matrix(TrajectorySet((data,)), 3)
+    window = np.array([1.0, -14.0 / 3.0, 0.0, 11.0, 12.0, 12.0 - 14.0 / 3.0])
+    assert np.linalg.norm(H @ g - window) <= 1e-8 * np.linalg.norm(window)
+    _, off_row_space = least_squares(H.T, g)
+    assert off_row_space <= 1e-10 * np.linalg.norm(g)
 
 
 def test_deepc_step_gates_on_excitation():
@@ -331,17 +349,23 @@ def assert_loop_matches_one_shot_steps(sys, cfg, seed):
         assert np.abs(u_mb - log.alt_inputs[t]).max() <= 1e-10
 
 
-def test_closed_loop_steps_match_one_shot_steps_on_fig1():
+def fig1_loop(**overrides):
+    """The bundled fig1 plant, its controller config with `overrides`, and
+    its seed."""
     raw = json.loads(files("willems").joinpath("configs/fig1_deepc.json").read_text())
     sys = LtiSystem(*(np.array(raw["system"][k]) for k in "ABCD"))
-    keys = ("N", "L", "T", "Q", "R", "r", "u_min", "u_max", "x0")
+    keys = ("N", "L", "T", "K", "Q", "R", "r", "u_min", "u_max", "x0")
     fields = {k: raw[k] for k in keys}
     fields.update(
         excitation_low=raw["excitation_low"],
         excitation_high=raw["excitation_high"],
-        K=40,
+        **overrides,
     )
-    assert_loop_matches_one_shot_steps(sys, PredictiveConfig(**fields), raw["seed"])
+    return sys, PredictiveConfig(**fields), raw["seed"]
+
+
+def test_closed_loop_steps_match_one_shot_steps_on_fig1():
+    assert_loop_matches_one_shot_steps(*fig1_loop(K=40))
 
 
 def test_closed_loop_steps_match_one_shot_steps_on_uncontrollable_plant():
@@ -365,11 +389,11 @@ def test_closed_loop_steps_match_one_shot_steps_on_uncontrollable_plant():
     assert_loop_matches_one_shot_steps(sys, cfg, seed=9)
 
 
-def test_closed_loop_finishes_where_a_warm_started_sweep_stalls():
-    # one of 60 random closed loops: an ADMM sweep started from the previous
-    # step's iterate runs out of iterations at t = T + 1 (KKT residual
-    # 3.5e-6), while trying the last certified face first certifies it
-    rng = np.random.default_rng(1022)
+def random_loop(seed):
+    """One loop of a 60-loop stress set (seeds 1000-1059): a random plant of
+    up to 5 states with unit input boxes and, on about half the seeds, an
+    output box."""
+    rng = np.random.default_rng(seed)
     n, m, p = (int(rng.integers(*span)) for span in ((1, 6), (1, 3), (1, 3)))
     sys = random_system(rng, n, m, p, spectral_radius=rng.uniform(0.5, 1.05))
     N, L = int(rng.integers(1, n + 2)), int(rng.integers(2, 9))
@@ -392,11 +416,61 @@ def test_closed_loop_finishes_where_a_warm_started_sweep_stalls():
         excitation_high=0.5,
         **y_box,
     )
+    return sys, cfg
+
+
+def test_closed_loop_finishes_where_a_warm_started_sweep_stalls():
+    # one of 60 random closed loops: an ADMM sweep started from the previous
+    # step's iterate runs out of iterations at t = T + 1 (KKT residual
+    # 3.5e-6), while trying the last certified face first certifies it
+    sys, cfg = random_loop(1022)
+    n, m, p, N, L, T = sys.n, sys.m, sys.p, cfg.N, cfg.L, cfg.T
     assert (n, m, p, N, L, T) == (5, 1, 1, 6, 7, 37)
     log = run_closed_loop(sys, cfg, controller="both", seed=1022)
     assert log.completed
     assert set(log.statuses[T:]) == {"optimal"}
     assert np.abs(log.alt_inputs[T:] - log.inputs[T:]).max() <= 1e-5
+
+
+@pytest.mark.parametrize("seed", [1036, 1040, 1043, 1047])
+def test_controllers_agree_closely_on_stress_loops(seed):
+    # the two windows differ only in where (O, G) comes from, so the applied
+    # inputs agree far inside the 1e-5 of acceptance criterion 4 (1043 is
+    # the stress set's worst loop, at about 1e-10)
+    sys, cfg = random_loop(seed)
+    log = run_closed_loop(sys, cfg, controller="both", seed=seed)
+    assert log.completed
+    assert set(log.statuses[cfg.T :]) == {"optimal"}
+    assert np.abs(log.alt_inputs[cfg.T :] - log.inputs[cfg.T :]).max() <= 1e-9
+
+
+@pytest.mark.parametrize("x0, lead", [([0.0, 0.0, 0.5, 0.2], 4), ([0.0] * 4, 2)])
+def test_deepc_window_spans_the_reachable_and_initial_state_space(x0, lead):
+    # the paper's uncontrollable case: fig1's second block has no input, so
+    # the data's free responses span O (R + K[x0]), which loses that block
+    # when x0 does not excite it; the DeePC QP's lead block is that dimension
+    sys, cfg, _ = fig1_loop(L=15, T=90, K=150, x0=x0)
+    u = np.random.default_rng(0).uniform(-1, 1, (90, 1))
+    order = excitation_order(sys, cfg)
+    assert is_collectively_pe(TrajectorySet((Trajectory(u),)), order)
+    run = simulate(sys, x0, u)
+    space = subspace_sum(controllable_subspace(sys), krylov_subspace(sys.A, x0))
+    H = build_trajectory_matrix(TrajectorySet((run,)), cfg.N + cfg.L)
+    window = predictive._Window(cfg, predictive._data_operators(H, cfg))
+    assert window.lead == space.dim == lead
+    assert window.program.P.shape[0] == lead + 15 * (1 + 2)
+    assert window.program.Aeq.shape[0] == (4 + 15) * 2
+
+
+def test_deepc_window_logs_its_free_response_rank(caplog):
+    caplog.set_level(logging.DEBUG, logger="willems.predictive")
+    run_closed_loop(scalar_plant(), scalar_config(T=8, K=10), "mpc", seed=3)
+    assert not caplog.records
+    run_closed_loop(scalar_plant(), scalar_config(T=8, K=10), "deepc", seed=3)
+    (record,) = caplog.records
+    message = record.getMessage()
+    assert record.levelno == logging.DEBUG
+    assert "free response rank 1, sigma_r/sigma_1 = 1.000e+00" in message
 
 
 def test_closed_loop_log_shape_and_phases():
@@ -530,14 +604,13 @@ def test_closed_loop_checks_its_excitation_once(monkeypatch, controller):
 
 
 def test_first_control_step_times_building_the_windows(monkeypatch):
-    predictive = importlib.import_module("willems.predictive")
-    build = predictive._mpc_window
+    build = predictive.response_operators
 
-    def slow_build(sys, cfg):
+    def slow_build(sys, L):
         time.sleep(0.05)
-        return build(sys, cfg)
+        return build(sys, L)
 
-    monkeypatch.setattr(predictive, "_mpc_window", slow_build)
+    monkeypatch.setattr(predictive, "response_operators", slow_build)
     log = run_closed_loop(scalar_plant(), scalar_config(T=8, K=12), "mpc", seed=3)
     assert log.solve_ms[8] >= 50.0 > log.solve_ms[9:].max()
 
