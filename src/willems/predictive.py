@@ -18,18 +18,19 @@ controlled) the two feasible sets coincide, which the closed-loop harness
 can verify side by side.
 
 From one step to the next only the measured past moves, and it enters the
-QP only through the equality right-hand side. So each controller's QP is
-built once per closed loop, and every step solves it through one QP
-workspace that keeps its factorizations and the last certified face, which
-the next step tries before any ADMM sweep (see `willems.qp`). `mpc_step`
-and `deepc_step` build the same QP for a single step and solve it cold.
+QP only through the equality right-hand side beq. So each controller's QP
+is built once per closed loop, into the QP workspace that solves it (see
+`willems.qp`), and every step hands that workspace only its beq. The
+workspace keeps its factorizations and the last certified face, which the
+next step tries before any ADMM sweep. `mpc_step` and `deepc_step` build
+the same QP for a single step and solve it cold.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .numerics import (
     as_bound, as_square, as_vector, least_squares, pseudo_inverse_parts,
 )
 from .parameterize import ResponseOperators, build_trajectory_matrix, response_operators
-from .qp import QpSolution, QuadraticProgram, Workspace, solve_qp
+from .qp import QpSolution, QuadraticProgram, Workspace
 from .subspace import HypothesisViolated, draw_until_pe, min_poly_degree
 
 __all__ = [
@@ -164,6 +165,11 @@ class PredictiveConfig:
         )
 
 
+def _check_weights(cfg: PredictiveConfig, m: int, p: int):
+    if (m, p) != (cfg.m, cfg.p):
+        raise ValueError("weights 'Q' and 'R' do not match the system")
+
+
 def _check_history(history: Trajectory, cfg: PredictiveConfig, t: int):
     history.channel("outputs")
     if history.length < t:
@@ -181,8 +187,8 @@ class _Window:
     tracking cost and the input/output boxes. The rows [O, G_future,
     -I_future] pin the N past outputs and tie the L future ones to z and the
     inputs. Only beq = [y_past; 0] - G_past u_past moves with the measured
-    past, so P, q, the boxes and Aeq are built once and every step shares
-    one QP workspace.
+    past, so the program is built once, into the QP workspace that solves
+    it, and each step hands the workspace only its beq.
     """
 
     def __init__(self, cfg: PredictiveConfig, ops: ResponseOperators):
@@ -208,8 +214,7 @@ class _Window:
         rows = (N + L) * p
         Aeq = np.hstack([ops.observability, G[:, N * m :], -np.eye(rows)[:, N * p :]])
 
-        self.program = QuadraticProgram(P, q, Aeq, np.zeros(rows), lb, ub)
-        self.workspace = Workspace(self.program)
+        self.workspace = Workspace(QuadraticProgram(P, q, Aeq, np.zeros(rows), lb, ub))
         self.G_past, self.tail = G[:, : N * m], np.zeros(L * p)
         self.N, self.lead, self.m = N, lead, m
         self.const = float(rvec @ Qbar @ rvec)
@@ -222,7 +227,7 @@ class _Window:
         u_past, y_past = inputs[t - self.N : t], outputs[t - self.N : t]
         beq = np.concatenate([y_past.reshape(-1), self.tail])
         beq -= self.G_past @ u_past.reshape(-1)
-        sol = solve_qp(replace(self.program, beq=beq), workspace=self.workspace)
+        sol = self.workspace.solve(beq)
         if sol.status != "optimal":
             raise InfeasibleStep(t, sol)
         u0 = sol.x[self.lead : self.lead + self.m].copy()
@@ -259,6 +264,7 @@ def mpc_step(
     D, CB, CAB, ..., with the window's initial state x_{t-N} as the lead
     block. Returns the input to apply and the optimal tracking cost.
     """
+    _check_weights(cfg, sys.m, sys.p)
     _check_history(history, cfg, t)
     window = _Window(cfg, response_operators(sys, cfg.N + cfg.L))
     u0, objective, _ = window.step(history.inputs, history.outputs, t)
@@ -279,7 +285,7 @@ def deepc_step(
     H g equal to the solved window.
     """
     _check_history(history, cfg, t)
-    data.channel("outputs")
+    _check_weights(cfg, data.m, data.channel("outputs").shape[1])
     if t < data.length:
         raise ValueError(f"t={t} precedes the end of the length-{data.length} data")
     depth = cfg.N + cfg.L
@@ -367,8 +373,7 @@ def excitation_order(sys: LtiSystem, cfg: PredictiveConfig) -> int:
     raises ValueError when T is shorter, since no draw could then succeed,
     and when the weights Q and R do not match the plant.
     """
-    if sys.m != cfg.m or sys.p != cfg.p:
-        raise ValueError("weights 'Q' and 'R' do not match the system")
+    _check_weights(cfg, sys.m, sys.p)
     delta = min_poly_degree(sys.A)
     order = delta + cfg.N + cfg.L
     need = (sys.m + 1) * order - 1

@@ -15,9 +15,11 @@ one active-set refinement seeded by the ADMM box multipliers: it re-solves
 the equality-constrained program of each face it visits by minimum-norm
 least squares and verifies the full KKT system.
 
-Everything that depends only on (P, Aeq, lb, ub) lives in a `Workspace`, so
-a sequence of programs that differ only in q and beq (the receding-horizon
-QPs of one closed loop) builds it once and passes it to every solve:
+A `Workspace` is the solver of one program: built once from it,
+`Workspace.solve(beq)` solves that program for any equality right-hand
+side beq, the only data that moves between the receding-horizon QPs of one
+closed loop (the setup/update split of OSQP, or qpOASES's hotstart). It
+keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
 
 - the ADMM iteration matrix ``P + sigma I + M' diag(rho) M`` at the starting
   penalty, factored as an explicit inverse (numpy offers no triangular
@@ -31,14 +33,14 @@ QPs of one closed loop) builds it once and passes it to every solve:
   the same bits as a new one;
 - the face the last certifying polish ended on. The next solve polishes
   from it first and runs ADMM only if that does not certify; the polish
-  answer depends only on its final face and on (q, beq), so a hit returns
-  the bits ADMM and the polish would, with 0 iterations.
+  answer depends only on its final face and on beq, so a hit returns the
+  bits ADMM and the polish would, with 0 iterations.
 
-`solve_qp` without a workspace builds a fresh one, so a one-off solve and a
-solve in a sequence take the same code path. Solutions carry the measured
-KKT residual. Everything is deterministic for fixed inputs and a fixed
-sequence of solves: ADMM starts from zero on a fixed iteration schedule,
-no randomization.
+`solve_qp(prob)` is `Workspace(prob).solve(prob.beq)`, so a one-off solve
+and a solve in a sequence take the same code path. Solutions carry the
+measured KKT residual. Everything is deterministic for fixed inputs and a
+fixed sequence of solves: ADMM starts from zero on a fixed iteration
+schedule, no randomization.
 """
 
 from __future__ import annotations
@@ -132,19 +134,21 @@ class QpSolution:
 
 
 class Workspace:
-    """Factorizations of one program's fixed data (P, Aeq, lb, ub), reused
-    by every solve of a program that differs from it only in q and beq.
+    """The solver of one program, `program`: `solve(beq)` solves it with
+    its equality right-hand side replaced by `beq`, any beq of the right
+    length, and reuses the factorizations of the fixed data (P, q, Aeq,
+    lb, ub) across solves.
 
-    Pass it to `solve_qp`, which raises ValueError for a program whose P,
-    Aeq or bounds differ. The workspace holds at most two face
-    factorizations and the last certified face (`last_face`: -1 for a
-    coordinate pinned to lb, +1 for one pinned to ub, 0 for a free one, or
-    None before the first certificate); drop it to free them.
+    The workspace holds at most two face factorizations and the last
+    certified face (`last_face`: -1 for a coordinate pinned to lb, +1 for
+    one pinned to ub, 0 for a free one, or None before the first
+    certificate); drop it to free them.
     """
 
     def __init__(self, prob: QuadraticProgram):
-        self.P, self.Aeq, self.lb, self.ub = prob.P, prob.Aeq, prob.lb, prob.ub
-        n = prob.n
+        self.program, n = prob, prob.n
+        self.P, self.q, self.Aeq = prob.P, prob.q, prob.Aeq
+        self.lb, self.ub, self.n = prob.lb, prob.ub, n
         self.M = np.vstack([prob.Aeq, np.eye(n)])
         self.rho0 = np.concatenate(
             [np.full(prob.Aeq.shape[0], _RHO_EQ), np.full(n, _RHO_BOX)]
@@ -159,18 +163,8 @@ class Workspace:
 
     def factor(self, rho) -> np.ndarray:
         """Inverse of the ADMM iteration matrix at penalty `rho`."""
-        n = self.P.shape[0]
+        n = self.n
         return np.linalg.inv(self.P + _SIGMA * np.eye(n) + (self.M.T * rho) @ self.M)
-
-    def check(self, prob: QuadraticProgram):
-        """Raise ValueError unless `prob` has this workspace's P, Aeq and
-        bounds."""
-        ours = (self.P, self.Aeq, self.lb, self.ub)
-        theirs = (prob.P, prob.Aeq, prob.lb, prob.ub)
-        if not all(np.array_equal(a, b) for a, b in zip(ours, theirs)):
-            raise ValueError(
-                "the program's P, Aeq or bounds differ from its workspace's"
-            )
 
     def face(self, lower, upper):
         """(KKT matrix, its minimum-norm pseudo-inverse) of the face that
@@ -182,7 +176,7 @@ class Workspace:
             # kept face, not two
             if len(self._faces) == _FACES:
                 del self._faces[next(iter(self._faces))]
-            n = self.P.shape[0]
+            n = self.n
             pinned = np.eye(n)[np.array(list(lower) + list(upper), dtype=int)]
             Aact = np.vstack([self.Aeq, pinned])
             ma = Aact.shape[0]
@@ -195,37 +189,140 @@ class Workspace:
         self._faces[key] = entry
         return entry
 
+    def solve(self, beq) -> QpSolution:
+        """Solve the program with equality right-hand side `beq`; see the
+        module docstring for the method. Singular P is resolved by the
+        minimum-norm behavior of the polish step. The solution is optimal
+        when its KKT residual is at most 1e-8 within 100,000 ADMM
+        iterations, and max_iter otherwise. A `beq` that is not finite or
+        not one entry per equality row raises ValueError and leaves the
+        workspace as it was."""
+        beq = as_vector(beq, "beq")
+        me = self.Aeq.shape[0]
+        if beq.shape[0] != me:
+            raise ValueError(f"beq has length {beq.shape[0]}, expected {me}")
+        n, objective = self.n, self.program.objective
 
-def _kkt_residual(prob: QuadraticProgram, x, y_eq, y_box) -> float:
+        coef = self.eq_range.T @ beq
+        res = float(np.linalg.norm(beq - self.eq_range @ coef))
+        if res > 1e-9 * float(np.linalg.norm(beq)):
+            x_ls = self.eq_solve @ coef
+            return QpSolution(x_ls, objective(x_ls), "infeasible", float("inf"), 0)
+
+        if self.last_face is not None:
+            px, pres = _polish(self, beq, self.last_face)
+            if pres <= _TOL:
+                return QpSolution(px, objective(px), "optimal", pres, 0)
+
+        M, q = self.M, self.q
+        low = np.concatenate([beq, self.lb])
+        high = np.concatenate([beq, self.ub])
+        rho = self.rho0
+        K_inv = self.K0_inv
+        damp, last_up = 1.0, None
+
+        x, y = np.zeros(n), np.zeros(me + n)
+        z = np.clip(M @ x, low, high)
+        x_mark, y_mark = x.copy(), y.copy()
+
+        it = 0
+        best = (None, np.inf)
+        # two ADMM phases, each followed by a polish; the first is capped so
+        # a stalled sweep still reaches the polish
+        for eps, limit in ((1e-6, 5000), (_TOL, _MAX_ITER)):
+            while it < limit:
+                steps = min(_CHECK_EVERY, limit - it)
+                for _ in range(steps):
+                    rhs = _SIGMA * x - q + M.T @ (rho * z - y)
+                    xt = K_inv @ rhs
+                    zt = M @ xt
+                    x = _ALPHA * xt + (1.0 - _ALPHA) * x
+                    zbar = _ALPHA * zt + (1.0 - _ALPHA) * z
+                    z_new = np.minimum(np.maximum(zbar + y / rho, low), high)
+                    y = y + rho * (zbar - z_new)
+                    z = z_new
+                it += steps
+                Mx = M @ x
+                Px = self.P @ x
+                MTy = M.T @ y
+                r_prim = float(np.abs(Mx - z).max(initial=0.0))
+                r_dual = float(np.abs(Px + q + MTy).max(initial=0.0))
+                prim_scale = max(
+                    np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0)
+                )
+                dual_scale = max(
+                    np.abs(Px).max(initial=0.0),
+                    np.abs(q).max(initial=0.0),
+                    np.abs(MTy).max(initial=0.0),
+                )
+                prim_met = r_prim <= eps + eps * prim_scale
+                if prim_met and r_dual <= eps + eps * dual_scale:
+                    break
+                status = _certificates(self, low, high, x - x_mark, y - y_mark)
+                if status:
+                    return QpSolution(x, objective(x), status, float("inf"), it)
+                x_mark, y_mark = x.copy(), y.copy()
+                # rebalance the penalty when one residual has raced ahead of
+                # the other, which otherwise stalls the sweep; each reversal
+                # of direction halves the step's exponent, so a penalty
+                # bouncing between two values (each overshooting the other
+                # residual) settles between them instead of cycling forever
+                prim_rel = r_prim / max(prim_scale, 1e-12)
+                dual_rel = r_dual / max(dual_scale, 1e-12)
+                ratio = np.sqrt(prim_rel / max(dual_rel, 1e-16))
+                if ratio > _BALANCE or ratio < 1.0 / _BALANCE:
+                    up = ratio > 1.0
+                    if last_up is not None and up != last_up:
+                        damp *= 0.5
+                    last_up = up
+                    scale = float(np.clip(ratio, 1e-3, 1e3)) ** damp
+                    rho = np.clip(rho * scale, _RHO_MIN, _RHO_MAX)
+                    K_inv = self.factor(rho)
+            px, pres = _polish(self, beq, y[me:])
+            if pres <= _TOL:
+                return QpSolution(px, objective(px), "optimal", pres, it)
+            if pres < best[1]:
+                best = (px, pres)
+
+        # neither polish certified: the better of the polish and the ADMM iterate
+        admm_res = _kkt_residual(self, beq, x, y[:me], y[me:])
+        if best[0] is None or admm_res < best[1]:
+            best = (x, admm_res)
+        bx, bres = best
+        status = "optimal" if bres <= _TOL else "max_iter"
+        return QpSolution(bx, objective(bx), status, bres, it)
+
+
+def _kkt_residual(ws: Workspace, beq, x, y_eq, y_box) -> float:
     """Worst violation over stationarity, primal feasibility, dual signs and
     complementarity."""
-    station = prob.P @ x + prob.q + y_box + prob.Aeq.T @ y_eq
+    station = ws.P @ x + ws.q + y_box + ws.Aeq.T @ y_eq
     worst = max(
         float(np.abs(station).max(initial=0.0)),
-        float(np.abs(prob.Aeq @ x - prob.beq).max(initial=0.0)),
+        float(np.abs(ws.Aeq @ x - beq).max(initial=0.0)),
     )
-    lo = prob.lb - x
-    hi = x - prob.ub
+    lo = ws.lb - x
+    hi = x - ws.ub
     lo[~np.isfinite(lo)] = -np.inf
     hi[~np.isfinite(hi)] = -np.inf
     worst = max(worst, float(np.maximum(lo, hi).max(initial=0.0)))
     # a multiplier on an infinite bound is itself the violation
-    gap_hi = np.where(np.isfinite(prob.ub), prob.ub - x, 1.0)
-    gap_lo = np.where(np.isfinite(prob.lb), x - prob.lb, 1.0)
+    gap_hi = np.where(np.isfinite(ws.ub), ws.ub - x, 1.0)
+    gap_lo = np.where(np.isfinite(ws.lb), x - ws.lb, 1.0)
     comp = np.where(
         y_box > 0, y_box * gap_hi, np.where(y_box < 0, -y_box * gap_lo, 0.0)
     )
     return max(worst, float(np.abs(comp).max(initial=0.0)))
 
 
-def _pinned_solve(prob: QuadraticProgram, ws: Workspace, lower, upper):
+def _pinned_solve(ws: Workspace, beq, lower, upper):
     """Minimum-norm KKT solve with the listed coordinates pinned to their
     bounds. Returns (x, y_box, kkt_residual, consistent); `consistent` is
     False when the stacked system has no exact solution, meaning the face
     is wrong or the objective is unbounded along it.
     """
-    n, me = prob.n, prob.beq.shape[0]
-    rhs = np.concatenate([-prob.q, prob.beq, prob.lb[lower], prob.ub[upper]])
+    n, me = ws.n, beq.shape[0]
+    rhs = np.concatenate([-ws.q, beq, ws.lb[lower], ws.ub[upper]])
     kkt, pinv = ws.face(lower, upper)
     sol = pinv @ rhs
     res = float(np.linalg.norm(kkt @ sol - rhs))
@@ -234,10 +331,10 @@ def _pinned_solve(prob: QuadraticProgram, ws: Workspace, lower, upper):
     y_eq = sol[n : n + me]
     y_box = np.zeros(n)
     y_box[np.array(lower + upper, dtype=int)] = sol[n + me :]
-    return x, y_box, _kkt_residual(prob, x, y_eq, y_box), consistent
+    return x, y_box, _kkt_residual(ws, beq, x, y_eq, y_box), consistent
 
 
-def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
+def _polish(ws: Workspace, beq, y_box):
     """Active-set refinement seeded by the ADMM box multipliers `y_box`, or
     by a face's signs (`Workspace.last_face`).
 
@@ -251,16 +348,16 @@ def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
     Returns the best (x, kkt_residual) seen, or (None, inf) when every
     visited face was inconsistent.
     """
-    n = prob.n
+    n = ws.n
     seed_thr = 1e-9 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
-    finite_lb, finite_ub = np.isfinite(prob.lb), np.isfinite(prob.ub)
-    always = set(np.flatnonzero(finite_lb & (prob.lb == prob.ub)).tolist())
+    finite_lb, finite_ub = np.isfinite(ws.lb), np.isfinite(ws.ub)
+    always = set(np.flatnonzero(finite_lb & (ws.lb == ws.ub)).tolist())
     lower = set(np.flatnonzero(finite_lb & (y_box < -seed_thr)).tolist()) | always
     upper = set(np.flatnonzero(finite_ub & (y_box > seed_thr)).tolist()) - always
     best = (None, np.inf)
     for _ in range(3 * n + 3):
         lo, up = sorted(lower), sorted(upper)
-        x, y_new, res, consistent = _pinned_solve(prob, ws, lo, up)
+        x, y_new, res, consistent = _pinned_solve(ws, beq, lo, up)
         changed = False
         if consistent:
             if res < best[1]:
@@ -282,8 +379,8 @@ def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
         # pin only the single worst violation; adding every violated bound
         # at once can overshoot into an infeasible face
         feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))
-        below = np.where(finite_lb, prob.lb - x, -np.inf)
-        above = np.where(finite_ub, x - prob.ub, -np.inf)
+        below = np.where(finite_lb, ws.lb - x, -np.inf)
+        above = np.where(finite_ub, x - ws.ub, -np.inf)
         gap = np.maximum(below, above)
         gap[list(lower | upper)] = -np.inf
         worst = int(np.argmax(gap))  # the first index wins a tie
@@ -295,124 +392,17 @@ def _polish(prob: QuadraticProgram, ws: Workspace, y_box):
     return best
 
 
-def solve_qp(
-    prob: QuadraticProgram, workspace: Workspace | None = None
-) -> QpSolution:
-    """Solve the program; see the module docstring for the method. Singular
-    P is resolved by the minimum-norm behavior of the polish step. The
-    solution is optimal when its KKT residual is at most 1e-8 within
-    100,000 ADMM iterations, and max_iter otherwise.
-
-    `workspace` carries the factorizations and the last certified face over
-    from earlier solves of programs with the same P, Aeq and bounds; without
-    one, a fresh workspace is built for this solve alone.
-    """
-    if workspace is None:
-        workspace = Workspace(prob)
-    else:
-        workspace.check(prob)
-    ws = workspace
-    n, me = prob.n, prob.beq.shape[0]
-
-    coef = ws.eq_range.T @ prob.beq
-    res = float(np.linalg.norm(prob.beq - ws.eq_range @ coef))
-    if res > 1e-9 * float(np.linalg.norm(prob.beq)):
-        x_ls = ws.eq_solve @ coef
-        return QpSolution(x_ls, prob.objective(x_ls), "infeasible", float("inf"), 0)
-
-    if ws.last_face is not None:
-        px, pres = _polish(prob, ws, ws.last_face)
-        if pres <= _TOL:
-            return QpSolution(px, prob.objective(px), "optimal", pres, 0)
-
-    M = ws.M
-    low = np.concatenate([prob.beq, prob.lb])
-    high = np.concatenate([prob.beq, prob.ub])
-    rho = ws.rho0
-    K_inv = ws.K0_inv
-    damp, last_up = 1.0, None
-
-    x, y = np.zeros(n), np.zeros(me + n)
-    z = np.clip(M @ x, low, high)
-    x_mark, y_mark = x.copy(), y.copy()
-
-    def admm_phase(eps, start, limit):
-        nonlocal x, z, y, x_mark, y_mark, rho, K_inv, damp, last_up
-        it = start
-        while it < limit:
-            steps = min(_CHECK_EVERY, limit - it)
-            for _ in range(steps):
-                rhs = _SIGMA * x - prob.q + M.T @ (rho * z - y)
-                xt = K_inv @ rhs
-                zt = M @ xt
-                x = _ALPHA * xt + (1.0 - _ALPHA) * x
-                zbar = _ALPHA * zt + (1.0 - _ALPHA) * z
-                z_new = np.minimum(np.maximum(zbar + y / rho, low), high)
-                y = y + rho * (zbar - z_new)
-                z = z_new
-            it += steps
-            Mx = M @ x
-            Px = prob.P @ x
-            MTy = M.T @ y
-            r_prim = float(np.abs(Mx - z).max(initial=0.0))
-            r_dual = float(np.abs(Px + prob.q + MTy).max(initial=0.0))
-            prim_scale = max(np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0))
-            dual_scale = max(
-                np.abs(Px).max(initial=0.0),
-                np.abs(prob.q).max(initial=0.0),
-                np.abs(MTy).max(initial=0.0),
-            )
-            if r_prim <= eps + eps * prim_scale and r_dual <= eps + eps * dual_scale:
-                return "converged", it
-            status = _certificates(prob, M, low, high, x - x_mark, y - y_mark)
-            if status:
-                return status, it
-            x_mark, y_mark = x.copy(), y.copy()
-            # rebalance the penalty when one residual has raced ahead of
-            # the other, which otherwise stalls the sweep; each reversal of
-            # direction halves the step's exponent, so a penalty bouncing
-            # between two values (each overshooting the other residual)
-            # settles between them instead of cycling forever
-            prim_rel = r_prim / max(prim_scale, 1e-12)
-            dual_rel = r_dual / max(dual_scale, 1e-12)
-            ratio = np.sqrt(prim_rel / max(dual_rel, 1e-16))
-            if ratio > _BALANCE or ratio < 1.0 / _BALANCE:
-                up = ratio > 1.0
-                if last_up is not None and up != last_up:
-                    damp *= 0.5
-                last_up = up
-                scale = float(np.clip(ratio, 1e-3, 1e3)) ** damp
-                rho = np.clip(rho * scale, _RHO_MIN, _RHO_MAX)
-                K_inv = ws.factor(rho)
-        return "max_iter", it
-
-    iterations = 0
-    best = (None, np.inf)
-    # the first phase is capped so a stalled sweep still reaches the polish
-    for eps, limit in ((1e-6, 5000), (_TOL, _MAX_ITER)):
-        outcome, iterations = admm_phase(eps, iterations, limit)
-        if outcome in ("infeasible", "unbounded"):
-            return QpSolution(x, prob.objective(x), outcome, float("inf"), iterations)
-        px, pres = _polish(prob, ws, y[me:])
-        if pres <= _TOL:
-            return QpSolution(px, prob.objective(px), "optimal", pres, iterations)
-        if pres < best[1]:
-            best = (px, pres)
-
-    # neither polish certified: the better of the polish and the ADMM iterate
-    admm_res = _kkt_residual(prob, x, y[:me], y[me:])
-    if best[0] is None or admm_res < best[1]:
-        best = (x, admm_res)
-    bx, bres = best
-    status = "optimal" if bres <= _TOL else "max_iter"
-    return QpSolution(bx, prob.objective(bx), status, bres, iterations)
+def solve_qp(prob: QuadraticProgram) -> QpSolution:
+    """Solve the program once, through a workspace built for this solve
+    alone; see `Workspace.solve`."""
+    return Workspace(prob).solve(prob.beq)
 
 
-def _certificates(prob, M, low, high, dx, dy):
+def _certificates(ws: Workspace, low, high, dx, dy):
     """OSQP-style infeasibility certificates from iterate differences."""
     ndy = float(np.abs(dy).max(initial=0.0))
     if ndy > 1e-14:
-        if np.abs(M.T @ dy).max(initial=0.0) <= _EPS_INFEAS * ndy:
+        if np.abs(ws.M.T @ dy).max(initial=0.0) <= _EPS_INFEAS * ndy:
             up, down = dy > _EPS_INFEAS * ndy, dy < -_EPS_INFEAS * ndy
             valid = np.isfinite(high[up]).all() and np.isfinite(low[down]).all()
             if valid:
@@ -425,10 +415,10 @@ def _certificates(prob, M, low, high, dx, dy):
     ndx = float(np.abs(dx).max(initial=0.0))
     if ndx > 1e-14:
         if (
-            np.abs(prob.P @ dx).max(initial=0.0) <= _EPS_INFEAS * ndx
-            and prob.q @ dx <= -_EPS_INFEAS * ndx
+            np.abs(ws.P @ dx).max(initial=0.0) <= _EPS_INFEAS * ndx
+            and ws.q @ dx <= -_EPS_INFEAS * ndx
         ):
-            Mdx = M @ dx
+            Mdx = ws.M @ dx
             fixed = low == high
             blocked = (
                 (Mdx > _EPS_INFEAS * ndx) & (np.isfinite(high) | fixed)

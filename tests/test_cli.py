@@ -418,10 +418,10 @@ def test_seed_flag_overrides_config_seed(tmp_path):
 def test_deepc_max_iter_step_exits_5_and_logs_its_status(
     tmp_path, capsys, monkeypatch
 ):
-    def stalled(prob, **_):
-        return QpSolution(np.zeros(prob.n), 0.0, "max_iter", 1.0, 100000)
+    def stalled(ws, beq):
+        return QpSolution(np.zeros(ws.n), 0.0, "max_iter", 1.0, 100000)
 
-    monkeypatch.setattr("willems.predictive.solve_qp", stalled)
+    monkeypatch.setattr("willems.qp.Workspace.solve", stalled)
     cfg = bundled_config("fig1_deepc.json", K=30)
     out = tmp_path / "out"
     assert run(tmp_path, "deepc", cfg, out=out) == 5

@@ -14,6 +14,7 @@ from willems import (
     LtiSystem,
     MultiAgentSpec,
     PredictiveConfig,
+    QuadraticProgram,
     Trajectory,
     TrajectorySet,
     build_system,
@@ -458,8 +459,8 @@ def test_deepc_window_spans_the_reachable_and_initial_state_space(x0, lead):
     H = build_trajectory_matrix(TrajectorySet((run,)), cfg.N + cfg.L)
     window = predictive._Window(cfg, predictive._data_operators(H, cfg))
     assert window.lead == space.dim == lead
-    assert window.program.P.shape[0] == lead + 15 * (1 + 2)
-    assert window.program.Aeq.shape[0] == (4 + 15) * 2
+    assert window.workspace.program.P.shape[0] == lead + 15 * (1 + 2)
+    assert window.workspace.program.Aeq.shape[0] == (4 + 15) * 2
 
 
 def test_deepc_window_logs_its_free_response_rank(caplog):
@@ -624,6 +625,37 @@ def test_closed_loop_rejects_mismatched_config():
         run_closed_loop(sys, cfg, controller="mpc", seed=0)
     with pytest.raises(ValueError):
         run_closed_loop(sys, scalar_config(), controller="other", seed=0)
+
+
+@pytest.mark.parametrize("step", ["mpc", "deepc"])
+def test_one_shot_steps_reject_weights_that_do_not_match(step):
+    # a 2-output Q on the single-output plant and its data fails with the
+    # closed loop's message, not with one from building the window
+    sys = scalar_plant()
+    cfg = scalar_config(Q=np.eye(2), r=np.zeros(2), T=12, K=20)
+    run = simulate(sys, [0.0], np.random.default_rng(14).uniform(-1, 1, (12, 1)))
+    hist = Trajectory(run.inputs, outputs=run.outputs)
+    with pytest.raises(ValueError, match="weights 'Q' and 'R' do not match"):
+        if step == "mpc":
+            mpc_step(sys, hist, cfg, t=12)
+        else:
+            deepc_step(hist, hist, cfg, t=12)
+
+
+def test_closed_loop_builds_one_program_per_controller(monkeypatch):
+    # every step hands its controller's workspace only the new beq, so a
+    # comparison loop builds two programs however many steps it runs
+    built = []
+    post_init = QuadraticProgram.__post_init__
+
+    def counted(prob):
+        built.append(prob)
+        post_init(prob)
+
+    monkeypatch.setattr(QuadraticProgram, "__post_init__", counted)
+    log = run_closed_loop(scalar_plant(), scalar_config(T=8, K=14), "both", seed=3)
+    assert log.completed and log.length == 15
+    assert len(built) == 2
 
 
 def test_log_csv_round_trip(tmp_path):

@@ -1,7 +1,13 @@
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
+import re
+import subprocess
+import sys
+
+import pytest
 
 import willems
 
@@ -53,3 +59,30 @@ def test_no_public_function_or_dataclass_takes_a_tolerance_knob():
             if hasattr(mod, gone)
         ]
     assert not found
+
+
+def test_runtime_needs_numpy_alone():
+    # a fresh interpreter imports the package and every module, the command
+    # line included, without loading a package that is not a declared
+    # dependency; scipy, hypothesis and pytest-benchmark may be installed
+    # beside it, so nothing may come to need them
+    script = (
+        "import importlib, pkgutil, sys, willems\n"
+        "for info in pkgutil.iter_modules(willems.__path__):\n"
+        "    importlib.import_module('willems.' + info.name)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('willems.')))\n"
+        "print(sorted({'scipy', 'hypothesis', 'pytest_benchmark'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(willems.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded, foreign = proc.stdout.splitlines()
+    assert loaded == str(sorted(f"willems.{name}" for name in (*LIBRARY, "cli")))
+    assert foreign == "[]"
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(os.path.dirname(src), "pyproject.toml"), "rb") as fh:
+        deps = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in deps] == ["numpy"]

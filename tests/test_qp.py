@@ -202,19 +202,19 @@ def simplex_program(**changes):
     return QuadraticProgram(**data)
 
 
-def test_workspace_takes_new_q_and_beq_but_rejects_other_data():
+def test_workspace_solves_its_program_for_a_new_beq():
     ws = Workspace(simplex_program())
-    sol = solve_qp(simplex_program(q=[0.0, 2.0, -1.0], beq=[0.5]), workspace=ws)
-    assert sol.status == "optimal"
-    for changed in (
-        simplex_program(P=np.eye(3)),
-        simplex_program(Aeq=[[1.0, 1.0, 0.0]]),
-        simplex_program(Aeq=None, beq=None),
-        simplex_program(lb=[-1.0, -1.0, -2.0]),
-        simplex_program(ub=[1.0, np.inf, 1.0]),
-    ):
-        with pytest.raises(ValueError, match="workspace"):
-            solve_qp(changed, workspace=ws)
+    assert_same_answer(ws.solve([0.5]), solve_qp(simplex_program(beq=[0.5])))
+
+
+@pytest.mark.parametrize("beq", [[np.nan], [np.inf], [0.5, 0.5], []])
+def test_workspace_rejects_a_bad_beq_and_keeps_its_face(beq):
+    ws = Workspace(simplex_program())
+    ws.solve([1.0])
+    face = ws.last_face.copy()
+    with pytest.raises(ValueError, match="beq"):
+        ws.solve(beq)
+    assert np.array_equal(ws.last_face, face)
 
 
 def assert_same_answer(sol, fresh):
@@ -233,7 +233,7 @@ def test_repeat_solves_through_a_workspace_match_a_fresh_solve_bitwise():
         prob = QuadraticProgram(P, q, Aeq=Aeq, beq=beq, lb=lb, ub=ub)
         fresh = solve_qp(prob)
         ws = Workspace(prob)
-        for sol in (solve_qp(prob, workspace=ws), solve_qp(prob, workspace=ws)):
+        for sol in (ws.solve(prob.beq), ws.solve(prob.beq)):
             assert_same_answer(sol, fresh)
 
 
@@ -241,18 +241,18 @@ def test_a_workspace_tries_its_last_certified_face_before_admm():
     # x_1 sits at its upper bound for both right-hand sides, so the second
     # solve certifies on the first one's face without an ADMM sweep
     ws = Workspace(simplex_program())
-    first = solve_qp(simplex_program(), workspace=ws)
+    first = ws.solve([1.0])
     assert first.iterations > 0
     assert np.array_equal(ws.last_face, [0.0, 1.0, 0.0])
     moved = simplex_program(beq=[0.8])
-    sol = solve_qp(moved, workspace=ws)
+    sol = ws.solve(moved.beq)
     assert sol.iterations == 0
     assert_same_answer(sol, solve_qp(moved))
 
 
 def test_a_face_that_does_not_certify_falls_back_to_admm(monkeypatch):
     ws = Workspace(simplex_program())
-    solve_qp(simplex_program(), workspace=ws)
+    ws.solve([1.0])
     polish = qp._polish
     calls = []
 
@@ -262,7 +262,7 @@ def test_a_face_that_does_not_certify_falls_back_to_admm(monkeypatch):
 
     monkeypatch.setattr(qp, "_polish", first_misses)
     moved = simplex_program(beq=[0.8])
-    sol = solve_qp(moved, workspace=ws)
+    sol = ws.solve(moved.beq)
     assert np.array_equal(calls[0], [0.0, 1.0, 0.0]) and len(calls) == 2
     assert sol.iterations > 0
     assert_same_answer(sol, solve_qp(moved))
@@ -283,7 +283,7 @@ def test_polish_releases_wrong_pins_over_several_passes(monkeypatch):
         return pinned_solve(*args)
 
     monkeypatch.setattr(qp, "_pinned_solve", counted)
-    x, res = qp._polish(prob, Workspace(prob), np.array([-1.0, 1.0]))
+    x, res = qp._polish(Workspace(prob), prob.beq, np.array([-1.0, 1.0]))
     _, x_ref, _ = solve_reference(P, q, np.zeros((0, 2)), np.zeros(0), lb, ub)
     assert len(passes) >= 2
     assert passes[0] == ([0], [1])
