@@ -266,18 +266,17 @@ def trajectory_to_csv(traj: Trajectory, path: str) -> None:
 
 
 def trajectory_from_csv(path: str) -> Trajectory:
-    """Read a trajectory written by :func:`trajectory_to_csv`."""
+    """Read a trajectory written by :func:`trajectory_to_csv`. The header
+    must be the one it writes, so that no column is read as another
+    channel."""
     with open(path) as fh:
         header = fh.readline().strip()
-        names = header.split(",")
-        if names[0] != "t" or len(names) < 2:
-            raise ValueError(f"unexpected trajectory CSV header: {header!r}")
         rows = [line.strip() for line in fh if line.strip()]
-    m = sum(1 for c in names if c.startswith("u_"))
-    n = sum(1 for c in names if c.startswith("x_"))
-    p = sum(1 for c in names if c.startswith("y_"))
-    if m == 0 or 1 + m + n + p != len(names):
-        raise ValueError(f"unexpected trajectory CSV columns: {names}")
+    names = header.split(",")
+    m, n, p = (sum(c.startswith(f"{k}_") for c in names) for k in "uxy")
+    expected = ["t"] + [f"{k}_{i}" for k, w in zip("uxy", (m, n, p)) for i in range(w)]
+    if m == 0 or names != expected:
+        raise ValueError(f"unexpected trajectory CSV header: {header!r}")
     values = np.array([[float(v) for v in r.split(",")[1:]] for r in rows])
     if values.ndim != 2 or values.shape[1] != len(names) - 1:
         raise ValueError(f"trajectory CSV rows do not match the header {names}")

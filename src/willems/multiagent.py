@@ -27,9 +27,9 @@ import numpy as np
 
 from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
-from .numerics import as_matrix, as_square, least_squares, numerical_rank, power_blocks
+from .numerics import as_matrix, as_square, least_squares, numerical_rank
 from .parameterize import build_trajectory_matrix
-from .subspace import HypothesisViolated, draw_until_pe
+from .subspace import HypothesisViolated, draw_until_pe, krylov_subspace
 
 __all__ = [
     "MultiAgentSpec",
@@ -88,7 +88,7 @@ class MultiAgentSpec:
                 raise ValueError(f"edge ({h}, {t}) is a self-loop")
             if not (0 <= h < self.N and 0 <= t < self.N):
                 raise ValueError(f"edge ({h}, {t}) names a node outside 0..{self.N - 1}")
-        if numerical_rank(np.hstack(power_blocks(Abar, Bbar, nbar))) != nbar:
+        if krylov_subspace(Abar, Bbar).dim != nbar:
             raise ValueError("(Abar, Bbar) is not controllable")
         object.__setattr__(self, "Abar", Abar)
         object.__setattr__(self, "Bbar", Bbar)
@@ -279,8 +279,8 @@ def recover_system(
     `anchor` is (i, j, sign): block row i, block column j of the parameters
     is known to carry sign (+1 or -1) in E. Needs parameters through index
     nbar+1. The shift solve for Abar requires the stacked anchored blocks
-    to have full row rank nbar; block classification for E uses a relative
-    zero threshold of 1e-6 and match tolerance `_FIT_RTOL`.
+    to have full row rank nbar; block classification for E uses a zero
+    threshold and a match tolerance, both relative to the norm of Bbar.
     """
     i, j, sign = anchor
     if sign not in (1, -1):
@@ -322,9 +322,9 @@ def recover_system(
             cand = block(M1, bi, bj)
             if np.linalg.norm(cand) <= _ZERO_BLOCK_RTOL * scale:
                 continue
-            if np.linalg.norm(cand - Bbar) <= _FIT_RTOL * max(1.0, scale):
+            if np.linalg.norm(cand - Bbar) <= _FIT_RTOL * scale:
                 E[bi, bj] = 1.0
-            elif np.linalg.norm(cand + Bbar) <= _FIT_RTOL * max(1.0, scale):
+            elif np.linalg.norm(cand + Bbar) <= _FIT_RTOL * scale:
                 E[bi, bj] = -1.0
             else:
                 raise ValueError(

@@ -1,12 +1,14 @@
 """Structural subspaces of an LTI plant and the image/initial-state checks.
 
-Provides the controllable subspace (image of the controllability matrix),
-the unobservable subspace (kernel of the stacked observability matrix), the
-smallest A-invariant subspace containing given initial states, the degree of
-the minimal polynomial of A, and the two data-based checks built on them:
-image equality of the stacked state/input data matrix against
-``(controllable + invariant-span) x R^{mL}``, and membership of a candidate
-initial state in ``controllable + unobservable + invariant-span``.
+Every A-invariant span comes from `krylov_subspace`, the image of
+``[X, AX, ..., A^{n-1}X]``: the controllable subspace R is the Krylov space
+of (A, B), and R + K[x0] (K the smallest A-invariant subspace containing
+the initial states X0) is the Krylov space of (A, [B X0]), one rank
+decision. Also: the unobservable subspace, the degree of the minimal
+polynomial of A, and the two data-based checks built on them: image
+equality of the stacked state/input data matrix against
+``K(A, [B X0]) x R^{mL}``, and membership of a candidate initial state in
+``K(A, [B X0]) + unobservable``.
 """
 
 from __future__ import annotations
@@ -99,8 +101,8 @@ def observability_matrix(sys: LtiSystem) -> np.ndarray:
 
 
 def controllable_subspace(sys: LtiSystem) -> SubspaceBasis:
-    """Image of the controllability matrix."""
-    return subspace_from_columns(controllability_matrix(sys))
+    """Image of the controllability matrix: the Krylov space of (A, B)."""
+    return krylov_subspace(sys.A, sys.B)
 
 
 def unobservable_subspace(sys: LtiSystem) -> SubspaceBasis:
@@ -196,9 +198,10 @@ def theorem1_image_check(
 ) -> ImageCheck:
     """Check that the stacked state/input data matrix has the predicted image.
 
-    The predicted image is ``(R + K[x0^1..x0^tau]) x R^{mL}`` where R is the
-    controllable subspace and K the smallest A-invariant subspace containing
-    the initial states. The inputs must be collectively PE of order
+    The predicted image is ``(R + K[x0^1..x0^tau]) x R^{mL}``: R + K, the
+    controllable subspace plus the smallest A-invariant subspace containing
+    the initial states, is the Krylov space of (A, [B X0]), X0 the initial
+    states as columns. The inputs must be collectively PE of order
     ``delta + L`` with ``delta >= min_poly_degree(A)``; when they are not,
     the check reports HYPOTHESIS_VIOLATED instead of a verdict. The
     subspaces are equal when their gap is at most `DEFAULT_RESIDUAL_RTOL`.
@@ -220,13 +223,13 @@ def pe_image_check(
     """The image comparison of `theorem1_image_check`, for a caller that
     already knows the inputs to be collectively PE of `order` = delta + L
     with delta at least the degree of the minimal polynomial of A, so that
-    neither is computed again."""
+    neither is computed again. The target is ``K(A, [B X0]) x R^{mL}``: two
+    SVDs in all, one for the data matrix and one for the Krylov space."""
     # the state starting each window over the window's inputs
     x_row = window_start_states(data, L)
     data_space = subspace_from_columns(np.vstack([x_row, mosaic_hankel(data, L)]))
 
-    X0 = initial_state_matrix(data)
-    rk = subspace_sum(controllable_subspace(sys), krylov_subspace(sys.A, X0))
+    rk = krylov_subspace(sys.A, np.hstack([sys.B, initial_state_matrix(data)]))
     mL = sys.m * L
     n = sys.n
     target = np.zeros((n + mL, rk.dim + mL))
@@ -252,11 +255,8 @@ def theorem1_state_condition(sys: LtiSystem, data: TrajectorySet, xbar0) -> bool
 
 
 def state_condition_space(sys: LtiSystem, data: TrajectorySet) -> SubspaceBasis:
-    """Controllable + unobservable + the smallest A-invariant subspace
-    containing the data's initial states: the initial states whose windows
-    the data can parameterize."""
-    return subspace_sum(
-        controllable_subspace(sys),
-        unobservable_subspace(sys),
-        krylov_subspace(sys.A, initial_state_matrix(data)),
-    )
+    """The Krylov space of (A, [B X0]), X0 the data's initial states, plus
+    the unobservable subspace: the initial states whose windows the data
+    can parameterize."""
+    reachable = krylov_subspace(sys.A, np.hstack([sys.B, initial_state_matrix(data)]))
+    return subspace_sum(reachable, unobservable_subspace(sys))

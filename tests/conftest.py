@@ -30,6 +30,21 @@ def bench() -> LtiSystem:
     return mixed_plant()
 
 
+@pytest.fixture
+def svd_calls(monkeypatch) -> list:
+    """Shape of every matrix np.linalg.svd gets while the test runs; a
+    test that counts only part of its run clears the list first."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
 def load_config(name: str) -> dict:
     return json.loads(files("willems").joinpath(f"configs/{name}").read_text())
 

@@ -322,12 +322,15 @@ BUNDLED_SHA256 = {
         "sweep.csv": "299105f0e66b08efcf33878da90553ce395f6175919cdb9470d204111234ac3d",
     },
     "verify-theorem1": {
-        "theorem1_report.csv": "ac656075073e0ef161aa924e2f7c61c8751bf62e8ddbeb2783a6cb6003fe40ba",
+        "theorem1_report.csv": "6acbfd257b6554699cba2f74a2fd48cd24988a219acd7acce1aa68eb909738b0",
     },
 }
 # the same bundled closed_loop.csv with `iterations` dropped too: that
 # column counts the solver's path, the rest are its answers
 DEEPC_ANSWERS_SHA256 = "7b23fe16dbac1cf3a90988602b98102d4a5a95824aef99c985fc2a0290741624"
+# the same bundled theorem1_report.csv with `gap` dropped: the gap is a
+# rounding-level diagnostic, the rest are the cases and their verdicts
+THEOREM1_VERDICTS_SHA256 = "a4c2bb4ab53ca2a095f7b3b9df92ef2cec344f59f894ec980cf81ce194d9138a"
 
 
 def csv_digest(path, drop=()):
@@ -349,6 +352,9 @@ def test_bundled_outputs_keep_their_bytes(tmp_path, capsys, command):
     if command == "deepc":
         answers = csv_digest(out / "closed_loop.csv", drop=("iterations",))
         assert answers == DEEPC_ANSWERS_SHA256
+    if command == "verify-theorem1":
+        verdicts = csv_digest(out / "theorem1_report.csv", drop=("gap",))
+        assert verdicts == THEOREM1_VERDICTS_SHA256
     capsys.readouterr()
 
 
@@ -474,20 +480,24 @@ def test_deepc_bad_controller_config_exits_2_before_drawing(
         "t,u_0,y_0\n0,0.5,1.0\n1,0.25\n",
         "t,u_0\n0,0.5\n1,nan\n",
         "t,u_0\n",
+        # columns in another order or with gaps would be read on the wrong
+        # channel: only the header trajectory_to_csv writes is accepted
+        "t,y_0,u_0\n0,1.0,0.5\n1,2.0,0.25\n",
+        "t,u_0,u_5,x_9\n0,0.5,0.25,1.0\n1,0.25,0.5,2.0\n",
     ],
-    ids=["missing", "ragged", "nan", "no-rows"],
+    ids=["missing", "ragged", "nan", "no-rows", "outputs-first", "gapped"],
 )
 def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
     path = tmp_path / "traj.csv"
     if content is not None:
         path.write_text(content)
-    for command, cfg in (
-        ("check-pe", {"trajectory": str(path)}),
-        ("simulate", {"system": plant_section(), "input": str(path)}),
+    for command, cfg, field in (
+        ("check-pe", {"trajectory": str(path)}, "trajectory"),
+        ("simulate", {"system": plant_section(), "input": str(path)}, "input"),
     ):
         assert run(tmp_path, command, cfg, out=tmp_path / "o") == 2
         err = capsys.readouterr().err
-        assert "config error" in err and str(path) in err
+        assert "config error" in err and str(path) in err and f"'{field}'" in err
 
 
 @pytest.mark.parametrize(

@@ -241,26 +241,13 @@ def test_certificate_verdict_matches_svd_across_conditioning(ratio):
         assert is_collectively_pe(data, d) == svd_verdict(data, d)
 
 
-def counting_svd(monkeypatch):
-    """Patch np.linalg.svd to record the shape of every matrix it gets."""
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    return calls
-
-
 # past 2^±512 and 1e±160 the unscaled Gram entries overflow or underflow
 @pytest.mark.parametrize(
     "scale",
     [2.0**500, 2.0**-500, 1e150, 1e-150, 2.0**600, 2.0**-600, 1e200, 1e-200],
     ids=["2^500", "2^-500", "1e150", "1e-150", "2^600", "2^-600", "1e200", "1e-200"],
 )
-def test_certificate_verdict_matches_svd_on_scaled_data(scale, monkeypatch):
+def test_certificate_verdict_matches_svd_on_scaled_data(scale, svd_calls):
     rng = np.random.default_rng(64)
     rich = trajectory_set([rng.normal(size=(25, 2))])
     cases = [(rich, 6)] + list(deficient_sets(rng))
@@ -273,15 +260,14 @@ def test_certificate_verdict_matches_svd_on_scaled_data(scale, monkeypatch):
         if np.log2(scale).is_integer():
             assert verdict == is_collectively_pe(data, d)
     # the Gram matrix neither overflows nor underflows: still certified
-    calls = counting_svd(monkeypatch)
+    svd_calls.clear()
     assert is_collectively_pe(trajectory_set(t.inputs * scale for t in rich), 6)
-    assert not calls
+    assert not svd_calls
 
 
-def test_svd_runs_only_when_the_certificate_fails(monkeypatch, caplog):
+def test_svd_runs_only_when_the_certificate_fails(svd_calls, caplog):
     rng = np.random.default_rng(65)
     rich = trajectory_set([rng.normal(size=(40, 2))])
-    calls = counting_svd(monkeypatch)
     caplog.set_level(logging.DEBUG, logger="willems.hankel")
     cases = [
         (rich, 8, True, 0, "cholesky"),
@@ -289,10 +275,10 @@ def test_svd_runs_only_when_the_certificate_fails(monkeypatch, caplog):
         (trajectory_set([np.zeros((30, 2))]), 8, False, 1, "svd"),
     ]
     for data, d, verdict, svds, path in cases:
-        calls.clear()
+        svd_calls.clear()
         caplog.clear()
         assert is_collectively_pe(data, d) is verdict
-        assert len(calls) == svds
+        assert len(svd_calls) == svds
         (record,) = caplog.records
         assert f": {path}" in record.getMessage()
     caplog.clear()

@@ -353,3 +353,16 @@ def test_identification_is_invariant_to_relabelling_agents_and_edges(draw):
     assert np.abs(rec.E - E).max() <= 1e-6
     assert np.abs(rec.Abar - base.Abar).max() <= 1e-6
     assert np.abs(rec.Bbar - base.Bbar).max() <= 1e-6
+
+
+@pytest.mark.parametrize("k", [-8, -6, -3, 0, 3])
+def test_identification_is_invariant_to_input_map_scale(k):
+    # Bbar x 10^k on the 3-agent star: the blocks of M_1 are matched to
+    # +-Bbar relative to its norm, so every tail still reads -1 when Bbar
+    # is small, and the agents come back to a relative error of 1e-5
+    Abar, Bbar = agent_pair()
+    spec = MultiAgentSpec(Abar, Bbar * 10.0**k, 3, star_edges(3))
+    rec = identify(spec, (0, 0, 1))
+    assert np.array_equal(rec.E, spec.incidence())
+    assert np.linalg.norm(rec.Abar - Abar) <= 1e-5 * np.linalg.norm(Abar)
+    assert np.linalg.norm(rec.Bbar - spec.Bbar) <= 1e-5 * np.linalg.norm(spec.Bbar)

@@ -20,8 +20,21 @@ from willems import (
     theorem1_state_condition,
     unobservable_subspace,
 )
-from willems.numerics import numerical_rank, subspace_sum
-from willems.subspace import draw_until_pe, pe_image_check
+from willems.hankel import mosaic_hankel
+from willems.numerics import (
+    DEFAULT_RESIDUAL_RTOL,
+    SubspaceBasis,
+    numerical_rank,
+    subspace_from_columns,
+    subspace_gap,
+    subspace_sum,
+)
+from willems.subspace import (
+    draw_until_pe,
+    pe_image_check,
+    state_condition_space,
+    window_start_states,
+)
 
 
 def pe_data(sys, rng, tau, order, length=None, x0=None):
@@ -186,22 +199,14 @@ def test_min_poly_degree_equals_the_plain_scan(scale):
         assert min_poly_degree(scale * A) == degree
 
 
-def test_min_poly_degree_of_a_generic_matrix_needs_no_svd(monkeypatch):
-    calls = []
-    svd = np.linalg.svd
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
+def test_min_poly_degree_of_a_generic_matrix_needs_no_svd(svd_calls):
     rng = np.random.default_rng(69)
     for n in range(1, 7):
         assert min_poly_degree(rng.normal(size=(n, n))) == n
-    assert not calls
+    assert not svd_calls
     # a degree below n is left to the scan
     assert min_poly_degree(np.diag([2.0, 2.0, 5.0])) == 2
-    assert calls
+    assert svd_calls
 
 
 def test_initial_state_matrix_collects_first_states(bench):
@@ -274,6 +279,96 @@ def test_image_check_verdict_is_invariant_to_trajectory_order():
                 base.target_dim,
             )
     assert seen == set(Verdict)
+
+
+def summed_image_check(sys, data, L):
+    """(verdict, data_dim, target_dim) of `pe_image_check` with R + K[x0]
+    built as the sum of two separately orthonormalized spaces,
+    R = controllable_subspace and K = krylov_subspace(A, X0): three rank
+    decisions where the Krylov space of (A, [B X0]) makes one. The
+    reference the one-space target must agree with."""
+    x_row = window_start_states(data, L)
+    data_space = subspace_from_columns(np.vstack([x_row, mosaic_hankel(data, L)]))
+    X0 = initial_state_matrix(data)
+    rk = subspace_sum(controllable_subspace(sys), krylov_subspace(sys.A, X0))
+    n, mL = sys.n, sys.m * L
+    target = np.zeros((n + mL, rk.dim + mL))
+    target[:n, : rk.dim] = rk.basis
+    target[n:, rk.dim :] = np.eye(mL)
+    target_space = SubspaceBasis(n + mL, target)
+    gap = subspace_gap(data_space, target_space)
+    ok = data_space.dim == target_space.dim and gap <= DEFAULT_RESIDUAL_RTOL
+    verdict = Verdict.HOLDS if ok else Verdict.FAILS
+    return verdict, data_space.dim, target_space.dim
+
+
+def image_outcome(sys, data, L):
+    report = pe_image_check(sys, data, L, min_poly_degree(sys.A) + L)
+    return report.verdict, report.data_dim, report.target_dim
+
+
+def test_krylov_target_keeps_the_summed_verdicts_on_generic_plants():
+    # the verify-theorem1 random recipe: n <= 6, m, p, tau <= 3, L <= 4
+    rng = np.random.default_rng(71)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        m, p, tau = (int(v) for v in rng.integers(1, 4, size=3))
+        L = int(rng.integers(1, 5))
+        sys = random_system(rng, n, m, p)
+        data = pe_data(sys, rng, tau, min_poly_degree(sys.A) + L)
+        assert image_outcome(sys, data, L) == summed_image_check(sys, data, L)
+
+
+def similar_network_plant(rng):
+    """k >= 2 copies of a random 1- or 2-state agent with one input each,
+    beside an uncontrollable block (B zero on it) and one random output,
+    all seen through a Gaussian similarity S: the paper's regime, where
+    delta < n and zeros of exact arithmetic land at rounding level."""
+    k, nbar, nu = int(rng.integers(2, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+    Abar = rng.normal(size=(nbar, nbar))
+    Abar *= 0.9 / np.abs(np.linalg.eigvals(Abar)).max()
+    Au = rng.normal(size=(nu, nu))
+    Au *= 0.9 / np.abs(np.linalg.eigvals(Au)).max()
+    n = k * nbar + nu
+    A = np.zeros((n, n))
+    A[: k * nbar, : k * nbar] = np.kron(np.eye(k), Abar)
+    A[k * nbar :, k * nbar :] = Au
+    B = np.zeros((n, k))
+    B[: k * nbar] = np.kron(np.eye(k), rng.normal(size=(nbar, 1)))
+    S = rng.normal(size=(n, n))
+    Sinv = np.linalg.inv(S)
+    return LtiSystem(S @ A @ Sinv, S @ B, rng.normal(size=(1, n)) @ Sinv, np.zeros((1, k)))
+
+
+def test_krylov_target_fails_no_case_the_summed_target_holds_under_similarity():
+    # Theorem 1 holds for every such plant in exact arithmetic, so a FAILS
+    # is an overcounted dimension; one rank decision for R + K[x0] may
+    # remove such FAILS but must not add any
+    rng = np.random.default_rng(1)
+    fails = {"summed": 0, "krylov": 0}
+    for _ in range(200):
+        sys = similar_network_plant(rng)
+        L = 2
+        data = pe_data(sys, rng, 1, min_poly_degree(sys.A) + L, x0=np.zeros((sys.n, 1)))
+        summed, krylov = summed_image_check(sys, data, L), image_outcome(sys, data, L)
+        assert not (summed[0] is Verdict.HOLDS and krylov[0] is Verdict.FAILS)
+        fails["summed"] += summed[0] is Verdict.FAILS
+        fails["krylov"] += krylov[0] is Verdict.FAILS
+    assert fails["krylov"] <= fails["summed"]
+
+
+def test_theorem1_checks_decide_r_plus_k_in_one_svd(bench, svd_calls):
+    # one SVD for the data matrix and one for the Krylov space of
+    # (A, [B X0]); the state condition adds the unobservable subspace and
+    # the sum
+    rng = np.random.default_rng(72)
+    data = pe_data(bench, rng, 2, 4 + 2)
+    svd_calls.clear()
+    assert pe_image_check(bench, data, 2, 4 + 2).verdict is Verdict.HOLDS
+    assert len(svd_calls) == 2
+    svd_calls.clear()
+    state_condition_space(bench, data)
+    assert len(svd_calls) == 3
 
 
 def test_image_check_gates_on_excitation(bench):
