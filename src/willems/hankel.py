@@ -9,11 +9,14 @@ mosaic has full row rank under the rank cutoff of `numerics.svd_rank`.
 
 `is_collectively_pe` decides that without an SVD in the common case: a
 mosaic with fewer columns than rows is rejected by its shape, and
-`numerics.gram_certifies_full_rank` (where the derivation lives) certifies
-full row rank by a Cholesky factorization of the shifted Gram matrix of the
+`numerics.cholesky_certificate` (where the derivation lives) certifies full
+row rank by a Cholesky factorization of the shifted Gram matrix of the
 mosaic whenever the smallest singular value clears the cutoff by a wide
-margin. Only a verdict that neither settles goes to the values-only SVD of
-the mosaic, so every verdict is the one the SVD gives.
+margin. Small mosaics are built and their Gram matrix formed by one
+product; large ones never are built: their Gram matrix is formed from the
+samples through the Hankel structure (`numerics.hankel_certifies_full_rank`).
+Only a verdict that neither settles goes to the values-only SVD of the
+mosaic, so every verdict is the one the SVD gives.
 """
 
 from __future__ import annotations
@@ -23,29 +26,46 @@ import logging
 import numpy as np
 
 from .lti import TrajectorySet
-from .numerics import as_matrix, gram_certifies_full_rank, rank_margin
+from .numerics import (
+    as_matrix,
+    gram_certifies_full_rank,
+    hankel_certifies_full_rank,
+    rank_margin,
+)
 
 __all__ = ["hankel", "mosaic_hankel", "is_collectively_pe", "pe_order"]
 
 log = logging.getLogger(__name__)
 
+# m r c = r^2 c / d, the work of the product H H^T of an r x c mosaic per
+# iteration of `numerics.hankel_gram`'s loop over its d block rows. From
+# here on `is_collectively_pe` forms the Gram matrix from the samples: below
+# it the loop's per-iteration cost outweighs the work it saves. Measured on
+# one CPU with one BLAS thread, the two routes break even between 1.5e5 and
+# 2.7e5 for m = 1 .. 8, while r^2 c at break-even ranges from 4e6 (m = 6)
+# to 4e7 (m = 1).
+_STRUCTURED_GRAM_WORK = 2e5
 
-def hankel(f, d: int) -> np.ndarray:
-    """Depth-d Hankel matrix of a ``(T, q)`` (or length-T scalar) sequence."""
-    arr = as_matrix(f, "f")
+
+def _windows(arr: np.ndarray, d: int) -> np.ndarray:
+    """The T - d + 1 depth-d windows of the (T, q) float array `arr`, one
+    per row: row j is the run of d*q values from sample j on, one strided
+    view over the C-ordered samples."""
     T, q = arr.shape
     if d < 1:
         raise ValueError(f"depth must be positive, got {d}")
     if d > T:
         raise ValueError(f"depth {d} exceeds sequence length {T}")
-    # column j is the run of d*q values from sample j on: one strided view
-    # over the C-ordered samples holds every column, and one copy fills H
     arr = np.ascontiguousarray(arr)
     step = arr.itemsize
-    windows = np.ndarray(
+    return np.ndarray(
         (T - d + 1, d * q), float, buffer=arr, strides=(q * step, step)
     )
-    return windows.T.copy()
+
+
+def hankel(f, d: int) -> np.ndarray:
+    """Depth-d Hankel matrix of a ``(T, q)`` (or length-T scalar) sequence."""
+    return _windows(as_matrix(f, "f"), d).T.copy()
 
 
 def mosaic_hankel(
@@ -54,17 +74,23 @@ def mosaic_hankel(
     """Horizontal concatenation of per-trajectory depth-d Hankel matrices.
 
     Columns come in trajectory order; the total column count is
-    ``sum(T_i - d + 1)``.
+    ``sum(T_i - d + 1)``. Each trajectory's windows are copied once,
+    straight into their columns.
     """
-    blocks = []
+    windows = []
     for i, traj in enumerate(data):
         seq = traj.channel(channel)
         if d > traj.length:
             raise ValueError(
                 f"depth {d} exceeds length {traj.length} of trajectory {i}"
             )
-        blocks.append(hankel(seq, d))
-    return np.hstack(blocks)
+        windows.append(_windows(seq, d))
+    mosaic = np.empty((windows[0].shape[1], sum(len(w) for w in windows)))
+    col = 0
+    for w in windows:
+        mosaic[:, col : col + len(w)] = w.T
+        col += len(w)
+    return mosaic
 
 
 def is_collectively_pe(data: TrajectorySet, d: int) -> bool:
@@ -78,18 +104,26 @@ def is_collectively_pe(data: TrajectorySet, d: int) -> bool:
     verdict open:
 
     1. Shape: with c < r the SVD can never report rank r, so False.
-    2. Certificate: `numerics.gram_certifies_full_rank` of the mosaic, a
-       shifted Cholesky factorization of H H^T that, when it succeeds,
-       proves sigma_r / sigma_1 >= sqrt((r + c + 2) eps), far above the
-       cutoff, so the answer is True; the derivation is beside the helper.
-       The mosaic is not kept, so the helper frees it before factorizing.
-    3. Fallback: `numerical_rank` of the mosaic, built again as the helper
-       freed the first one; `numerics.rank_margin` also returns the margin
-       to log.
+    2. Certificate: `numerics.cholesky_certificate` of the Gram matrix
+       H H^T, a shifted Cholesky factorization that, when it succeeds,
+       proves sigma_r / sigma_1 >= sqrt((r + c + 2) eps) or more, far above
+       the cutoff, so the answer is True; the derivation is beside it. The
+       Gram matrix takes one of two routes, by the work m r c of the
+       product H H^T per block row:
+       - direct, below `_STRUCTURED_GRAM_WORK`: `gram_certifies_full_rank`
+         of the mosaic, one product H H^T;
+       - structured, from there on: `numerics.hankel_certifies_full_rank`
+         of the input samples, O(r (m c + tau r)) work from the mosaic's
+         Hankel structure, with H never built.
+    3. Fallback: `numerical_rank` of the mosaic; `numerics.rank_margin`
+       also returns the margin to log. The direct route keeps the mosaic it
+       built for it, and the structured route builds it here, so no verdict
+       builds the mosaic twice.
 
-    Logs one DEBUG line per call naming the step that decided; after the
-    SVD it gives sigma_r / sigma_1 against the cutoff, so a verdict close
-    to the cutoff shows as close.
+    Logs one DEBUG line per call naming the step that decided and the Gram
+    route; a certified True gives the proved lower bound on
+    sigma_r / sigma_1, and after the SVD the line gives sigma_r / sigma_1
+    against the cutoff, so a verdict close to the cutoff shows as close.
     """
     if d < 1:
         raise ValueError(f"order must be positive, got {d}")
@@ -102,13 +136,31 @@ def is_collectively_pe(data: TrajectorySet, d: int) -> bool:
     if cols < rows:
         log.debug("PE order %d: shape, %d columns < %d rows: False", d, cols, rows)
         return False
-    if gram_certifies_full_rank(mosaic_hankel(data, d, "inputs")):
-        log.debug("PE order %d: cholesky certifies %d x %d: True", d, rows, cols)
+    if data[0].m * rows * cols < _STRUCTURED_GRAM_WORK:
+        route, mosaic = "direct", mosaic_hankel(data, d, "inputs")
+        bound = gram_certifies_full_rank(mosaic)
+    else:
+        route, mosaic = "structured", None
+        bound = hankel_certifies_full_rank([t.inputs for t in data], d)
+    if bound:
+        log.debug(
+            "PE order %d: cholesky of the %s gram certifies %d x %d, "
+            "sigma_r/sigma_1 >= %.3e: True",
+            d,
+            route,
+            rows,
+            cols,
+            bound,
+        )
         return True
-    rank, ratio, cutoff = rank_margin(mosaic_hankel(data, d, "inputs"))
+    if mosaic is None:
+        mosaic = mosaic_hankel(data, d, "inputs")
+    rank, ratio, cutoff = rank_margin(mosaic)
     log.debug(
-        "PE order %d: svd, sigma_r/sigma_1 = %.3e against cutoff %.3e: %s",
+        "PE order %d: svd after the %s gram, sigma_r/sigma_1 = %.3e against "
+        "cutoff %.3e: %s",
         d,
+        route,
         ratio,
         cutoff,
         rank == rows,

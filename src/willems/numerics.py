@@ -4,9 +4,12 @@ Every rank decision follows one policy, applied by `svd_rank`: a singular
 value counts as nonzero when it exceeds ``max(rows, cols) * eps *
 sigma_max``, the cutoff of ``numpy.linalg.matrix_rank``. The routines are
 SVD-backed, with one exception that decides the same way:
-`gram_certifies_full_rank` proves full rank under that cutoff by a shifted
+`cholesky_certificate` proves full rank under that cutoff by a shifted
 Cholesky factorization of a Gram matrix, far cheaper than an SVD, and when
-it cannot prove it the caller asks the SVD. Membership and equality of
+it cannot prove it the caller asks the SVD. The Gram matrix comes with the
+bound on its rounding error that sets the shift, from one product
+(`gram_certifies_full_rank`) or, for a mosaic-Hankel matrix, from its
+samples (`hankel_certifies_full_rank`). Membership and equality of
 computed subspaces are decided by projection residuals against
 `DEFAULT_RESIDUAL_RTOL`. Matrices are plain 2-D ``numpy`` arrays; vectors
 are 1-D arrays.
@@ -131,64 +134,235 @@ def rank_margin(m) -> tuple[int, float, float]:
     return svd_rank(s, a.shape), ratio, _relative_cutoff(a.shape)
 
 
-def gram_certifies_full_rank(a: np.ndarray) -> bool:
-    """True when a Cholesky factorization proves that the float matrix `a`,
-    r x c, has full rank k = min(r, c) under the cutoff of `svd_rank`; False
-    decides nothing, and the caller then asks the SVD. Outside ``__all__``,
-    like `svd_rank`.
+def power_of_two_scaled(a: np.ndarray) -> np.ndarray:
+    """A new array: `a` times the power of two that puts max|a| in
+    [1/2, 1), which is exact and keeps the entries of its Gram matrix from
+    overflowing or underflowing. Outside ``__all__``, like `svd_rank`."""
+    _, e = np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))
+    return np.ldexp(a, -e)
 
-    `a` is scaled by the power of two that puts max|a| in [1/2, 1), which is
-    exact and keeps the Gram entries from overflowing or underflowing. The
-    scaled copy replaces `a`, so an argument the caller passes without
-    keeping it is freed at once. The k x k Gram matrix G of the short side
-    (a a^T when r <= c, else a^T a) is formed by one product, the scaled copy
-    is freed before the factorization, which holds two k x k copies of its
-    own, and the answer is True when the Cholesky factorization of G - s*I
-    succeeds, with s = 2 (r + c + 2) eps trace(G).
 
-    Why s proves what the SVD would report. Let u = eps/2,
-    gamma_j = j u / (1 - j u), l = max(r, c) and t the computed trace of G,
-    which is ||a||_F^2 (1 + O(l u)). Three rounding errors separate the
-    factorized matrix from the exact Gram matrix H of the scaled `a`:
+def cholesky_certificate(gram: np.ndarray, kappa: float) -> float:
+    """Proved lower bound on sigma_k / sigma_1 of a matrix A of rank cutoff
+    ``max(rows, cols) * eps`` whose k x k Gram matrix (A A^T or A^T A)
+    `gram` was formed in floating point with ``||gram - A A^T||_2 <=
+    kappa u t`` (1 + O(kappa u)), where u = eps/2 and t = ||A||_F^2; 0.0
+    when the certificate decides nothing, and the caller then asks the SVD.
+    Only the lower triangle of `gram` is read, and its diagonal is
+    overwritten. Outside ``__all__``, like `svd_rank`.
 
-    - forming G: every entry is an inner product of length l, so
-      G = H + E1 with |E1| <= gamma_l |a| |a|^T (Higham, *Accuracy and
-      Stability of Numerical Algorithms*, 2nd ed., §3.5; for a^T a read
-      |a|^T |a|), and ||E1||_2 <= gamma_l ||a||_F^2;
+    The diagonal of `gram` is shifted down by s = 2 (kappa + k + 2) eps t',
+    with t' its computed trace, t (1 + O(kappa u)), and the certificate
+    holds when the Cholesky factorization of the shifted matrix succeeds;
+    it then proves sigma_k / sigma_1 >= sqrt((kappa + k + 2) eps).
+
+    Why. Three rounding errors separate the factorized matrix from the
+    exact Gram matrix H = A A^T:
+
+    - forming it: G = H + E1 with ||E1||_2 <= kappa u t, the bound the
+      caller vouches for (`gram_certifies_full_rank` and
+      `hankel_certifies_full_rank` derive theirs);
     - the shift: each diagonal entry is rounded once, so
       M = fl(G - s I) = G - s I + E2 with ||E2||_2 <= u t;
     - the factorization: a Cholesky that runs to completion on M returns R
       with R^T R = M + E3 and |E3| <= gamma_{k+1} |R^T| |R| (Higham,
-      Thm 10.3). As ||R||_F^2 = trace(M + E3), this gives
+      *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.3;
+      gamma_j = j u / (1 - j u)). As ||R||_F^2 = trace(M + E3), this gives
       ||E3||_2 <= gamma_{k+1} t (1 + O(k u)).
 
-    Entries of the scaled matrix or of the products that underflow add at
-    most 2^-1075 each, nothing next to u t >= u/4. Since R^T R is positive
-    semidefinite and l + k = r + c, H = R^T R - E3 + s I - E2 - E1 has
+    Entries that underflow add at most 2^-1075 per operation, nothing next
+    to u t when A was scaled by `power_of_two_scaled` (then t >= 1/4).
+    Since R^T R is positive semidefinite, H = R^T R - E3 + s I - E2 - E1 has
 
-        sigma_k(a)^2 >= s - (r + c + 2) u t (1 + O((r + c) u)) >= s / 2,
+        sigma_k(A)^2 >= s - (kappa + k + 2) u t (1 + O((kappa + k) u))
+                     >= s / 2,
 
-    the last step because s = 4 (r + c + 2) u t leaves a factor of two to
-    spare (Rump, "Verification of positive definiteness", BIT 46, 2006).
-    With t >= sigma_1^2 this reads sigma_k / sigma_1 >= sqrt((r + c + 2) eps),
-    far above the cutoff's max(r, c) eps: the ratio of the two exceeds
-    10^4 for any matrix with fewer than 10^7 rows plus columns, far more
-    than the rounding error of a backward-stable SVD. So a certified True
-    is a True of the SVD too, and a failed factorization decides nothing:
-    no verdict that falls back to the SVD differs from it.
+    the last step because s = 4 (kappa + k + 2) u t' leaves a factor of
+    two to spare (Rump, "Verification of positive definiteness", BIT 46,
+    2006). With t >= sigma_1^2 this reads sigma_k / sigma_1 >=
+    sqrt((kappa + k + 2) eps). Both Gram routes have kappa + k >= r + c,
+    so the bound is at least sqrt((r + c + 2) eps), far above the cutoff's
+    max(r, c) eps: the ratio of the two exceeds 10^4 for any matrix with
+    fewer than 10^7 rows plus columns, far more than the rounding error of
+    a backward-stable SVD. So a certified True is a True of the SVD too,
+    and a failed factorization decides nothing: no verdict that falls back
+    to the SVD differs from it.
+    """
+    k = gram.shape[0]
+    gram.flat[:: k + 1] -= 2 * (kappa + k + 2) * _EPS * gram.trace()
+    try:
+        factor = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return 0.0
+    # a Gram matrix the caller passed without keeping it is freed here,
+    # before the factor: glibc returns heap memory to the system only on a
+    # free that leaves enough free at the heap's top, so a Gram matrix freed
+    # last, alone, could stay resident
+    del gram, factor
+    return float(np.sqrt((kappa + k + 2) * _EPS))
+
+
+def gram_certifies_full_rank(a: np.ndarray) -> float:
+    """`cholesky_certificate` of the float matrix `a`, r x c, through the
+    Gram matrix of its short side formed by one product: the proved lower
+    bound on sigma_k / sigma_1, k = min(r, c), when it certifies full rank
+    k under the cutoff of `svd_rank`, else 0.0, so the result reads as the
+    verdict. `a` is left as it was. Outside ``__all__``, like `svd_rank`.
+
+    The product runs on `power_of_two_scaled` `a`, which is freed before
+    the factorization, and its kappa is max(r, c): every entry of the Gram
+    matrix is an inner product of length l = max(r, c) (c for a a^T, r for
+    a^T a), so G = H + E1 with |E1| <= gamma_l |a| |a|^T (Higham, §3.5;
+    for a^T a read |a|^T |a|), a nonnegative matrix whose 2-norm is at
+    most its trace, ||a||_F^2: ||E1||_2 <= l u t (1 + O(l u)). The shift
+    is then 2 (r + c + 2) eps t'.
     """
     rows, cols = a.shape
-    _, e = np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))
-    a = np.ldexp(a, -e)
+    a = power_of_two_scaled(a)
     gram = a @ a.T if rows <= cols else a.T @ a
     # freed before the factorization, which holds two k x k copies of its own
     del a
-    gram.flat[:: gram.shape[0] + 1] -= 2 * (rows + cols + 2) * _EPS * gram.trace()
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return cholesky_certificate(gram, max(rows, cols))
+
+
+def hankel_certifies_full_rank(sequences, d: int) -> float:
+    """`cholesky_certificate` of the depth-d mosaic-Hankel matrix H of
+    `sequences` (each T_i x m with T_i >= d), through its Gram matrix
+    formed from the samples by `hankel_gram`, with H never built: the
+    proved lower bound on sigma_r / sigma_1 when it certifies full row rank
+    r under the cutoff of `svd_rank`, else 0.0. Outside ``__all__``, like
+    `svd_rank`.
+
+    With r = d m rows, c = sum(T_i - d + 1) columns and tau sequences the
+    Gram matrix costs O(m r c + tau r^2) operations, where the product
+    H H^T costs O(r^2 c). Both run on the `power_of_two_scaled` samples.
+
+    Rounding. Write G_{a,b} for the m x m block (a, b) of H H^T, x_i[j]
+    for sample j of sequence i, w_i = T_i - d + 1 for its number of
+    windows, and h_{i,a} = x_i[a] and t_{i,a} = x_i[w_i + a], a < d - 1,
+    for its first and last d - 1 samples; |.| is taken entrywise and
+    A = |H|. Let W_h be the zero-padded head Hankel matrix, which has for
+    each sequence i and s = 1 .. d - 1 a column whose block a is
+    |h_{i,a-s}| for a >= s and zero above, W_t the same of the t_{i,a},
+    omega_h = ||W_h||_F^2 = sum_i sum_a (d - 1 - a) |h_{i,a}|^2 and
+    omega_t = ||W_t||_F^2. Each error term of `hankel_gram` is dominated
+    entrywise by a Gram matrix of a nonnegative matrix, whose 2-norm is at
+    most its trace:
+
+    - block row 0: an entry is an inner product with at most c nonzero
+      terms (the zeroed heads add exact zeros, which round nothing), so it
+      errs by at most gamma_c R_b, R_b = sum_i sum_{j < w_i}
+      |x_i[j]| |x_i[j + b]|^T (Higham, §3.5), and the recurrence carries
+      that error unchanged to every block (a, a + b). The recurrence holds
+      for A too, and gives R_{b-a} = (A A^T + W_h W_h^T - W_t W_t^T)_{a,b}
+      <= (A A^T + W_h W_h^T)_{a,b}: in norm gamma_c (t + omega_h);
+    - the corrections: C_{a,b} errs by at most gamma_{2 tau} sum_i
+      (|t_{i,a}| |t_{i,b}|^T + |h_{i,a}| |h_{i,b}|^T), and block (a, b)
+      adds those of C_{j,j+b-a}, j < a, which is
+      gamma_{2 tau} (W_t W_t^T + W_h W_h^T)_{a,b}: in norm
+      gamma_{2 tau} (omega_h + omega_t);
+    - the additions: block (a, b) is a running sum whose k-th addition,
+      k = 1 .. a, errs by at most u times its result, the formed block
+      (k, k + b - a), whose size is at most (A A^T)_{k,k+b-a}
+      (1 + O(kappa u)). With B = A with its block row 0 zeroed and Z the
+      shift down by one block, that is u times
+      sum_{s < d - 1} (Z^s B) (Z^s B)^T, of trace
+      sum_{k >= 1} (d - k) ||A_k||_F^2 <= (d - 1) t, A_k the block rows.
+
+    Together the formed Gram matrix G has
+    ||G - H H^T||_2 <= kappa u t (1 + O(kappa u)) with
+
+        kappa = c + d - 1 + ((c + 2 tau) omega_h + 2 tau omega_t) / t,
+
+    `hankel_kappa`, which has no factor of r: the ratios omega / t are
+    measured on the data. Every sample appears in H at least once and in
+    W_h or W_t at most d - 1 times, so each ratio is at most d - 1; it comes
+    near that only when the energy of H sits in the first samples of its
+    sequences, and then the carried row-0 error does reach d - 1 blocks.
+    The rounding of t and of the omegas is relative O(N u), N the number of
+    samples, within the factor of two `cholesky_certificate` keeps to
+    spare.
+    """
+    x = power_of_two_scaled(np.concatenate(sequences))
+    lengths = [len(seq) for seq in sequences]
+    # kappa comes from the samples, not from the Gram matrix, which thus
+    # goes to the certificate unkept and is freed before the factor
+    return cholesky_certificate(
+        hankel_gram(x, lengths, d), hankel_kappa(x, lengths, d)
+    )
+
+
+def hankel_gram(x: np.ndarray, lengths, d: int) -> np.ndarray:
+    """Gram matrix of the depth-d mosaic-Hankel matrix of the sequences of
+    `lengths` samples stacked in the rows of `x`, formed from the samples
+    (see `hankel_certifies_full_rank`). The upper triangle is formed and
+    returned transposed, so the lower triangle holds the Gram matrix and the
+    other one is zero. Outside ``__all__``, like `svd_rank`.
+
+    - Block row 0: G_{0,b} = sum_i sum_{j < w_i} x_i[j] x_i[j + b]^T, one
+      product per lag b of the window heads (the samples, with the last
+      d - 1 of each sequence zeroed) against the samples b further on.
+    - Block rows 1 .. d - 1: dropping the first sample of every window and
+      appending the next one gives, exactly,
+      G_{a+1,b+1} = G_{a,b} + C_{a,b} with
+      C_{a,b} = sum_i (t_{i,a} t_{i,b}^T - h_{i,a} h_{i,b}^T), formed one
+      block row at a time by a product of inner length 2 tau. Only blocks
+      with b >= a are formed.
+    """
+    m = x.shape[1]
+    r = d * m
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    n = len(x) - (d - 1)
+    gram = np.zeros((r, r))
+    heads = x[:n].copy()
+    for end in ends[:-1]:
+        heads[end - d + 1 : end] = 0.0
+    lags = np.lib.stride_tricks.sliding_window_view(x, (n, m))[:, 0]
+    gram[:m] = np.matmul(heads.T, lags).transpose(1, 0, 2).reshape(m, r)
+    # freed before the block rows' temporaries are made, so the heap, whose
+    # pages stay resident through the factorization, grows less
+    del heads
+    # rows: the last d - 1 samples of each sequence, then its first d - 1
+    left = np.stack(
+        [x[end - d + 1 : end].reshape(-1) for end in ends]
+        + [x[start : start + d - 1].reshape(-1) for start in starts]
+    )
+    right = left.copy()
+    right[len(lengths) :] *= -1.0
+    for a in range(1, d):
+        lo = (a - 1) * m
+        np.add(
+            gram[lo : lo + m, lo : r - m],
+            left[:, lo : lo + m].T @ right[:, lo:],
+            out=gram[lo + m : lo + 2 * m, lo + m :],
+        )
+    return gram.T
+
+
+def hankel_kappa(x: np.ndarray, lengths, d: int) -> float:
+    """kappa of `hankel_gram` for the same arguments, derived at
+    `hankel_certifies_full_rank`, from the squared norms of the samples: t
+    counts sample k of a sequence of T samples and w windows in
+    min(k + 1, T - k, w, d) windows, omega_h and omega_t weight its first
+    and last d - 1 samples by d - 1, ..., 1. Outside ``__all__``, like
+    `svd_rank`."""
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    energy = (x * x).sum(axis=1)
+    ramp = np.arange(d - 1, 0, -1)
+    t = omega_h = omega_t = 0.0
+    for start, end in zip(starts, ends):
+        k = np.arange(end - start)
+        cap = min(end - start - d + 1, d)
+        windows = np.minimum(np.minimum(k + 1, k[::-1] + 1), cap)
+        t += windows @ energy[start:end]
+        omega_h += ramp @ energy[start : start + d - 1]
+        omega_t += ramp @ energy[end - d + 1 : end]
+    cols = sum(lengths) - len(lengths) * (d - 1)
+    tau = len(lengths)
+    spill = ((cols + 2 * tau) * omega_h + 2 * tau * omega_t) / t if t else 0.0
+    return cols + d - 1 + float(spill)
 
 
 def numerical_rank(m) -> int:

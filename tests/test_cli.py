@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import logging
 import re
 import shutil
 from importlib.resources import files
@@ -355,6 +357,63 @@ def test_bundled_outputs_keep_their_bytes(tmp_path, capsys, command):
     if command == "verify-theorem1":
         verdicts = csv_digest(out / "theorem1_report.csv", drop=("gap",))
         assert verdicts == THEOREM1_VERDICTS_SHA256
+    capsys.readouterr()
+
+
+def pe_verdicts(caplog):
+    """(route, order, rows, cols, message) of each PE verdict the Cholesky
+    certificate or the SVD decided, in the order they were logged; rows and
+    cols are 0 after an SVD, whose line does not give them."""
+    pattern = re.compile(
+        r"PE order (\d+): (?:cholesky of|svd after) the (\w+) gram"
+        r"(?: certifies (\d+) x (\d+))?"
+    )
+    found = []
+    for record in caplog.records:
+        match = pattern.match(record.getMessage())
+        if record.name == "willems.hankel" and match:
+            order, route, rows, cols = match.groups(default="0")
+            found.append((route, int(order), int(rows), int(cols), match.string))
+    return found
+
+
+def test_bundled_identify_certifies_every_pe_verdict_by_cholesky(
+    tmp_path, capsys, caplog, svd_calls
+):
+    # the parent's counts: 13 verdicts, every one certified, and only
+    # the recovery's 3 SVDs. The sweep's large points take the structured
+    # route, the rest the direct one, as the routing rule says.
+    caplog.set_level(logging.DEBUG, logger="willems.hankel")
+    cfg = bundled_config("fig2_multiagent.json")
+    assert run(tmp_path, "identify", cfg, out=tmp_path / "out") == 0
+    verdicts = pe_verdicts(caplog)
+    assert len(verdicts) == 13
+    assert all(": cholesky of the " in v[-1] for v in verdicts)
+    assert all(v[-1].endswith(": True") for v in verdicts)
+    assert len(svd_calls) == 3
+    work = importlib.import_module("willems.hankel")._STRUCTURED_GRAM_WORK
+    for route, order, rows, cols, _ in verdicts:
+        inputs = rows // order
+        assert route == ("structured" if inputs * rows * cols >= work else "direct")
+    routes = {(rows, cols): route for route, _, rows, cols, _ in verdicts}
+    # the full_n points from N = 4 on; N = 3, at 150 x 192, stays direct
+    for shape in [(264, 264), (410, 480), (588, 648), (798, 832), (1040, 1064)]:
+        assert routes[shape] == "structured"
+    assert routes[(150, 192)] == "direct"
+    capsys.readouterr()
+
+
+def test_small_mosaics_keep_the_direct_gram(tmp_path, capsys, caplog):
+    # the fig1 excitation check and a verify-theorem1 random case: their
+    # mosaics stay on the product H H^T, the code path of the pinned bytes
+    caplog.set_level(logging.DEBUG, logger="willems.hankel")
+    deepc = bundled_config("fig1_deepc.json", K=27)
+    theorem1 = {"random": {"count": 1}, "seed": 3}
+    for command, cfg in [("deepc", deepc), ("verify-theorem1", theorem1)]:
+        caplog.clear()
+        assert run(tmp_path, command, cfg, out=tmp_path / command) == 0
+        routes = [route for route, *_ in pe_verdicts(caplog)]
+        assert routes and set(routes) == {"direct"}, command
     capsys.readouterr()
 
 

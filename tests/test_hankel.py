@@ -1,4 +1,6 @@
+import importlib
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +166,18 @@ def test_pe_order_structural_ceiling():
 
 # -- the Cholesky certificate and its SVD fallback ---------------------------
 
+# the module, not the function `willems.hankel` the package exports
+hankel_module = importlib.import_module("willems.hankel")
+
+
+def on_each_route(monkeypatch):
+    """Force `is_collectively_pe` onto each Gram route in turn, the product
+    H H^T of the built mosaic and then the Gram matrix formed from the
+    samples, yielding the route's name."""
+    for route, work in (("direct", np.inf), ("structured", 0.0)):
+        monkeypatch.setattr(hankel_module, "_STRUCTURED_GRAM_WORK", work)
+        yield route
+
 
 def svd_verdict(data, d):
     """The verdict the SVD of the mosaic gives, the contract of
@@ -204,7 +218,7 @@ def deficient_sets(rng):
     yield trajectory_set([recursion_input(rng, 40, 2, [1.2, -0.5, 0.1])] * 2), 5
 
 
-def test_certificate_verdict_matches_svd_on_random_shapes():
+def test_certificate_verdict_matches_svd_on_random_shapes(monkeypatch):
     rng = np.random.default_rng(61)
     for _ in range(150):
         m = int(rng.integers(1, 4))
@@ -219,26 +233,31 @@ def test_certificate_verdict_matches_svd_on_random_shapes():
         if widths.min() < 1:
             continue
         data = trajectory_set(rng.normal(size=(w + d - 1, m)) for w in widths)
-        assert is_collectively_pe(data, d) == svd_verdict(data, d)
+        verdict = svd_verdict(data, d)
+        for route in on_each_route(monkeypatch):
+            assert is_collectively_pe(data, d) == verdict, route
 
 
-def test_certificate_verdict_matches_svd_on_deficient_sets():
+def test_certificate_verdict_matches_svd_on_deficient_sets(monkeypatch):
     rng = np.random.default_rng(62)
     for data, d in deficient_sets(rng):
         assert not svd_verdict(data, d)
-        assert not is_collectively_pe(data, d)
+        for route in on_each_route(monkeypatch):
+            assert not is_collectively_pe(data, d), route
 
 
 # 1e-16 lies below the cutoff max(rows, cols) * eps, so the SVD says False
 @pytest.mark.parametrize("ratio", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16])
-def test_certificate_verdict_matches_svd_across_conditioning(ratio):
+def test_certificate_verdict_matches_svd_across_conditioning(ratio, monkeypatch):
     rng = np.random.default_rng(63)
     d, m = 4, 3
     for cols in (12, 13, 20):  # square, near-square and wide
         mosaic = prescribed_mosaic(rng, d * m, cols, ratio)
         data = trajectory_set(mosaic[:, j].reshape(d, m) for j in range(cols))
         assert np.array_equal(mosaic_hankel(data, d), mosaic)
-        assert is_collectively_pe(data, d) == svd_verdict(data, d)
+        verdict = svd_verdict(data, d)
+        for route in on_each_route(monkeypatch):
+            assert is_collectively_pe(data, d) == verdict, route
 
 
 # past 2^±512 and 1e±160 the unscaled Gram entries overflow or underflow
@@ -247,7 +266,7 @@ def test_certificate_verdict_matches_svd_across_conditioning(ratio):
     [2.0**500, 2.0**-500, 1e150, 1e-150, 2.0**600, 2.0**-600, 1e200, 1e-200],
     ids=["2^500", "2^-500", "1e150", "1e-150", "2^600", "2^-600", "1e200", "1e-200"],
 )
-def test_certificate_verdict_matches_svd_on_scaled_data(scale, svd_calls):
+def test_certificate_verdict_matches_svd_on_scaled_data(scale, svd_calls, monkeypatch):
     rng = np.random.default_rng(64)
     rich = trajectory_set([rng.normal(size=(25, 2))])
     cases = [(rich, 6)] + list(deficient_sets(rng))
@@ -255,14 +274,17 @@ def test_certificate_verdict_matches_svd_on_scaled_data(scale, svd_calls):
     cases.append((trajectory_set(mosaic[:, j].reshape(4, 2) for j in range(9)), 4))
     for data, d in cases:
         scaled = trajectory_set(t.inputs * scale for t in data)
-        verdict = is_collectively_pe(scaled, d)
-        assert verdict == svd_verdict(scaled, d)
-        if np.log2(scale).is_integer():
-            assert verdict == is_collectively_pe(data, d)
+        expected = svd_verdict(scaled, d)
+        for route in on_each_route(monkeypatch):
+            verdict = is_collectively_pe(scaled, d)
+            assert verdict == expected, route
+            if np.log2(scale).is_integer():
+                assert verdict == is_collectively_pe(data, d), route
     # the Gram matrix neither overflows nor underflows: still certified
-    svd_calls.clear()
-    assert is_collectively_pe(trajectory_set(t.inputs * scale for t in rich), 6)
-    assert not svd_calls
+    for route in on_each_route(monkeypatch):
+        svd_calls.clear()
+        assert is_collectively_pe(trajectory_set(t.inputs * scale for t in rich), 6)
+        assert not svd_calls, route
 
 
 def test_svd_runs_only_when_the_certificate_fails(svd_calls, caplog):
@@ -284,6 +306,62 @@ def test_svd_runs_only_when_the_certificate_fails(svd_calls, caplog):
     caplog.clear()
     assert not is_collectively_pe(trajectory_set([np.ones((30, 1))]), 2)
     assert "sigma_r/sigma_1" in caplog.records[0].getMessage()
+
+
+def test_certificate_verdict_matches_svd_on_large_mosaics(monkeypatch):
+    # r >= 264 on both sides of the routing rule: one input keeps m r c
+    # below it, four and eight take it past. Rich inputs, inputs of a
+    # short recursion (never PE) and, in the last case, 264 trajectories of
+    # one window each, so the corrections' inner length 2 tau exceeds c
+    rng = np.random.default_rng(68)
+    cases = []
+    shapes = [(1, 1, 600, 264), (1, 2, 500, 300), (4, 4, 150, 70), (8, 3, 120, 33)]
+    for m, tau, T, d in shapes:
+        rich = [rng.normal(size=(T, m)) for _ in range(tau)]
+        flat = [recursion_input(rng, T, m, [0.9, -0.2]) for _ in range(tau)]
+        cases += [(trajectory_set(rich), d), (trajectory_set(flat), d)]
+    for ratio in (1e-3, 1e-17):
+        mosaic = prescribed_mosaic(rng, 264, 280, ratio)
+        windows = [mosaic[:, j].reshape(33, 8) for j in range(280)]
+        cases.append((trajectory_set(windows), 33))
+    sides = set()
+    for data, d in cases:
+        m = data[0].m
+        cols = sum(length - d + 1 for length in data.lengths)
+        assert d * m >= 264
+        sides.add(m * d * m * cols >= hankel_module._STRUCTURED_GRAM_WORK)
+        verdict = svd_verdict(data, d)
+        for route in on_each_route(monkeypatch):
+            assert is_collectively_pe(data, d) == verdict, (route, d, m)
+    assert sides == {False, True}
+
+
+def test_pe_log_names_the_gram_route_and_a_margin_the_svd_confirms(caplog, monkeypatch):
+    rng = np.random.default_rng(69)
+    caplog.set_level(logging.DEBUG, logger="willems.hankel")
+    for data, d in [
+        (trajectory_set([rng.normal(size=(40, 2))]), 8),
+        (trajectory_set(rng.normal(size=(T, 3)) for T in (30, 50, 21)), 12),
+    ]:
+        mosaic = mosaic_hankel(data, d)
+        s = np.linalg.svd(mosaic, compute_uv=False)
+        rows, cols = mosaic.shape
+        for route in on_each_route(monkeypatch):
+            caplog.clear()
+            assert is_collectively_pe(data, d)
+            (record,) = caplog.records
+            message = record.getMessage()
+            certified = f": cholesky of the {route} gram certifies {rows} x {cols}"
+            assert certified in message
+            bound = float(re.search(r"sigma_r/sigma_1 >= (\S+): True", message)[1])
+            # the proved bound: at least the direct route's, and below the SVD's
+            assert np.sqrt((rows + cols + 2) * np.finfo(float).eps) * 0.999 <= bound
+            assert bound <= s[-1] / s[0]
+    # a verdict the certificate leaves open names the route it failed on
+    for route in on_each_route(monkeypatch):
+        caplog.clear()
+        assert not is_collectively_pe(trajectory_set([np.ones((30, 1))]), 2)
+        assert f": svd after the {route} gram" in caplog.records[0].getMessage()
 
 
 

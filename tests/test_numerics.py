@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -26,9 +27,12 @@ from willems.numerics import (
     as_matrix,
     as_vector,
     gram_certifies_full_rank,
+    hankel_gram,
+    hankel_kappa,
     least_squares,
     numerical_rank,
     orthonormal_image,
+    power_of_two_scaled,
     pseudo_inverse_parts,
     right_kernel,
     subspace_contains,
@@ -228,6 +232,79 @@ def test_gram_certificate_never_claims_full_rank_the_svd_denies(shape):
     assert not gram_certifies_full_rank(np.zeros(shape))
     # not vacuous: the well-conditioned matrices are certified at every scale
     assert certified[:10] == [1e-1] * 5 + [1e-3] * 5
+
+
+def hankel_gram_cases():
+    """The structured Gram matrix's hard inputs, as pytest params of
+    (sequences, d, whether its products round). Every double is a dyadic
+    rational, so `Fraction` holds each sample exactly."""
+    rng = np.random.default_rng(71)
+    spike = rng.normal(size=(14, 2))
+    spike[0, 1] = 2.0**40  # the first sample, which the recurrence subtracts
+    cases = {
+        "constant": ([np.ones((12, 2)), np.ones((9, 2))], 4, False),
+        "alternating": ([np.outer((-1.0) ** np.arange(15), [1.0, -3.0])], 5, False),
+        "geometric": ([2.0 ** -np.round(np.linspace(0.0, 60.0, 16))[:, None]], 6, True),
+        "spike": ([spike, rng.normal(size=(10, 2))], 4, True),
+        "uneven": ([rng.normal(size=(T, 2)) for T in (5, 17, 9)], 5, True),
+        "depth 1": ([rng.normal(size=(T, 3)) for T in (4, 7)], 1, True),
+        # shorter than 2 (d - 1): first and last samples overlap
+        "overlapping": ([rng.normal(size=(T, 2)) for T in (6, 7)], 5, True),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
+
+
+@pytest.mark.parametrize("sequences, d, rounds", hankel_gram_cases())
+def test_hankel_gram_stays_within_its_derived_rounding_bound(sequences, d, rounds):
+    # the exact Gram matrix, in rationals, of the mosaic of the scaled
+    # samples, against the one formed from the samples; every entry lies
+    # within the entrywise bound of `hankel_certifies_full_rank`, and the
+    # whole matrix within kappa u t
+    lengths = [len(seq) for seq in sequences]
+    x = power_of_two_scaled(np.concatenate(sequences))
+    starts = np.cumsum([0] + lengths[:-1])
+    seqs = [x[start : start + T] for start, T in zip(starts, lengths)]
+    H = np.hstack([hankel(seq, d) for seq in seqs])
+    r, c = H.shape
+    m, tau = x.shape[1], len(lengths)
+    exact = [[Fraction(v) for v in row] for row in H]
+    computed = hankel_gram(x, lengths, d)
+    error = np.zeros((r, r))
+    for p in range(r):
+        for q in range(p + 1):
+            g = sum(a * b for a, b in zip(exact[p], exact[q]))
+            error[p, q] = error[q, p] = float(Fraction(computed[p, q]) - g)
+    # the dominating nonnegative matrices of the derivation
+    A = np.abs(H)
+    W_h, W_t = np.zeros((r, tau * (d - 1))), np.zeros((r, tau * (d - 1)))
+    for i, seq in enumerate(seqs):
+        w = len(seq) - d + 1
+        for s in range(1, d):
+            col = i * (d - 1) + s - 1
+            for a in range(s, d):
+                W_h[a * m : (a + 1) * m, col] = np.abs(seq[a - s])
+                W_t[a * m : (a + 1) * m, col] = np.abs(seq[w + a - s])
+    B = A.copy()
+    B[:m] = 0.0
+    additions = sum(
+        np.vstack([np.zeros((s * m, c)), B[: r - s * m]])
+        @ np.vstack([np.zeros((s * m, c)), B[: r - s * m]]).T
+        for s in range(d - 1)
+    )
+    u = np.finfo(float).eps / 2
+    gamma = lambda n: n * u / (1 - n * u)  # noqa: E731
+    hh, tt = W_h @ W_h.T, W_t @ W_t.T
+    entrywise = gamma(c) * (A @ A.T + hh) + gamma(2 * tau) * (hh + tt) + u * additions
+    # first order: the O(kappa u) terms and the rounding of the bound itself
+    slack = 1 + 1e-9
+    assert (np.abs(error) <= entrywise * slack).all()
+    assert error.any() == rounds  # not vacuous where products round
+    t = float(sum(v * v for row in exact for v in row))
+    omega_h, omega_t = float((W_h**2).sum()), float((W_t**2).sum())
+    kappa = hankel_kappa(x, lengths, d)
+    expected = c + d - 1 + ((c + 2 * tau) * omega_h + 2 * tau * omega_t) / t
+    assert kappa == pytest.approx(expected, rel=1e-12)
+    assert np.linalg.norm(error, 2) <= kappa * u * t * slack
 
 
 def malformed_arrays(good, rng, vector):
