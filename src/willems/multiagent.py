@@ -27,7 +27,7 @@ import numpy as np
 
 from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
-from .numerics import as_matrix, as_square, least_squares, numerical_rank
+from .numerics import as_matrix, as_square, numerical_rank, pseudo_inverse_parts
 from .parameterize import build_trajectory_matrix
 from .subspace import HypothesisViolated, draw_until_pe, krylov_subspace
 
@@ -199,10 +199,14 @@ def markov_from_data(data: TrajectorySet, n: int, kmax: int) -> MarkovParams:
     input/output block-Hankel matrix is sought that realizes the window
     "impulse at step n-k, outputs 0,...,0, M_0,...,M_k". The first
     m(n+1)+pn rows of that demand involve only already-known quantities, so
-    G_k is solved from them by least squares; the last p rows then read off
-    M_k. The least-squares residual doubles as a consistency check: on data
-    that no LTI plant of the assumed order generated, it blows past
-    `_FIT_RTOL` and the solve is rejected.
+    G_k is their minimum-norm least-squares solution; the last p rows then
+    read off M_k. The known rows are factored once, by one SVD cut at the
+    rank `numpy.linalg.lstsq` would use, and every M_k is one product of
+    the readout map that SVD gives. The residual of each solve doubles as a
+    consistency check: on data that no LTI plant of the assumed order
+    generated, it blows past `_FIT_RTOL` and the solve is rejected. Output
+    rows are first scaled by a power of two to the inputs' size, so the
+    accuracy does not depend on the plant's gain.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")
@@ -225,6 +229,13 @@ def markov_from_data(data: TrajectorySet, n: int, kmax: int) -> MarkovParams:
         )
 
     H = build_trajectory_matrix(data, n + 1)
+    # Outputs scale with the plant's gain and inputs do not: the output rows
+    # are scaled, exactly, by the power of two that brings their largest
+    # entry to the inputs' (the rule of `power_of_two_scaled`), so the rank
+    # cut weighs both alike, and the scale comes off each M_k at the end.
+    inputs, outputs = H[: m * (n + 1)], H[m * (n + 1) :]
+    _, (e_u, e_y) = np.frexp([abs(inputs).max(), abs(outputs).max(initial=0.0)])
+    np.ldexp(outputs, e_u - e_y, out=outputs)
     # Depth-(n+1) windows of an order-n linear plant span at most
     # m(n+1) + n dimensions (free inputs plus the initial state), so a
     # higher rank means no such plant generated the data. This catches the
@@ -237,16 +248,18 @@ def markov_from_data(data: TrajectorySet, n: int, kmax: int) -> MarkovParams:
             f"linear model allows at most {cap}; data does not fit the "
             f"assumed model class"
         )
-    known_rows = H[: m * (n + 1) + p * n]
-    readout_rows = H[m * (n + 1) + p * n :]
+    # The minimum-norm G_k is V diag(1/s) U^T rhs_k for the cut SVD of the
+    # known rows, so one readout map turns every rhs_k into M_k.
+    U, s, V = pseudo_inverse_parts(H[: m * (n + 1) + p * n])
+    readout = (H[m * (n + 1) + p * n :] @ V / s) @ U.T
     params: list[np.ndarray] = []
     for k in range(1, kmax + 1):
-        rhs = np.zeros((m * (n + 1) + p * n, m))
+        rhs = np.zeros((len(U), m))
         rhs[m * (n - k) : m * (n - k + 1)] = np.eye(m)
         # Output blocks y_{n-k}..y_{n-1} carry M_0..M_{k-1}; M_0 = 0 and the
         # earlier blocks stay zero too (the window starts at rest).
         rhs[m * (n + 1) + p * (n - k + 1) :] = np.reshape(params, (-1, m))
-        G_k, res = least_squares(known_rows, rhs)
+        res = float(np.linalg.norm(rhs - U @ (U.T @ rhs)))
         scale = max(1.0, float(np.linalg.norm(rhs)))
         if res > _FIT_RTOL * scale:
             raise ValueError(
@@ -254,8 +267,8 @@ def markov_from_data(data: TrajectorySet, n: int, kmax: int) -> MarkovParams:
                 f"(residual {res:.3e}); data does not fit the assumed "
                 f"model class"
             )
-        params.append(readout_rows @ G_k)
-    return MarkovParams(tuple(params))
+        params.append(readout @ rhs)
+    return MarkovParams(tuple(np.ldexp(M, e_y - e_u) for M in params))
 
 
 @dataclass(frozen=True)
@@ -305,14 +318,14 @@ def recover_system(
     Bbar = anchored[0]
     X = np.hstack(anchored[:nbar])
     Y = np.hstack(anchored[1 : nbar + 1])
-    rank = numerical_rank(X)
-    if rank != nbar:
+    # Abar X = Y, solved by the cut SVD of X that also decides its rank
+    U, s, V = pseudo_inverse_parts(X)
+    if s.size != nbar:
         raise ValueError(
-            f"anchored block stack has rank {rank} < {nbar}; the shift "
+            f"anchored block stack has rank {s.size} < {nbar}; the shift "
             f"relation does not determine the agent dynamics uniquely"
         )
-    AbarT, _ = least_squares(X.T, Y.T)
-    Abar = AbarT.T
+    Abar = (Y @ V / s) @ U.T
 
     M1 = params.param(1)
     scale = float(np.linalg.norm(Bbar))

@@ -2,8 +2,10 @@
 
 Every rank decision follows one policy, applied by `svd_rank`: a singular
 value counts as nonzero when it exceeds ``max(rows, cols) * eps *
-sigma_max``, the cutoff of ``numpy.linalg.matrix_rank``. The routines are
-SVD-backed, with one exception that decides the same way:
+sigma_max``, the cutoff of ``numpy.linalg.matrix_rank``; `least_squares`
+applies the same cutoff through LAPACK's gelsd (``numpy.linalg.lstsq`` with
+``rcond=None``). The routines are SVD-backed, with one exception that
+decides the same way:
 `cholesky_certificate` proves full rank under that cutoff by a shifted
 Cholesky factorization of a Gram matrix, far cheaper than an SVD, and when
 it cannot prove it the caller asks the SVD. The Gram matrix comes with the

@@ -45,6 +45,21 @@ def svd_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def lstsq_calls(monkeypatch) -> list:
+    """Shape of the matrix of every np.linalg.lstsq call while the test
+    runs, like `svd_calls`."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    return calls
+
+
 def load_config(name: str) -> dict:
     return json.loads(files("willems").joinpath(f"configs/{name}").read_text())
 

@@ -320,7 +320,7 @@ BUNDLED_SHA256 = {
         "controller_diff.csv": "c92c838a0c4a6582ea8131da511511407c34b543e269868423a66c2d399d669f",
     },
     "identify": {
-        "recovery_report.csv": "6bd63ff58f9eac13c7319984fb03843f5c336bbbb8094d87b5e8f9f196e412cf",
+        "recovery_report.csv": "e4451e72d68f8a4e4f9c374678f65a2e56e2cd8c9ba25fbec87e59d423095dbd",
         "sweep.csv": "299105f0e66b08efcf33878da90553ce395f6175919cdb9470d204111234ac3d",
     },
     "verify-theorem1": {
@@ -333,6 +333,9 @@ DEEPC_ANSWERS_SHA256 = "7b23fe16dbac1cf3a90988602b98102d4a5a95824aef99c985fc2a02
 # the same bundled theorem1_report.csv with `gap` dropped: the gap is a
 # rounding-level diagnostic, the rest are the cases and their verdicts
 THEOREM1_VERDICTS_SHA256 = "a4c2bb4ab53ca2a095f7b3b9df92ef2cec344f59f894ec980cf81ce194d9138a"
+# the same bundled recovery_report.csv with `frobenius_error` dropped: the
+# quantities it reports, in their order
+RECOVERY_QUANTITIES_SHA256 = "31732c1f2f116d4a97039ddc0363f00934a3651b0e781934102b436f0db0d0eb"
 
 
 def csv_digest(path, drop=()):
@@ -357,6 +360,26 @@ def test_bundled_outputs_keep_their_bytes(tmp_path, capsys, command):
     if command == "verify-theorem1":
         verdicts = csv_digest(out / "theorem1_report.csv", drop=("gap",))
         assert verdicts == THEOREM1_VERDICTS_SHA256
+    if command == "identify":
+        quantities = csv_digest(
+            out / "recovery_report.csv", drop=("frobenius_error",)
+        )
+        assert quantities == RECOVERY_QUANTITIES_SHA256
+    capsys.readouterr()
+
+
+def test_bundled_identify_recovers_to_rounding(tmp_path, capsys):
+    # the bundled network, recovered from its data: every error is at
+    # rounding level and the graph is exact. The sweep, which the report
+    # does not read, is cut to one agent count.
+    cfg = bundled_config("fig2_multiagent.json", sweep_agents=[3])
+    out = tmp_path / "out"
+    assert run(tmp_path, "identify", cfg, out=out) == 0
+    rows = [line.split(",") for line in (out / "recovery_report.csv").read_text().split()]
+    assert rows[0] == ["quantity", "frobenius_error"]
+    errors = {name: float(value) for name, value in rows[1:]}
+    assert errors["E"] == 0.0
+    assert all(value <= 1e-10 for value in errors.values())
     capsys.readouterr()
 
 
@@ -378,11 +401,13 @@ def pe_verdicts(caplog):
 
 
 def test_bundled_identify_certifies_every_pe_verdict_by_cholesky(
-    tmp_path, capsys, caplog, svd_calls
+    tmp_path, capsys, caplog, svd_calls, lstsq_calls
 ):
-    # the parent's counts: 13 verdicts, every one certified, and only
-    # the recovery's 3 SVDs. The sweep's large points take the structured
-    # route, the rest the direct one, as the routing rule says.
+    # 13 verdicts, every one certified, and only 4 factorizations, all
+    # SVDs: the controllability test, the data matrix's rank cap, the
+    # known rows' pseudo-inverse and the shift solve. The sweep's large
+    # points take the structured route, the rest the direct one, as the
+    # routing rule says.
     caplog.set_level(logging.DEBUG, logger="willems.hankel")
     cfg = bundled_config("fig2_multiagent.json")
     assert run(tmp_path, "identify", cfg, out=tmp_path / "out") == 0
@@ -390,7 +415,8 @@ def test_bundled_identify_certifies_every_pe_verdict_by_cholesky(
     assert len(verdicts) == 13
     assert all(": cholesky of the " in v[-1] for v in verdicts)
     assert all(v[-1].endswith(": True") for v in verdicts)
-    assert len(svd_calls) == 3
+    assert len(svd_calls) == 4
+    assert not lstsq_calls
     work = importlib.import_module("willems.hankel")._STRUCTURED_GRAM_WORK
     for route, order, rows, cols, _ in verdicts:
         inputs = rows // order

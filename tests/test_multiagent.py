@@ -6,6 +6,7 @@ import pytest
 from conftest import agent_pair
 from willems import (
     HypothesisViolated,
+    LtiSystem,
     MarkovParams,
     MultiAgentSpec,
     Trajectory,
@@ -177,6 +178,38 @@ def test_markov_from_data_rejects_corrupted_outputs():
     )
     with pytest.raises(ValueError, match="model class"):
         markov_from_data(dirty, sys.n, 2)
+
+
+def test_markov_from_data_rejects_a_feedthrough():
+    # D != 0 keeps the plant of order n, so the rank cap passes, but the
+    # impulse then shows at once in the output, which the window demands
+    # be zero: the known-rows solve for M_1 has no consistent answer
+    spec = star_spec(3, seed=9)
+    plant = build_system(spec)
+    D = np.random.default_rng(0).normal(size=plant.D.shape)
+    sys = LtiSystem(plant.A, plant.B, plant.C, D)
+    data = strip_states(
+        collect_trajectories(sys, tau=2, T=60, low=-1.0, high=1.0, seed=5)
+    )
+    with pytest.raises(ValueError, match="impulse-window solve for M_1 is inconsistent"):
+        markov_from_data(data, sys.n, 2)
+
+
+def test_markov_from_data_factors_as_often_for_any_kmax(svd_calls, lstsq_calls):
+    # every parameter is read off the same factorizations, so asking for
+    # more of them costs products, not factorizations
+    spec = star_spec(3, seed=7)
+    sys = build_system(spec)
+    data = strip_states(
+        collect_trajectories(sys, tau=2, T=60, low=-1.0, high=1.0, seed=2)
+    )
+    counts = []
+    for kmax in (1, sys.n):
+        svd_calls.clear()
+        lstsq_calls.clear()
+        markov_from_data(data, sys.n, kmax)
+        counts.append(len(svd_calls) + len(lstsq_calls))
+    assert counts[0] == counts[1]
 
 
 def test_recover_system_round_trip():
@@ -366,3 +399,15 @@ def test_identification_is_invariant_to_input_map_scale(k):
     assert np.array_equal(rec.E, spec.incidence())
     assert np.linalg.norm(rec.Abar - Abar) <= 1e-5 * np.linalg.norm(Abar)
     assert np.linalg.norm(rec.Bbar - spec.Bbar) <= 1e-5 * np.linalg.norm(spec.Bbar)
+
+
+@pytest.mark.parametrize("k", range(-9, 5))
+def test_identification_accuracy_does_not_depend_on_input_map_scale(k):
+    # Bbar x 10^k on the 3-agent star: outputs scale with Bbar and inputs
+    # do not, and the agents still come back to rounding level
+    Abar, Bbar = agent_pair()
+    spec = MultiAgentSpec(Abar, Bbar * 10.0**k, 3, star_edges(3))
+    rec = identify(spec, (0, 0, 1))
+    assert np.array_equal(rec.E, spec.incidence())
+    assert np.linalg.norm(rec.Abar - Abar) <= 1e-10 * np.linalg.norm(Abar)
+    assert np.linalg.norm(rec.Bbar - spec.Bbar) <= 1e-10 * np.linalg.norm(spec.Bbar)
