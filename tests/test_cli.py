@@ -330,6 +330,10 @@ BUNDLED_SHA256 = {
 # the same bundled closed_loop.csv with `iterations` dropped too: that
 # column counts the solver's path, the rest are its answers
 DEEPC_ANSWERS_SHA256 = "7b23fe16dbac1cf3a90988602b98102d4a5a95824aef99c985fc2a0290741624"
+# the same bundled closed_loop.csv reduced to t, phase, iterations and
+# status: the path the solver took at each step, without its answers
+DEEPC_PATH_SHA256 = "56cfd0307ca015cfcad37863fa765f3fa66b4627ff389440ff56010f8a48ea10"
+DEEPC_ANSWER_COLUMNS = ("u_0", "y_0", "y_1", "objective", "kkt_residual")
 # the same bundled theorem1_report.csv with `gap` dropped: the gap is a
 # rounding-level diagnostic, the rest are the cases and their verdicts
 THEOREM1_VERDICTS_SHA256 = "a4c2bb4ab53ca2a095f7b3b9df92ef2cec344f59f894ec980cf81ce194d9138a"
@@ -357,6 +361,8 @@ def test_bundled_outputs_keep_their_bytes(tmp_path, capsys, command):
     if command == "deepc":
         answers = csv_digest(out / "closed_loop.csv", drop=("iterations",))
         assert answers == DEEPC_ANSWERS_SHA256
+        path = csv_digest(out / "closed_loop.csv", drop=DEEPC_ANSWER_COLUMNS)
+        assert path == DEEPC_PATH_SHA256
     if command == "verify-theorem1":
         verdicts = csv_digest(out / "theorem1_report.csv", drop=("gap",))
         assert verdicts == THEOREM1_VERDICTS_SHA256
