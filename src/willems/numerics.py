@@ -4,14 +4,18 @@ Every rank decision follows one policy, applied by `svd_rank`: a singular
 value counts as nonzero when it exceeds ``max(rows, cols) * eps *
 sigma_max``, the cutoff of ``numpy.linalg.matrix_rank``; `least_squares`
 applies the same cutoff through LAPACK's gelsd (``numpy.linalg.lstsq`` with
-``rcond=None``). The routines are SVD-backed, with one exception that
-decides the same way:
-`cholesky_certificate` proves full rank under that cutoff by a shifted
-Cholesky factorization of a Gram matrix, far cheaper than an SVD, and when
-it cannot prove it the caller asks the SVD. The Gram matrix comes with the
-bound on its rounding error that sets the shift, from one product
-(`gram_certifies_full_rank`) or, for a mosaic-Hankel matrix, from its
-samples (`hankel_certifies_full_rank`). Membership and equality of
+``rcond=None``). The routines are SVD-backed, with two exceptions that
+decide the same way, each far cheaper than an SVD, and when they cannot
+prove full rank under that cutoff the caller asks the SVD:
+
+- `cholesky_certificate` proves it by a shifted Cholesky factorization of
+  a Gram matrix, which comes with the bound on its rounding error that
+  sets the shift, from one product (`gram_certifies_full_rank`) or, for a
+  mosaic-Hankel matrix, from its samples (`hankel_certifies_full_rank`);
+- `certified_inverse` proves it for a square matrix by the residual of
+  its LU inverse, and returns that inverse.
+
+Membership and equality of
 computed subspaces are decided by projection residuals against
 `DEFAULT_RESIDUAL_RTOL`. Matrices are plain 2-D ``numpy`` arrays; vectors
 are 1-D arrays.
@@ -42,6 +46,11 @@ __all__ = [
 # (projection residuals), as opposed to the machine-epsilon rank policy.
 DEFAULT_RESIDUAL_RTOL = 1e-8
 _EPS = np.finfo(float).eps
+# Frobenius norm below which `certified_inverse` decides nothing: squares
+# that underflow could have lowered it by more than rounding
+_NORM_FLOOR = 2.0**-480
+# how far above the rank cutoff `certified_inverse` proves sigma_min / sigma_1
+_INVERSE_MARGIN = 2.0**20
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -202,6 +211,77 @@ def cholesky_certificate(gram: np.ndarray, kappa: float) -> float:
     # last, alone, could stay resident
     del gram, factor
     return float(np.sqrt((kappa + k + 2) * _EPS))
+
+
+def certified_inverse(a: np.ndarray) -> np.ndarray | None:
+    """``numpy.linalg.inv(a)`` of the square float matrix `a`, k x k, when
+    its residual proves sigma_k / sigma_1 >= 2^20 k eps, full rank under
+    the cutoff k eps of `svd_rank` with a margin of 2^20; None when the LU
+    factorization fails or the proof does not hold, and the caller then
+    asks the SVD. Outside ``__all__``, like `svd_rank`.
+
+    Let X be the computed inverse and R = a X - I. When ||R||_2 < 1,
+    a X is nonsingular, so a is, and a^-1 = X (I + R)^-1 gives
+    ||a^-1||_2 <= ||X||_2 / (1 - ||R||_2) (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, 2nd ed., ch. 14), and with
+    ||.||_2 <= ||.||_F,
+
+        sigma_k / sigma_1 >= (1 - ||R||_2) / (||a||_F ||X||_F).
+
+    R is known only as its computed value R' = fl(fl(a X) - I). The
+    product errs by at most gamma_k |a| |X| entrywise, for any summation
+    order (Higham, §3.5), and subtracting I rounds each diagonal entry
+    once, by at most u |R'| (u = eps/2). As || |a| |X| ||_F <=
+    ||a||_F ||X||_F and gamma_k <= k eps,
+
+        ||R||_2 <= (||R'||_F + k eps ||a||_F ||X||_F) (1 + 2u).
+
+    The three norms are computed as n_r, n_a and n_x, each an inner
+    product of length k^2 and a square root, so within a relative
+    gamma_{k^2} < 2^-12 of the true one for k <= 2^20. With
+
+        rho = 2 (n_r + k eps n_a n_x)
+
+    that gives ||R||_2 <= rho (1 + 2^-10) / 2 <= rho and
+    ||a||_F ||X||_F <= n_a n_x (1 + 2^-10), so the proof holds when
+
+        rho < 1/2  and  (1 - rho) / (2 n_a n_x) >= 2^20 k eps,
+
+    the last factor of two covering the rounding of the test itself.
+    Underflow adds at most 2^-1074 per operation: nothing next to
+    k eps n_a n_x, which is at least k eps / 2 when rho < 1/2 (then
+    n_a n_x >= ||a X||_F / (1 + 2^-10) >= 1/2), nor next to a norm of at
+    least 2^-480, which the test requires of n_a and n_x. A norm that
+    overflows reads inf and fails the test.
+
+    The margin. A backward-stable SVD returns the singular values of
+    a + E with ||E||_2 <= p(k) u sigma_1, each within p(k) u sigma_1 of
+    the true one, so its ratio sigma_k / sigma_1 stays above the cutoff
+    when 2^20 k eps - p(k) u > k eps (1 + p(k) u): for any p(k) < 2^21 k,
+    which covers the worst-case bound c k^2 of the Householder
+    transformations that reduce a to bidiagonal form (Higham, ch. 19) for
+    k < 2^21 / c. So an inverse returned here is one
+    the SVD would also have kept at full rank, and the two give the same
+    unique solution up to rounding. The margin is narrower than
+    `cholesky_certificate`'s sqrt((kappa + k + 2) eps), which would send
+    well-posed faces of a badly scaled QP (P of norm 10^4 beside pins of
+    norm 1, sigma_k / sigma_1 ~ 10^-8) to the SVD.
+    """
+    k = a.shape[0]
+    try:
+        x = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    # an inverse that overflows fails the test below, without a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = a @ x
+        r.flat[:: k + 1] -= 1.0
+        n_a, n_x = float(np.linalg.norm(a)), float(np.linalg.norm(x))
+        rho = 2 * (float(np.linalg.norm(r)) + k * _EPS * n_a * n_x)
+    if min(n_a, n_x) < _NORM_FLOOR or not rho < 0.5:
+        return None
+    proved = (1 - rho) / (2 * n_a * n_x)
+    return x if proved >= _INVERSE_MARGIN * k * _EPS else None
 
 
 def gram_certifies_full_rank(a: np.ndarray) -> float:

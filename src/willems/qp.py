@@ -7,13 +7,13 @@ Solves
 
 for symmetric positive-semidefinite P. A program without equality rows has
 a 0 x n Aeq, so every step below runs the same way with or without them.
-The cost may be singular and the equality rows rank-deficient, which rules
-out textbook KKT factorizations; instead an ADMM sweep (splitting on the
-stacked constraint matrix, so the iteration matrix is positive definite
-regardless of P and Aeq) localizes the active set, and a polish step runs
-one active-set refinement seeded by the ADMM box multipliers: it re-solves
-the equality-constrained program of each face it visits by minimum-norm
-least squares and verifies the full KKT system.
+The cost may be singular and the equality rows rank-deficient, so the
+active set is not found by a textbook KKT walk; instead an ADMM sweep
+(splitting on the stacked constraint matrix, so the iteration matrix is
+positive definite regardless of P and Aeq) localizes the active set, and a
+polish step runs one active-set refinement seeded by the ADMM box
+multipliers: it re-solves the equality-constrained program of each face it
+visits and verifies the full KKT system.
 
 A `Workspace` is the solver of one program: built once from it,
 `Workspace.solve(beq)` solves that program for any equality right-hand
@@ -24,13 +24,20 @@ keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
 - the ADMM iteration matrix ``P + sigma I + M' diag(rho) M`` at the starting
   penalty, factored as an explicit inverse (numpy offers no triangular
   solve); a rebalanced penalty is factored afresh and not kept;
-- a rank-revealing SVD of Aeq, whose range decides feasibility of
-  ``Aeq x = beq`` by projection residual;
-- the minimum-norm pseudo-inverses of the last two faces' KKT matrices (a
-  face pins a set of coordinates to their bounds), built from the SVD cut
-  of `numerics.pseudo_inverse_parts` (the rank ``numpy.linalg.lstsq``
-  uses), so the polish is a matrix-vector product and a cached face gives
-  the same bits as a new one;
+- a rank-revealing SVD of Aeq, whose range U_r decides feasibility of
+  ``Aeq x = beq`` by projection residual, and whose range rows U_r' Aeq
+  have full row rank and, for a feasible beq, the same solutions;
+- the inverses of the last two faces' KKT matrices (a face pins a set of
+  coordinates to their bounds), so the polish is a matrix-vector product
+  and a cached face gives the same bits as a new one. A face's KKT matrix
+  on the range rows is factored by LU when its residual certifies it
+  nonsingular (`numerics.certified_inverse`), and U_r is folded back into
+  that inverse, so it takes beq and returns Aeq's multipliers; otherwise,
+  as for a singular P with a free direction, the face keeps the
+  minimum-norm pseudo-inverse of its KKT matrix on Aeq, built from the SVD
+  cut of `numerics.pseudo_inverse_parts` (the rank ``numpy.linalg.lstsq``
+  uses). Either way the polish measures the KKT residual of its answer on
+  Aeq and beq, which certifies it;
 - the face the last certifying polish ended on. The next solve polishes
   from it first and runs ADMM only if that does not certify; the polish
   answer depends only on its final face and on beq, so a hit returns the
@@ -49,7 +56,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_bound, as_matrix, as_vector, pseudo_inverse_parts
+from .numerics import (
+    as_bound,
+    as_matrix,
+    as_vector,
+    certified_inverse,
+    pseudo_inverse_parts,
+)
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
 
@@ -139,10 +152,11 @@ class Workspace:
     length, and reuses the factorizations of the fixed data (P, q, Aeq,
     lb, ub) across solves.
 
-    The workspace holds at most two face factorizations and the last
-    certified face (`last_face`: -1 for a coordinate pinned to lb, +1 for
-    one pinned to ub, 0 for a free one, or None before the first
-    certificate); drop it to free them.
+    The workspace holds at most two face factorizations (an LU inverse on
+    Aeq's range rows when certified nonsingular, the SVD pseudo-inverse
+    otherwise) and the last certified face (`last_face`: -1 for a
+    coordinate pinned to lb, +1 for one pinned to ub, 0 for a free one, or
+    None before the first certificate); drop it to free them.
     """
 
     def __init__(self, prob: QuadraticProgram):
@@ -158,6 +172,8 @@ class Workspace:
         # minimum-norm least-squares solution
         u, s, v = pseudo_inverse_parts(prob.Aeq)
         self.eq_range, self.eq_solve = u, v / s
+        # Aeq's range rows U_r' Aeq, full row rank, which the faces factor
+        self.eq_rows = u.T @ prob.Aeq
         self.last_face = None
         self._faces = {}
 
@@ -167,8 +183,10 @@ class Workspace:
         return np.linalg.inv(self.P + _SIGMA * np.eye(n) + (self.M.T * rho) @ self.M)
 
     def face(self, lower, upper):
-        """(KKT matrix, its minimum-norm pseudo-inverse) of the face that
-        pins `lower` to lb and `upper` to ub, Aeq rows first."""
+        """(KKT matrix, its inverse) of the face that pins `lower` to lb and
+        `upper` to ub, Aeq rows first: the certified LU inverse of the
+        matrix on Aeq's range rows, mapped to Aeq's rows, or else the
+        minimum-norm pseudo-inverse of the matrix on Aeq."""
         key = (tuple(lower), tuple(upper))
         entry = self._faces.pop(key, None)
         if entry is None:
@@ -176,16 +194,23 @@ class Workspace:
             # kept face, not two
             if len(self._faces) == _FACES:
                 del self._faces[next(iter(self._faces))]
-            n = self.n
+            n, U = self.n, self.eq_range
+            r = U.shape[1]
             pinned = np.eye(n)[np.array(list(lower) + list(upper), dtype=int)]
-            Aact = np.vstack([self.Aeq, pinned])
-            ma = Aact.shape[0]
-            kkt = np.zeros((n + ma, n + ma))
-            kkt[:n, :n] = self.P
-            kkt[:n, n:] = Aact.T
-            kkt[n:, :n] = Aact
-            u, s, v = pseudo_inverse_parts(kkt)
-            entry = (kkt, (v / s) @ u.T)
+            kkt = _kkt_matrix(self.P, np.vstack([self.Aeq, pinned]))
+            inv = certified_inverse(
+                _kkt_matrix(self.P, np.vstack([self.eq_rows, pinned]))
+            )
+            if inv is None:
+                u, s, v = pseudo_inverse_parts(kkt)
+                inv = (v / s) @ u.T
+            else:
+                # back to Aeq's rows: beq enters as U_r' beq, y_eq is U_r y_r
+                cols = np.hstack(
+                    [inv[:, :n], inv[:, n : n + r] @ U.T, inv[:, n + r :]]
+                )
+                inv = np.vstack([cols[:n], U @ cols[n : n + r], cols[n + r :]])
+            entry = (kkt, inv)
         self._faces[key] = entry
         return entry
 
@@ -291,6 +316,16 @@ class Workspace:
         bx, bres = best
         status = "optimal" if bres <= _TOL else "max_iter"
         return QpSolution(bx, objective(bx), status, bres, it)
+
+
+def _kkt_matrix(P, Aact) -> np.ndarray:
+    """The KKT matrix [[P, Aact'], [Aact, 0]]."""
+    n, ma = P.shape[0], Aact.shape[0]
+    kkt = np.zeros((n + ma, n + ma))
+    kkt[:n, :n] = P
+    kkt[:n, n:] = Aact.T
+    kkt[n:, :n] = Aact
+    return kkt
 
 
 def _kkt_residual(ws: Workspace, beq, x, y_eq, y_box) -> float:

@@ -46,6 +46,21 @@ def svd_calls(monkeypatch) -> list:
 
 
 @pytest.fixture
+def inv_calls(monkeypatch) -> list:
+    """Shape of every matrix np.linalg.inv gets while the test runs, like
+    `svd_calls`."""
+    calls = []
+    inv = np.linalg.inv
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return inv(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    return calls
+
+
+@pytest.fixture
 def lstsq_calls(monkeypatch) -> list:
     """Shape of the matrix of every np.linalg.lstsq call while the test
     runs, like `svd_calls`."""

@@ -315,9 +315,9 @@ def test_outputs_are_reproducible_bitwise(tmp_path, capsys):
 # round the last digits differently and move them.
 BUNDLED_SHA256 = {
     "deepc": {
-        "closed_loop.csv": "305726ba6148e569ab7dedcaa31872058cc80a7cba4a9ed631d80c6a115322be",
-        "closed_loop_plot.csv": "d574c23fe0424186fda936598ae9e518f559c360be8613fae08715fdcc53bf22",
-        "controller_diff.csv": "c92c838a0c4a6582ea8131da511511407c34b543e269868423a66c2d399d669f",
+        "closed_loop.csv": "c7d024fb8076c75efb806f4f220c761332234112f5c68216b32eb7fda378d2e9",
+        "closed_loop_plot.csv": "c57e1a98135ee83d6477d8d0a4eecb1c7e239a3257636f329fe84ad3f68e471e",
+        "controller_diff.csv": "58d35a24810a7a8c08bf4e776b14d5c2fdbb41526d8701224373ce6850e57323",
     },
     "identify": {
         "recovery_report.csv": "e4451e72d68f8a4e4f9c374678f65a2e56e2cd8c9ba25fbec87e59d423095dbd",
@@ -329,7 +329,7 @@ BUNDLED_SHA256 = {
 }
 # the same bundled closed_loop.csv with `iterations` dropped too: that
 # column counts the solver's path, the rest are its answers
-DEEPC_ANSWERS_SHA256 = "7b23fe16dbac1cf3a90988602b98102d4a5a95824aef99c985fc2a0290741624"
+DEEPC_ANSWERS_SHA256 = "e918415ae2ad2291e2c76d6a85bc7ddcc1dabeb5955959f675819c0381a9964a"
 # the same bundled closed_loop.csv reduced to t, phase, iterations and
 # status: the path the solver took at each step, without its answers
 DEEPC_PATH_SHA256 = "56cfd0307ca015cfcad37863fa765f3fa66b4627ff389440ff56010f8a48ea10"
@@ -432,6 +432,19 @@ def test_bundled_identify_certifies_every_pe_verdict_by_cholesky(
     for shape in [(264, 264), (410, 480), (588, 648), (798, 832), (1040, 1064)]:
         assert routes[shape] == "structured"
     assert routes[(150, 192)] == "direct"
+    capsys.readouterr()
+
+
+def test_bundled_deepc_factors_every_qp_face_by_lu(
+    tmp_path, capsys, svd_calls, inv_calls
+):
+    # 4 SVDs: DeePC's data operators (2) and each workspace's Aeq (2). The
+    # 12 QP faces the loop visits are all factored by LU, beside the 3 ADMM
+    # iteration matrices; with an SVD per face this run took 16 SVDs
+    cfg = bundled_config("fig1_deepc.json")
+    assert run(tmp_path, "deepc", cfg, out=tmp_path / "out") == 0
+    assert len(svd_calls) == 4
+    assert len(inv_calls) == 15
     capsys.readouterr()
 
 

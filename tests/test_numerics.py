@@ -26,6 +26,7 @@ from willems.numerics import (
     as_bound,
     as_matrix,
     as_vector,
+    certified_inverse,
     gram_certifies_full_rank,
     hankel_gram,
     hankel_kappa,
@@ -232,6 +233,44 @@ def test_gram_certificate_never_claims_full_rank_the_svd_denies(shape):
     assert not gram_certifies_full_rank(np.zeros(shape))
     # not vacuous: the well-conditioned matrices are certified at every scale
     assert certified[:10] == [1e-1] * 5 + [1e-3] * 5
+
+
+@pytest.mark.parametrize("k", [2, 5, 12])
+def test_inverse_certificate_never_claims_a_ratio_the_svd_denies(k):
+    rng = np.random.default_rng(73)
+    certified = []
+    for ratio in [1e-1, 1e-4, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 1e-15, 1e-17]:
+        for scale in [1e-150, 1e-3, 1.0, 1e3, 1e150]:
+            a = scale * prescribed_matrix(rng, k, k, ratio)
+            inv = certified_inverse(a)
+            if inv is not None:
+                s = np.linalg.svd(a, compute_uv=False)
+                assert s[-1] / s[0] >= 2.0**20 * k * np.finfo(float).eps
+                assert np.array_equal(inv, np.linalg.inv(a))
+                certified.append((ratio, scale))
+    # not vacuous: well-conditioned matrices are certified at moderate scales
+    for scale in [1e-3, 1.0, 1e3]:
+        assert (1e-1, scale) in certified and (1e-4, scale) in certified
+
+
+def test_inverse_certificate_rejects_what_only_the_cutoff_keeps():
+    # sigma_min / sigma_1 = 1e-12 at k = 8 clears the SVD's cutoff,
+    # 8 eps = 1.8e-15, but not the proof's 2^20 * 8 eps = 1.9e-9
+    a = prescribed_matrix(np.random.default_rng(79), 8, 8, 1e-12)
+    assert numerical_rank(a) == 8
+    assert certified_inverse(a) is None
+
+
+def test_inverse_certificate_rejects_a_singular_kkt_matrix():
+    # [[P, a'], [a, 0]] with P = diag(2, 0, 0) and a = (1, 1, 1): the
+    # direction (0, 1, -1) costs nothing and meets the row, so the matrix
+    # is singular; so is the one that repeats the row
+    P = np.diag([2.0, 0.0, 0.0])
+    for rows in ([[1.0, 1.0, 1.0]], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]):
+        a = np.array(rows)
+        kkt = np.block([[P, a.T], [a, np.zeros((len(a), len(a)))]])
+        assert numerical_rank(kkt) < kkt.shape[0]
+        assert certified_inverse(kkt) is None
 
 
 def hankel_gram_cases():

@@ -3,6 +3,7 @@ import pytest
 
 from activeset_oracle import random_box_qp, solve_reference
 from willems import QuadraticProgram, qp, solve_qp
+from willems.numerics import pseudo_inverse_parts
 from willems.qp import Workspace
 
 
@@ -189,6 +190,40 @@ def test_matches_reference_on_singular_batch():
             assert np.allclose(sol.x, ref_x, atol=1e-5)
 
 
+def test_a_singular_face_keeps_the_pseudo_inverse_of_the_svd(inv_calls):
+    # P = diag(2, 0, 0) leaves (0, 1, -1) free on the row x_0 + x_1 + x_2 = 3:
+    # no pin makes the face singular, so its inverse is the pseudo-inverse
+    # of the uncompressed KKT matrix, to the bit
+    P = np.diag([2.0, 0.0, 0.0])
+    prob = QuadraticProgram(P, [-2.0, 0.0, 0.0], Aeq=[[1.0] * 3], beq=[3.0])
+    ws = Workspace(prob)
+    inv_calls.clear()  # the ADMM iteration matrix's
+    kkt, inv = ws.face([], [])
+    ones = np.ones((1, 3))
+    assert np.array_equal(kkt, np.block([[P, ones.T], [ones, np.zeros((1, 1))]]))
+    u, s, v = pseudo_inverse_parts(kkt)
+    assert np.array_equal(inv, (v / s) @ u.T)
+    assert inv_calls == [(4, 4)]  # the LU that was tried and not certified
+
+
+def test_a_face_on_redundant_rows_is_factored_by_lu(svd_calls, inv_calls):
+    # x_0 + x_1 = 2 twice over: the KKT matrix on Aeq is singular, the one
+    # on its range row is not, and the face's inverse, mapped back to
+    # Aeq's rows, solves the system as the SVD's pseudo-inverse does
+    prob = QuadraticProgram(
+        np.eye(2), np.zeros(2), Aeq=[[1.0, 1.0], [2.0, 2.0]], beq=[2.0, 4.0]
+    )
+    ws = Workspace(prob)
+    svd_calls.clear()  # Aeq's
+    inv_calls.clear()  # the ADMM iteration matrix's
+    kkt, inv = ws.face([], [])
+    assert not svd_calls and inv_calls == [(3, 3)]
+    rhs = np.array([0.0, 0.0, 2.0, 4.0])
+    u, s, v = pseudo_inverse_parts(kkt)
+    assert np.allclose(inv @ rhs, (v / s) @ (u.T @ rhs), rtol=0, atol=1e-14)
+    assert np.allclose((inv @ rhs)[:2], [1.0, 1.0], rtol=0, atol=1e-15)
+
+
 def simplex_program(**changes):
     data = dict(
         P=np.diag([2.0, 1.0, 1.0]),
@@ -291,15 +326,9 @@ def test_polish_releases_wrong_pins_over_several_passes(monkeypatch):
     assert np.allclose(x, x_ref, atol=1e-12) and np.allclose(x, [1.0, -0.5])
 
 
-@pytest.mark.parametrize(
-    "seed, residual",
-    [(6245, 1.0e-9), (6854, 1.6e-12), (7284, 2.4e-11), (8146, 4.5e-10)],
-)
-def test_admm_iterate_rescues_programs_no_polish_certifies(
-    monkeypatch, seed, residual
-):
-    # scaled by 10^3, these programs stop ADMM in both phases with a polish
-    # whose residual misses 1e-8, while the ADMM iterate itself meets it
+def solve_recording_polishes(monkeypatch, seed):
+    """Solve the seeded program scaled by 10^3; returns the solution, the
+    (x, residual) of every polish and the reference minimizer."""
     rng = np.random.default_rng(seed)
     P, q, Aeq, beq, lb, ub = random_box_qp(rng, singular=seed % 3 == 0)
     scale = 10.0 ** rng.integers(-3, 4)
@@ -313,8 +342,33 @@ def test_admm_iterate_rescues_programs_no_polish_certifies(
 
     monkeypatch.setattr(qp, "_polish", recorded)
     sol = solve_qp(QuadraticProgram(scale * P, scale * q, Aeq, beq, lb, ub))
+    _, x_ref, _ = solve_reference(scale * P, scale * q, Aeq, beq, lb, ub)
+    return sol, polished, x_ref
+
+
+@pytest.mark.parametrize(
+    "seed, residual",
+    [(6245, 3.9e-12), (6854, 3.0e-12), (7284, 9.1e-13), (8146, 1.8e-12)],
+)
+def test_scaled_programs_certify_on_the_first_polish(monkeypatch, seed, residual):
+    # scaled by 10^3, these programs' faces have sigma_min / sigma_1 near
+    # 1e-8; factored by LU, the first polish certifies, where the
+    # pseudo-inverse of their SVD missed 1e-8 after both ADMM phases
+    sol, polished, x_ref = solve_recording_polishes(monkeypatch, seed)
+    assert len(polished) == 1 and polished[0][1] == sol.kkt_residual
+    assert sol.status == "optimal"
+    assert sol.kkt_residual == pytest.approx(residual, rel=0.05)
+    assert np.allclose(sol.x, x_ref, atol=1e-6)
+
+
+@pytest.mark.parametrize("seed, residual", [(5344, 9.3e-9)])
+def test_admm_iterate_rescues_programs_no_polish_certifies(
+    monkeypatch, seed, residual
+):
+    # scaled by 10^3, this program stops ADMM in both phases with a polish
+    # whose residual misses 1e-8, while the ADMM iterate itself meets it
+    sol, polished, x_ref = solve_recording_polishes(monkeypatch, seed)
     assert len(polished) == 2 and min(res for _, res in polished) > 1e-8
     assert sol.status == "optimal"
     assert sol.kkt_residual == pytest.approx(residual, rel=0.05)
-    _, x_ref, _ = solve_reference(scale * P, scale * q, Aeq, beq, lb, ub)
     assert np.allclose(sol.x, x_ref, atol=1e-6)
