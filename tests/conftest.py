@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from importlib.resources import files
 
 import numpy as np
@@ -58,6 +59,28 @@ def inv_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "inv", counting)
     return calls
+
+
+@pytest.fixture
+def peak_alloc():
+    """`peak_alloc(f, *args)` calls f(*args) and returns its result and
+    the peak number of bytes held during the call beyond those held before
+    it, as stdlib tracemalloc counts them. numpy reports every array buffer
+    to tracemalloc, so each array the call makes counts; the work buffers
+    LAPACK routines allocate inside numpy do not."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+
+    def measure(f, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = f(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+
+    yield measure
+    if not tracing:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -14,6 +14,7 @@ from willems import (
     numerical_rank,
     pe_order,
 )
+from willems.numerics import _CHOLESKY_BLOCK, gram_certifies_full_rank
 
 
 def test_hankel_of_scalar_sequence():
@@ -363,6 +364,85 @@ def test_pe_log_names_the_gram_route_and_a_margin_the_svd_confirms(caplog, monke
         assert not is_collectively_pe(trajectory_set([np.ones((30, 1))]), 2)
         assert f": svd after the {route} gram" in caplog.records[0].getMessage()
 
+
+
+# -- the block-column factorization, at and past its block width ------------
+
+
+def logged_verdict(data, d, route, caplog):
+    """is_collectively_pe(data, d) and the step its one DEBUG line names,
+    "cholesky" or "svd", checked against the line's unchanged wording."""
+    caplog.clear()
+    verdict = is_collectively_pe(data, d)
+    (record,) = caplog.records
+    message = record.getMessage()
+    rows = d * data[0].m
+    cols = sum(length - d + 1 for length in data.lengths)
+    if f": cholesky of the {route} gram certifies {rows} x {cols}, " in message:
+        assert verdict and message.endswith(": True"), message
+        return verdict, "cholesky"
+    assert f": svd after the {route} gram, sigma_r/sigma_1 = " in message, message
+    assert message.endswith(f": {verdict}"), message
+    return verdict, "svd"
+
+
+def boundary_sets(rng, rows):
+    """Two scalar input sets of depth-`rows` mosaics with 20 columns to
+    spare over two trajectories: rich inputs, and inputs that repeat every
+    rows - 1 samples, so the last mosaic row repeats the first and only the
+    last diagonal block of the Gram matrix fails."""
+    lengths = [rows - 1 + w for w in (rows // 2 + 10, rows - rows // 2 + 10)]
+    rich = trajectory_set(rng.normal(size=(T, 1)) for T in lengths)
+    periodic = trajectory_set(
+        np.resize(rng.normal(size=rows - 1), (T, 1)) for T in lengths
+    )
+    return rich, periodic
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [_CHOLESKY_BLOCK - 1, _CHOLESKY_BLOCK, _CHOLESKY_BLOCK + 1, 2 * _CHOLESKY_BLOCK + 1],
+)
+def test_certificate_verdict_matches_svd_at_the_block_boundaries(rows, caplog, monkeypatch):
+    rng = np.random.default_rng(rows)
+    caplog.set_level(logging.DEBUG, logger="willems.hankel")
+    rich, periodic = boundary_sets(rng, rows)
+    # the rows above the last are certified: the factorization gets through
+    # every block before the last one, and fails late
+    assert gram_certifies_full_rank(mosaic_hankel(periodic, rows)[:-1])
+    for data, verdict, step in ((rich, True, "cholesky"), (periodic, False, "svd")):
+        assert svd_verdict(data, rows) is verdict
+        for route in on_each_route(monkeypatch):
+            assert logged_verdict(data, rows, route, caplog) == (verdict, step), route
+
+
+@pytest.mark.parametrize("ratio", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16])
+def test_certificate_verdict_matches_svd_across_conditioning_past_one_block(
+    ratio, caplog, monkeypatch
+):
+    rng = np.random.default_rng(86)
+    caplog.set_level(logging.DEBUG, logger="willems.hankel")
+    rows, cols = _CHOLESKY_BLOCK + 1, _CHOLESKY_BLOCK + 17
+    mosaic = prescribed_mosaic(rng, rows, cols, ratio)
+    data = trajectory_set(mosaic[:, j].reshape(rows, 1) for j in range(cols))
+    verdict = svd_verdict(data, rows)
+    for route in on_each_route(monkeypatch):
+        assert logged_verdict(data, rows, route, caplog)[0] == verdict, route
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600], ids=["2^600", "2^-600"])
+def test_certificate_verdict_past_one_block_matches_svd_on_scaled_data(
+    scale, caplog, monkeypatch
+):
+    rng = np.random.default_rng(87)
+    caplog.set_level(logging.DEBUG, logger="willems.hankel")
+    rows = _CHOLESKY_BLOCK + 1
+    for data, step in zip(boundary_sets(rng, rows), ("cholesky", "svd")):
+        scaled = trajectory_set(t.inputs * scale for t in data)
+        verdict = svd_verdict(scaled, rows)
+        assert verdict == svd_verdict(data, rows)
+        for route in on_each_route(monkeypatch):
+            assert logged_verdict(scaled, rows, route, caplog) == (verdict, step), route
 
 
 def test_pe_order_is_invariant_to_trajectory_order_and_input_scale():

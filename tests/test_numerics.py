@@ -27,6 +27,7 @@ from willems.numerics import (
     as_matrix,
     as_vector,
     certified_inverse,
+    cholesky_certificate,
     gram_certifies_full_rank,
     hankel_gram,
     hankel_kappa,
@@ -233,6 +234,27 @@ def test_gram_certificate_never_claims_full_rank_the_svd_denies(shape):
     assert not gram_certifies_full_rank(np.zeros(shape))
     # not vacuous: the well-conditioned matrices are certified at every scale
     assert certified[:10] == [1e-1] * 5 + [1e-3] * 5
+
+
+def test_certificate_factors_the_gram_matrix_without_an_r_by_r_copy(peak_alloc):
+    # the Gram matrix as each route hands it over at r = 600: the product
+    # a a^T, and the C-ordered base of `hankel_gram`'s transposed view (4
+    # inputs, depth 150, two sequences). The factorization runs in it, so
+    # beside it the certificate holds a few blocks, under half an r x r
+    # matrix of doubles
+    rng = np.random.default_rng(83)
+    r, lengths, d = 600, [500, 500], 150
+    a = power_of_two_scaled(rng.normal(size=(r, 640)))
+    x = power_of_two_scaled(rng.normal(size=(sum(lengths), 4)))
+    routes = {
+        "direct": (a @ a.T, 640),
+        "structured": (hankel_gram(x, lengths, d).T, hankel_kappa(x, lengths, d)),
+    }
+    for route, (gram, kappa) in routes.items():
+        assert gram.shape == (r, r) and gram.flags.c_contiguous, route
+        bound, peak = peak_alloc(cholesky_certificate, gram, kappa)
+        assert bound > 0, route  # certified, so every block was factored
+        assert peak < r * r * 4, (route, peak)
 
 
 @pytest.mark.parametrize("k", [2, 5, 12])
