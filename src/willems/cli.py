@@ -24,6 +24,7 @@ from .lti import (
     random_input,
     random_system,
     simulate,
+    simulate_set,
     trajectory_from_csv,
     trajectory_to_csv,
     write_csv,
@@ -263,12 +264,13 @@ def _draw_pe_data(sys_, rng, tau, order, x0_columns=None, length=None):
         length = max(2 * order, math.ceil(order * sys_.m / tau) + order + 4)
 
     def draw(_):
-        trajs = []
+        X0 = np.empty((tau, sys_.n)) if x0_columns is None else x0_columns.T
+        U = np.empty((tau, length, sys_.m))
         for i in range(tau):
-            x0 = rng.normal(size=sys_.n) if x0_columns is None else x0_columns[:, i]
-            u = rng.uniform(-1.0, 1.0, size=(length, sys_.m))
-            trajs.append(simulate(sys_, x0, u))
-        return TrajectorySet(tuple(trajs))
+            if x0_columns is None:
+                X0[i] = rng.normal(size=sys_.n)
+            U[i] = rng.uniform(-1.0, 1.0, size=(length, sys_.m))
+        return simulate_set(sys_, X0, U)
 
     return draw_until_pe(draw, order)
 

@@ -153,17 +153,8 @@ def simulate(sys: LtiSystem, x0, inputs) -> Trajectory:
     """Run the plant from `x0` under `inputs`, returning the full trajectory.
 
     The result carries inputs, states and outputs, with
-    ``x[t+1] = A x[t] + B u[t]`` and ``y[t] = C x[t] + D u[t]``.
-
-    Only the state recursion runs step by step. ``B u[t]``, ``C x[t]`` and
-    ``D u[t]`` are stacked products over all t, ``(B @ u[:, :, None])``
-    and the like, which keep every bit of the step-by-step products: numpy
-    runs a stacked matrix-vector product as one BLAS gemv (a dot when the
-    matrix has one row) per item, with the same dimensions and strides as
-    the single product. ``u @ B.T`` would not: it is one gemm, whose
-    blocking sums in another order, and it moves the last bit of most
-    outputs. ``C x[0]`` reads the stored copy of `x0`, so the layout of
-    `x0` does not matter.
+    ``x[t+1] = A x[t] + B u[t]`` and ``y[t] = C x[t] + D u[t]``: the
+    trajectory of `simulate_set` of one run, bit for bit.
     """
     x0 = as_vector(x0, "x0")
     if x0.size != sys.n:
@@ -171,15 +162,47 @@ def simulate(sys: LtiSystem, x0, inputs) -> Trajectory:
     u = as_matrix(inputs, "inputs")
     if u.shape[1] != sys.m:
         raise ValueError(f"inputs must be (T, {sys.m}), got {u.shape}")
+    return simulate_set(sys, x0[None], u[None])[0]
+
+
+def simulate_set(sys: LtiSystem, X0, U) -> TrajectorySet:
+    """Run the plant once per row of `X0`, ``(tau, n)``, under the inputs
+    ``U[i]`` of the same run, `U` of shape ``(tau, T, m)``: tau runs of
+    equal length T, each trajectory the one `simulate` returns. Outside
+    ``__all__``, like `numerics.svd_rank`.
+
+    Only the state recursion runs step by step, for all runs at once:
+    ``x[:, t+1] = (A @ x[:, t, :, None])[..., 0] + Bu[:, t]``. ``B u``,
+    ``C x`` and ``D u`` are stacked products over all runs and all t,
+    ``(B @ U[..., None])`` and the like. Each keeps every bit of the
+    step-by-step products of one run: numpy runs a stacked matrix-vector
+    product as one BLAS gemv (a dot when the matrix has one row) per item,
+    with the same dimensions and strides as the single product.
+    ``U @ B.T`` would not: it is one gemm, whose blocking sums in another
+    order, and it moves the last bit of most outputs. ``C x[:, 0]`` reads
+    the stored copy of `X0`, so the layout of `X0` does not matter.
+    """
+    X0 = as_matrix(X0, "X0")
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 3 or U.shape[0] != X0.shape[0] or U.shape[2] != sys.m:
+        raise ValueError(
+            f"inputs must be ({X0.shape[0]}, T, {sys.m}), got {U.shape}"
+        )
+    if X0.shape[1] != sys.n:
+        raise ValueError(f"X0 rows have dim {X0.shape[1]}, expected {sys.n}")
+    if not np.isfinite(U).all():
+        raise ValueError("'inputs' contains non-finite entries")
     A = sys.A
-    Bu = (sys.B @ u[:, :, None])[:, :, 0]
-    x = np.empty((u.shape[0], sys.n))
-    xt = x0
-    for t, bu in enumerate(Bu):
-        x[t] = xt
-        xt = A @ xt + bu
-    y = (sys.C @ x[:, :, None])[:, :, 0] + (sys.D @ u[:, :, None])[:, :, 0]
-    return Trajectory(inputs=u, states=x, outputs=y)
+    Bu = (sys.B @ U[..., None])[..., 0]
+    x = np.empty((U.shape[0], U.shape[1], sys.n))
+    xt = X0
+    for t in range(U.shape[1]):
+        x[:, t] = xt
+        xt = (A @ x[:, t, :, None])[..., 0] + Bu[:, t]
+    y = (sys.C @ x[..., None])[..., 0] + (sys.D @ U[..., None])[..., 0]
+    return TrajectorySet(
+        tuple(Trajectory(inputs=u, states=s, outputs=o) for u, s, o in zip(U, x, y))
+    )
 
 
 def random_input(

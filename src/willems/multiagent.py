@@ -26,7 +26,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from .hankel import is_collectively_pe
-from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
+from .lti import LtiSystem, Trajectory, TrajectorySet, simulate_set, write_csv
 from .numerics import as_matrix, as_square, numerical_rank, pseudo_inverse_parts
 from .parameterize import build_trajectory_matrix
 from .subspace import HypothesisViolated, draw_until_pe, krylov_subspace
@@ -139,18 +139,18 @@ def collect_trajectories(
     least-squares stages lose the digits the recovery tolerances assume.
     """
     rng = np.random.default_rng(seed)
-    trajs = []
-    for _ in range(tau):
-        u = rng.uniform(low, high, size=(T, sys.m))
-        traj = simulate(sys, np.zeros(sys.n), u)
+    U = np.empty((tau, T, sys.m))
+    for i in range(tau):
+        U[i] = rng.uniform(low, high, size=(T, sys.m))
+    data = simulate_set(sys, np.zeros((tau, sys.n)), U)
+    for traj in data:
         worst = float(np.linalg.norm(traj.states, axis=1).max())
         if worst > _STATE_NORM_WARN:
             warnings.warn(
                 f"state norm reached {worst:.3e}; results may be inaccurate",
                 stacklevel=2,
             )
-        trajs.append(traj)
-    return TrajectorySet(tuple(trajs))
+    return data
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,10 @@ prove full rank under that cutoff the caller asks the SVD:
 - `cholesky_certificate` proves it by a shifted Cholesky factorization of
   a Gram matrix, which comes with the bound on its rounding error that
   sets the shift, from one product (`gram_certifies_full_rank`) or, for a
-  mosaic-Hankel matrix, from its samples (`hankel_certifies_full_rank`);
+  mosaic-Hankel matrix, from its samples (`hankel_certifies_full_rank`).
+  It decides the PE tests of `hankel.is_collectively_pe`, the degree of
+  `subspace.min_poly_degree` and, through the Krylov and data matrices,
+  Theorem 1's image check `subspace.pe_image_check`;
 - `certified_inverse` proves it for a square matrix by the residual of
   its LU inverse, and returns that inverse.
 

@@ -13,6 +13,7 @@ equality of the stacked state/input data matrix against
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,6 +51,8 @@ __all__ = [
     "theorem1_image_check",
     "theorem1_state_condition",
 ]
+
+log = logging.getLogger(__name__)
 
 
 class Verdict(Enum):
@@ -115,12 +118,18 @@ def krylov_subspace(A, X0) -> SubspaceBasis:
 
     Computed as the image of ``[X0, A X0, ..., A^{n-1} X0]``.
     """
+    return subspace_from_columns(krylov_matrix(A, X0))
+
+
+def krylov_matrix(A, X0) -> np.ndarray:
+    """``[X0, A X0, ..., A^{n-1} X0]``, whose image `krylov_subspace` is.
+    Outside ``__all__``, like `window_start_states`."""
     A = as_square(A, "A")
     n = A.shape[0]
     X0 = as_matrix(X0, "X0")
     if X0.shape[0] != n:
         raise ValueError(f"X0 has {X0.shape[0]} rows, expected {n}")
-    return subspace_from_columns(np.hstack(power_blocks(A, X0, n)))
+    return np.hstack(power_blocks(A, X0, n))
 
 
 def min_poly_degree(A) -> int:
@@ -179,8 +188,9 @@ class ImageCheck:
     """Outcome of the data-image equality check.
 
     `gap` is the largest mutual projection residual between the two
-    subspaces being compared (NaN when the PE hypothesis failed and the
-    comparison was not performed).
+    subspaces being compared: exactly 0.0 when a Cholesky certificate
+    proved both to be the whole space (see `pe_image_check`), and NaN when
+    the PE hypothesis failed and the comparison was not performed.
     """
 
     verdict: Verdict
@@ -223,29 +233,74 @@ def pe_image_check(
     """The image comparison of `theorem1_image_check`, for a caller that
     already knows the inputs to be collectively PE of `order` = delta + L
     with delta at least the degree of the minimal polynomial of A, so that
-    neither is computed again. The target is ``K(A, [B X0]) x R^{mL}``: two
-    SVDs in all, one for the data matrix and one for the Krylov space."""
-    # the state starting each window over the window's inputs
-    x_row = window_start_states(data, L)
-    data_space = subspace_from_columns(np.vstack([x_row, mosaic_hankel(data, L)]))
+    neither is computed again. It compares the image of the data matrix
+    D = [X; H_L(u)], the state starting each window over the window's
+    inputs, with the target ``K(A, [B X0]) x R^{mL}``, K(A, [B X0]) the
+    image of the Krylov matrix W = `krylov_matrix`(A, [B X0]). Two routes
+    decide:
 
-    rk = krylov_subspace(sys.A, np.hstack([sys.B, initial_state_matrix(data)]))
-    mL = sys.m * L
-    n = sys.n
-    target = np.zeros((n + mL, rk.dim + mL))
+    1. Certificate: when D, (n + mL) x c, has c >= n + mL columns,
+       `numerics.gram_certifies_full_rank` is asked of W, n x n (m + tau)
+       and so never tall, and then of D. When both certify full row rank,
+       both spaces are all of R^{n + mL}: the verdict is HOLDS with both
+       dimensions n + mL and a gap of exactly 0.0. W comes first, because
+       an uncontrollable plant started at rest fails there, on the smaller
+       matrix.
+    2. SVD, otherwise: one SVD each of D and W gives both spaces'
+       orthonormal bases, and the verdict needs equal dimensions and a gap
+       of at most `DEFAULT_RESIDUAL_RTOL`.
+
+    Why the routes agree. A certified True is a True of the SVD (the
+    `numerics` module docstring), so on a certified case the SVD route
+    would cut both W and D at full rank too: the data basis is a square
+    n + mL matrix Q_D, the target basis diag(Q_W, I) another, and both
+    dimensions are n + mL. For a square basis Q with ||Q^T Q - I|| <=
+    1e-10, which `SubspaceBasis` checks, Q Q^T - I has the same
+    eigenvalues as Q^T Q - I, so every column a of the other basis has
+    ||a - Q Q^T a|| <= 1e-10 ||a|| plus the rounding of the two products:
+    a gap far below `DEFAULT_RESIDUAL_RTOL`, and HOLDS. No verdict or
+    dimension differs between the routes; only the gap, which the SVD
+    route would have found at rounding level, reads 0.0.
+
+    Logs one DEBUG line per call naming the route that decided: the
+    proved lower bounds on sigma_r / sigma_1 of W and D with their shapes,
+    or both dimensions and the gap after the SVD.
+    """
+    D = np.vstack([window_start_states(data, L), mosaic_hankel(data, L)])
+    W = krylov_matrix(sys.A, np.hstack([sys.B, initial_state_matrix(data)]))
+    n, mL = sys.n, sys.m * L
+    full = n + mL
+    if D.shape[1] >= full:
+        w_bound = gram_certifies_full_rank(W)
+        d_bound = gram_certifies_full_rank(D) if w_bound else 0.0
+        if d_bound:
+            log.debug(
+                "image check: cholesky certifies W %d x %d, sigma_r/sigma_1 "
+                ">= %.3e, and D %d x %d, sigma_r/sigma_1 >= %.3e: holds",
+                *W.shape,
+                w_bound,
+                *D.shape,
+                d_bound,
+            )
+            return ImageCheck(Verdict.HOLDS, 0.0, order, full, full)
+    data_space = subspace_from_columns(D)
+    rk = subspace_from_columns(W)
+    target = np.zeros((full, rk.dim + mL))
     target[:n, : rk.dim] = rk.basis
     target[n:, rk.dim :] = np.eye(mL)
-    target_space = SubspaceBasis(n + mL, target)
+    target_space = SubspaceBasis(full, target)
 
     gap = subspace_gap(data_space, target_space)
     ok = data_space.dim == target_space.dim and gap <= DEFAULT_RESIDUAL_RTOL
-    return ImageCheck(
-        Verdict.HOLDS if ok else Verdict.FAILS,
-        gap,
-        order,
+    verdict = Verdict.HOLDS if ok else Verdict.FAILS
+    log.debug(
+        "image check: svd, data dim %d, target dim %d, gap %.3e: %s",
         data_space.dim,
         target_space.dim,
+        gap,
+        verdict.value,
     )
+    return ImageCheck(verdict, gap, order, data_space.dim, target_space.dim)
 
 
 def theorem1_state_condition(sys: LtiSystem, data: TrajectorySet, xbar0) -> bool:

@@ -5,7 +5,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from willems import LtiSystem
+from willems import LtiSystem, numerics
 
 
 def mixed_plant() -> LtiSystem:
@@ -43,6 +43,24 @@ def svd_calls(monkeypatch) -> list:
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+@pytest.fixture
+def cholesky_certificates(monkeypatch) -> list:
+    """(size, bound) of every numerics.cholesky_certificate call while the
+    test runs: the order of the Gram matrix and the bound the certificate
+    proved, 0.0 when it decided nothing; like `svd_calls`."""
+    calls = []
+    certificate = numerics.cholesky_certificate
+
+    def recording(gram, kappa):
+        size = gram.shape[0]
+        bound = certificate(gram, kappa)
+        calls.append((size, bound))
+        return bound
+
+    monkeypatch.setattr(numerics, "cholesky_certificate", recording)
     return calls
 
 

@@ -247,7 +247,7 @@ def test_identify_bad_anchor_exits_2_before_any_simulation(
 ):
     # the bundled star has 2 edges and 3 agents: a 2 x 3 grid of blocks
     calls = []
-    monkeypatch.setattr(multiagent, "simulate", lambda *args: calls.append(args))
+    monkeypatch.setattr(multiagent, "simulate_set", lambda *args: calls.append(args))
     bundled = bundled_config(
         "fig2_multiagent.json", anchor=anchor, sweep_agents=[3]
     )
@@ -324,7 +324,7 @@ BUNDLED_SHA256 = {
         "sweep.csv": "299105f0e66b08efcf33878da90553ce395f6175919cdb9470d204111234ac3d",
     },
     "verify-theorem1": {
-        "theorem1_report.csv": "6acbfd257b6554699cba2f74a2fd48cd24988a219acd7acce1aa68eb909738b0",
+        "theorem1_report.csv": "64a750739007306bf9bdf84b39ce73f2f1061279532443b41661acebce5012db",
     },
 }
 # the same bundled closed_loop.csv with `iterations` dropped too: that
@@ -432,6 +432,34 @@ def test_bundled_identify_certifies_every_pe_verdict_by_cholesky(
     for shape in [(264, 264), (410, 480), (588, 648), (798, 832), (1040, 1064)]:
         assert routes[shape] == "structured"
     assert routes[(150, 192)] == "direct"
+    capsys.readouterr()
+
+
+def test_bundled_theorem1_certifies_every_image_check(
+    tmp_path, capsys, caplog, svd_calls
+):
+    # the random recipe draws controllable plants with delta = n, so both
+    # sides of every image check are the whole space: two Cholesky
+    # certificates decide each case, W of n rows and D of n + mL, and the
+    # run, degree and PE tests included, takes no SVD
+    caplog.set_level(logging.DEBUG, logger="willems.subspace")
+    out = tmp_path / "out"
+    cfg = {"random": {"count": 50}, "seed": 3}
+    assert run(tmp_path, "verify-theorem1", cfg, out=out) == 0
+    pattern = re.compile(
+        r"image check: cholesky certifies W (\d+) x \d+, sigma_r/sigma_1 >= \S+, "
+        r"and D (\d+) x \d+, sigma_r/sigma_1 >= \S+: holds"
+    )
+    lines = [r.getMessage() for r in caplog.records if r.name == "willems.subspace"]
+    shapes = [tuple(int(v) for v in pattern.fullmatch(line).groups()) for line in lines]
+    rows = [line.split(",") for line in (out / "theorem1_report.csv").read_text().split()]
+    cases = [dict(zip(rows[0], row)) for row in rows[1:]]
+    assert len(shapes) == len(cases) == 50
+    for (w_rows, d_rows), case in zip(shapes, cases):
+        n, m, L = int(case["n"]), int(case["m"]), int(case["L"])
+        assert (w_rows, d_rows) == (n, n + m * L)
+        assert case["gap"] == "0"
+    assert not svd_calls
     capsys.readouterr()
 
 

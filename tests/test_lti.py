@@ -12,6 +12,7 @@ from willems import (
     trajectory_to_csv,
     window,
 )
+from willems.lti import simulate_set
 
 
 def test_system_shape_validation():
@@ -72,6 +73,41 @@ def test_simulate_matches_the_step_by_step_recursion_bit_for_bit():
             assert np.array_equal(run.states, x), (n, m, p, T, name)
             assert np.array_equal(run.outputs, y), (n, m, p, T, name)
             assert np.array_equal(run.inputs, u)
+
+
+def test_simulate_set_matches_simulate_bit_for_bit():
+    # the stacked recursion runs one gemv per run and step, as simulate
+    # does for its one run, so no bit of any run may move
+    rng = np.random.default_rng(73)
+    sizes = [(n, T, tau) for n in range(1, 25) for T, tau in [(1, 1), (40, 4)]]
+    sizes += [tuple(int(v) for v in rng.integers(1, [25, 41, 5])) for _ in range(60)]
+    for n, T, tau in sizes:
+        m, p = (int(v) for v in rng.integers(1, 4, size=2))
+        sys = random_system(rng, n, m, p)
+        X0 = rng.normal(size=(tau, n))
+        U = rng.uniform(-1, 1, size=(tau, T, m))
+        runs = simulate_set(sys, X0, U)
+        assert len(runs) == tau and runs.lengths == (T,) * tau
+        for x0, u, run in zip(X0, U, runs):
+            single = simulate(sys, x0, u)
+            x, y = step_by_step(sys, x0, u)
+            for got in (run.states, single.states):
+                assert np.array_equal(got, x), (n, T, tau)
+            for got in (run.outputs, single.outputs):
+                assert np.array_equal(got, y), (n, T, tau)
+            assert np.array_equal(run.inputs, u)
+
+
+def test_simulate_set_rejects_bad_shapes(bench):
+    for X0, U in [
+        (np.zeros((2, 3)), np.zeros((2, 5, 1))),
+        (np.zeros((2, 4)), np.zeros((3, 5, 1))),
+        (np.zeros((2, 4)), np.zeros((2, 5, 2))),
+        (np.zeros((2, 4)), np.zeros((5, 1))),
+        (np.zeros((1, 4)), np.full((1, 5, 1), np.inf)),
+    ]:
+        with pytest.raises(ValueError):
+            simulate_set(bench, X0, U)
 
 
 def test_simulate_rejects_bad_shapes(bench):

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from willems import (
     unobservable_subspace,
 )
 from willems.hankel import mosaic_hankel
+from willems.lti import simulate_set
 from willems.numerics import (
     DEFAULT_RESIDUAL_RTOL,
     SubspaceBasis,
@@ -281,16 +285,12 @@ def test_image_check_verdict_is_invariant_to_trajectory_order():
     assert seen == set(Verdict)
 
 
-def summed_image_check(sys, data, L):
-    """(verdict, data_dim, target_dim) of `pe_image_check` with R + K[x0]
-    built as the sum of two separately orthonormalized spaces,
-    R = controllable_subspace and K = krylov_subspace(A, X0): three rank
-    decisions where the Krylov space of (A, [B X0]) makes one. The
-    reference the one-space target must agree with."""
+def svd_image_outcome(sys, data, L, rk):
+    """(verdict, data_dim, target_dim, gap) of the SVD comparison of the
+    data matrix's image with rk x R^{mL}, rk the state part of the
+    target."""
     x_row = window_start_states(data, L)
     data_space = subspace_from_columns(np.vstack([x_row, mosaic_hankel(data, L)]))
-    X0 = initial_state_matrix(data)
-    rk = subspace_sum(controllable_subspace(sys), krylov_subspace(sys.A, X0))
     n, mL = sys.n, sys.m * L
     target = np.zeros((n + mL, rk.dim + mL))
     target[:n, : rk.dim] = rk.basis
@@ -299,7 +299,26 @@ def summed_image_check(sys, data, L):
     gap = subspace_gap(data_space, target_space)
     ok = data_space.dim == target_space.dim and gap <= DEFAULT_RESIDUAL_RTOL
     verdict = Verdict.HOLDS if ok else Verdict.FAILS
-    return verdict, data_space.dim, target_space.dim
+    return verdict, data_space.dim, target_space.dim, gap
+
+
+def summed_image_check(sys, data, L):
+    """(verdict, data_dim, target_dim) of `pe_image_check` with R + K[x0]
+    built as the sum of two separately orthonormalized spaces,
+    R = controllable_subspace and K = krylov_subspace(A, X0): three rank
+    decisions where the Krylov space of (A, [B X0]) makes one. The
+    reference the one-space target must agree with."""
+    X0 = initial_state_matrix(data)
+    rk = subspace_sum(controllable_subspace(sys), krylov_subspace(sys.A, X0))
+    return svd_image_outcome(sys, data, L, rk)[:3]
+
+
+def two_svd_image_check(sys, data, L):
+    """(verdict, data_dim, target_dim, gap) of `pe_image_check` decided by
+    SVDs alone: one of the data matrix and one of the Krylov matrix of
+    (A, [B X0]). The reference the certificate route must agree with."""
+    rk = krylov_subspace(sys.A, np.hstack([sys.B, initial_state_matrix(data)]))
+    return svd_image_outcome(sys, data, L, rk)
 
 
 def image_outcome(sys, data, L):
@@ -358,17 +377,159 @@ def test_krylov_target_fails_no_case_the_summed_target_holds_under_similarity():
 
 
 def test_theorem1_checks_decide_r_plus_k_in_one_svd(bench, svd_calls):
-    # one SVD for the data matrix and one for the Krylov space of
-    # (A, [B X0]); the state condition adds the unobservable subspace and
-    # the sum
+    # data started at rest: R + K[x0] = R has dimension 2, short of the
+    # state space, so no certificate decides and the check runs one SVD
+    # for the data matrix and one for the Krylov space of (A, [B X0]); the
+    # state condition adds the unobservable subspace and the sum
     rng = np.random.default_rng(72)
-    data = pe_data(bench, rng, 2, 4 + 2)
+    data = pe_data(bench, rng, 2, 4 + 2, x0=np.zeros((4, 2)))
     svd_calls.clear()
-    assert pe_image_check(bench, data, 2, 4 + 2).verdict is Verdict.HOLDS
+    report = pe_image_check(bench, data, 2, 4 + 2)
+    assert (report.verdict, report.data_dim, report.target_dim) == (
+        Verdict.HOLDS,
+        2 + 2,
+        2 + 2,
+    )
     assert len(svd_calls) == 2
     svd_calls.clear()
     state_condition_space(bench, data)
     assert len(svd_calls) == 3
+
+
+def image_route(certificates, sys, L):
+    """'cholesky' when the records of one image check show both Gram
+    certificates proved full rank, of W (order n) and then of D (order
+    n + mL); else 'svd'."""
+    n, full = sys.n, sys.n + sys.m * L
+    sizes = [size for size, _ in certificates]
+    if sizes == [n, full] and all(bound > 0 for _, bound in certificates):
+        return "cholesky"
+    return "svd"
+
+
+def generic_cases(seed, count):
+    """(plant, data, L) of the verify-theorem1 random recipe: n <= 6,
+    m, p, tau <= 3, L <= 4, random initial states."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        m, p, tau = (int(v) for v in rng.integers(1, 4, size=3))
+        L = int(rng.integers(1, 5))
+        sys = random_system(rng, n, m, p)
+        yield sys, pe_data(sys, rng, tau, min_poly_degree(sys.A) + L), L
+
+
+def network_cases(seed, count):
+    """(plant, data, L) of `similar_network_plant`s started at rest."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        sys = similar_network_plant(rng)
+        x0 = np.zeros((sys.n, 1))
+        yield sys, pe_data(sys, rng, 1, min_poly_degree(sys.A) + 2, x0=x0), 2
+
+
+def mixed_cases(bench, seed):
+    """(plant, data, L) of the mixed plant started at rest, where
+    R + K[x0] = R is 2 of its 4 states, and at random states."""
+    rng = np.random.default_rng(seed)
+    for x0 in (np.zeros((4, 2)), None):
+        yield bench, pe_data(bench, rng, 2, 4 + 2, x0=x0), 2
+
+
+def test_image_check_routes_agree_with_the_two_svd_reference(
+    bench, svd_calls, cholesky_certificates
+):
+    # a certified case answers what the SVDs answer, with a gap of exactly
+    # 0.0; a case the certificates leave open runs the two SVDs bit for bit
+    sets = {
+        "generic": (list(generic_cases(71, 200)), {"cholesky"}),
+        "network": (list(network_cases(1, 200)), {"svd"}),
+        "mixed": (list(mixed_cases(bench, 72)), {"svd", "cholesky"}),
+    }
+    for name, (cases, expected) in sets.items():
+        routes = []
+        for sys, data, L in cases:
+            order = min_poly_degree(sys.A) + L
+            svd_calls.clear()
+            cholesky_certificates.clear()
+            report = pe_image_check(sys, data, L, order)
+            route = image_route(cholesky_certificates, sys, L)
+            routes.append(route)
+            assert len(svd_calls) == (0 if route == "cholesky" else 2)
+            outcome = (report.verdict, report.data_dim, report.target_dim)
+            reference = two_svd_image_check(sys, data, L)
+            assert outcome == reference[:3], name
+            if route == "cholesky":
+                assert report.gap == 0.0 and reference[3] <= DEFAULT_RESIDUAL_RTOL
+            else:
+                assert report.gap == reference[3], name
+        assert set(routes) == expected, name
+        if name == "mixed":
+            assert routes == ["svd", "cholesky"]
+
+
+def rescaled(sys, data, scale):
+    """The same runs with inputs and initial states times `scale`."""
+    X0 = scale * initial_state_matrix(data).T
+    U = scale * np.stack([traj.inputs for traj in data])
+    return simulate_set(sys, X0, U)
+
+
+def block_cases(seed, count):
+    """(plant, data, L) of plants with a controllable block beside an
+    uncontrollable one, in their own coordinates, started at rest and at
+    random states in turn."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n1, n2 = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        n, m, p = n1 + n2, int(rng.integers(1, 3)), int(rng.integers(1, 3))
+        A = np.zeros((n, n))
+        A[:n1, :n1] = 0.8 * rng.normal(size=(n1, n1))
+        A[n1:, n1:] = 0.8 * rng.normal(size=(n2, n2))
+        B = np.vstack([rng.normal(size=(n1, m)), np.zeros((n2, m))])
+        sys = LtiSystem(A, B, rng.normal(size=(p, n)), np.zeros((p, m)))
+        L, tau = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        x0 = np.zeros((n, tau)) if k % 2 == 0 else None
+        yield sys, pe_data(sys, rng, tau, min_poly_degree(sys.A) + L, x0=x0), L
+
+
+def test_image_check_keeps_verdict_and_route_when_data_are_rescaled(
+    bench, cholesky_certificates
+):
+    # inputs and initial states times 10^k scale every state by 10^k, and
+    # the data matrix with them; the Krylov matrix keeps B unscaled beside
+    # the scaled initial states. Neither the verdict, nor the dimensions,
+    # nor the step that decides may move
+    cases = list(generic_cases(74, 60)) + list(block_cases(75, 60))
+    cases += list(mixed_cases(bench, 76))
+    routes = set()
+    for sys, data, L in cases:
+        order = min_poly_degree(sys.A) + L
+        outcomes = set()
+        for k in range(-3, 4):
+            cholesky_certificates.clear()
+            report = pe_image_check(sys, rescaled(sys, data, 10.0**k), L, order)
+            route = image_route(cholesky_certificates, sys, L)
+            outcomes.add((report.verdict, report.data_dim, report.target_dim, route))
+        assert len(outcomes) == 1, outcomes
+        routes.add(route)
+    assert routes == {"cholesky", "svd"}
+
+
+def test_image_check_logs_the_step_that_decided(bench, caplog):
+    caplog.set_level(logging.DEBUG, logger="willems.subspace")
+    for sys, data, L in mixed_cases(bench, 72):
+        pe_image_check(sys, data, L, 4 + L)
+    lines = [r.getMessage() for r in caplog.records if r.name == "willems.subspace"]
+    assert len(lines) == 2
+    assert re.fullmatch(
+        r"image check: svd, data dim 4, target dim 4, gap \S+: holds", lines[0]
+    )
+    assert re.fullmatch(
+        r"image check: cholesky certifies W 4 x 12, sigma_r/sigma_1 >= \S+, "
+        r"and D 6 x \d+, sigma_r/sigma_1 >= \S+: holds",
+        lines[1],
+    )
 
 
 def test_image_check_gates_on_excitation(bench):
