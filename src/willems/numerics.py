@@ -52,8 +52,6 @@ _EPS = np.finfo(float).eps
 # Frobenius norm below which `certified_inverse` decides nothing: squares
 # that underflow could have lowered it by more than rounding
 _NORM_FLOOR = 2.0**-480
-# how far above the rank cutoff `certified_inverse` proves sigma_min / sigma_1
-_INVERSE_MARGIN = 2.0**20
 # widest diagonal block `cholesky_certificate` hands np.linalg.cholesky: a
 # Gram matrix up to this size is one call, a larger one is factored in
 # place in blocks of equal width. Narrower blocks cost more in Python and
@@ -113,6 +111,13 @@ def as_bound(value, n: int, fill: float, name: str) -> np.ndarray:
     if np.isnan(arr).any():
         raise ValueError(f"'{name}' contains NaN")
     return arr
+
+
+def empty_box(lo, hi) -> bool:
+    """Whether no value meets ``lo <= x <= hi`` on some coordinate of the
+    bound vectors `lo` and `hi`: lo > hi, lo = +inf or hi = -inf there.
+    Outside ``__all__``, like `as_bound`."""
+    return bool(((lo > hi) | (lo == np.inf) | (hi == -np.inf)).any())
 
 
 def power_blocks(A, X, count: int) -> list:
@@ -280,10 +285,10 @@ def _substitute(lower: np.ndarray, panel: np.ndarray) -> None:
 
 def certified_inverse(a: np.ndarray) -> np.ndarray | None:
     """``numpy.linalg.inv(a)`` of the square float matrix `a`, k x k, when
-    its residual proves sigma_k / sigma_1 >= 2^20 k eps, full rank under
-    the cutoff k eps of `svd_rank` with a margin of 2^20; None when the LU
-    factorization fails or the proof does not hold, and the caller then
-    asks the SVD. Outside ``__all__``, like `svd_rank`.
+    its residual proves sigma_k / sigma_1 >= k eps, full rank under the
+    cutoff k eps of `svd_rank`; None when the LU factorization fails or
+    the proof does not hold, and the caller then asks the SVD. Outside
+    ``__all__``, like `svd_rank`.
 
     Let X be the computed inverse and R = a X - I. When ||R||_2 < 1,
     a X is nonsingular, so a is, and a^-1 = X (I + R)^-1 gives
@@ -310,7 +315,7 @@ def certified_inverse(a: np.ndarray) -> np.ndarray | None:
     that gives ||R||_2 <= rho (1 + 2^-10) / 2 <= rho and
     ||a||_F ||X||_F <= n_a n_x (1 + 2^-10), so the proof holds when
 
-        rho < 1/2  and  (1 - rho) / (2 n_a n_x) >= 2^20 k eps,
+        rho < 1/2  and  (1 - rho) / (2 n_a n_x) >= k eps,
 
     the last factor of two covering the rounding of the test itself.
     Underflow adds at most 2^-1074 per operation: nothing next to
@@ -319,18 +324,22 @@ def certified_inverse(a: np.ndarray) -> np.ndarray | None:
     least 2^-480, which the test requires of n_a and n_x. A norm that
     overflows reads inf and fails the test.
 
-    The margin. A backward-stable SVD returns the singular values of
-    a + E with ||E||_2 <= p(k) u sigma_1, each within p(k) u sigma_1 of
-    the true one, so its ratio sigma_k / sigma_1 stays above the cutoff
-    when 2^20 k eps - p(k) u > k eps (1 + p(k) u): for any p(k) < 2^21 k,
-    which covers the worst-case bound c k^2 of the Householder
-    transformations that reduce a to bidiagonal form (Higham, ch. 19) for
-    k < 2^21 / c. So an inverse returned here is one
-    the SVD would also have kept at full rank, and the two give the same
-    unique solution up to rounding. The margin is narrower than
-    `cholesky_certificate`'s sqrt((kappa + k + 2) eps), which would send
-    well-posed faces of a badly scaled QP (P of norm 10^4 beside pins of
-    norm 1, sigma_k / sigma_1 ~ 10^-8) to the SVD.
+    Why the cutoff, with no margin above it:
+
+    - a kept matrix is nonsingular, so the linear system it carries (a QP
+      face's KKT system) has one solution;
+    - the caller certifies that solution by its own measured residual (the
+      KKT residual of `qp`), whichever factorization found it, so the
+      factorization only picks the candidate;
+    - where the SVD would have cut the rank, the answer can move only
+      within the optimal set. A backward-stable SVD returns the singular
+      values of a + E with ||E||_2 <= p(k) u sigma_1 (Higham, ch. 19), so
+      its computed sigma_k / sigma_1 can fall below the cutoff when the
+      true one is just above it. The SVD then gives the minimum-norm
+      solution of a nearby singular system, this inverse the unique one of
+      a; for a face on a singular P, both x's that the KKT residual
+      certifies are optimal, and the minimum-norm choice among them is
+      not made.
     """
     k = a.shape[0]
     try:
@@ -343,10 +352,8 @@ def certified_inverse(a: np.ndarray) -> np.ndarray | None:
         r.flat[:: k + 1] -= 1.0
         n_a, n_x = float(np.linalg.norm(a)), float(np.linalg.norm(x))
         rho = 2 * (float(np.linalg.norm(r)) + k * _EPS * n_a * n_x)
-    if min(n_a, n_x) < _NORM_FLOOR or not rho < 0.5:
-        return None
-    proved = (1 - rho) / (2 * n_a * n_x)
-    return x if proved >= _INVERSE_MARGIN * k * _EPS else None
+    certified = min(n_a, n_x) >= _NORM_FLOOR and rho < 0.5
+    return x if certified and (1 - rho) / (2 * n_a * n_x) >= k * _EPS else None
 
 
 def gram_certifies_full_rank(a: np.ndarray) -> float:

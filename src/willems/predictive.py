@@ -37,7 +37,7 @@ import numpy as np
 from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
 from .numerics import (
-    as_bound, as_square, as_vector, least_squares, pseudo_inverse_parts,
+    as_bound, as_square, as_vector, empty_box, least_squares, pseudo_inverse_parts,
 )
 from .parameterize import ResponseOperators, build_trajectory_matrix, response_operators
 from .qp import QpSolution, QuadraticProgram, Workspace
@@ -128,7 +128,7 @@ class PredictiveConfig:
             raise ValueError("excitation_low must be below excitation_high")
         self.reference()
         for (lo, hi), box in zip((self.input_bounds(), self.output_bounds()), "uy"):
-            if (lo > hi).any() or (lo == np.inf).any() or (hi == -np.inf).any():
+            if empty_box(lo, hi):
                 raise ValueError(f"no value meets '{box}_min' <= '{box}_max'")
 
     @property

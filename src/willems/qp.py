@@ -12,8 +12,18 @@ active set is not found by a textbook KKT walk; instead an ADMM sweep
 (splitting on the stacked constraint matrix, so the iteration matrix is
 positive definite regardless of P and Aeq) localizes the active set, and a
 polish step runs one active-set refinement seeded by the ADMM box
-multipliers: it re-solves the equality-constrained program of each face it
-visits and verifies the full KKT system.
+multipliers: it solves the equality-constrained program of each face it
+visits and measures the residual of the full KKT system.
+
+That measured KKT residual is an optimal answer's one certificate
+(Nocedal and Wright, *Numerical Optimization*, 2nd ed., §16.1). A solve
+runs one ADMM sweep, ended at its own tolerance 1e-6 or at 5,000
+iterations, then one polish; the answer is optimal when the polish's KKT
+residual is at most 1e-8. Otherwise the status is max_iter: the one sweep
+ended, at its tolerance or its cap, and no polish certified. The status
+does not say which of the two ended the sweep. The sweep's own
+certificates of primal or dual infeasibility end it early with status
+infeasible or unbounded.
 
 A `Workspace` is the solver of one program: built once from it,
 `Workspace.solve(beq)` solves that program for any equality right-hand
@@ -37,7 +47,7 @@ keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
   minimum-norm pseudo-inverse of its KKT matrix on Aeq, built from the SVD
   cut of `numerics.pseudo_inverse_parts` (the rank ``numpy.linalg.lstsq``
   uses). Either way the polish measures the KKT residual of its answer on
-  Aeq and beq, which certifies it;
+  Aeq and beq, which alone certifies it;
 - the face the last certifying polish ended on. The next solve polishes
   from it first and runs ADMM only if that does not certify; the polish
   answer depends only on its final face and on beq, so a hit returns the
@@ -61,15 +71,19 @@ from .numerics import (
     as_matrix,
     as_vector,
     certified_inverse,
+    empty_box,
     pseudo_inverse_parts,
 )
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
 
 _SYM_TOL = 1e-10
-# KKT residual a solution must reach to be optimal, and the ADMM iteration cap
+# KKT residual a solution must reach to be optimal
 _TOL = 1e-8
-_MAX_ITER = 100000
+# the ADMM sweep's own residual tolerance and its iteration cap, a multiple
+# of _CHECK_EVERY
+_ADMM_TOL = 1e-6
+_MAX_ITER = 5000
 
 # ADMM constants (fixed; tuning knobs are not exposed on purpose, the
 # contract is the KKT residual, not the path to it).
@@ -120,7 +134,7 @@ class QuadraticProgram:
         object.__setattr__(self, "beq", beq)
         lb = as_bound(self.lb, n, -np.inf, "lb")
         ub = as_bound(self.ub, n, np.inf, "ub")
-        if (lb > ub).any() or (lb == np.inf).any() or (ub == -np.inf).any():
+        if empty_box(lb, ub):
             raise ValueError("no value meets lb <= x <= ub on some coordinate")
         object.__setattr__(self, "lb", lb)
         object.__setattr__(self, "ub", ub)
@@ -137,7 +151,10 @@ class QuadraticProgram:
 @dataclass(frozen=True)
 class QpSolution:
     """Solver outcome; `status` is optimal, infeasible, unbounded or
-    max_iter. When optimal, kkt_residual is at most 1e-8."""
+    max_iter. When optimal, kkt_residual is at most 1e-8. On max_iter (the
+    one ADMM sweep ended, at its tolerance or its cap, and no polish
+    certified) x is the polish's best and kkt_residual the residual
+    measured for it; on infeasible or unbounded it is inf."""
 
     x: np.ndarray
     objective: float
@@ -183,13 +200,13 @@ class Workspace:
         return np.linalg.inv(self.P + _SIGMA * np.eye(n) + (self.M.T * rho) @ self.M)
 
     def face(self, lower, upper):
-        """(KKT matrix, its inverse) of the face that pins `lower` to lb and
-        `upper` to ub, Aeq rows first: the certified LU inverse of the
+        """Inverse of the KKT matrix of the face that pins `lower` to lb
+        and `upper` to ub, Aeq rows first: the certified LU inverse of the
         matrix on Aeq's range rows, mapped to Aeq's rows, or else the
         minimum-norm pseudo-inverse of the matrix on Aeq."""
         key = (tuple(lower), tuple(upper))
-        entry = self._faces.pop(key, None)
-        if entry is None:
+        inv = self._faces.pop(key, None)
+        if inv is None:
             # evict first, so the new factorization is built beside one
             # kept face, not two
             if len(self._faces) == _FACES:
@@ -197,12 +214,13 @@ class Workspace:
             n, U = self.n, self.eq_range
             r = U.shape[1]
             pinned = np.eye(n)[np.array(list(lower) + list(upper), dtype=int)]
-            kkt = _kkt_matrix(self.P, np.vstack([self.Aeq, pinned]))
             inv = certified_inverse(
                 _kkt_matrix(self.P, np.vstack([self.eq_rows, pinned]))
             )
             if inv is None:
-                u, s, v = pseudo_inverse_parts(kkt)
+                u, s, v = pseudo_inverse_parts(
+                    _kkt_matrix(self.P, np.vstack([self.Aeq, pinned]))
+                )
                 inv = (v / s) @ u.T
             else:
                 # back to Aeq's rows: beq enters as U_r' beq, y_eq is U_r y_r
@@ -210,18 +228,17 @@ class Workspace:
                     [inv[:, :n], inv[:, n : n + r] @ U.T, inv[:, n + r :]]
                 )
                 inv = np.vstack([cols[:n], U @ cols[n : n + r], cols[n + r :]])
-            entry = (kkt, inv)
-        self._faces[key] = entry
-        return entry
+        self._faces[key] = inv
+        return inv
 
     def solve(self, beq) -> QpSolution:
         """Solve the program with equality right-hand side `beq`; see the
-        module docstring for the method. Singular P is resolved by the
-        minimum-norm behavior of the polish step. The solution is optimal
-        when its KKT residual is at most 1e-8 within 100,000 ADMM
-        iterations, and max_iter otherwise. A `beq` that is not finite or
-        not one entry per equality row raises ValueError and leaves the
-        workspace as it was."""
+        module docstring for the method. A polish from the last certified
+        face comes first, and the ADMM sweep and its polish run only when
+        that one does not certify. The solution is optimal when a polish's
+        KKT residual is at most 1e-8, and max_iter otherwise. A `beq` that
+        is not finite or not one entry per equality row raises ValueError
+        and leaves the workspace as it was."""
         beq = as_vector(beq, "beq")
         me = self.Aeq.shape[0]
         if beq.shape[0] != me:
@@ -251,71 +268,55 @@ class Workspace:
         x_mark, y_mark = x.copy(), y.copy()
 
         it = 0
-        best = (None, np.inf)
-        # two ADMM phases, each followed by a polish; the first is capped so
-        # a stalled sweep still reaches the polish
-        for eps, limit in ((1e-6, 5000), (_TOL, _MAX_ITER)):
-            while it < limit:
-                steps = min(_CHECK_EVERY, limit - it)
-                for _ in range(steps):
-                    rhs = _SIGMA * x - q + M.T @ (rho * z - y)
-                    xt = K_inv @ rhs
-                    zt = M @ xt
-                    x = _ALPHA * xt + (1.0 - _ALPHA) * x
-                    zbar = _ALPHA * zt + (1.0 - _ALPHA) * z
-                    z_new = np.minimum(np.maximum(zbar + y / rho, low), high)
-                    y = y + rho * (zbar - z_new)
-                    z = z_new
-                it += steps
-                Mx = M @ x
-                Px = self.P @ x
-                MTy = M.T @ y
-                r_prim = float(np.abs(Mx - z).max(initial=0.0))
-                r_dual = float(np.abs(Px + q + MTy).max(initial=0.0))
-                prim_scale = max(
-                    np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0)
-                )
-                dual_scale = max(
-                    np.abs(Px).max(initial=0.0),
-                    np.abs(q).max(initial=0.0),
-                    np.abs(MTy).max(initial=0.0),
-                )
-                prim_met = r_prim <= eps + eps * prim_scale
-                if prim_met and r_dual <= eps + eps * dual_scale:
-                    break
-                status = _certificates(self, low, high, x - x_mark, y - y_mark)
-                if status:
-                    return QpSolution(x, objective(x), status, float("inf"), it)
-                x_mark, y_mark = x.copy(), y.copy()
-                # rebalance the penalty when one residual has raced ahead of
-                # the other, which otherwise stalls the sweep; each reversal
-                # of direction halves the step's exponent, so a penalty
-                # bouncing between two values (each overshooting the other
-                # residual) settles between them instead of cycling forever
-                prim_rel = r_prim / max(prim_scale, 1e-12)
-                dual_rel = r_dual / max(dual_scale, 1e-12)
-                ratio = np.sqrt(prim_rel / max(dual_rel, 1e-16))
-                if ratio > _BALANCE or ratio < 1.0 / _BALANCE:
-                    up = ratio > 1.0
-                    if last_up is not None and up != last_up:
-                        damp *= 0.5
-                    last_up = up
-                    scale = float(np.clip(ratio, 1e-3, 1e3)) ** damp
-                    rho = np.clip(rho * scale, _RHO_MIN, _RHO_MAX)
-                    K_inv = self.factor(rho)
-            px, pres = _polish(self, beq, y[me:])
-            if pres <= _TOL:
-                return QpSolution(px, objective(px), "optimal", pres, it)
-            if pres < best[1]:
-                best = (px, pres)
-
-        # neither polish certified: the better of the polish and the ADMM iterate
-        admm_res = _kkt_residual(self, beq, x, y[:me], y[me:])
-        if best[0] is None or admm_res < best[1]:
-            best = (x, admm_res)
-        bx, bres = best
-        status = "optimal" if bres <= _TOL else "max_iter"
-        return QpSolution(bx, objective(bx), status, bres, it)
+        # one sweep, ended at its tolerance or its cap, then one polish
+        while it < _MAX_ITER:
+            for _ in range(_CHECK_EVERY):
+                rhs = _SIGMA * x - q + M.T @ (rho * z - y)
+                xt = K_inv @ rhs
+                zt = M @ xt
+                x = _ALPHA * xt + (1.0 - _ALPHA) * x
+                zbar = _ALPHA * zt + (1.0 - _ALPHA) * z
+                z_new = np.minimum(np.maximum(zbar + y / rho, low), high)
+                y = y + rho * (zbar - z_new)
+                z = z_new
+            it += _CHECK_EVERY
+            Mx = M @ x
+            Px = self.P @ x
+            MTy = M.T @ y
+            r_prim = float(np.abs(Mx - z).max(initial=0.0))
+            r_dual = float(np.abs(Px + q + MTy).max(initial=0.0))
+            prim_scale = max(np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0))
+            dual_scale = max(
+                np.abs(Px).max(initial=0.0),
+                np.abs(q).max(initial=0.0),
+                np.abs(MTy).max(initial=0.0),
+            )
+            prim_met = r_prim <= _ADMM_TOL + _ADMM_TOL * prim_scale
+            if prim_met and r_dual <= _ADMM_TOL + _ADMM_TOL * dual_scale:
+                break
+            status = _certificates(self, low, high, x - x_mark, y - y_mark)
+            if status:
+                return QpSolution(x, objective(x), status, float("inf"), it)
+            x_mark, y_mark = x.copy(), y.copy()
+            # rebalance the penalty when one residual has raced ahead of
+            # the other, which otherwise stalls the sweep; each reversal
+            # of direction halves the step's exponent, so a penalty
+            # bouncing between two values (each overshooting the other
+            # residual) settles between them instead of cycling forever
+            prim_rel = r_prim / max(prim_scale, 1e-12)
+            dual_rel = r_dual / max(dual_scale, 1e-12)
+            ratio = np.sqrt(prim_rel / max(dual_rel, 1e-16))
+            if ratio > _BALANCE or ratio < 1.0 / _BALANCE:
+                up = ratio > 1.0
+                if last_up is not None and up != last_up:
+                    damp *= 0.5
+                last_up = up
+                scale = float(np.clip(ratio, 1e-3, 1e3)) ** damp
+                rho = np.clip(rho * scale, _RHO_MIN, _RHO_MAX)
+                K_inv = self.factor(rho)
+        px, pres = _polish(self, beq, y[me:])
+        status = "optimal" if pres <= _TOL else "max_iter"
+        return QpSolution(px, objective(px), status, pres, it)
 
 
 def _kkt_matrix(P, Aact) -> np.ndarray:
@@ -351,22 +352,18 @@ def _kkt_residual(ws: Workspace, beq, x, y_eq, y_box) -> float:
 
 
 def _pinned_solve(ws: Workspace, beq, lower, upper):
-    """Minimum-norm KKT solve with the listed coordinates pinned to their
-    bounds. Returns (x, y_box, kkt_residual, consistent); `consistent` is
-    False when the stacked system has no exact solution, meaning the face
-    is wrong or the objective is unbounded along it.
-    """
+    """KKT solve with the listed coordinates pinned to their bounds, through
+    the face's inverse (`Workspace.face`). Returns (x, y_box, kkt_residual);
+    a wrong face, or one along which the objective is unbounded, shows in
+    the residual."""
     n, me = ws.n, beq.shape[0]
     rhs = np.concatenate([-ws.q, beq, ws.lb[lower], ws.ub[upper]])
-    kkt, pinv = ws.face(lower, upper)
-    sol = pinv @ rhs
-    res = float(np.linalg.norm(kkt @ sol - rhs))
-    consistent = res <= 1e-6 * max(1.0, float(np.linalg.norm(rhs)))
+    sol = ws.face(lower, upper) @ rhs
     x = sol[:n]
     y_eq = sol[n : n + me]
     y_box = np.zeros(n)
     y_box[np.array(lower + upper, dtype=int)] = sol[n + me :]
-    return x, y_box, _kkt_residual(ws, beq, x, y_eq, y_box), consistent
+    return x, y_box, _kkt_residual(ws, beq, x, y_eq, y_box)
 
 
 def _polish(ws: Workspace, beq, y_box):
@@ -376,12 +373,11 @@ def _polish(ws: Workspace, beq, y_box):
     The multipliers (thresholded against their overall scale, so near-zero
     noise on inactive coordinates is ignored) propose the first pinned set;
     coordinates with lb == ub stay pinned to lb throughout. Each pass
-    re-solves the pinned KKT system by minimum-norm least squares, releases
-    pins whose multipliers came back wrong-signed, and pins the bound the
+    solves the pinned KKT system through the face's inverse, releases pins
+    whose multipliers came back wrong-signed, and pins the bound the
     candidate violates most, until the measured KKT residual meets `_TOL`
     or the set stops changing; a certified face is kept as `ws.last_face`.
-    Returns the best (x, kkt_residual) seen, or (None, inf) when every
-    visited face was inconsistent.
+    Returns the (x, kkt_residual) of the least residual seen.
     """
     n = ws.n
     seed_thr = 1e-9 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
@@ -389,28 +385,27 @@ def _polish(ws: Workspace, beq, y_box):
     always = set(np.flatnonzero(finite_lb & (ws.lb == ws.ub)).tolist())
     lower = set(np.flatnonzero(finite_lb & (y_box < -seed_thr)).tolist()) | always
     upper = set(np.flatnonzero(finite_ub & (y_box > seed_thr)).tolist()) - always
-    best = (None, np.inf)
+    best = None
     for _ in range(3 * n + 3):
         lo, up = sorted(lower), sorted(upper)
-        x, y_new, res, consistent = _pinned_solve(ws, beq, lo, up)
+        x, y_new, res = _pinned_solve(ws, beq, lo, up)
+        if best is None or res < best[1]:
+            best = (x, res)
+        if res <= _TOL:
+            ws.last_face = np.zeros(n)
+            ws.last_face[lo] = -1.0
+            ws.last_face[up] = 1.0
+            return best
         changed = False
-        if consistent:
-            if res < best[1]:
-                best = (x, res)
-            if res <= _TOL:
-                ws.last_face = np.zeros(n)
-                ws.last_face[lo] = -1.0
-                ws.last_face[up] = 1.0
-                return best
-            rel = 1e-10 * max(1.0, float(np.abs(y_new).max(initial=0.0)))
-            for i in lo:
-                if i not in always and y_new[i] > rel:
-                    lower.discard(i)
-                    changed = True
-            for i in up:
-                if y_new[i] < -rel:
-                    upper.discard(i)
-                    changed = True
+        rel = 1e-10 * max(1.0, float(np.abs(y_new).max(initial=0.0)))
+        for i in lo:
+            if i not in always and y_new[i] > rel:
+                lower.discard(i)
+                changed = True
+        for i in up:
+            if y_new[i] < -rel:
+                upper.discard(i)
+                changed = True
         # pin only the single worst violation; adding every violated bound
         # at once can overshoot into an infeasible face
         feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))

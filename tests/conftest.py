@@ -5,7 +5,7 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from willems import LtiSystem, numerics
+from willems import LtiSystem, numerics, qp
 
 
 def mixed_plant() -> LtiSystem:
@@ -76,6 +76,23 @@ def inv_calls(monkeypatch) -> list:
         return inv(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "inv", counting)
+    return calls
+
+
+@pytest.fixture
+def qp_solves(monkeypatch) -> list:
+    """(status, iterations) of every qp.Workspace.solve while the test
+    runs, like `svd_calls`; an optimal solve with 0 iterations certified
+    on the workspace's last face, without an ADMM sweep."""
+    calls = []
+    solve = qp.Workspace.solve
+
+    def recording(self, beq):
+        sol = solve(self, beq)
+        calls.append((sol.status, sol.iterations))
+        return sol
+
+    monkeypatch.setattr(qp.Workspace, "solve", recording)
     return calls
 
 

@@ -476,6 +476,18 @@ def test_bundled_deepc_factors_every_qp_face_by_lu(
     capsys.readouterr()
 
 
+def test_bundled_deepc_sweeps_admm_once_per_workspace(tmp_path, capsys, qp_solves):
+    # 56 control steps, each solved by both controllers (the CSV pins only
+    # the applied one's): each workspace's first solve runs the ADMM sweep,
+    # and every later one certifies on the face the step before ended on
+    cfg = bundled_config("fig1_deepc.json")
+    assert run(tmp_path, "deepc", cfg, out=tmp_path / "out") == 0
+    assert len(qp_solves) == 112
+    assert {status for status, _ in qp_solves} == {"optimal"}
+    assert [i for i, (_, its) in enumerate(qp_solves) if its > 0] == [0, 1]
+    capsys.readouterr()
+
+
 def test_small_mosaics_keep_the_direct_gram(tmp_path, capsys, caplog):
     # the fig1 excitation check and a verify-theorem1 random case: their
     # mosaics stay on the product H H^T, the code path of the pinned bytes

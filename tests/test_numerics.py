@@ -259,28 +259,28 @@ def test_certificate_factors_the_gram_matrix_without_an_r_by_r_copy(peak_alloc):
 
 @pytest.mark.parametrize("k", [2, 5, 12])
 def test_inverse_certificate_never_claims_a_ratio_the_svd_denies(k):
+    # a kept inverse proves sigma_k / sigma_1 >= k eps, the cutoff of
+    # `svd_rank`; the SVD's computed ratio may fall below the true one by
+    # its own rounding, p(k) u sigma_1 for a modest p(k), allowed as k u
+    eps = np.finfo(float).eps
+    u = eps / 2
     rng = np.random.default_rng(73)
     certified = []
-    for ratio in [1e-1, 1e-4, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 1e-15, 1e-17]:
+    ratios = [1e-1, 1e-4, 1e-7, 1e-8, 1e-9, 1e-10, 1e-12, 1e-13, 1e-14, 1e-15, 1e-17]
+    for ratio in ratios:
         for scale in [1e-150, 1e-3, 1.0, 1e3, 1e150]:
             a = scale * prescribed_matrix(rng, k, k, ratio)
             inv = certified_inverse(a)
             if inv is not None:
                 s = np.linalg.svd(a, compute_uv=False)
-                assert s[-1] / s[0] >= 2.0**20 * k * np.finfo(float).eps
+                assert s[-1] / s[0] >= k * eps - k * u
                 assert np.array_equal(inv, np.linalg.inv(a))
                 certified.append((ratio, scale))
-    # not vacuous: well-conditioned matrices are certified at moderate scales
+    # not vacuous: well-conditioned matrices are certified at moderate
+    # scales, and so are some within a few decades of the cutoff
     for scale in [1e-3, 1.0, 1e3]:
         assert (1e-1, scale) in certified and (1e-4, scale) in certified
-
-
-def test_inverse_certificate_rejects_what_only_the_cutoff_keeps():
-    # sigma_min / sigma_1 = 1e-12 at k = 8 clears the SVD's cutoff,
-    # 8 eps = 1.8e-15, but not the proof's 2^20 * 8 eps = 1.9e-9
-    a = prescribed_matrix(np.random.default_rng(79), 8, 8, 1e-12)
-    assert numerical_rank(a) == 8
-    assert certified_inverse(a) is None
+    assert any(ratio <= 1e-13 for ratio, _ in certified)
 
 
 def test_inverse_certificate_rejects_a_singular_kkt_matrix():

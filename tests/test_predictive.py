@@ -445,6 +445,51 @@ def test_controllers_agree_closely_on_stress_loops(seed):
     assert np.abs(log.alt_inputs[cfg.T :] - log.inputs[cfg.T :]).max() <= 1e-9
 
 
+def add_record_noise(monkeypatch, sigma):
+    """Make DeePC's data matrices read the recorded outputs with seeded
+    Gaussian noise of standard deviation `sigma` (rng 0) added; the
+    inputs, and the plant the loop runs, stay exact."""
+    build = predictive.build_trajectory_matrix
+
+    def noisy(data, depth):
+        rng = np.random.default_rng(0)
+        records = tuple(
+            Trajectory(
+                run.inputs,
+                outputs=run.outputs + sigma * rng.normal(size=run.outputs.shape),
+            )
+            for run in data.trajectories
+        )
+        return build(TrajectorySet(records), depth)
+
+    monkeypatch.setattr(predictive, "build_trajectory_matrix", noisy)
+
+
+@pytest.mark.parametrize("sigma", [1e-10, 1e-8])
+def test_deepc_on_slightly_noisy_records_tracks_mpc(monkeypatch, sigma):
+    # DeePC's inputs stay within a few hundred sigma of MPC's (3.3e-8 and
+    # 3.3e-6 measured)
+    add_record_noise(monkeypatch, sigma)
+    sys, cfg, seed = fig1_loop()
+    log = run_closed_loop(sys, cfg, controller="both", seed=seed)
+    assert log.completed
+    assert set(log.statuses[cfg.T :]) == {"optimal"}
+    assert np.abs(log.alt_inputs[cfg.T :] - log.inputs[cfg.T :]).max() <= 1e3 * sigma
+
+
+def test_a_noisy_long_window_ends_max_iter_within_one_sweep(monkeypatch):
+    # with L = 15 no polish certifies the first DeePC step on noisy
+    # records: the step ends max_iter when the one ADMM sweep ends, within
+    # its 5,000-iteration cap
+    add_record_noise(monkeypatch, 1e-8)
+    sys, cfg, seed = fig1_loop(L=15, T=90, K=150)
+    log = run_closed_loop(sys, cfg, controller="both", seed=seed)
+    assert not log.completed
+    assert log.statuses[-1] == "max_iter"
+    assert 0 < log.iterations[-1] <= 5000
+    assert log.kkt_residuals[-1] > 1e-8
+
+
 @pytest.mark.parametrize("x0, lead", [([0.0, 0.0, 0.5, 0.2], 4), ([0.0] * 4, 2)])
 def test_deepc_window_spans_the_reachable_and_initial_state_space(x0, lead):
     # the paper's uncontrollable case: fig1's second block has no input, so
