@@ -22,8 +22,8 @@ QP only through the equality right-hand side beq. So each controller's QP
 is built once per closed loop, into the QP workspace that solves it (see
 `willems.qp`), and every step hands that workspace only its beq. The
 workspace keeps its factorizations and the last certified face, which the
-next step tries before any ADMM sweep. `mpc_step` and `deepc_step` build
-the same QP for a single step and solve it cold.
+next step tries before the cold polish and the active-set walk. `mpc_step`
+and `deepc_step` build the same QP for a single step and solve it cold.
 """
 
 from __future__ import annotations
@@ -308,11 +308,11 @@ class ClosedLoopLog:
     """Per-step record of a closed-loop run over t = 0..K.
 
     The excitation phase fills `objectives` with NaN and `statuses` with
-    "excite". `iterations` and `kkt_residuals` are the ADMM iteration count
-    and the certified KKT residual of the applied controller's QP (0 and
-    NaN while exciting; `iterations` is also 0 for a step whose QP
-    certified on the face of the previous certified solve, with no ADMM
-    sweep). When the run compared both controllers, `alt_inputs` and
+    "excite". `iterations` and `kkt_residuals` are the face solves of the
+    cold polish and the active-set walk (`QpSolution.iterations`) and the
+    certified KKT residual of the applied controller's QP (0 and NaN while
+    exciting; `iterations` is also 0 for a step whose QP certified on the
+    face of the previous certified solve). When the run compared both controllers, `alt_inputs` and
     `alt_objectives` hold the non-applied controller's step results.
     `completed` is False when a step ended without an optimal solution and
     the run aborted; that step's status is the last entry of `statuses`,

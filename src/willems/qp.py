@@ -7,23 +7,45 @@ Solves
 
 for symmetric positive-semidefinite P. A program without equality rows has
 a 0 x n Aeq, so every step below runs the same way with or without them.
-The cost may be singular and the equality rows rank-deficient, so the
-active set is not found by a textbook KKT walk; instead an ADMM sweep
-(splitting on the stacked constraint matrix, so the iteration matrix is
-positive definite regardless of P and Aeq) localizes the active set, and a
-polish step runs one active-set refinement seeded by the ADMM box
-multipliers: it solves the equality-constrained program of each face it
-visits and measures the residual of the full KKT system.
 
-That measured KKT residual is an optimal answer's one certificate
-(Nocedal and Wright, *Numerical Optimization*, 2nd ed., §16.1). A solve
-runs one ADMM sweep, ended at its own tolerance 1e-6 or at 5,000
-iterations, then one polish; the answer is optimal when the polish's KKT
-residual is at most 1e-8. Otherwise the status is max_iter: the one sweep
-ended, at its tolerance or its cap, and no polish certified. The status
-does not say which of the two ended the sweep. The sweep's own
-certificates of primal or dual infeasibility end it early with status
-infeasible or unbounded.
+One method decides every program: the faces of its box. A face pins a set
+of coordinates to their bounds, and the program restricted to it is one
+linear KKT system. The cost may be singular and the equality rows
+rank-deficient, so that system may be singular too; `Workspace.face`
+factors it by LU when it can prove it nonsingular and by the SVD
+pseudo-inverse otherwise. A solve goes:
+
+1. The equality pre-check: a beq whose residual off the range of Aeq
+   exceeds 1e-9 of its norm is infeasible.
+2. A polish from the face the last certified solve ended on. It solves the
+   KKT system of each face it visits, releases pins whose multipliers have
+   the wrong sign and pins the bound the candidate violates most.
+3. A polish from the empty face.
+4. When neither certifies, a primal active-set walk over the same faces
+   (Nocedal and Wright, *Numerical Optimization*, 2nd ed., §16.5). A
+   full step releases the most wrong-signed pin (never one with
+   lb == ub), and a step that a bound blocks pins that bound. Phase 1
+   walks to a point of the box nearest the equality rows, by
+   bounded-variable least squares (Stark and Parker, Comput. Stat. 10,
+   1995): each step is the minimum-norm least-squares step of the free
+   columns of U_r' Aeq, through their SVD, since the KKT matrix of that
+   least-squares program has the square of their condition number.
+   Phase 2 walks from that point, each step a solve through
+   `Workspace.face`, and the face it ends on is polished.
+
+Each status has one certificate:
+
+- optimal: the measured residual of the full KKT system is at most 1e-8
+  (Nocedal and Wright, §16.1);
+- infeasible: the pre-check's residual, or a phase-1 minimum ||E x - c||
+  (E = U_r' Aeq, c = U_r' beq, U_r the range of Aeq) above 1e-9 of the
+  larger of ||beq|| and || |E| |x| ||, the rounding scale of E x;
+- unbounded: a ray d of a singular face, the stationarity residual of its
+  pseudo-inverse solve, with ||P d|| <= eps ||P|| ||d||,
+  ||Aeq d|| <= eps ||Aeq|| ||d|| and q'd < -eps ||q|| ||d|| (max norms,
+  eps = 1e-6, each tested on its own), that no finite bound blocks;
+- max_iter: none of these, so a walk hit its cap of 3n + 3 steps or its
+  last face did not certify.
 
 A `Workspace` is the solver of one program: built once from it,
 `Workspace.solve(beq)` solves that program for any equality right-hand
@@ -31,38 +53,33 @@ side beq, the only data that moves between the receding-horizon QPs of one
 closed loop (the setup/update split of OSQP, or qpOASES's hotstart). It
 keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
 
-- the ADMM iteration matrix ``P + sigma I + M' diag(rho) M`` at the starting
-  penalty, factored as an explicit inverse (numpy offers no triangular
-  solve); a rebalanced penalty is factored afresh and not kept;
 - a rank-revealing SVD of Aeq, whose range U_r decides feasibility of
   ``Aeq x = beq`` by projection residual, and whose range rows U_r' Aeq
   have full row rank and, for a feasible beq, the same solutions;
-- the inverses of the last two faces' KKT matrices (a face pins a set of
-  coordinates to their bounds), so the polish is a matrix-vector product
-  and a cached face gives the same bits as a new one. A face's KKT matrix
-  on the range rows is factored by LU when its residual certifies it
-  nonsingular (`numerics.certified_inverse`), and U_r is folded back into
-  that inverse, so it takes beq and returns Aeq's multipliers; otherwise,
-  as for a singular P with a free direction, the face keeps the
-  minimum-norm pseudo-inverse of its KKT matrix on Aeq, built from the SVD
-  cut of `numerics.pseudo_inverse_parts` (the rank ``numpy.linalg.lstsq``
-  uses). Either way the polish measures the KKT residual of its answer on
-  Aeq and beq, which alone certifies it;
-- the face the last certifying polish ended on. The next solve polishes
-  from it first and runs ADMM only if that does not certify; the polish
-  answer depends only on its final face and on beq, so a hit returns the
-  bits ADMM and the polish would, with 0 iterations.
+- the inverses of the last two faces' KKT matrices, so a face solve is a
+  matrix-vector product and a cached face gives the same bits as a new
+  one. A face's KKT matrix on the range rows is factored by LU when its
+  residual certifies it nonsingular (`numerics.certified_inverse`), and
+  U_r is folded back into that inverse, so it takes beq and returns Aeq's
+  multipliers; otherwise, as for a singular P with a free direction, the
+  face keeps the minimum-norm pseudo-inverse of its KKT matrix on Aeq,
+  built from the SVD cut of `numerics.pseudo_inverse_parts` (the rank
+  ``numpy.linalg.lstsq`` uses);
+- the face the last certifying polish ended on. A polish answer depends
+  only on its final face and on beq, so a hit returns the bits a cold
+  solve would, with 0 iterations.
 
+`iterations` counts the face solves of steps 3 and 4, phase 1's included.
 `solve_qp(prob)` is `Workspace(prob).solve(prob.beq)`, so a one-off solve
 and a solve in a sequence take the same code path. Solutions carry the
 measured KKT residual. Everything is deterministic for fixed inputs and a
-fixed sequence of solves: ADMM starts from zero on a fixed iteration
-schedule, no randomization.
+fixed sequence of solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -80,22 +97,8 @@ __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
 _SYM_TOL = 1e-10
 # KKT residual a solution must reach to be optimal
 _TOL = 1e-8
-# the ADMM sweep's own residual tolerance and its iteration cap, a multiple
-# of _CHECK_EVERY
-_ADMM_TOL = 1e-6
-_MAX_ITER = 5000
-
-# ADMM constants (fixed; tuning knobs are not exposed on purpose, the
-# contract is the KKT residual, not the path to it).
-_SIGMA = 1e-6
-_RHO_BOX = 0.1
-_RHO_EQ = 1e3 * _RHO_BOX
-_RHO_MIN = 1e-6
-_RHO_MAX = 1e7
-_BALANCE = 5.0
-_ALPHA = 1.6
-_CHECK_EVERY = 25
-_EPS_INFEAS = 1e-6
+# relative size eps of a ray's curvature, equality residual and descent
+_RAY_TOL = 1e-6
 # face factorizations a workspace keeps; the least recently used goes first
 _FACES = 2
 
@@ -151,10 +154,11 @@ class QuadraticProgram:
 @dataclass(frozen=True)
 class QpSolution:
     """Solver outcome; `status` is optimal, infeasible, unbounded or
-    max_iter. When optimal, kkt_residual is at most 1e-8. On max_iter (the
-    one ADMM sweep ended, at its tolerance or its cap, and no polish
-    certified) x is the polish's best and kkt_residual the residual
-    measured for it; on infeasible or unbounded it is inf."""
+    max_iter (the walk hit its cap or its last face did not certify). When
+    optimal, kkt_residual is at most 1e-8; on max_iter x is the last
+    polish's best and kkt_residual the residual measured for it; on
+    infeasible or unbounded it is inf. `iterations` counts face solves
+    past the last certified face, 0 when that face certified."""
 
     x: np.ndarray
     objective: float
@@ -180,11 +184,6 @@ class Workspace:
         self.program, n = prob, prob.n
         self.P, self.q, self.Aeq = prob.P, prob.q, prob.Aeq
         self.lb, self.ub, self.n = prob.lb, prob.ub, n
-        self.M = np.vstack([prob.Aeq, np.eye(n)])
-        self.rho0 = np.concatenate(
-            [np.full(prob.Aeq.shape[0], _RHO_EQ), np.full(n, _RHO_BOX)]
-        )
-        self.K0_inv = self.factor(self.rho0)
         # range of Aeq, and the map from range coordinates to the
         # minimum-norm least-squares solution
         u, s, v = pseudo_inverse_parts(prob.Aeq)
@@ -193,17 +192,14 @@ class Workspace:
         self.eq_rows = u.T @ prob.Aeq
         self.last_face = None
         self._faces = {}
-
-    def factor(self, rho) -> np.ndarray:
-        """Inverse of the ADMM iteration matrix at penalty `rho`."""
-        n = self.n
-        return np.linalg.inv(self.P + _SIGMA * np.eye(n) + (self.M.T * rho) @ self.M)
+        self._solves = 0  # face solves, `QpSolution.iterations`' count
 
     def face(self, lower, upper):
         """Inverse of the KKT matrix of the face that pins `lower` to lb
         and `upper` to ub, Aeq rows first: the certified LU inverse of the
         matrix on Aeq's range rows, mapped to Aeq's rows, or else the
         minimum-norm pseudo-inverse of the matrix on Aeq."""
+        self._solves += 1
         key = (tuple(lower), tuple(upper))
         inv = self._faces.pop(key, None)
         if inv is None:
@@ -233,90 +229,42 @@ class Workspace:
 
     def solve(self, beq) -> QpSolution:
         """Solve the program with equality right-hand side `beq`; see the
-        module docstring for the method. A polish from the last certified
-        face comes first, and the ADMM sweep and its polish run only when
-        that one does not certify. The solution is optimal when a polish's
-        KKT residual is at most 1e-8, and max_iter otherwise. A `beq` that
-        is not finite or not one entry per equality row raises ValueError
-        and leaves the workspace as it was."""
+        module docstring for the method. The equality pre-check comes
+        first, then a polish from the last certified face, which costs 0
+        iterations when it certifies, then a polish from the empty face;
+        the active-set walk runs only when neither certifies. A `beq`
+        that is not finite or not one entry per equality row raises
+        ValueError and leaves the workspace as it was."""
         beq = as_vector(beq, "beq")
         me = self.Aeq.shape[0]
         if beq.shape[0] != me:
             raise ValueError(f"beq has length {beq.shape[0]}, expected {me}")
-        n, objective = self.n, self.program.objective
+        objective, inf = self.program.objective, float("inf")
 
         coef = self.eq_range.T @ beq
         res = float(np.linalg.norm(beq - self.eq_range @ coef))
         if res > 1e-9 * float(np.linalg.norm(beq)):
             x_ls = self.eq_solve @ coef
-            return QpSolution(x_ls, objective(x_ls), "infeasible", float("inf"), 0)
+            return QpSolution(x_ls, objective(x_ls), "infeasible", inf, 0)
 
         if self.last_face is not None:
             px, pres = _polish(self, beq, self.last_face)
             if pres <= _TOL:
                 return QpSolution(px, objective(px), "optimal", pres, 0)
 
-        M, q = self.M, self.q
-        low = np.concatenate([beq, self.lb])
-        high = np.concatenate([beq, self.ub])
-        rho = self.rho0
-        K_inv = self.K0_inv
-        damp, last_up = 1.0, None
-
-        x, y = np.zeros(n), np.zeros(me + n)
-        z = np.clip(M @ x, low, high)
-        x_mark, y_mark = x.copy(), y.copy()
-
-        it = 0
-        # one sweep, ended at its tolerance or its cap, then one polish
-        while it < _MAX_ITER:
-            for _ in range(_CHECK_EVERY):
-                rhs = _SIGMA * x - q + M.T @ (rho * z - y)
-                xt = K_inv @ rhs
-                zt = M @ xt
-                x = _ALPHA * xt + (1.0 - _ALPHA) * x
-                zbar = _ALPHA * zt + (1.0 - _ALPHA) * z
-                z_new = np.minimum(np.maximum(zbar + y / rho, low), high)
-                y = y + rho * (zbar - z_new)
-                z = z_new
-            it += _CHECK_EVERY
-            Mx = M @ x
-            Px = self.P @ x
-            MTy = M.T @ y
-            r_prim = float(np.abs(Mx - z).max(initial=0.0))
-            r_dual = float(np.abs(Px + q + MTy).max(initial=0.0))
-            prim_scale = max(np.abs(Mx).max(initial=0.0), np.abs(z).max(initial=0.0))
-            dual_scale = max(
-                np.abs(Px).max(initial=0.0),
-                np.abs(q).max(initial=0.0),
-                np.abs(MTy).max(initial=0.0),
-            )
-            prim_met = r_prim <= _ADMM_TOL + _ADMM_TOL * prim_scale
-            if prim_met and r_dual <= _ADMM_TOL + _ADMM_TOL * dual_scale:
-                break
-            status = _certificates(self, low, high, x - x_mark, y - y_mark)
-            if status:
-                return QpSolution(x, objective(x), status, float("inf"), it)
-            x_mark, y_mark = x.copy(), y.copy()
-            # rebalance the penalty when one residual has raced ahead of
-            # the other, which otherwise stalls the sweep; each reversal
-            # of direction halves the step's exponent, so a penalty
-            # bouncing between two values (each overshooting the other
-            # residual) settles between them instead of cycling forever
-            prim_rel = r_prim / max(prim_scale, 1e-12)
-            dual_rel = r_dual / max(dual_scale, 1e-12)
-            ratio = np.sqrt(prim_rel / max(dual_rel, 1e-16))
-            if ratio > _BALANCE or ratio < 1.0 / _BALANCE:
-                up = ratio > 1.0
-                if last_up is not None and up != last_up:
-                    damp *= 0.5
-                last_up = up
-                scale = float(np.clip(ratio, 1e-3, 1e3)) ** damp
-                rho = np.clip(rho * scale, _RHO_MIN, _RHO_MAX)
-                K_inv = self.factor(rho)
-        px, pres = _polish(self, beq, y[me:])
-        status = "optimal" if pres <= _TOL else "max_iter"
-        return QpSolution(px, objective(px), status, pres, it)
+        start = self._solves
+        x, res = _polish(self, beq, np.zeros(self.n))
+        status = "optimal"
+        if res > _TOL:
+            x, face, status = _phase1(self, beq, coef)
+            if status is None:
+                x, face, status = _walk(self, x, face, _face_step)
+            if status in (None, "optimal"):
+                x, res = _polish(self, beq, face)
+                status = "optimal" if res <= _TOL else "max_iter"
+            else:
+                res = inf
+        return QpSolution(x, objective(x), status, res, self._solves - start)
 
 
 def _kkt_matrix(P, Aact) -> np.ndarray:
@@ -366,13 +314,25 @@ def _pinned_solve(ws: Workspace, beq, lower, upper):
     return x, y_box, _kkt_residual(ws, beq, x, y_eq, y_box)
 
 
-def _polish(ws: Workspace, beq, y_box):
-    """Active-set refinement seeded by the ADMM box multipliers `y_box`, or
-    by a face's signs (`Workspace.last_face`).
+def _wrong_signs(ws: Workspace, lower, upper, y_box) -> np.ndarray:
+    """By how much each coordinate's multiplier in `y_box` has the wrong
+    sign for its pin, past 1e-10 of the multipliers' scale: positive on a
+    pin to lb whose multiplier is positive, or on a pin to ub whose
+    multiplier is negative; negative elsewhere, and always on a coordinate
+    with lb == ub, which stays pinned."""
+    wrong = np.full(ws.n, -np.inf)
+    wrong[lower] = y_box[lower]
+    wrong[upper] = -y_box[upper]
+    wrong[ws.lb == ws.ub] = -np.inf
+    return wrong - 1e-10 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
 
-    The multipliers (thresholded against their overall scale, so near-zero
-    noise on inactive coordinates is ignored) propose the first pinned set;
-    coordinates with lb == ub stay pinned to lb throughout. Each pass
+
+def _polish(ws: Workspace, beq, face):
+    """Active-set refinement from the face `face` (-1 for a coordinate
+    pinned to lb, +1 for one pinned to ub, 0 for a free one, as
+    `Workspace.last_face`).
+
+    Coordinates with lb == ub stay pinned to lb throughout. Each pass
     solves the pinned KKT system through the face's inverse, releases pins
     whose multipliers came back wrong-signed, and pins the bound the
     candidate violates most, until the measured KKT residual meets `_TOL`
@@ -380,11 +340,10 @@ def _polish(ws: Workspace, beq, y_box):
     Returns the (x, kkt_residual) of the least residual seen.
     """
     n = ws.n
-    seed_thr = 1e-9 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
     finite_lb, finite_ub = np.isfinite(ws.lb), np.isfinite(ws.ub)
-    always = set(np.flatnonzero(finite_lb & (ws.lb == ws.ub)).tolist())
-    lower = set(np.flatnonzero(finite_lb & (y_box < -seed_thr)).tolist()) | always
-    upper = set(np.flatnonzero(finite_ub & (y_box > seed_thr)).tolist()) - always
+    always = set(np.flatnonzero(ws.lb == ws.ub).tolist())
+    lower = set(np.flatnonzero(face < 0).tolist()) | always
+    upper = set(np.flatnonzero(face > 0).tolist()) - always
     best = None
     for _ in range(3 * n + 3):
         lo, up = sorted(lower), sorted(upper)
@@ -396,16 +355,10 @@ def _polish(ws: Workspace, beq, y_box):
             ws.last_face[lo] = -1.0
             ws.last_face[up] = 1.0
             return best
-        changed = False
-        rel = 1e-10 * max(1.0, float(np.abs(y_new).max(initial=0.0)))
-        for i in lo:
-            if i not in always and y_new[i] > rel:
-                lower.discard(i)
-                changed = True
-        for i in up:
-            if y_new[i] < -rel:
-                upper.discard(i)
-                changed = True
+        release = np.flatnonzero(_wrong_signs(ws, lo, up, y_new) > 0).tolist()
+        lower.difference_update(release)
+        upper.difference_update(release)
+        changed = bool(release)
         # pin only the single worst violation; adding every violated bound
         # at once can overshoot into an infeasible face
         feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))
@@ -422,37 +375,109 @@ def _polish(ws: Workspace, beq, y_box):
     return best
 
 
+def _phase1(ws: Workspace, beq, coef):
+    """Phase 1 of the walk: a point x of the box that minimizes
+    ||E x - c||, E = U_r' Aeq the range rows and c = U_r' beq (`coef`), by
+    bounded-variable least squares (Stark and Parker, 1995): the walk from
+    the minimum-norm solution of E x = c clipped to the box, with each
+    step the minimum-norm least-squares step of the free columns of E.
+
+    Returns (x, face, status): the point, the face it ended on, and
+    "infeasible" when the walk reached the minimum and that minimum
+    exceeds 1e-9 of max(||beq||, || |E| |x| ||), else None."""
+    E, x_ls = ws.eq_rows, ws.eq_solve @ coef
+    x = np.clip(x_ls, ws.lb, ws.ub)
+    face = np.where(x == ws.lb, -1.0, np.where(x == ws.ub, 1.0, 0.0))
+    if np.array_equal(x, x_ls):
+        return x, face, None
+    x, face, status = _walk(ws, x, face, partial(_least_squares_step, coef))
+    gap = float(np.linalg.norm(E @ x - coef))
+    scale = max(np.linalg.norm(beq), np.linalg.norm(np.abs(E) @ np.abs(x)))
+    return x, face, "infeasible" if status == "optimal" and gap > 1e-9 * scale else None
+
+
+def _least_squares_step(coef, ws: Workspace, x, lower, upper):
+    """Phase 1's step on a face: the minimum-norm d over the free
+    coordinates that minimizes ||E (x + d) - c||, and the pins'
+    multipliers -E'(E (x + d) - c) there; never a ray."""
+    E, pins = ws.eq_rows, lower + upper
+    free = np.ones(ws.n, dtype=bool)
+    free[pins] = False
+    resid = E @ x - coef
+    u, s, v = pseudo_inverse_parts(E[:, free])
+    ws._solves += 1
+    d = np.zeros(ws.n)
+    d[free] = -(v / s) @ (u.T @ resid)
+    return d, False, -(E[:, pins].T @ (resid + E @ d))
+
+
+def _face_step(ws: Workspace, x, lower, upper):
+    """Phase 2's step on a face, ``ws.face(lower, upper) @ [-g; 0; 0]`` at
+    the gradient g = P x + q, and the pins' multipliers after it. On a
+    singular face the stationarity residual of that pseudo-inverse solve,
+    zero on the pins, is a direction of zero curvature; when it passes the
+    ray certificate of the module docstring it is returned in place of the
+    step, flagged as a ray."""
+    n, me, pins = ws.n, ws.Aeq.shape[0], lower + upper
+    P, Aeq, q = ws.P, ws.Aeq, ws.q
+    g = P @ x + q
+    sol = ws.face(lower, upper)[:, :n] @ -g
+    ray = -g - P @ sol[:n] - Aeq.T @ sol[n : n + me]
+    ray[pins] = 0.0
+    size = float(np.abs(ray).max(initial=0.0))
+    ray[np.abs(ray) <= _RAY_TOL * size] = 0.0
+    bound = [_RAY_TOL * size * float(np.abs(a).max(initial=0.0)) for a in (P, Aeq, q)]
+    if (
+        np.abs(P @ ray).max(initial=0.0) <= bound[0]
+        and np.abs(Aeq @ ray).max(initial=0.0) <= bound[1]
+        and q @ ray < -bound[2]
+    ):
+        return ray, True, None
+    return sol[:n], False, sol[n + me :]
+
+
+def _walk(ws: Workspace, x, face, step):
+    """Primal active-set walk (Nocedal and Wright, 2nd ed., §16.5) over
+    the box of `ws` from the point x, which meets the box, on the face
+    `face` (-1/0/+1 as `Workspace.last_face`, its pins at their bounds).
+
+    Each pass takes ``step(ws, x, lower, upper)``: the step d on the face,
+    whether it is a ray, and the pins' multipliers after a full step. A
+    step that a free coordinate's finite bound blocks stops there and pins
+    that bound; an unblocked ray ends the walk unbounded; a full step
+    releases the most wrong-signed pin, or ends the walk on an optimal
+    face when no pin is. Returns (x, face, status), status "optimal",
+    "unbounded" or None at the cap of 3n + 3 passes."""
+    n = ws.n
+    face = face.copy()
+    for _ in range(3 * n + 3):
+        lo, up = np.flatnonzero(face < 0).tolist(), np.flatnonzero(face > 0).tolist()
+        d, ray, y_pins = step(ws, x, lo, up)
+        d[lo + up] = 0.0
+        down = (face == 0) & (d < 0) & np.isfinite(ws.lb)
+        rise = (face == 0) & (d > 0) & np.isfinite(ws.ub)
+        room = np.full(n, np.inf)
+        room[down] = (ws.lb - x)[down] / d[down]
+        room[rise] = (ws.ub - x)[rise] / d[rise]
+        i = int(np.argmin(room))
+        if room[i] < (np.inf if ray else 1.0):
+            x = x + max(room[i], 0.0) * d
+            x[i], face[i] = (ws.lb[i], -1.0) if down[i] else (ws.ub[i], 1.0)
+            continue
+        if ray:
+            return x, face, "unbounded"
+        x = x + d
+        y_box = np.zeros(n)
+        y_box[lo + up] = y_pins
+        wrong = _wrong_signs(ws, lo, up, y_box)
+        j = int(np.argmax(wrong))
+        if wrong[j] <= 0.0:
+            return x, face, "optimal"
+        face[j] = 0.0
+    return x, face, None
+
+
 def solve_qp(prob: QuadraticProgram) -> QpSolution:
     """Solve the program once, through a workspace built for this solve
     alone; see `Workspace.solve`."""
     return Workspace(prob).solve(prob.beq)
-
-
-def _certificates(ws: Workspace, low, high, dx, dy):
-    """OSQP-style infeasibility certificates from iterate differences."""
-    ndy = float(np.abs(dy).max(initial=0.0))
-    if ndy > 1e-14:
-        if np.abs(ws.M.T @ dy).max(initial=0.0) <= _EPS_INFEAS * ndy:
-            up, down = dy > _EPS_INFEAS * ndy, dy < -_EPS_INFEAS * ndy
-            valid = np.isfinite(high[up]).all() and np.isfinite(low[down]).all()
-            if valid:
-                bound = np.where(up, high, np.where(down, low, 0.0))
-                # summed in index order, not pairwise, so the rounding
-                # matches a plain running sum
-                support = np.cumsum(bound * dy)[-1]
-                if support <= -_EPS_INFEAS * ndy:
-                    return "infeasible"
-    ndx = float(np.abs(dx).max(initial=0.0))
-    if ndx > 1e-14:
-        if (
-            np.abs(ws.P @ dx).max(initial=0.0) <= _EPS_INFEAS * ndx
-            and ws.q @ dx <= -_EPS_INFEAS * ndx
-        ):
-            Mdx = ws.M @ dx
-            fixed = low == high
-            blocked = (
-                (Mdx > _EPS_INFEAS * ndx) & (np.isfinite(high) | fixed)
-            ) | ((Mdx < -_EPS_INFEAS * ndx) & (np.isfinite(low) | fixed))
-            if not blocked.any():
-                return "unbounded"
-    return None

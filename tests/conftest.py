@@ -81,17 +81,32 @@ def inv_calls(monkeypatch) -> list:
 
 @pytest.fixture
 def qp_solves(monkeypatch) -> list:
-    """(status, iterations) of every qp.Workspace.solve while the test
-    runs, like `svd_calls`; an optimal solve with 0 iterations certified
-    on the workspace's last face, without an ADMM sweep."""
-    calls = []
-    solve = qp.Workspace.solve
+    """(status, iterations, path, n) of every qp.Workspace.solve while the
+    test runs, like `svd_calls`: n is the program's variable count and
+    path the step of the solve that decided it, "pre-check" (the equality
+    rows alone), "last face" (the workspace's last certified face, 0
+    iterations), "cold polish" (the polish from the empty face) or "walk"
+    (the active-set walk)."""
+    calls, walks = [], []
+    solve, walk = qp.Workspace.solve, qp._walk
+
+    def walking(*args):
+        walks.append(args[0])
+        return walk(*args)
 
     def recording(self, beq):
+        walks.clear()
         sol = solve(self, beq)
-        calls.append((sol.status, sol.iterations))
+        if walks:
+            path = "walk"
+        elif sol.iterations:
+            path = "cold polish"
+        else:
+            path = "last face" if sol.status == "optimal" else "pre-check"
+        calls.append((sol.status, sol.iterations, path, self.n))
         return sol
 
+    monkeypatch.setattr(qp, "_walk", walking)
     monkeypatch.setattr(qp.Workspace, "solve", recording)
     return calls
 

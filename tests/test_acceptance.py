@@ -304,7 +304,7 @@ def test_criterion_7_network_identification_pipeline():
           f"{elapsed:.2f}s")
 
 
-def test_criterion_8_qp_solver_matches_enumeration_oracle():
+def test_criterion_8_qp_solver_matches_enumeration_oracle(qp_solves):
     start = time.perf_counter()
     rng = np.random.default_rng(808)
     worst_obj = worst_x = worst_kkt = 0.0
@@ -322,6 +322,8 @@ def test_criterion_8_qp_solver_matches_enumeration_oracle():
     assert worst_kkt <= 1e-8
     assert worst_obj <= 1e-6
     assert worst_x <= 1e-5
+    # the batch reaches the active-set walk, not the polishes alone
+    assert "walk" in {path for _, _, path, _ in qp_solves}
     elapsed = time.perf_counter() - start
     assert elapsed <= 30.0
     print(f"criterion 8: PASS, 200 problems ({uniques} unique minimizers), "

@@ -315,7 +315,7 @@ def test_outputs_are_reproducible_bitwise(tmp_path, capsys):
 # round the last digits differently and move them.
 BUNDLED_SHA256 = {
     "deepc": {
-        "closed_loop.csv": "c7d024fb8076c75efb806f4f220c761332234112f5c68216b32eb7fda378d2e9",
+        "closed_loop.csv": "847acbe51f8f61e120c3634b14666684514b8604f19ae60fd8206a8c98867cdc",
         "closed_loop_plot.csv": "c57e1a98135ee83d6477d8d0a4eecb1c7e239a3257636f329fe84ad3f68e471e",
         "controller_diff.csv": "58d35a24810a7a8c08bf4e776b14d5c2fdbb41526d8701224373ce6850e57323",
     },
@@ -332,7 +332,7 @@ BUNDLED_SHA256 = {
 DEEPC_ANSWERS_SHA256 = "e918415ae2ad2291e2c76d6a85bc7ddcc1dabeb5955959f675819c0381a9964a"
 # the same bundled closed_loop.csv reduced to t, phase, iterations and
 # status: the path the solver took at each step, without its answers
-DEEPC_PATH_SHA256 = "56cfd0307ca015cfcad37863fa765f3fa66b4627ff389440ff56010f8a48ea10"
+DEEPC_PATH_SHA256 = "486554cbebca481fd5b40260fb0a4a3f6f9593fd1f8b6fb2bdabadad95821886"
 DEEPC_ANSWER_COLUMNS = ("u_0", "y_0", "y_1", "objective", "kkt_residual")
 # the same bundled theorem1_report.csv with `gap` dropped: the gap is a
 # rounding-level diagnostic, the rest are the cases and their verdicts
@@ -467,24 +467,27 @@ def test_bundled_deepc_factors_every_qp_face_by_lu(
     tmp_path, capsys, svd_calls, inv_calls
 ):
     # 4 SVDs: DeePC's data operators (2) and each workspace's Aeq (2). The
-    # 12 QP faces the loop visits are all factored by LU, beside the 3 ADMM
-    # iteration matrices; with an SVD per face this run took 16 SVDs
+    # 16 QP faces the loop visits are each factored by LU, and nothing else
+    # is inverted; with an SVD per face this run took 16 SVDs
     cfg = bundled_config("fig1_deepc.json")
     assert run(tmp_path, "deepc", cfg, out=tmp_path / "out") == 0
     assert len(svd_calls) == 4
-    assert len(inv_calls) == 15
+    assert len(inv_calls) == 16
     capsys.readouterr()
 
 
 def test_bundled_deepc_sweeps_admm_once_per_workspace(tmp_path, capsys, qp_solves):
     # 56 control steps, each solved by both controllers (the CSV pins only
-    # the applied one's): each workspace's first solve runs the ADMM sweep,
-    # and every later one certifies on the face the step before ended on
+    # the applied one's): each workspace's first solve certifies on the
+    # polish from the empty face, with no walk, and every later one on the
+    # face the step before ended on
     cfg = bundled_config("fig1_deepc.json")
     assert run(tmp_path, "deepc", cfg, out=tmp_path / "out") == 0
     assert len(qp_solves) == 112
-    assert {status for status, _ in qp_solves} == {"optimal"}
-    assert [i for i, (_, its) in enumerate(qp_solves) if its > 0] == [0, 1]
+    assert {status for status, _, _, _ in qp_solves} == {"optimal"}
+    paths = [path for _, _, path, _ in qp_solves]
+    assert paths[:2] == ["cold polish"] * 2
+    assert paths[2:] == ["last face"] * 110
     capsys.readouterr()
 
 

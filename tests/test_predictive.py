@@ -260,10 +260,10 @@ def test_condensed_mpc_matches_state_recursion_oracle():
 
 
 def test_mpc_step_settles_where_penalty_rebalancing_would_cycle():
-    # on this plant the ADMM penalty, rebalanced at full strength every
-    # check, bounced between two values 35x apart for all 100,000
-    # iterations, the polish could not recover, and the step applied an
-    # input of 1.28 through its unit box
+    # on this plant an ADMM sweep, its penalty rebalanced at full strength
+    # every check, once bounced between two penalties 35x apart for all
+    # 100,000 iterations, and the step applied an input of 1.28 through its
+    # unit box; the active-set walk that replaced it certifies the step
     A = [[0.73, 0.67, 0.47], [0.25, 0.19, 0.11], [0.0, 0.0, -0.18]]
     B = [[2.85], [2.23], [0.0]]
     C = [[1.39, 0.32, 0.55], [0.99, 1.63, 1.23]]
@@ -422,7 +422,7 @@ def random_loop(seed):
 
 def test_closed_loop_finishes_where_a_warm_started_sweep_stalls():
     # one of 60 random closed loops: an ADMM sweep started from the previous
-    # step's iterate runs out of iterations at t = T + 1 (KKT residual
+    # step's iterate once ran out of iterations at t = T + 1 (KKT residual
     # 3.5e-6), while trying the last certified face first certifies it
     sys, cfg = random_loop(1022)
     n, m, p, N, L, T = sys.n, sys.m, sys.p, cfg.N, cfg.L, cfg.T
@@ -477,16 +477,19 @@ def test_deepc_on_slightly_noisy_records_tracks_mpc(monkeypatch, sigma):
     assert np.abs(log.alt_inputs[cfg.T :] - log.inputs[cfg.T :]).max() <= 1e3 * sigma
 
 
-def test_a_noisy_long_window_ends_max_iter_within_one_sweep(monkeypatch):
+def test_a_noisy_long_window_ends_max_iter_within_one_sweep(monkeypatch, qp_solves):
     # with L = 15 no polish certifies the first DeePC step on noisy
-    # records: the step ends max_iter when the one ADMM sweep ends, within
-    # its 5,000-iteration cap
+    # records: the step ends max_iter when the active-set walk ends on a
+    # face that does not certify, within the caps of its two polishes and
+    # two phases, 3n + 3 face solves each
     add_record_noise(monkeypatch, 1e-8)
     sys, cfg, seed = fig1_loop(L=15, T=90, K=150)
     log = run_closed_loop(sys, cfg, controller="both", seed=seed)
     assert not log.completed
     assert log.statuses[-1] == "max_iter"
-    assert 0 < log.iterations[-1] <= 5000
+    status, _, path, n = qp_solves[-1]
+    assert (status, path) == ("max_iter", "walk")
+    assert 0 < log.iterations[-1] <= 4 * (3 * n + 3)
     assert log.kkt_residuals[-1] > 1e-8
 
 

@@ -122,24 +122,52 @@ def test_equality_feasibility_does_not_depend_on_the_scale(scale):
             assert np.allclose(sol.x, [0.5, 0.5])
 
 
-def test_box_equality_conflict_detected():
-    # x must equal 5 but the box stops at 1
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-3, 4))
+def test_box_equality_conflict_detected(scale):
+    # x must equal 5 but the box stops at 1: phase 1's least-squares
+    # minimum over the box is 4, at every scale of the data
     prob = QuadraticProgram(
-        np.eye(2),
+        scale * np.eye(2),
         np.zeros(2),
-        Aeq=[[1.0, 0.0]],
-        beq=[5.0],
+        Aeq=scale * np.array([[1.0, 0.0]]),
+        beq=scale * np.array([5.0]),
         lb=[-1.0, -1.0],
         ub=[1.0, 1.0],
     )
     sol = solve_qp(prob)
     assert sol.status == "infeasible"
+    assert sol.x[0] == 1.0
 
 
-def test_unbounded_direction_detected():
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-3, 4))
+def test_unbounded_direction_detected(scale):
     # zero curvature, linear drift, no bounds
-    sol = solve_qp(QuadraticProgram(np.zeros((1, 1)), [-1.0]))
+    sol = solve_qp(QuadraticProgram(np.zeros((1, 1)), [-scale]))
     assert sol.status == "unbounded"
+    # P = diag(1, 0, 0): the ray (0, 1, 1) of the empty face runs into
+    # x_1 <= 1, and the face that pins it has the unblocked ray (0, 0, 1)
+    P, q = scale * np.diag([1.0, 0.0, 0.0]), scale * np.array([-1.0, -1.0, -1.0])
+    sol = solve_qp(QuadraticProgram(P, q, ub=[np.inf, 1.0, np.inf]))
+    assert sol.status == "unbounded"
+    assert sol.x[1] == 1.0
+    # a free lead block (x_0, x_1) without cost, P = 0 and q = 0 there, tied
+    # to the costed block by equality rows: its free direction (1, -1, 0, 0)
+    # or, with the rows a hair apart, its near-free one has zero curvature
+    # but no descent, so neither the solve nor a walk from the least-squares
+    # point ends unbounded
+    P = scale * np.diag([0.0, 0.0, 1.0, 1.0])
+    q = scale * np.array([0.0, 0.0, -3.0, 1.0])
+    box = dict(lb=[-np.inf, -np.inf, -1.0, -1.0], ub=[np.inf, np.inf, 1.0, 1.0])
+    for tie in (0.0, 1e-9):
+        Aeq = scale * np.array([[1.0, 1.0, -1.0, 0.0], [1.0, 1.0 + tie, 0.0, -1.0]])
+        prob = QuadraticProgram(P, q, Aeq, scale * np.array([0.2, 0.1]), **box)
+        sol = solve_qp(prob)
+        assert sol.status != "unbounded"
+        if tie == 0.0:
+            assert sol.status == "optimal"
+        ws = Workspace(prob)
+        x = ws.eq_solve @ (ws.eq_range.T @ prob.beq)
+        assert qp._walk(ws, x, np.zeros(4), qp._face_step)[2] == "optimal"
 
 
 def test_pinned_coordinates():
@@ -177,7 +205,7 @@ def test_matches_reference_on_strictly_convex_batch():
             assert np.allclose(sol.x, ref_x, atol=1e-5)
 
 
-def test_matches_reference_on_singular_batch():
+def test_matches_reference_on_singular_batch(qp_solves):
     rng = np.random.default_rng(200)
     for _ in range(40):
         P, q, Aeq, beq, lb, ub = random_box_qp(rng, singular=True)
@@ -188,6 +216,8 @@ def test_matches_reference_on_singular_batch():
         assert sol.objective == pytest.approx(ref_obj, abs=1e-6)
         if unique:
             assert np.allclose(sol.x, ref_x, atol=1e-5)
+    # the batch reaches the active-set walk, not the polishes alone
+    assert "walk" in {path for _, _, path, _ in qp_solves}
 
 
 def test_a_singular_face_keeps_the_pseudo_inverse_of_the_svd(inv_calls):
@@ -197,7 +227,6 @@ def test_a_singular_face_keeps_the_pseudo_inverse_of_the_svd(inv_calls):
     P = np.diag([2.0, 0.0, 0.0])
     prob = QuadraticProgram(P, [-2.0, 0.0, 0.0], Aeq=[[1.0] * 3], beq=[3.0])
     ws = Workspace(prob)
-    inv_calls.clear()  # the ADMM iteration matrix's
     inv = ws.face([], [])
     ones = np.ones((1, 3))
     kkt = np.block([[P, ones.T], [ones, np.zeros((1, 1))]])
@@ -215,7 +244,6 @@ def test_a_face_on_redundant_rows_is_factored_by_lu(svd_calls, inv_calls):
     )
     ws = Workspace(prob)
     svd_calls.clear()  # Aeq's
-    inv_calls.clear()  # the ADMM iteration matrix's
     inv = ws.face([], [])
     assert not svd_calls and inv_calls == [(3, 3)]
     rhs = np.array([0.0, 0.0, 2.0, 4.0])
@@ -276,7 +304,7 @@ def test_repeat_solves_through_a_workspace_match_a_fresh_solve_bitwise():
 
 def test_a_workspace_tries_its_last_certified_face_before_admm():
     # x_1 sits at its upper bound for both right-hand sides, so the second
-    # solve certifies on the first one's face without an ADMM sweep
+    # solve certifies on the first one's face with no cold polish or walk
     ws = Workspace(simplex_program())
     first = ws.solve([1.0])
     assert first.iterations > 0
@@ -288,6 +316,8 @@ def test_a_workspace_tries_its_last_certified_face_before_admm():
 
 
 def test_a_face_that_does_not_certify_falls_back_to_admm(monkeypatch):
+    # when the last face misses, the solve takes the cold path, a polish
+    # from the empty face, and answers as a fresh solve does
     ws = Workspace(simplex_program())
     ws.solve([1.0])
     polish = qp._polish
@@ -301,6 +331,7 @@ def test_a_face_that_does_not_certify_falls_back_to_admm(monkeypatch):
     moved = simplex_program(beq=[0.8])
     sol = ws.solve(moved.beq)
     assert np.array_equal(calls[0], [0.0, 1.0, 0.0]) and len(calls) == 2
+    assert np.array_equal(calls[1], np.zeros(3))
     assert sol.iterations > 0
     assert_same_answer(sol, solve_qp(moved))
 
@@ -369,10 +400,13 @@ def solve_recording_polishes(monkeypatch, seed):
 def test_scaled_programs_certify_on_the_first_polish(monkeypatch, seed, residual):
     # scaled by 10^3, these programs' faces are badly conditioned (5344's
     # last one has sigma_min / sigma_1 = 2.15e-9); through LU inverses kept
-    # at the cutoff k eps the first polish certifies, where no polish
-    # through the pseudo-inverse of their SVD reaches 1e-8
+    # at the cutoff k eps a polish certifies, where no polish through the
+    # pseudo-inverse of their SVD reaches 1e-8. The polish from the empty
+    # face certifies all but three, which certify on the polish of the face
+    # the active-set walk ends on
     sol, polished, x_ref = solve_recording_polishes(monkeypatch, seed)
-    assert len(polished) == 1 and polished[0][1] == sol.kkt_residual
+    assert len(polished) == (2 if seed in (7284, 5167, 6052) else 1)
+    assert polished[-1][1] == sol.kkt_residual
     assert sol.status == "optimal"
     assert sol.kkt_residual == pytest.approx(residual, rel=0.05)
     assert np.allclose(sol.x, x_ref, atol=1e-6)
