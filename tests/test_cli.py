@@ -340,6 +340,10 @@ THEOREM1_VERDICTS_SHA256 = "a4c2bb4ab53ca2a095f7b3b9df92ef2cec344f59f894ec980cf8
 # the same bundled recovery_report.csv with `frobenius_error` dropped: the
 # quantities it reports, in their order
 RECOVERY_QUANTITIES_SHA256 = "31732c1f2f116d4a97039ddc0363f00934a3651b0e781934102b436f0db0d0eb"
+# the same bundled controller_diff.csv reduced to t: the steps compared,
+# without the rounding-level differences
+DEEPC_DIFF_STEPS_SHA256 = "8e082aae96ec40391c32a5f3557a65fa54ac9f32a7e299a8b42a60b02ffb4e21"
+DEEPC_DIFF_COLUMNS = ("input_diff", "objective_diff")
 
 
 def csv_digest(path, drop=()):
@@ -363,6 +367,8 @@ def test_bundled_outputs_keep_their_bytes(tmp_path, capsys, command):
         assert answers == DEEPC_ANSWERS_SHA256
         path = csv_digest(out / "closed_loop.csv", drop=DEEPC_ANSWER_COLUMNS)
         assert path == DEEPC_PATH_SHA256
+        steps = csv_digest(out / "controller_diff.csv", drop=DEEPC_DIFF_COLUMNS)
+        assert steps == DEEPC_DIFF_STEPS_SHA256
     if command == "verify-theorem1":
         verdicts = csv_digest(out / "theorem1_report.csv", drop=("gap",))
         assert verdicts == THEOREM1_VERDICTS_SHA256
