@@ -9,13 +9,15 @@ over a window that pins the last N measured input/output samples and leaves
 the next L free, subject to y = O z + G u over the window with a free lead
 block z. Both solve the one QP `_Window` builds from the response operators
 (O, G); they differ only in where (O, G) comes from. MPC takes the model's
-observability and Markov-parameter matrices, and z is the window's initial
-state x_{t-N}. DeePC reads them off the depth-(N+L) block-Hankel matrix H of
-a recorded trajectory, and z holds the coordinates of the data's own free
-responses: unregularized DeePC is this condensed predictor (Fiedler and
-Lucia, ECC 2021). With online data (the prefix of the very trajectory being
-controlled) the two feasible sets coincide, which the closed-loop harness
-can verify side by side.
+observability and Markov-parameter matrices, and DeePC reads them off the
+depth-(N+L) block-Hankel matrix H of a recorded trajectory: unregularized
+DeePC is this condensed predictor (Fiedler and Lucia, ECC 2021). `_Window`
+makes the one rank decision for both: it cuts O to U_r diag(s_r), so z
+holds the coordinates of the window's free responses, and the directions
+no window sees (the unobservable subspace for MPC, as Theorem 1 has it)
+drop out of the QP. With online data (the prefix of the very trajectory
+being controlled) the two feasible sets coincide, which the closed-loop
+harness can verify side by side.
 
 From one step to the next only the measured past moves, and it enters the
 QP only through the equality right-hand side beq. So each controller's QP
@@ -183,6 +185,14 @@ class _Window:
     (z, ubar, ybar), built from its depth-(N+L) response operators
     `ops` = (O, G): y = O z + G u over the window.
 
+    Both controllers' O is cut here, once, by the SVD cut of
+    `pseudo_inverse_parts`: to U_r diag(s_r), of full column rank and with
+    O's range. So z holds the `lead` = r coordinates of the window's free
+    responses, and no direction of z is free of both cost and rows: the
+    lead block adds no null direction to a face's KKT matrix. One DEBUG
+    line gives r and the sigma_r/sigma_1 of the part kept, so a rank
+    decision near the cutoff shows.
+
     The lead block z is free and carries no cost; the tail carries the
     tracking cost and the input/output boxes. The rows [O, G_future,
     -I_future] pin the N past outputs and tie the L future ones to z and the
@@ -193,7 +203,10 @@ class _Window:
 
     def __init__(self, cfg: PredictiveConfig, ops: ResponseOperators):
         N, L, m, p = cfg.N, cfg.L, cfg.m, cfg.p
-        lead = ops.observability.shape[1]
+        Ur, sr, _ = pseudo_inverse_parts(ops.observability)
+        lead = sr.size
+        ratio = sr[-1] / sr[0] if lead else 0.0
+        log.debug("window: free response rank %d, sigma_r/sigma_1 = %.3e", lead, ratio)
         nv = lead + L * m + L * p
         uof, yof = slice(lead, lead + L * m), slice(lead + L * m, nv)
         Qbar = np.kron(np.eye(L), cfg.Q)
@@ -212,7 +225,7 @@ class _Window:
         lb[yof], ub[yof] = np.tile(y_lo, L), np.tile(y_hi, L)
         G = ops.convolution
         rows = (N + L) * p
-        Aeq = np.hstack([ops.observability, G[:, N * m :], -np.eye(rows)[:, N * p :]])
+        Aeq = np.hstack([Ur * sr, G[:, N * m :], -np.eye(rows)[:, N * p :]])
 
         self.workspace = Workspace(QuadraticProgram(P, q, Aeq, np.zeros(rows), lb, ub))
         self.G_past, self.tail = G[:, : N * m], np.zeros(L * p)
@@ -236,22 +249,15 @@ class _Window:
 
 def _data_operators(H: np.ndarray, cfg: PredictiveConfig) -> ResponseOperators:
     """The response operators of the depth-(N+L) data matrix H = [Hu; Hy]:
-    G = Hy Hu^+ and O = U_r diag(s_r) of Hy (I - Hu^+ Hu), the free
-    responses of the data's own window-start states. With Hu of full row
-    rank, y = O z + G u for some z exactly when H g = [u; y] for some g, so
-    the window is the data's own. Both come from the SVD cut of
-    `pseudo_inverse_parts`; one DEBUG line gives the rank of O and the
-    sigma_r/sigma_1 of the part kept, so a rank decision near the cutoff
-    shows."""
+    G = Hy Hu^+ and O = Hy (I - Hu^+ Hu), the free responses of the data's
+    own window-start states, uncut: `_Window` cuts O as it cuts the
+    model's. With Hu of full row rank, y = O z + G u for some z exactly
+    when H g = [u; y] for some g, so the window is the data's own. Hu^+
+    comes from the SVD cut of `pseudo_inverse_parts`."""
     Hu, Hy = np.split(H, [(cfg.N + cfg.L) * cfg.m])
     U, s, V = pseudo_inverse_parts(Hu)
     HyV = Hy @ V
-    Ur, sr, _ = pseudo_inverse_parts(Hy - HyV @ V.T)
-    ratio = sr[-1] / sr[0] if sr.size else 0.0
-    log.debug(
-        "DeePC window: free response rank %d, sigma_r/sigma_1 = %.3e", sr.size, ratio
-    )
-    return ResponseOperators(Ur * sr, (HyV / s) @ U.T)
+    return ResponseOperators(Hy - HyV @ V.T, (HyV / s) @ U.T)
 
 
 def mpc_step(
@@ -261,8 +267,10 @@ def mpc_step(
 
     The window's response operators are the model's: the observability
     matrix O and the block-Toeplitz matrix G of the Markov parameters
-    D, CB, CAB, ..., with the window's initial state x_{t-N} as the lead
-    block. Returns the input to apply and the optimal tracking cost.
+    D, CB, CAB, ... `_Window` cuts O to its range, so the lead block holds
+    the observable part of the window's initial state x_{t-N}, and the
+    unobservable subspace leaves the QP. Returns the input to apply and
+    the optimal tracking cost.
     """
     _check_weights(cfg, sys.m, sys.p)
     _check_history(history, cfg, t)

@@ -317,7 +317,7 @@ BUNDLED_SHA256 = {
     "deepc": {
         "closed_loop.csv": "847acbe51f8f61e120c3634b14666684514b8604f19ae60fd8206a8c98867cdc",
         "closed_loop_plot.csv": "c57e1a98135ee83d6477d8d0a4eecb1c7e239a3257636f329fe84ad3f68e471e",
-        "controller_diff.csv": "58d35a24810a7a8c08bf4e776b14d5c2fdbb41526d8701224373ce6850e57323",
+        "controller_diff.csv": "3ff65096401b3ad5f8a7dbdf38d1b780d940f95c33f14d92ac6088d8b9870e17",
     },
     "identify": {
         "recovery_report.csv": "e4451e72d68f8a4e4f9c374678f65a2e56e2cd8c9ba25fbec87e59d423095dbd",
@@ -472,12 +472,13 @@ def test_bundled_theorem1_certifies_every_image_check(
 def test_bundled_deepc_factors_every_qp_face_by_lu(
     tmp_path, capsys, svd_calls, inv_calls
 ):
-    # 4 SVDs: DeePC's data operators (2) and each workspace's Aeq (2). The
-    # 16 QP faces the loop visits are each factored by LU, and nothing else
-    # is inverted; with an SVD per face this run took 16 SVDs
+    # 5 SVDs: DeePC's Hu^+, the cut of each window's O (2) and each
+    # workspace's Aeq (2). The 16 QP faces the loop visits are each factored
+    # by LU, and nothing else is inverted; with an SVD per face this run
+    # took 16 SVDs
     cfg = bundled_config("fig1_deepc.json")
     assert run(tmp_path, "deepc", cfg, out=tmp_path / "out") == 0
-    assert len(svd_calls) == 4
+    assert len(svd_calls) == 5
     assert len(inv_calls) == 16
     capsys.readouterr()
 

@@ -30,13 +30,14 @@ from willems import (
     star_edges,
     subspace_sum,
 )
-from willems import predictive
+from willems import predictive, qp
 from willems.predictive import excitation_order
 from willems.subspace import (
     controllability_matrix,
     controllable_subspace,
     krylov_subspace,
     min_poly_degree,
+    unobservable_subspace,
 )
 
 
@@ -511,10 +512,21 @@ def test_deepc_window_spans_the_reachable_and_initial_state_space(x0, lead):
     assert window.workspace.program.Aeq.shape[0] == (4 + 15) * 2
 
 
+def test_mpc_window_keeps_the_observable_part_of_the_state():
+    # fig1's outputs see all four states, so the model's window keeps them all
+    sys, cfg, _ = fig1_loop()
+    window = predictive._Window(cfg, response_operators(sys, cfg.N + cfg.L))
+    assert window.lead == sys.n - unobservable_subspace(sys).dim == 4
+
+
 def test_deepc_window_logs_its_free_response_rank(caplog):
+    # each window cuts its own O and logs that one rank decision, the
+    # model's window as the data's
     caplog.set_level(logging.DEBUG, logger="willems.predictive")
     run_closed_loop(scalar_plant(), scalar_config(T=8, K=10), "mpc", seed=3)
-    assert not caplog.records
+    (record,) = caplog.records
+    assert "free response rank 1, sigma_r/sigma_1 = 1.000e+00" in record.getMessage()
+    caplog.clear()
     run_closed_loop(scalar_plant(), scalar_config(T=8, K=10), "deepc", seed=3)
     (record,) = caplog.records
     message = record.getMessage()
@@ -603,10 +615,22 @@ def test_closed_loop_rejects_too_short_excitation():
         run_closed_loop(sys, scalar_config(T=6, K=10), controller="mpc", seed=0)
 
 
-def test_closed_loop_excites_a_network_below_the_classical_order():
+def test_closed_loop_excites_a_network_below_the_classical_order(monkeypatch):
     # identical agents repeat one block in A, so its minimal polynomial has
     # the agent's degree delta = 2 < n; online data exciting of order
-    # delta + N + L, too short for order n + N + L, make DeePC match MPC
+    # delta + N + L, too short for order n + N + L, make DeePC match MPC.
+    # The star's outputs see only relative states, so the model's window
+    # drops the common mode from its lead block, and every QP face of
+    # either window is then factored by LU, none by the SVD pseudo-inverse
+    faces = []
+    certified = qp.certified_inverse
+
+    def recording(a):
+        inv = certified(a)
+        faces.append(inv is not None)
+        return inv
+
+    monkeypatch.setattr(qp, "certified_inverse", recording)
     rng = np.random.default_rng(1)
     N, L = 3, 4
     for agents in (3, 5):
@@ -630,9 +654,13 @@ def test_closed_loop_excites_a_network_below_the_classical_order():
             u_max=1.0,
         )
         assert excitation_order(sys, cfg) == delta + N + L
+        window = predictive._Window(cfg, response_operators(sys, N + L))
+        assert window.lead == sys.n - unobservable_subspace(sys).dim == sys.n - 2
+        faces.clear()
         log = run_closed_loop(sys, cfg, controller="both", seed=agents)
         assert log.statuses[T:] == ("optimal",) * 41
         assert np.abs(log.inputs[T:] - log.alt_inputs[T:]).max() <= 1e-5
+        assert faces and all(faces), (agents, faces)
 
 
 @pytest.mark.parametrize("controller", ["mpc", "deepc", "both"])
