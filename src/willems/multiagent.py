@@ -138,10 +138,7 @@ def collect_trajectories(
     Warns when any state norm exceeds 1e6; at that magnitude the later
     least-squares stages lose the digits the recovery tolerances assume.
     """
-    rng = np.random.default_rng(seed)
-    U = np.empty((tau, T, sys.m))
-    for i in range(tau):
-        U[i] = rng.uniform(low, high, size=(T, sys.m))
+    U = np.random.default_rng(seed).uniform(low, high, size=(tau, T, sys.m))
     data = simulate_set(sys, np.zeros((tau, sys.n)), U)
     for traj in data:
         worst = float(np.linalg.norm(traj.states, axis=1).max())

@@ -319,9 +319,11 @@ class ClosedLoopLog:
     "excite". `iterations` and `kkt_residuals` are the face solves of the
     cold polish and the active-set walk (`QpSolution.iterations`) and the
     certified KKT residual of the applied controller's QP (0 and NaN while
-    exciting; `iterations` is also 0 for a step whose QP certified on the
-    face of the previous certified solve). When the run compared both controllers, `alt_inputs` and
-    `alt_objectives` hold the non-applied controller's step results.
+    exciting; `iterations` is also 0 for a step whose QP the warm polish
+    certified, the polish that starts from the face the previous certified
+    solve ended on, however many faces it visited). When the run compared
+    both controllers, `alt_inputs` and `alt_objectives` hold the
+    non-applied controller's step results.
     `completed` is False when a step ended without an optimal solution and
     the run aborted; that step's status is the last entry of `statuses`,
     and its iterations and residual are those of the failed solve.

@@ -69,7 +69,9 @@ keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
   only on its final face and on beq, so a hit returns the bits a cold
   solve would, with 0 iterations.
 
-`iterations` counts the face solves of steps 3 and 4, phase 1's included.
+`iterations` counts the face solves of steps 3 and 4, phase 1's included;
+a solve that step 2 certifies reports 0, however many faces its polish
+visited.
 `solve_qp(prob)` is `Workspace(prob).solve(prob.beq)`, so a one-off solve
 and a solve in a sequence take the same code path. Solutions carry the
 measured KKT residual. Everything is deterministic for fixed inputs and a
@@ -157,8 +159,10 @@ class QpSolution:
     max_iter (the walk hit its cap or its last face did not certify). When
     optimal, kkt_residual is at most 1e-8; on max_iter x is the last
     polish's best and kkt_residual the residual measured for it; on
-    infeasible or unbounded it is inf. `iterations` counts face solves
-    past the last certified face, 0 when that face certified."""
+    infeasible or unbounded it is inf. `iterations` counts the face
+    solves of the cold polish and the active-set walk; it is 0 when the
+    warm polish, the one that starts from the last certified face,
+    certified, however many faces that polish visited."""
 
     x: np.ndarray
     objective: float
@@ -194,13 +198,14 @@ class Workspace:
         self._faces = {}
         self._solves = 0  # face solves, `QpSolution.iterations`' count
 
-    def face(self, lower, upper):
-        """Inverse of the KKT matrix of the face that pins `lower` to lb
-        and `upper` to ub, Aeq rows first: the certified LU inverse of the
-        matrix on Aeq's range rows, mapped to Aeq's rows, or else the
-        minimum-norm pseudo-inverse of the matrix on Aeq."""
+    def face(self, face):
+        """Inverse of the KKT matrix of the face `face` (-1/0/+1 as
+        `last_face`), Aeq rows first, then the pins in `_pins` order: the
+        certified LU inverse of the matrix on Aeq's range rows, mapped to
+        Aeq's rows, or else the minimum-norm pseudo-inverse of the matrix
+        on Aeq."""
         self._solves += 1
-        key = (tuple(lower), tuple(upper))
+        key = face.astype(np.int8).tobytes()  # its signs: -0.0 keys as 0.0
         inv = self._faces.pop(key, None)
         if inv is None:
             # evict first, so the new factorization is built beside one
@@ -209,7 +214,7 @@ class Workspace:
                 del self._faces[next(iter(self._faces))]
             n, U = self.n, self.eq_range
             r = U.shape[1]
-            pinned = np.eye(n)[np.array(list(lower) + list(upper), dtype=int)]
+            pinned = np.eye(n)[_pins(face)]
             inv = certified_inverse(
                 _kkt_matrix(self.P, np.vstack([self.eq_rows, pinned]))
             )
@@ -299,30 +304,34 @@ def _kkt_residual(ws: Workspace, beq, x, y_eq, y_box) -> float:
     return max(worst, float(np.abs(comp).max(initial=0.0)))
 
 
-def _pinned_solve(ws: Workspace, beq, lower, upper):
-    """KKT solve with the listed coordinates pinned to their bounds, through
-    the face's inverse (`Workspace.face`). Returns (x, y_box, kkt_residual);
-    a wrong face, or one along which the objective is unbounded, shows in
-    the residual."""
-    n, me = ws.n, beq.shape[0]
-    rhs = np.concatenate([-ws.q, beq, ws.lb[lower], ws.ub[upper]])
-    sol = ws.face(lower, upper) @ rhs
+def _pins(face) -> np.ndarray:
+    """The pinned coordinates of `face` in the order of its KKT rows: the
+    pins to lb in index order, then the pins to ub in index order."""
+    return np.concatenate([np.flatnonzero(face < 0), np.flatnonzero(face > 0)])
+
+
+def _pinned_solve(ws: Workspace, beq, face):
+    """KKT solve with the coordinates `face` pins held at their bounds,
+    through the face's inverse (`Workspace.face`). Returns (x, y_box,
+    kkt_residual); a wrong face, or one along which the objective is
+    unbounded, shows in the residual."""
+    n, me, pins = ws.n, beq.shape[0], _pins(face)
+    rhs = np.concatenate([-ws.q, beq, np.where(face < 0, ws.lb, ws.ub)[pins]])
+    sol = ws.face(face) @ rhs
     x = sol[:n]
     y_eq = sol[n : n + me]
     y_box = np.zeros(n)
-    y_box[np.array(lower + upper, dtype=int)] = sol[n + me :]
+    y_box[pins] = sol[n + me :]
     return x, y_box, _kkt_residual(ws, beq, x, y_eq, y_box)
 
 
-def _wrong_signs(ws: Workspace, lower, upper, y_box) -> np.ndarray:
+def _wrong_signs(ws: Workspace, face, y_box) -> np.ndarray:
     """By how much each coordinate's multiplier in `y_box` has the wrong
-    sign for its pin, past 1e-10 of the multipliers' scale: positive on a
-    pin to lb whose multiplier is positive, or on a pin to ub whose
-    multiplier is negative; negative elsewhere, and always on a coordinate
-    with lb == ub, which stays pinned."""
-    wrong = np.full(ws.n, -np.inf)
-    wrong[lower] = y_box[lower]
-    wrong[upper] = -y_box[upper]
+    sign for its pin in `face`, past 1e-10 of the multipliers' scale:
+    positive on a pin to lb whose multiplier is positive, or on a pin to
+    ub whose multiplier is negative; negative elsewhere, and always on a
+    coordinate with lb == ub, which stays pinned."""
+    wrong = np.where(face < 0, y_box, np.where(face > 0, -y_box, -np.inf))
     wrong[ws.lb == ws.ub] = -np.inf
     return wrong - 1e-10 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
 
@@ -336,39 +345,34 @@ def _polish(ws: Workspace, beq, face):
     solves the pinned KKT system through the face's inverse, releases pins
     whose multipliers came back wrong-signed, and pins the bound the
     candidate violates most, until the measured KKT residual meets `_TOL`
-    or the set stops changing; a certified face is kept as `ws.last_face`.
+    or the face stops changing; a certified face is kept as
+    `ws.last_face`.
     Returns the (x, kkt_residual) of the least residual seen.
     """
     n = ws.n
     finite_lb, finite_ub = np.isfinite(ws.lb), np.isfinite(ws.ub)
-    always = set(np.flatnonzero(ws.lb == ws.ub).tolist())
-    lower = set(np.flatnonzero(face < 0).tolist()) | always
-    upper = set(np.flatnonzero(face > 0).tolist()) - always
+    face = np.where(ws.lb == ws.ub, -1.0, face)
     best = None
     for _ in range(3 * n + 3):
-        lo, up = sorted(lower), sorted(upper)
-        x, y_new, res = _pinned_solve(ws, beq, lo, up)
+        x, y_new, res = _pinned_solve(ws, beq, face)
         if best is None or res < best[1]:
             best = (x, res)
         if res <= _TOL:
-            ws.last_face = np.zeros(n)
-            ws.last_face[lo] = -1.0
-            ws.last_face[up] = 1.0
+            ws.last_face = face
             return best
-        release = np.flatnonzero(_wrong_signs(ws, lo, up, y_new) > 0).tolist()
-        lower.difference_update(release)
-        upper.difference_update(release)
-        changed = bool(release)
+        release = _wrong_signs(ws, face, y_new) > 0
+        face[release] = 0.0
+        changed = bool(release.any())
         # pin only the single worst violation; adding every violated bound
         # at once can overshoot into an infeasible face
         feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))
         below = np.where(finite_lb, ws.lb - x, -np.inf)
         above = np.where(finite_ub, x - ws.ub, -np.inf)
         gap = np.maximum(below, above)
-        gap[list(lower | upper)] = -np.inf
+        gap[face != 0] = -np.inf
         worst = int(np.argmax(gap))  # the first index wins a tie
         if gap[worst] > feas:
-            (lower if below[worst] > above[worst] else upper).add(worst)
+            face[worst] = -1.0 if below[worst] > above[worst] else 1.0
             changed = True
         if not changed:
             break
@@ -396,13 +400,11 @@ def _phase1(ws: Workspace, beq, coef):
     return x, face, "infeasible" if status == "optimal" and gap > 1e-9 * scale else None
 
 
-def _least_squares_step(coef, ws: Workspace, x, lower, upper):
-    """Phase 1's step on a face: the minimum-norm d over the free
+def _least_squares_step(coef, ws: Workspace, x, face):
+    """Phase 1's step on the face `face`: the minimum-norm d over the free
     coordinates that minimizes ||E (x + d) - c||, and the pins'
-    multipliers -E'(E (x + d) - c) there; never a ray."""
-    E, pins = ws.eq_rows, lower + upper
-    free = np.ones(ws.n, dtype=bool)
-    free[pins] = False
+    multipliers -E'(E (x + d) - c) there, in `_pins` order; never a ray."""
+    E, pins, free = ws.eq_rows, _pins(face), face == 0
     resid = E @ x - coef
     u, s, v = pseudo_inverse_parts(E[:, free])
     ws._solves += 1
@@ -411,19 +413,19 @@ def _least_squares_step(coef, ws: Workspace, x, lower, upper):
     return d, False, -(E[:, pins].T @ (resid + E @ d))
 
 
-def _face_step(ws: Workspace, x, lower, upper):
-    """Phase 2's step on a face, ``ws.face(lower, upper) @ [-g; 0; 0]`` at
-    the gradient g = P x + q, and the pins' multipliers after it. On a
-    singular face the stationarity residual of that pseudo-inverse solve,
-    zero on the pins, is a direction of zero curvature; when it passes the
-    ray certificate of the module docstring it is returned in place of the
-    step, flagged as a ray."""
-    n, me, pins = ws.n, ws.Aeq.shape[0], lower + upper
+def _face_step(ws: Workspace, x, face):
+    """Phase 2's step on the face `face`, ``ws.face(face) @ [-g; 0; 0]`` at
+    the gradient g = P x + q, and the pins' multipliers after it, in
+    `_pins` order. On a singular face the stationarity residual of that
+    pseudo-inverse solve, zero on the pins, is a direction of zero
+    curvature; when it passes the ray certificate of the module docstring
+    it is returned in place of the step, flagged as a ray."""
+    n, me = ws.n, ws.Aeq.shape[0]
     P, Aeq, q = ws.P, ws.Aeq, ws.q
     g = P @ x + q
-    sol = ws.face(lower, upper)[:, :n] @ -g
+    sol = ws.face(face)[:, :n] @ -g
     ray = -g - P @ sol[:n] - Aeq.T @ sol[n : n + me]
-    ray[pins] = 0.0
+    ray[face != 0] = 0.0
     size = float(np.abs(ray).max(initial=0.0))
     ray[np.abs(ray) <= _RAY_TOL * size] = 0.0
     bound = [_RAY_TOL * size * float(np.abs(a).max(initial=0.0)) for a in (P, Aeq, q)]
@@ -441,19 +443,18 @@ def _walk(ws: Workspace, x, face, step):
     the box of `ws` from the point x, which meets the box, on the face
     `face` (-1/0/+1 as `Workspace.last_face`, its pins at their bounds).
 
-    Each pass takes ``step(ws, x, lower, upper)``: the step d on the face,
-    whether it is a ray, and the pins' multipliers after a full step. A
-    step that a free coordinate's finite bound blocks stops there and pins
-    that bound; an unblocked ray ends the walk unbounded; a full step
-    releases the most wrong-signed pin, or ends the walk on an optimal
-    face when no pin is. Returns (x, face, status), status "optimal",
+    Each pass takes ``step(ws, x, face)``: the step d on the face, whether
+    it is a ray, and the pins' multipliers after a full step, in `_pins`
+    order. A step that a free coordinate's finite bound blocks stops there
+    and pins that bound; an unblocked ray ends the walk unbounded; a full
+    step releases the most wrong-signed pin, or ends the walk on an
+    optimal face when no pin is. Returns (x, face, status), status "optimal",
     "unbounded" or None at the cap of 3n + 3 passes."""
     n = ws.n
     face = face.copy()
     for _ in range(3 * n + 3):
-        lo, up = np.flatnonzero(face < 0).tolist(), np.flatnonzero(face > 0).tolist()
-        d, ray, y_pins = step(ws, x, lo, up)
-        d[lo + up] = 0.0
+        d, ray, y_pins = step(ws, x, face)
+        d[face != 0] = 0.0
         down = (face == 0) & (d < 0) & np.isfinite(ws.lb)
         rise = (face == 0) & (d > 0) & np.isfinite(ws.ub)
         room = np.full(n, np.inf)
@@ -468,8 +469,8 @@ def _walk(ws: Workspace, x, face, step):
             return x, face, "unbounded"
         x = x + d
         y_box = np.zeros(n)
-        y_box[lo + up] = y_pins
-        wrong = _wrong_signs(ws, lo, up, y_box)
+        y_box[_pins(face)] = y_pins
+        wrong = _wrong_signs(ws, face, y_box)
         j = int(np.argmax(wrong))
         if wrong[j] <= 0.0:
             return x, face, "optimal"

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -9,9 +10,10 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from willems import multiagent, trajectory_from_csv
+from willems import cli, multiagent, trajectory_from_csv
 from willems.cli import main
 from willems.qp import QpSolution
+from willems.subspace import Verdict
 
 
 def run(tmp_path, command, cfg, seed=None, out=None):
@@ -147,6 +149,31 @@ def test_verify_theorem1_pe_gate_exits_3(tmp_path, capsys):
     cfg = {"system": plant_section(), "tau": 1, "L": 3, "length": 6}
     assert run(tmp_path, "verify-theorem1", cfg, seed=5, out=tmp_path / "o") == 3
     assert "hypothesis violated" in capsys.readouterr().err
+
+
+def test_verify_theorem1_image_failure_exits_5(tmp_path, capsys, monkeypatch):
+    # a FAILS verdict for the second of three cases: the report is still
+    # written, with that case's verdict, and the command exits 5
+    check = cli.pe_image_check
+    reports = []
+
+    def second_fails(*args):
+        report = check(*args)
+        reports.append(report)
+        if len(reports) == 2:
+            report = dataclasses.replace(report, verdict=Verdict.FAILS, gap=0.5)
+        return report
+
+    monkeypatch.setattr(cli, "pe_image_check", second_fails)
+    out = tmp_path / "out"
+    cfg = {"random": {"count": 3}}
+    assert run(tmp_path, "verify-theorem1", cfg, seed=2, out=out) == 5
+    said = capsys.readouterr().out
+    assert "image check: 2/3 hold" in said
+    assert "image equality FAILED in at least one case" in said
+    report = (out / "theorem1_report.csv").read_text().strip().split("\n")
+    verdicts = [line.split(",")[7] for line in report[1:]]
+    assert verdicts == ["holds", "fails", "holds"]
 
 
 def test_deepc_command_runs_bundled_experiment(tmp_path, capsys):
@@ -483,7 +510,7 @@ def test_bundled_deepc_factors_every_qp_face_by_lu(
     capsys.readouterr()
 
 
-def test_bundled_deepc_sweeps_admm_once_per_workspace(tmp_path, capsys, qp_solves):
+def test_bundled_deepc_polishes_cold_once_per_workspace(tmp_path, capsys, qp_solves):
     # 56 control steps, each solved by both controllers (the CSV pins only
     # the applied one's): each workspace's first solve certifies on the
     # polish from the empty face, with no walk, and every later one on the

@@ -220,6 +220,40 @@ def test_matches_reference_on_singular_batch(qp_solves):
     assert "walk" in {path for _, _, path, _ in qp_solves}
 
 
+def test_the_walk_and_the_polish_share_a_face_factorization(
+    monkeypatch, svd_calls, inv_calls
+):
+    # a face is one cache entry whichever routine reaches it: the polish
+    # of the face the active-set walk ended on finds the inverse the walk's
+    # last step factored, so it certifies with no new LU or SVD
+    walk, polish = qp._walk, qp._polish
+    ended, polished = [], []
+
+    def walking(ws, x, face, step):
+        result = walk(ws, x, face, step)
+        if step is qp._face_step:
+            ended.append(result[1])
+        return result
+
+    def polishing(ws, beq, face):
+        factored, solves = len(svd_calls) + len(inv_calls), ws._solves
+        result = polish(ws, beq, face)
+        if ended and face is ended[-1]:
+            factored = len(svd_calls) + len(inv_calls) - factored
+            polished.append((factored, ws._solves - solves))
+        return result
+
+    monkeypatch.setattr(qp, "_walk", walking)
+    monkeypatch.setattr(qp, "_polish", polishing)
+    rng = np.random.default_rng(200)
+    for _ in range(40):
+        P, q, Aeq, beq, lb, ub = random_box_qp(rng, singular=True)
+        sol = solve_qp(QuadraticProgram(P, q, Aeq=Aeq, beq=beq, lb=lb, ub=ub))
+        assert sol.status == "optimal"
+    assert len(polished) == len(ended) == 13
+    assert set(polished) == {(0, 1)}
+
+
 def test_a_singular_face_keeps_the_pseudo_inverse_of_the_svd(inv_calls):
     # P = diag(2, 0, 0) leaves (0, 1, -1) free on the row x_0 + x_1 + x_2 = 3:
     # no pin makes the face singular, so its inverse is the pseudo-inverse
@@ -227,7 +261,7 @@ def test_a_singular_face_keeps_the_pseudo_inverse_of_the_svd(inv_calls):
     P = np.diag([2.0, 0.0, 0.0])
     prob = QuadraticProgram(P, [-2.0, 0.0, 0.0], Aeq=[[1.0] * 3], beq=[3.0])
     ws = Workspace(prob)
-    inv = ws.face([], [])
+    inv = ws.face(np.zeros(3))
     ones = np.ones((1, 3))
     kkt = np.block([[P, ones.T], [ones, np.zeros((1, 1))]])
     u, s, v = pseudo_inverse_parts(kkt)
@@ -244,7 +278,7 @@ def test_a_face_on_redundant_rows_is_factored_by_lu(svd_calls, inv_calls):
     )
     ws = Workspace(prob)
     svd_calls.clear()  # Aeq's
-    inv = ws.face([], [])
+    inv = ws.face(np.zeros(2))
     assert not svd_calls and inv_calls == [(3, 3)]
     rhs = np.array([0.0, 0.0, 2.0, 4.0])
     rows = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -302,7 +336,7 @@ def test_repeat_solves_through_a_workspace_match_a_fresh_solve_bitwise():
             assert_same_answer(sol, fresh)
 
 
-def test_a_workspace_tries_its_last_certified_face_before_admm():
+def test_a_workspace_tries_its_last_certified_face_first():
     # x_1 sits at its upper bound for both right-hand sides, so the second
     # solve certifies on the first one's face with no cold polish or walk
     ws = Workspace(simplex_program())
@@ -315,7 +349,7 @@ def test_a_workspace_tries_its_last_certified_face_before_admm():
     assert_same_answer(sol, solve_qp(moved))
 
 
-def test_a_face_that_does_not_certify_falls_back_to_admm(monkeypatch):
+def test_a_face_that_does_not_certify_falls_back_to_the_cold_polish(monkeypatch):
     # when the last face misses, the solve takes the cold path, a polish
     # from the empty face, and answers as a fresh solve does
     ws = Workspace(simplex_program())
@@ -336,6 +370,23 @@ def test_a_face_that_does_not_certify_falls_back_to_admm(monkeypatch):
     assert_same_answer(sol, solve_qp(moved))
 
 
+def test_a_warm_solve_that_certifies_on_another_face_reports_0_iterations():
+    # for beq = -1 every coordinate is free at the minimum, so the warm
+    # polish must leave the last face, x_1 at its upper bound, and solve
+    # more faces before it certifies; no cold polish or walk runs, so the
+    # solve reports 0 iterations
+    ws = Workspace(simplex_program())
+    ws.solve([1.0])
+    assert np.array_equal(ws.last_face, [0.0, 1.0, 0.0])
+    solves = ws._solves
+    moved = simplex_program(beq=[-1.0])
+    sol = ws.solve(moved.beq)
+    assert sol.iterations == 0
+    assert ws._solves - solves >= 2
+    assert np.array_equal(ws.last_face, np.zeros(3))
+    assert_same_answer(sol, solve_qp(moved))
+
+
 def test_polish_releases_wrong_pins_over_several_passes(monkeypatch):
     # min 0.5|x|^2 - 2 x_0 + 0.5 x_1 over [-1, 1]^2 has x = (1, -0.5): x_0 at
     # its upper bound, x_1 free. Seeded with x_0 at its lower bound and x_1
@@ -347,14 +398,14 @@ def test_polish_releases_wrong_pins_over_several_passes(monkeypatch):
     pinned_solve = qp._pinned_solve
 
     def counted(*args):
-        passes.append(args[2:])
+        passes.append(args[2].copy())  # the polish updates its face in place
         return pinned_solve(*args)
 
     monkeypatch.setattr(qp, "_pinned_solve", counted)
     x, res = qp._polish(Workspace(prob), prob.beq, np.array([-1.0, 1.0]))
     _, x_ref, _ = solve_reference(P, q, np.zeros((0, 2)), np.zeros(0), lb, ub)
     assert len(passes) >= 2
-    assert passes[0] == ([0], [1])
+    assert np.array_equal(passes[0], [-1.0, 1.0])
     assert res <= 1e-8
     assert np.allclose(x, x_ref, atol=1e-12) and np.allclose(x, [1.0, -0.5])
 
