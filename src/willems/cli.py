@@ -9,6 +9,7 @@ infeasibility, 5 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -551,7 +552,10 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    as it was."""
     parser = argparse.ArgumentParser(
         prog="willems",
         description="data-based trajectory checks, predictive control and "
@@ -563,8 +567,12 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory")
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -56,14 +56,18 @@ keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
 - a rank-revealing SVD of Aeq, whose range U_r decides feasibility of
   ``Aeq x = beq`` by projection residual, and whose range rows U_r' Aeq
   have full row rank and, for a feasible beq, the same solutions;
-- the inverses of the last two faces' KKT matrices, so a face solve is a
-  matrix-vector product and a cached face gives the same bits as a new
-  one. A face's KKT matrix on the range rows is factored by LU when its
-  residual certifies it nonsingular (`numerics.certified_inverse`), and
-  U_r is folded back into that inverse, so it takes beq and returns Aeq's
-  multipliers; otherwise, as for a singular P with a free direction, the
-  face keeps the minimum-norm pseudo-inverse of its KKT matrix on Aeq,
-  built from the SVD cut of `numerics.pseudo_inverse_parts` (the rank
+- the masks of the finite lb and ub and of lb == ub, and -q, which every
+  face solve and every KKT residual read;
+- the last two faces, each built once, when it is factored: the inverse
+  of its KKT matrix, its pins in `_pins` order and the bound values they
+  hold, so a face solve is one matrix-vector product and a cached face
+  gives the same bits as a new one. A face's KKT matrix on the range
+  rows is factored by LU when its residual certifies it nonsingular
+  (`numerics.certified_inverse`), and U_r is folded back into that
+  inverse, so it takes beq and returns Aeq's multipliers; otherwise, as
+  for a singular P with a free direction, the face keeps the
+  minimum-norm pseudo-inverse of its KKT matrix on Aeq, built from the
+  SVD cut of `numerics.pseudo_inverse_parts` (the rank
   ``numpy.linalg.lstsq`` uses);
 - the face the last certifying polish ended on. A polish answer depends
   only on its final face and on beq, so a hit returns the bits a cold
@@ -80,6 +84,7 @@ fixed sequence of solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -177,17 +182,27 @@ class Workspace:
     length, and reuses the factorizations of the fixed data (P, q, Aeq,
     lb, ub) across solves.
 
-    The workspace holds at most two face factorizations (an LU inverse on
-    Aeq's range rows when certified nonsingular, the SVD pseudo-inverse
-    otherwise) and the last certified face (`last_face`: -1 for a
+    Built once, it keeps the masks of the fixed data (`finite_lb`,
+    `finite_ub`, `fixed` for lb == ub) and `neg_q`, -q, so no solve
+    recomputes them. It holds at most two faces (`face`), each with its
+    factorization (an LU inverse on Aeq's range rows when certified
+    nonsingular, the SVD pseudo-inverse otherwise), its pins and their
+    bound values, and the last certified face (`last_face`: -1 for a
     coordinate pinned to lb, +1 for one pinned to ub, 0 for a free one, or
-    None before the first certificate); drop it to free them.
+    None before the first certificate); drop it to free them. A warm step
+    that certifies on `last_face` then costs one cache lookup, one
+    matrix-vector product and one KKT residual.
     """
 
     def __init__(self, prob: QuadraticProgram):
         self.program, n = prob, prob.n
         self.P, self.q, self.Aeq = prob.P, prob.q, prob.Aeq
         self.lb, self.ub, self.n = prob.lb, prob.ub, n
+        # the masks of the fixed data that every solve reads, and -q, the
+        # head of every face solve's right-hand side
+        self.finite_lb, self.finite_ub = np.isfinite(prob.lb), np.isfinite(prob.ub)
+        self.fixed = prob.lb == prob.ub
+        self.neg_q = -prob.q
         # range of Aeq, and the map from range coordinates to the
         # minimum-norm least-squares solution
         u, s, v = pseudo_inverse_parts(prob.Aeq)
@@ -199,22 +214,25 @@ class Workspace:
         self._solves = 0  # face solves, `QpSolution.iterations`' count
 
     def face(self, face):
-        """Inverse of the KKT matrix of the face `face` (-1/0/+1 as
-        `last_face`), Aeq rows first, then the pins in `_pins` order: the
-        certified LU inverse of the matrix on Aeq's range rows, mapped to
-        Aeq's rows, or else the minimum-norm pseudo-inverse of the matrix
-        on Aeq."""
+        """The cache entry of the face `face` (-1/0/+1 as `last_face`),
+        built once, when the face is factored: (inv, pins, bounds). `inv`
+        is the inverse of the face's KKT matrix, Aeq rows first, then the
+        pins in `_pins` order: the certified LU inverse of the matrix on
+        Aeq's range rows, mapped to Aeq's rows, or else the minimum-norm
+        pseudo-inverse of the matrix on Aeq. `pins` is `_pins(face)` and
+        `bounds` the values the pins hold, in the same order."""
         self._solves += 1
         key = face.astype(np.int8).tobytes()  # its signs: -0.0 keys as 0.0
-        inv = self._faces.pop(key, None)
-        if inv is None:
+        entry = self._faces.pop(key, None)
+        if entry is None:
             # evict first, so the new factorization is built beside one
             # kept face, not two
             if len(self._faces) == _FACES:
                 del self._faces[next(iter(self._faces))]
             n, U = self.n, self.eq_range
             r = U.shape[1]
-            pinned = np.eye(n)[_pins(face)]
+            pins = _pins(face)
+            pinned = np.eye(n)[pins]
             inv = certified_inverse(
                 _kkt_matrix(self.P, np.vstack([self.eq_rows, pinned]))
             )
@@ -229,8 +247,9 @@ class Workspace:
                     [inv[:, :n], inv[:, n : n + r] @ U.T, inv[:, n + r :]]
                 )
                 inv = np.vstack([cols[:n], U @ cols[n : n + r], cols[n + r :]])
-        self._faces[key] = inv
-        return inv
+            entry = (inv, pins, np.where(face < 0, self.lb, self.ub)[pins])
+        self._faces[key] = entry
+        return entry
 
     def solve(self, beq) -> QpSolution:
         """Solve the program with equality right-hand side `beq`; see the
@@ -247,8 +266,9 @@ class Workspace:
         objective, inf = self.program.objective, float("inf")
 
         coef = self.eq_range.T @ beq
-        res = float(np.linalg.norm(beq - self.eq_range @ coef))
-        if res > 1e-9 * float(np.linalg.norm(beq)):
+        # the bits of np.linalg.norm on a 1-D array, without its dispatch
+        off = beq - self.eq_range @ coef
+        if math.sqrt(off @ off) > 1e-9 * math.sqrt(beq @ beq):
             x_ls = self.eq_solve @ coef
             return QpSolution(x_ls, objective(x_ls), "infeasible", inf, 0)
 
@@ -283,25 +303,20 @@ def _kkt_matrix(P, Aact) -> np.ndarray:
 
 
 def _kkt_residual(ws: Workspace, beq, x, y_eq, y_box) -> float:
-    """Worst violation over stationarity, primal feasibility, dual signs and
-    complementarity."""
+    """Worst violation over stationarity, primal feasibility (the equality
+    rows and the box), dual signs and complementarity: each multiplier
+    times its gap to the bound of its sign, ub for a positive one and lb
+    for a negative one, or the multiplier itself when that bound is
+    infinite."""
     station = ws.P @ x + ws.q + y_box + ws.Aeq.T @ y_eq
-    worst = max(
-        float(np.abs(station).max(initial=0.0)),
-        float(np.abs(ws.Aeq @ x - beq).max(initial=0.0)),
+    lo, hi = ws.lb - x, x - ws.ub
+    # |y (ub - x)| = |y| |x - ub| and |y (x - lb)| = |y| |lb - x|, exactly
+    gap = np.where(
+        y_box > 0, np.where(ws.finite_ub, hi, 1.0), np.where(ws.finite_lb, lo, 1.0)
     )
-    lo = ws.lb - x
-    hi = x - ws.ub
-    lo[~np.isfinite(lo)] = -np.inf
-    hi[~np.isfinite(hi)] = -np.inf
-    worst = max(worst, float(np.maximum(lo, hi).max(initial=0.0)))
-    # a multiplier on an infinite bound is itself the violation
-    gap_hi = np.where(np.isfinite(ws.ub), ws.ub - x, 1.0)
-    gap_lo = np.where(np.isfinite(ws.lb), x - ws.lb, 1.0)
-    comp = np.where(
-        y_box > 0, y_box * gap_hi, np.where(y_box < 0, -y_box * gap_lo, 0.0)
-    )
-    return max(worst, float(np.abs(comp).max(initial=0.0)))
+    worst = np.abs(np.concatenate([station, ws.Aeq @ x - beq, y_box * gap]))
+    # + 0.0 turns a max of -0.0, a box gap lb - x or x - ub, into 0.0
+    return float(np.concatenate([worst, lo, hi]).max(initial=0.0)) + 0.0
 
 
 def _pins(face) -> np.ndarray:
@@ -312,12 +327,12 @@ def _pins(face) -> np.ndarray:
 
 def _pinned_solve(ws: Workspace, beq, face):
     """KKT solve with the coordinates `face` pins held at their bounds,
-    through the face's inverse (`Workspace.face`). Returns (x, y_box,
+    through the face's cache entry (`Workspace.face`). Returns (x, y_box,
     kkt_residual); a wrong face, or one along which the objective is
     unbounded, shows in the residual."""
-    n, me, pins = ws.n, beq.shape[0], _pins(face)
-    rhs = np.concatenate([-ws.q, beq, np.where(face < 0, ws.lb, ws.ub)[pins]])
-    sol = ws.face(face) @ rhs
+    n, me = ws.n, beq.shape[0]
+    inv, pins, bounds = ws.face(face)
+    sol = inv @ np.concatenate([ws.neg_q, beq, bounds])
     x = sol[:n]
     y_eq = sol[n : n + me]
     y_box = np.zeros(n)
@@ -332,7 +347,7 @@ def _wrong_signs(ws: Workspace, face, y_box) -> np.ndarray:
     ub whose multiplier is negative; negative elsewhere, and always on a
     coordinate with lb == ub, which stays pinned."""
     wrong = np.where(face < 0, y_box, np.where(face > 0, -y_box, -np.inf))
-    wrong[ws.lb == ws.ub] = -np.inf
+    wrong[ws.fixed] = -np.inf
     return wrong - 1e-10 * max(1.0, float(np.abs(y_box).max(initial=0.0)))
 
 
@@ -350,8 +365,7 @@ def _polish(ws: Workspace, beq, face):
     Returns the (x, kkt_residual) of the least residual seen.
     """
     n = ws.n
-    finite_lb, finite_ub = np.isfinite(ws.lb), np.isfinite(ws.ub)
-    face = np.where(ws.lb == ws.ub, -1.0, face)
+    face = np.where(ws.fixed, -1.0, face)
     best = None
     for _ in range(3 * n + 3):
         x, y_new, res = _pinned_solve(ws, beq, face)
@@ -366,8 +380,8 @@ def _polish(ws: Workspace, beq, face):
         # pin only the single worst violation; adding every violated bound
         # at once can overshoot into an infeasible face
         feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))
-        below = np.where(finite_lb, ws.lb - x, -np.inf)
-        above = np.where(finite_ub, x - ws.ub, -np.inf)
+        below = np.where(ws.finite_lb, ws.lb - x, -np.inf)
+        above = np.where(ws.finite_ub, x - ws.ub, -np.inf)
         gap = np.maximum(below, above)
         gap[face != 0] = -np.inf
         worst = int(np.argmax(gap))  # the first index wins a tie
@@ -423,7 +437,7 @@ def _face_step(ws: Workspace, x, face):
     n, me = ws.n, ws.Aeq.shape[0]
     P, Aeq, q = ws.P, ws.Aeq, ws.q
     g = P @ x + q
-    sol = ws.face(face)[:, :n] @ -g
+    sol = ws.face(face)[0][:, :n] @ -g
     ray = -g - P @ sol[:n] - Aeq.T @ sol[n : n + me]
     ray[face != 0] = 0.0
     size = float(np.abs(ray).max(initial=0.0))
@@ -455,8 +469,8 @@ def _walk(ws: Workspace, x, face, step):
     for _ in range(3 * n + 3):
         d, ray, y_pins = step(ws, x, face)
         d[face != 0] = 0.0
-        down = (face == 0) & (d < 0) & np.isfinite(ws.lb)
-        rise = (face == 0) & (d > 0) & np.isfinite(ws.ub)
+        down = (face == 0) & (d < 0) & ws.finite_lb
+        rise = (face == 0) & (d > 0) & ws.finite_ub
         room = np.full(n, np.inf)
         room[down] = (ws.lb - x)[down] / d[down]
         room[rise] = (ws.ub - x)[rise] / d[rise]

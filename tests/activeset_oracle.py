@@ -115,6 +115,30 @@ def solve_reference(P, q, Aeq, beq, lb, ub):
     return best, xs[0], unique
 
 
+def kkt_residual_reference(P, q, Aeq, beq, lb, ub, x, y_eq, y_box):
+    """The KKT residual as the package measured it before it cached its
+    masks: the worst of stationarity, equality residual, box violation
+    (non-finite gaps ignored) and multiplier times gap to the bound of the
+    multiplier's sign, a multiplier on an infinite bound counting alone.
+    Each part is its own max, and the parts meet in Python's max."""
+    station = P @ x + q + y_box + Aeq.T @ y_eq
+    worst = max(
+        float(np.abs(station).max(initial=0.0)),
+        float(np.abs(Aeq @ x - beq).max(initial=0.0)),
+    )
+    lo = lb - x
+    hi = x - ub
+    lo[~np.isfinite(lo)] = -np.inf
+    hi[~np.isfinite(hi)] = -np.inf
+    worst = max(worst, float(np.maximum(lo, hi).max(initial=0.0)))
+    gap_hi = np.where(np.isfinite(ub), ub - x, 1.0)
+    gap_lo = np.where(np.isfinite(lb), x - lb, 1.0)
+    comp = np.where(
+        y_box > 0, y_box * gap_hi, np.where(y_box < 0, -y_box * gap_lo, 0.0)
+    )
+    return max(worst, float(np.abs(comp).max(initial=0.0)))
+
+
 def random_box_qp(rng, singular: bool = False):
     """Random feasible bounded QP as raw arrays (P, q, Aeq, beq, lb, ub).
 

@@ -52,6 +52,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
+    # the parser is built once; a usage error leaves it as it was, so the
+    # same error prints the same message and the next command still parses
+    argv = ["unknown-command", "--config", "cfg.json"]
+    assert main(argv) == 2
+    first = capsys.readouterr().err
+    assert main(argv) == 2 and capsys.readouterr().err == first
+    assert run(tmp_path, "check-pe", {"trajectory": {"inputs": [1.0, -1.0, 2.0]}}) == 0
+    assert cli._parser.cache_info().currsize == 1
+
+
 def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert run(tmp_path, "simulate", [1, 2], out=out) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from activeset_oracle import random_box_qp, solve_reference
+from activeset_oracle import kkt_residual_reference, random_box_qp, solve_reference
 from willems import QuadraticProgram, qp, solve_qp
 from willems.numerics import pseudo_inverse_parts
 from willems.qp import Workspace
@@ -261,7 +261,7 @@ def test_a_singular_face_keeps_the_pseudo_inverse_of_the_svd(inv_calls):
     P = np.diag([2.0, 0.0, 0.0])
     prob = QuadraticProgram(P, [-2.0, 0.0, 0.0], Aeq=[[1.0] * 3], beq=[3.0])
     ws = Workspace(prob)
-    inv = ws.face(np.zeros(3))
+    inv = ws.face(np.zeros(3))[0]
     ones = np.ones((1, 3))
     kkt = np.block([[P, ones.T], [ones, np.zeros((1, 1))]])
     u, s, v = pseudo_inverse_parts(kkt)
@@ -278,7 +278,7 @@ def test_a_face_on_redundant_rows_is_factored_by_lu(svd_calls, inv_calls):
     )
     ws = Workspace(prob)
     svd_calls.clear()  # Aeq's
-    inv = ws.face(np.zeros(2))
+    inv = ws.face(np.zeros(2))[0]
     assert not svd_calls and inv_calls == [(3, 3)]
     rhs = np.array([0.0, 0.0, 2.0, 4.0])
     rows = np.array([[1.0, 1.0], [2.0, 2.0]])
@@ -286,6 +286,42 @@ def test_a_face_on_redundant_rows_is_factored_by_lu(svd_calls, inv_calls):
     u, s, v = pseudo_inverse_parts(kkt)
     assert np.allclose(inv @ rhs, (v / s) @ (u.T @ rhs), rtol=0, atol=1e-14)
     assert np.allclose((inv @ rhs)[:2], [1.0, 1.0], rtol=0, atol=1e-15)
+
+
+def test_the_kkt_residual_keeps_the_bits_of_its_reference():
+    # the residual reads the workspace's masks and takes one max; its
+    # rewrites (|y g| = |y| |g|, lb - x = -(x - lb), a max of maxes) are
+    # exact, so it returns the reference's float: at face solves pinned to
+    # lb and to ub, and at points outside the box with multipliers of
+    # either sign and zeros, on boxes with infinite sides and lb == ub
+    rng = np.random.default_rng(33)
+    to_lb = to_ub = 0
+    for case in range(300):
+        P, q, Aeq, beq, lb, ub = random_box_qp(rng, singular=case % 3 == 0)
+        n, me = q.size, beq.size
+        fixed = (rng.uniform(size=n) < 0.2) & np.isfinite(lb)
+        ub[fixed] = lb[fixed]
+        ws = Workspace(QuadraticProgram(P, q, Aeq=Aeq, beq=beq, lb=lb, ub=ub))
+        face = rng.choice([-1.0, 0.0, 1.0], size=n)
+        face[~np.isfinite(np.where(face < 0, lb, ub))] = 0.0
+        to_lb, to_ub = to_lb + np.sum(face < 0), to_ub + np.sum(face > 0)
+        inv, pins, bounds = ws.face(face)
+        sol = inv @ np.concatenate([-q, beq, bounds])
+        y_box = np.zeros(n)
+        y_box[pins] = sol[n + me :]
+        outside = rng.normal(size=n) * (rng.uniform(size=n) < 0.7)
+        for x, y_eq, y in [
+            (sol[:n], sol[n : n + me], y_box),
+            (sol[:n] + 3.0 * rng.normal(size=n), rng.normal(size=me), outside),
+        ]:
+            res = qp._kkt_residual(ws, beq, x, y_eq, y)
+            ref = kkt_residual_reference(P, q, Aeq, beq, lb, ub, x, y_eq, y)
+            assert np.float64(res).tobytes() == np.float64(ref).tobytes()
+    assert min(to_lb, to_ub) > 100
+    # a zero residual whose box gap lb - x is -0.0 is 0.0, as the reference's
+    ws = Workspace(QuadraticProgram(np.eye(1), np.zeros(1), lb=[-0.0], ub=[1.0]))
+    res = qp._kkt_residual(ws, np.zeros(0), np.zeros(1), np.zeros(0), np.zeros(1))
+    assert np.float64(res).tobytes() == np.float64(0.0).tobytes()
 
 
 def simplex_program(**changes):
@@ -347,6 +383,35 @@ def test_a_workspace_tries_its_last_certified_face_first():
     sol = ws.solve(moved.beq)
     assert sol.iterations == 0
     assert_same_answer(sol, solve_qp(moved))
+
+
+def test_a_cached_face_is_reused_as_built(monkeypatch, inv_calls, svd_calls):
+    # min 0.5|x|^2 - 5 x_0 + 5 x_1 ends on x_0 at its upper bound and x_1
+    # at its lower one; solving again hits the cached entry, factors
+    # nothing and solves that face once, with the pin rows and the bound
+    # values it was built with: the lb-pin first, then the ub-pin
+    prob = QuadraticProgram(
+        np.eye(3), [-5.0, 5.0, 0.0], lb=[-1.0, -2.0, -3.0], ub=[1.0, 2.0, 3.0]
+    )
+    ws = Workspace(prob)
+    ws.solve(prob.beq)
+    face = ws.last_face
+    assert np.array_equal(face, [1.0, -1.0, 0.0])
+    passes, pinned_solve = [], qp._pinned_solve
+
+    def counted(*args):
+        passes.append(args[2])
+        return pinned_solve(*args)
+
+    monkeypatch.setattr(qp, "_pinned_solve", counted)
+    inv_calls.clear()
+    svd_calls.clear()
+    sol = ws.solve(prob.beq)
+    assert sol.status == "optimal" and sol.iterations == 0 and len(passes) == 1
+    assert not inv_calls and not svd_calls
+    _, pins, bounds = ws.face(face)
+    assert np.array_equal(pins, qp._pins(face)) and np.array_equal(pins, [1, 0])
+    assert np.array_equal(bounds, [-2.0, 1.0])
 
 
 def test_a_face_that_does_not_certify_falls_back_to_the_cold_polish(monkeypatch):
