@@ -355,10 +355,14 @@ class ClosedLoopLog:
             + [f"y_{i}" for i in range(p)]
             + ["objective", "iterations", "kkt_residual", "status", "solve_ms"]
         )
+        # Python floats and ints, read once per array, not numpy scalars
+        # unpacked per cell
+        inputs, outputs = self.inputs.tolist(), self.outputs.tolist()
+        objectives, iterations = self.objectives.tolist(), self.iterations.tolist()
+        residuals, solve_ms = self.kkt_residuals.tolist(), self.solve_ms.tolist()
         rows = (
-            [t, self.phases[t], *self.inputs[t], *self.outputs[t],
-             self.objectives[t], self.iterations[t], self.kkt_residuals[t],
-             self.statuses[t], self.solve_ms[t]]
+            [t, self.phases[t], *inputs[t], *outputs[t], objectives[t],
+             iterations[t], residuals[t], self.statuses[t], solve_ms[t]]
             for t in range(self.length)
         )
         write_csv(path, header, rows)
@@ -367,8 +371,8 @@ class ClosedLoopLog:
         """Outputs next to the constant reference lines, for plotting."""
         p = self.outputs.shape[1]
         header = ["t"] + [f"y_{i}" for i in range(p)] + [f"r_{i}" for i in range(p)]
-        ref = self.reference.reshape(-1)[:p]
-        rows = ([t, *self.outputs[t], *ref] for t in range(self.length))
+        ref = self.reference.reshape(-1)[:p].tolist()
+        rows = ([t, *y, *ref] for t, y in enumerate(self.outputs.tolist()))
         write_csv(path, header, rows)
 
 
