@@ -16,7 +16,10 @@ prove full rank under that cutoff the caller asks the SVD:
   `subspace.min_poly_degree` and, through the Krylov and data matrices,
   Theorem 1's image check `subspace.pe_image_check`;
 - `certified_inverse` proves it for a square matrix by the residual of
-  its LU inverse, and returns that inverse.
+  its LU inverse, and returns that inverse. It decides the QP faces of
+  `qp.Workspace`: once per workspace the empty face's KKT matrix, and for
+  every other face the j x j Schur complement of its j pins, from which
+  the face's inverse is bordered.
 
 Membership and equality of
 computed subspaces are decided by projection residuals against

@@ -11,9 +11,10 @@ a 0 x n Aeq, so every step below runs the same way with or without them.
 One method decides every program: the faces of its box. A face pins a set
 of coordinates to their bounds, and the program restricted to it is one
 linear KKT system. The cost may be singular and the equality rows
-rank-deficient, so that system may be singular too; `Workspace.face`
-factors it by LU when it can prove it nonsingular and by the SVD
-pseudo-inverse otherwise. A solve goes:
+rank-deficient, so that system may be singular too. `Workspace.face`
+borders it from the empty face's inverse, factored once by LU, when it can
+prove both nonsingular, and otherwise takes the face's own LU or the SVD
+pseudo-inverse. A solve goes:
 
 1. The equality pre-check: a beq whose residual off the range of Aeq
    exceeds 1e-9 of its norm is infeasible.
@@ -53,22 +54,33 @@ side beq, the only data that moves between the receding-horizon QPs of one
 closed loop (the setup/update split of OSQP, or qpOASES's hotstart). It
 keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
 
-- a rank-revealing SVD of Aeq, whose range U_r decides feasibility of
-  ``Aeq x = beq`` by projection residual, and whose range rows U_r' Aeq
-  have full row rank and, for a feasible beq, the same solutions;
+- one rank-revealing SVD of Aeq. The left singular vectors past its rank,
+  U_perp, decide feasibility of ``Aeq x = beq`` by the residual
+  U_perp' beq, one product per solve. Aeq's r range rows U_r' Aeq have
+  full row rank and, for a feasible beq, the same solutions;
 - the masks of the finite lb and ub and of lb == ub, and -q, which every
   face solve and every KKT residual read;
+- the base W: the inverse of the empty face's KKT matrix on the range
+  rows, an LU of order n + r kept when its residual certifies it
+  nonsingular (`numerics.certified_inverse`), with U_r folded back in, so
+  it takes beq and returns Aeq's multipliers;
 - the last two faces, each built once, when it is factored: the inverse
   of its KKT matrix, its pins in `_pins` order and the bound values they
-  hold, so a face solve is one matrix-vector product and a cached face
-  gives the same bits as a new one. A face's KKT matrix on the range
-  rows is factored by LU when its residual certifies it nonsingular
-  (`numerics.certified_inverse`), and U_r is folded back into that
-  inverse, so it takes beq and returns Aeq's multipliers; otherwise, as
-  for a singular P with a free direction, the face keeps the
-  minimum-norm pseudo-inverse of its KKT matrix on Aeq, built from the
-  SVD cut of `numerics.pseudo_inverse_parts` (the rank
-  ``numpy.linalg.lstsq`` uses);
+  hold, so a face solve is one matrix-vector product. A face with j pins
+  p borders the empty face's KKT matrix with j rows and columns, and its
+  inverse is W's block inverse update (Gill, Golub, Murray and Saunders,
+  Math. Comp. 28, 1974; as in qpOASES, Ferreau, Bock and Diehl, IJRNC
+  18, 2008): one certified inverse of the j x j Schur complement
+  S = W[p, p] and O(k^2 j) products for W of order k, no LU of the face.
+  It depends only on the face, not on the faces solved before it, so a
+  cached face gives the same bits as a new one. When W or S does not
+  certify, as for a singular P with a free direction that Aeq leaves
+  free, the face takes its own LU on the range rows, folded the same way,
+  and when that does not certify either, the minimum-norm pseudo-inverse
+  of its KKT matrix on Aeq, built from the SVD cut of
+  `numerics.pseudo_inverse_parts` (the rank ``numpy.linalg.lstsq``
+  uses). Whichever factorization found it, the measured KKT residual
+  certifies the answer;
 - the face the last certifying polish ended on. A polish answer depends
   only on its final face and on beq, so a hit returns the bits a cold
   solve would, with 0 iterations.
@@ -78,8 +90,9 @@ a solve that step 2 certifies reports 0, however many faces its polish
 visited.
 `solve_qp(prob)` is `Workspace(prob).solve(prob.beq)`, so a one-off solve
 and a solve in a sequence take the same code path. Solutions carry the
-measured KKT residual. Everything is deterministic for fixed inputs and a
-fixed sequence of solves.
+measured KKT residual; the objective is formed from the P x that residual
+formed. Everything is deterministic for fixed inputs and a fixed sequence
+of solves.
 """
 
 from __future__ import annotations
@@ -97,6 +110,7 @@ from .numerics import (
     certified_inverse,
     empty_box,
     pseudo_inverse_parts,
+    svd_rank,
 )
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
@@ -184,9 +198,12 @@ class Workspace:
 
     Built once, it keeps the masks of the fixed data (`finite_lb`,
     `finite_ub`, `fixed` for lb == ub) and `neg_q`, -q, so no solve
-    recomputes them. It holds at most two faces (`face`), each with its
-    factorization (an LU inverse on Aeq's range rows when certified
-    nonsingular, the SVD pseudo-inverse otherwise), its pins and their
+    recomputes them, and `base`, the empty face's certified LU inverse on
+    Aeq's range rows folded back to Aeq's rows (None when that LU does not
+    certify), factored once. It holds at most two faces (`face`), each
+    with its factorization (`base` bordered by the face's pins when both
+    it and their Schur complement certify, else the face's own LU inverse
+    on the range rows, else the SVD pseudo-inverse), its pins and their
     bound values, and the last certified face (`last_face`: -1 for a
     coordinate pinned to lb, +1 for one pinned to ub, 0 for a free one, or
     None before the first certificate); drop it to free them. A warm step
@@ -203,12 +220,20 @@ class Workspace:
         self.finite_lb, self.finite_ub = np.isfinite(prob.lb), np.isfinite(prob.ub)
         self.fixed = prob.lb == prob.ub
         self.neg_q = -prob.q
-        # range of Aeq, and the map from range coordinates to the
-        # minimum-norm least-squares solution
-        u, s, v = pseudo_inverse_parts(prob.Aeq)
-        self.eq_range, self.eq_solve = u, v / s
+        # one SVD of Aeq, cut at the rank `svd_rank` gives: its range U_r,
+        # the left singular vectors past the rank U_perp, whose product
+        # with beq is beq's residual off that range, and the map from range
+        # coordinates to the minimum-norm least-squares solution
+        u, s, vt = np.linalg.svd(prob.Aeq, full_matrices=True)
+        rank = svd_rank(s, prob.Aeq.shape)
+        self.eq_range, self.eq_off = u[:, :rank], u[:, rank:]
+        self.eq_solve = vt[:rank].T / s[:rank]
         # Aeq's range rows U_r' Aeq, full row rank, which the faces factor
-        self.eq_rows = u.T @ prob.Aeq
+        self.eq_rows = self.eq_range.T @ prob.Aeq
+        # the base W: the empty face's certified LU inverse on the range
+        # rows, folded back to Aeq's rows, from which every other face is
+        # bordered; None when that LU does not certify
+        self.base = _range_inverse(self, _pins(np.zeros(n)))
         self.last_face = None
         self._faces = {}
         self._solves = 0  # face solves, `QpSolution.iterations`' count
@@ -217,10 +242,14 @@ class Workspace:
         """The cache entry of the face `face` (-1/0/+1 as `last_face`),
         built once, when the face is factored: (inv, pins, bounds). `inv`
         is the inverse of the face's KKT matrix, Aeq rows first, then the
-        pins in `_pins` order: the certified LU inverse of the matrix on
-        Aeq's range rows, mapped to Aeq's rows, or else the minimum-norm
-        pseudo-inverse of the matrix on Aeq. `pins` is `_pins(face)` and
-        `bounds` the values the pins hold, in the same order."""
+        pins in `_pins` order, mapped to Aeq's rows: `base` itself for the
+        empty face; for a face with j pins, `base` bordered by them
+        (`_bordered`, a j x j inverse), or, when the base or their Schur
+        complement does not certify, the certified LU inverse of the
+        face's matrix on Aeq's range rows; else the minimum-norm
+        pseudo-inverse of the matrix on Aeq. The empty face does not retry
+        the LU the base tried. `pins` is `_pins(face)` and `bounds` the
+        values the pins hold, in the same order."""
         self._solves += 1
         key = face.astype(np.int8).tobytes()  # its signs: -0.0 keys as 0.0
         entry = self._faces.pop(key, None)
@@ -229,24 +258,19 @@ class Workspace:
             # kept face, not two
             if len(self._faces) == _FACES:
                 del self._faces[next(iter(self._faces))]
-            n, U = self.n, self.eq_range
-            r = U.shape[1]
             pins = _pins(face)
-            pinned = np.eye(n)[pins]
-            inv = certified_inverse(
-                _kkt_matrix(self.P, np.vstack([self.eq_rows, pinned]))
-            )
+            if not pins.size:
+                inv = self.base  # None: its LU was tried and did not certify
+            else:
+                inv = None if self.base is None else _bordered(self.base, pins)
+                if inv is None:
+                    inv = _range_inverse(self, pins)
             if inv is None:
+                pinned = np.eye(self.n)[pins]
                 u, s, v = pseudo_inverse_parts(
                     _kkt_matrix(self.P, np.vstack([self.Aeq, pinned]))
                 )
                 inv = (v / s) @ u.T
-            else:
-                # back to Aeq's rows: beq enters as U_r' beq, y_eq is U_r y_r
-                cols = np.hstack(
-                    [inv[:, :n], inv[:, n : n + r] @ U.T, inv[:, n + r :]]
-                )
-                inv = np.vstack([cols[:n], U @ cols[n : n + r], cols[n + r :]])
             entry = (inv, pins, np.where(face < 0, self.lb, self.ub)[pins])
         self._faces[key] = entry
         return entry
@@ -265,31 +289,31 @@ class Workspace:
             raise ValueError(f"beq has length {beq.shape[0]}, expected {me}")
         objective, inf = self.program.objective, float("inf")
 
-        coef = self.eq_range.T @ beq
         # the bits of np.linalg.norm on a 1-D array, without its dispatch
-        off = beq - self.eq_range @ coef
+        off = self.eq_off.T @ beq
         if math.sqrt(off @ off) > 1e-9 * math.sqrt(beq @ beq):
-            x_ls = self.eq_solve @ coef
+            x_ls = self.eq_solve @ (self.eq_range.T @ beq)
             return QpSolution(x_ls, objective(x_ls), "infeasible", inf, 0)
 
         if self.last_face is not None:
-            px, pres = _polish(self, beq, self.last_face)
-            if pres <= _TOL:
-                return QpSolution(px, objective(px), "optimal", pres, 0)
+            warm = _polish(self, beq, self.last_face)
+            if warm[1] <= _TOL:
+                x, res, obj = warm
+                return QpSolution(x, obj, "optimal", res, 0)
 
         start = self._solves
-        x, res = _polish(self, beq, np.zeros(self.n))
+        x, res, obj = _polish(self, beq, np.zeros(self.n))
         status = "optimal"
         if res > _TOL:
-            x, face, status = _phase1(self, beq, coef)
+            x, face, status = _phase1(self, beq)
             if status is None:
                 x, face, status = _walk(self, x, face, _face_step)
             if status in (None, "optimal"):
-                x, res = _polish(self, beq, face)
+                x, res, obj = _polish(self, beq, face)
                 status = "optimal" if res <= _TOL else "max_iter"
             else:
-                res = inf
-        return QpSolution(x, objective(x), status, res, self._solves - start)
+                res, obj = inf, objective(x)
+        return QpSolution(x, obj, status, res, self._solves - start)
 
 
 def _kkt_matrix(P, Aact) -> np.ndarray:
@@ -302,19 +326,67 @@ def _kkt_matrix(P, Aact) -> np.ndarray:
     return kkt
 
 
-def _kkt_residual(ws: Workspace, beq, x, y_eq, y_box) -> float:
+def _range_inverse(ws: Workspace, pins):
+    """The inverse of the KKT matrix of the face that pins `pins`, on Aeq's
+    range rows, when its LU certifies it (`certified_inverse`), folded back
+    to Aeq's rows: beq enters as U_r' beq and y_eq is U_r y_r. None when the
+    LU does not certify."""
+    n, U = ws.n, ws.eq_range
+    r = U.shape[1]
+    inv = certified_inverse(
+        _kkt_matrix(ws.P, np.vstack([ws.eq_rows, np.eye(n)[pins]]))
+    )
+    if inv is None:
+        return None
+    cols = np.hstack([inv[:, :n], inv[:, n : n + r] @ U.T, inv[:, n + r :]])
+    return np.vstack([cols[:n], U @ cols[n : n + r], cols[n + r :]])
+
+
+def _bordered(base, pins):
+    """The folded inverse of the face that pins `pins`, j of them, from the
+    empty face's `base` W, k x k, by the block inverse of the bordered KKT
+    matrix (Gill, Golub, Murray and Saunders, Math. Comp. 28, 1974):
+
+        [[W - W[:, p] S^-1 W[p, :],  W[:, p] S^-1],
+         [S^-1 W[p, :],              -S^-1       ]],  S = W[p, p],
+
+    O(k^2 j) products and a j x j inverse, where an LU of the face costs
+    O((k + j)^3). Given W, the face's KKT matrix is nonsingular exactly
+    when S is; None when `certified_inverse` does not certify S."""
+    rows = base[pins]
+    s_inv = certified_inverse(rows[:, pins])
+    if s_inv is None:
+        return None
+    k, j = base.shape[0], pins.size
+    cols = base[:, pins] @ s_inv
+    inv = np.empty((k + j, k + j))
+    np.matmul(cols, rows, out=inv[:k, :k])
+    np.subtract(base, inv[:k, :k], out=inv[:k, :k])
+    inv[:k, k:] = cols
+    np.matmul(s_inv, rows, out=inv[k:, :k])
+    np.negative(s_inv, out=inv[k:, k:])
+    return inv
+
+
+def _kkt_residual(ws: Workspace, beq, x, y_eq, y_box, pins=slice(None), px=None):
     """Worst violation over stationarity, primal feasibility (the equality
     rows and the box), dual signs and complementarity: each multiplier
     times its gap to the bound of its sign, ub for a positive one and lb
     for a negative one, or the multiplier itself when that bound is
-    infinite."""
-    station = ws.P @ x + ws.q + y_box + ws.Aeq.T @ y_eq
+    infinite. Complementarity is formed on `pins` alone, every coordinate
+    by default; y_box must be zero off them. `px` is P x when the caller
+    has it."""
+    px = ws.P @ x if px is None else px
+    station = px + ws.q + y_box + ws.Aeq.T @ y_eq
     lo, hi = ws.lb - x, x - ws.ub
     # |y (ub - x)| = |y| |x - ub| and |y (x - lb)| = |y| |lb - x|, exactly
+    y = y_box[pins]
     gap = np.where(
-        y_box > 0, np.where(ws.finite_ub, hi, 1.0), np.where(ws.finite_lb, lo, 1.0)
+        y > 0,
+        np.where(ws.finite_ub[pins], hi[pins], 1.0),
+        np.where(ws.finite_lb[pins], lo[pins], 1.0),
     )
-    worst = np.abs(np.concatenate([station, ws.Aeq @ x - beq, y_box * gap]))
+    worst = np.abs(np.concatenate([station, ws.Aeq @ x - beq, y * gap]))
     # + 0.0 turns a max of -0.0, a box gap lb - x or x - ub, into 0.0
     return float(np.concatenate([worst, lo, hi]).max(initial=0.0)) + 0.0
 
@@ -328,7 +400,7 @@ def _pins(face) -> np.ndarray:
 def _pinned_solve(ws: Workspace, beq, face):
     """KKT solve with the coordinates `face` pins held at their bounds,
     through the face's cache entry (`Workspace.face`). Returns (x, y_box,
-    kkt_residual); a wrong face, or one along which the objective is
+    kkt_residual, P x); a wrong face, or one along which the objective is
     unbounded, shows in the residual."""
     n, me = ws.n, beq.shape[0]
     inv, pins, bounds = ws.face(face)
@@ -337,7 +409,8 @@ def _pinned_solve(ws: Workspace, beq, face):
     y_eq = sol[n : n + me]
     y_box = np.zeros(n)
     y_box[pins] = sol[n + me :]
-    return x, y_box, _kkt_residual(ws, beq, x, y_eq, y_box)
+    px = ws.P @ x
+    return x, y_box, _kkt_residual(ws, beq, x, y_eq, y_box, pins, px), px
 
 
 def _wrong_signs(ws: Workspace, face, y_box) -> np.ndarray:
@@ -362,18 +435,19 @@ def _polish(ws: Workspace, beq, face):
     candidate violates most, until the measured KKT residual meets `_TOL`
     or the face stops changing; a certified face is kept as
     `ws.last_face`.
-    Returns the (x, kkt_residual) of the least residual seen.
+    Returns the (x, kkt_residual, objective) of the least residual seen,
+    the objective from the P x its residual formed.
     """
     n = ws.n
     face = np.where(ws.fixed, -1.0, face)
     best = None
     for _ in range(3 * n + 3):
-        x, y_new, res = _pinned_solve(ws, beq, face)
+        x, y_new, res, px = _pinned_solve(ws, beq, face)
         if best is None or res < best[1]:
-            best = (x, res)
+            best = (x, res, px)
         if res <= _TOL:
             ws.last_face = face
-            return best
+            break
         release = _wrong_signs(ws, face, y_new) > 0
         face[release] = 0.0
         changed = bool(release.any())
@@ -390,12 +464,13 @@ def _polish(ws: Workspace, beq, face):
             changed = True
         if not changed:
             break
-    return best
+    x, res, px = best
+    return x, res, float(0.5 * (x @ px) + ws.q @ x)
 
 
-def _phase1(ws: Workspace, beq, coef):
+def _phase1(ws: Workspace, beq):
     """Phase 1 of the walk: a point x of the box that minimizes
-    ||E x - c||, E = U_r' Aeq the range rows and c = U_r' beq (`coef`), by
+    ||E x - c||, E = U_r' Aeq the range rows and c = U_r' beq, by
     bounded-variable least squares (Stark and Parker, 1995): the walk from
     the minimum-norm solution of E x = c clipped to the box, with each
     step the minimum-norm least-squares step of the free columns of E.
@@ -403,6 +478,7 @@ def _phase1(ws: Workspace, beq, coef):
     Returns (x, face, status): the point, the face it ended on, and
     "infeasible" when the walk reached the minimum and that minimum
     exceeds 1e-9 of max(||beq||, || |E| |x| ||), else None."""
+    coef = ws.eq_range.T @ beq
     E, x_ls = ws.eq_rows, ws.eq_solve @ coef
     x = np.clip(x_ls, ws.lb, ws.ub)
     face = np.where(x == ws.lb, -1.0, np.where(x == ws.ub, 1.0, 0.0))

@@ -148,6 +148,24 @@ def lstsq_calls(monkeypatch) -> list:
     return calls
 
 
+def bordered_face_errors(ws, beq, face) -> tuple[float, float]:
+    """How far the face `face` of the workspace `ws`, bordered from its
+    base, lies from the face's own certified LU on Aeq's range rows, folded
+    back to Aeq's rows: the largest entry of the difference of the two
+    inverses over the largest of the LU's, and the largest difference of
+    the x they solve for with right-hand side `beq`, over max(1, max |x|).
+    Both factorizations must certify."""
+    pins = qp._pins(face)
+    bordered, direct = qp._bordered(ws.base, pins), qp._range_inverse(ws, pins)
+    rhs = np.concatenate([ws.neg_q, beq, np.where(face < 0, ws.lb, ws.ub)[pins]])
+    x, x_direct = (bordered @ rhs)[: ws.n], (direct @ rhs)[: ws.n]
+    scale = max(1.0, float(np.abs(x_direct).max(initial=0.0)))
+    return (
+        float(np.abs(bordered - direct).max() / np.abs(direct).max()),
+        float(np.abs(x - x_direct).max(initial=0.0) / scale),
+    )
+
+
 def load_config(name: str) -> dict:
     return json.loads(files("willems").joinpath(f"configs/{name}").read_text())
 

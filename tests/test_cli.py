@@ -10,7 +10,8 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from willems import cli, multiagent, trajectory_from_csv
+from conftest import bordered_face_errors
+from willems import cli, multiagent, qp, trajectory_from_csv
 from willems.cli import main
 from willems.qp import QpSolution
 from willems.subspace import Verdict
@@ -353,9 +354,9 @@ def test_outputs_are_reproducible_bitwise(tmp_path, capsys):
 # round the last digits differently and move them.
 BUNDLED_SHA256 = {
     "deepc": {
-        "closed_loop.csv": "847acbe51f8f61e120c3634b14666684514b8604f19ae60fd8206a8c98867cdc",
-        "closed_loop_plot.csv": "c57e1a98135ee83d6477d8d0a4eecb1c7e239a3257636f329fe84ad3f68e471e",
-        "controller_diff.csv": "3ff65096401b3ad5f8a7dbdf38d1b780d940f95c33f14d92ac6088d8b9870e17",
+        "closed_loop.csv": "627bc62f0b6851c24847055a023ca6377386b3a4ca2b80faf0af953b1cd00c5a",
+        "closed_loop_plot.csv": "aa6176ba75590559e9b7daa791805dda682c4cdcc1488bd611a9ecbbb8899576",
+        "controller_diff.csv": "68ebec428605914cf793ef1170ecb37e8be0aff582bde656c01635ff9575c18d",
     },
     "identify": {
         "recovery_report.csv": "e4451e72d68f8a4e4f9c374678f65a2e56e2cd8c9ba25fbec87e59d423095dbd",
@@ -367,7 +368,7 @@ BUNDLED_SHA256 = {
 }
 # the same bundled closed_loop.csv with `iterations` dropped too: that
 # column counts the solver's path, the rest are its answers
-DEEPC_ANSWERS_SHA256 = "e918415ae2ad2291e2c76d6a85bc7ddcc1dabeb5955959f675819c0381a9964a"
+DEEPC_ANSWERS_SHA256 = "e85d56efc691f41b1f5eecbd4b455da9543af41519d63131f6089fdd23f48678"
 # the same bundled closed_loop.csv reduced to t, phase, iterations and
 # status: the path the solver took at each step, without its answers
 DEEPC_PATH_SHA256 = "486554cbebca481fd5b40260fb0a4a3f6f9593fd1f8b6fb2bdabadad95821886"
@@ -508,16 +509,54 @@ def test_bundled_theorem1_certifies_every_image_check(
 
 
 def test_bundled_deepc_factors_every_qp_face_by_lu(
-    tmp_path, capsys, svd_calls, inv_calls
+    tmp_path, capsys, monkeypatch, svd_calls, inv_calls
 ):
     # 5 SVDs: DeePC's Hu^+, the cut of each window's O (2) and each
-    # workspace's Aeq (2). The 16 QP faces the loop visits are each factored
-    # by LU, and nothing else is inverted; with an SVD per face this run
-    # took 16 SVDs
+    # workspace's Aeq (2). Each workspace factors its base by LU, the empty
+    # face's KKT matrix of order n + r = 33; every other face the loop
+    # visits is bordered from it through one inverse of order j, its pins,
+    # and nothing else is inverted. With an LU per face this run took 16
+    # inverses of order 33 to 36, and with an SVD per face 16 SVDs
+    per_face, face = [], qp.Workspace.face
+
+    def recording(ws, pins):
+        before = len(inv_calls)
+        entry = face(ws, pins)
+        per_face.append((entry[1].size, inv_calls[before:]))
+        return entry
+
+    monkeypatch.setattr(qp.Workspace, "face", recording)
     cfg = bundled_config("fig1_deepc.json")
     assert run(tmp_path, "deepc", cfg, out=tmp_path / "out") == 0
     assert len(svd_calls) == 5
-    assert len(inv_calls) == 16
+    assert len(inv_calls) == 12 and inv_calls.count((33, 33)) == 2
+    bordered = [calls for _, calls in per_face if calls]
+    assert len(bordered) == 10
+    assert all(calls == [(j, j)] for j, calls in per_face if calls)
+    capsys.readouterr()
+
+
+def test_bundled_deepc_faces_are_bordered_from_the_base_to_rounding(
+    tmp_path, capsys, monkeypatch
+):
+    # each of the 8 faces with pins that the bundled loop solves, over both
+    # controllers' workspaces, matches its own LU on the range rows in its
+    # inverse and its x to 1e-9 (the run borders 10 faces: the two-face
+    # cache evicts two that come back)
+    solved, pinned_solve = {}, qp._pinned_solve
+
+    def recording(ws, beq, face):
+        key = (id(ws), face.astype(np.int8).tobytes())
+        solved.setdefault(key, (ws, beq, face.copy()))
+        return pinned_solve(ws, beq, face)
+
+    monkeypatch.setattr(qp, "_pinned_solve", recording)
+    cfg = bundled_config("fig1_deepc.json")
+    assert run(tmp_path, "deepc", cfg, out=tmp_path / "out") == 0
+    faces = [(ws, beq, face) for ws, beq, face in solved.values() if face.any()]
+    assert len(faces) == 8
+    for ws, beq, face in faces:
+        assert max(bordered_face_errors(ws, beq, face)) <= 1e-9
     capsys.readouterr()
 
 
