@@ -519,9 +519,9 @@ def test_bundled_deepc_factors_every_qp_face_by_lu(
     # inverses of order 33 to 36, and with an SVD per face 16 SVDs
     per_face, face = [], qp.Workspace.face
 
-    def recording(ws, pins):
+    def recording(ws, signs):
         before = len(inv_calls)
-        entry = face(ws, pins)
+        entry = face(ws, signs)
         per_face.append((entry[1].size, inv_calls[before:]))
         return entry
 
