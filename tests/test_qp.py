@@ -541,22 +541,31 @@ def solve_recording_polishes(monkeypatch, seed):
     return sol, polished, x_ref
 
 
+# (seed, residual the case was first recorded at, residual now). A case's id
+# keeps its first residual, so a change to the numerics that moves a residual
+# does not rename the case
+SCALED_PROGRAMS = [
+    (6245, 3.9e-12, 7.1e-12),
+    (6854, 3.0e-12, 1.2e-12),
+    (7284, 9.1e-13, 9.1e-13),
+    (8146, 1.8e-12, 1.8e-12),
+    (5344, 9.2e-12, 2.9e-11),
+    (5025, 9.1e-12, 9.1e-12),
+    (5167, 1.9e-11, 7.3e-12),
+    (5600, 1.2e-9, 6.8e-11),
+    (5873, 2.7e-12, 2.7e-12),
+    (6052, 1.2e-11, 5.5e-12),
+    (6451, 3.2e-12, 5.5e-12),
+    (7008, 9.6e-11, 9.6e-11),
+    (8062, 4.1e-12, 4.1e-12),
+]
+
+
 @pytest.mark.parametrize(
     "seed, residual",
     [
-        (6245, 7.1e-12),
-        (6854, 1.2e-12),
-        (7284, 9.1e-13),
-        (8146, 1.8e-12),
-        (5344, 2.9e-11),
-        (5025, 9.1e-12),
-        (5167, 7.3e-12),
-        (5600, 6.8e-11),
-        (5873, 2.7e-12),
-        (6052, 5.5e-12),
-        (6451, 5.5e-12),
-        (7008, 9.6e-11),
-        (8062, 4.1e-12),
+        pytest.param(seed, residual, id=f"{seed}-{first}")
+        for seed, first, residual in SCALED_PROGRAMS
     ],
 )
 def test_scaled_programs_certify_on_the_first_polish(monkeypatch, seed, residual):
