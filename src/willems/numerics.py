@@ -98,6 +98,17 @@ def as_square(m, name: str) -> np.ndarray:
     return a
 
 
+def as_symmetric(m, name: str) -> np.ndarray:
+    """`as_square` of `m` symmetrized as (m + m')/2, which leaves a
+    symmetric matrix's bits alone. `m` must be symmetric within 1e-10 of
+    its largest entry, so a matrix passes or fails at every scale alike.
+    Outside ``__all__``, like `as_bound`."""
+    a = as_square(m, name)
+    if np.abs(a - a.T).max(initial=0.0) > 1e-10 * np.abs(a).max(initial=0.0):
+        raise ValueError(f"'{name}' is not symmetric")
+    return (a + a.T) / 2
+
+
 def as_bound(value, n: int, fill: float, name: str) -> np.ndarray:
     """Per-coordinate bound vector of length `n`.
 

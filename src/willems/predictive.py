@@ -39,7 +39,7 @@ import numpy as np
 from .hankel import is_collectively_pe
 from .lti import LtiSystem, Trajectory, TrajectorySet, simulate, write_csv
 from .numerics import (
-    as_bound, as_square, as_vector, empty_box, least_squares, pseudo_inverse_parts,
+    as_bound, as_symmetric, as_vector, empty_box, least_squares, pseudo_inverse_parts,
 )
 from .parameterize import ResponseOperators, build_trajectory_matrix, response_operators
 from .qp import QpSolution, QuadraticProgram, Workspace
@@ -70,16 +70,12 @@ class InfeasibleStep(RuntimeError):
 
 
 def _weight(w, name) -> np.ndarray:
-    """`w` symmetrized as (w + w')/2, which leaves a symmetric weight's
-    bits alone and makes the QP's P = 2 kron(I, w) exactly symmetric. The
-    symmetry and semidefiniteness tests are relative to w's largest entry,
-    so a weight passes or fails them at every scale alike."""
-    w = as_square(w, name)
-    tol = 1e-10 * np.abs(w).max(initial=0.0)
-    if np.abs(w - w.T).max(initial=0.0) > tol:
-        raise ValueError(f"'{name}' is not symmetric")
-    w = (w + w.T) / 2
-    if w.size and np.linalg.eigvalsh(w).min() < -tol:
+    """`w` symmetrized by `as_symmetric`, which makes the QP's
+    P = 2 kron(I, w) exactly symmetric. The semidefiniteness test, like
+    the symmetry test, is relative to w's largest entry, so a weight
+    passes or fails it at every scale alike."""
+    w = as_symmetric(w, name)
+    if w.size and np.linalg.eigvalsh(w).min() < -1e-10 * np.abs(w).max(initial=0.0):
         raise ValueError(f"'{name}' is not positive semidefinite")
     return w
 

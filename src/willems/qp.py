@@ -13,14 +13,18 @@ of coordinates to their bounds, and the program restricted to it is one
 linear KKT system. The cost may be singular and the equality rows
 rank-deficient, so that system may be singular too. `Workspace.face`
 borders it from the empty face's inverse, factored once by LU, when it can
-prove both nonsingular, and otherwise takes the face's own LU or the SVD
-pseudo-inverse. A solve goes:
+prove both nonsingular, and otherwise takes the SVD pseudo-inverse. A
+solve goes:
 
 1. The equality pre-check: a beq whose residual off the range of Aeq
    exceeds 1e-9 of its norm is infeasible.
 2. A polish from the face the last certified solve ended on. It solves the
    KKT system of each face it visits, releases pins whose multipliers have
-   the wrong sign and pins the bound the candidate violates most.
+   the wrong sign and pins the bound the candidate violates most. On the
+   face it ends on, a solve whose KKT residual exceeds 1e-2 of the
+   tolerance below takes one step of iterative refinement through the
+   same inverse (Skeel, Math. Comp. 35, 1980), which wins back what a
+   bordered face or a pseudo-inverse loses to rounding.
 3. A polish from the empty face.
 4. When neither certifies, a primal active-set walk over the same faces
    (Nocedal and Wright, *Numerical Optimization*, 2nd ed., §16.5). A
@@ -64,9 +68,9 @@ keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
   rows, an LU of order n + r kept when its residual certifies it
   nonsingular (`numerics.certified_inverse`), with U_r folded back in, so
   it takes beq and returns Aeq's multipliers;
-- the last two faces, each built once, when it is factored: the inverse
-  of its KKT matrix, its pins in `_pins` order and the bound values they
-  hold, so a face solve is one matrix-vector product. A face with j pins
+- the last face built, when it is factored: the inverse of its KKT
+  matrix, its pins in `_pins` order and the bound values they hold, so a
+  face solve on it is one matrix-vector product. A face with j pins
   p borders the empty face's KKT matrix with j rows and columns, and its
   inverse is W's block inverse update (Gill, Golub, Murray and Saunders,
   Math. Comp. 28, 1974; as in qpOASES, Ferreau, Bock and Diehl, IJRNC
@@ -75,19 +79,17 @@ keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
   It depends only on the face, not on the faces solved before it, so a
   cached face gives the same bits as a new one. When W or S does not
   certify, as for a singular P with a free direction that Aeq leaves
-  free, the face takes its own LU on the range rows, folded the same way,
-  and when that does not certify either, the minimum-norm pseudo-inverse
-  of its KKT matrix on Aeq, built from the SVD cut of
-  `numerics.pseudo_inverse_parts` (the rank ``numpy.linalg.lstsq``
-  uses). Whichever factorization found it, the measured KKT residual
-  certifies the answer;
+  free, the face takes the minimum-norm pseudo-inverse of its KKT matrix
+  on Aeq, built from the SVD cut of `numerics.pseudo_inverse_parts` (the
+  rank ``numpy.linalg.lstsq`` uses). Whichever factorization found it,
+  the measured KKT residual certifies the answer;
 - the face the last certifying polish ended on. A polish answer depends
   only on its final face and on beq, so a hit returns the bits a cold
   solve would, with 0 iterations.
 
-`iterations` counts the face solves of steps 3 and 4, phase 1's included;
-a solve that step 2 certifies reports 0, however many faces its polish
-visited.
+`iterations` counts the face solves of steps 3 and 4, phase 1's included,
+and not the refinement steps; a solve that step 2 certifies reports 0,
+however many faces its polish visited.
 `solve_qp(prob)` is `Workspace(prob).solve(prob.beq)`, so a one-off solve
 and a solve in a sequence take the same code path. Solutions carry the
 measured KKT residual; the objective is formed from the P x that residual
@@ -106,6 +108,7 @@ import numpy as np
 from .numerics import (
     as_bound,
     as_matrix,
+    as_symmetric,
     as_vector,
     certified_inverse,
     empty_box,
@@ -115,19 +118,18 @@ from .numerics import (
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
 
-_SYM_TOL = 1e-10
 # KKT residual a solution must reach to be optimal
 _TOL = 1e-8
 # relative size eps of a ray's curvature, equality residual and descent
 _RAY_TOL = 1e-6
-# face factorizations a workspace keeps; the least recently used goes first
-_FACES = 2
 
 
 @dataclass(frozen=True)
 class QuadraticProgram:
-    """Problem data. Bounds are per-coordinate, +-inf for absent ones; lb > ub,
-    lb = +inf or ub = -inf, which no value meets, raises ValueError.
+    """Problem data. P must be symmetric within 1e-10 of its largest entry
+    and is kept as (P + P')/2 (`numerics.as_symmetric`). Bounds are
+    per-coordinate, +-inf for absent ones; lb > ub, lb = +inf or ub = -inf,
+    which no value meets, raises ValueError.
     Absent equality rows (Aeq and beq both None) are stored as a 0 x n
     system: Aeq of shape (0, n) and an empty beq."""
 
@@ -139,13 +141,11 @@ class QuadraticProgram:
     ub: np.ndarray | None = None
 
     def __post_init__(self):
-        P = as_matrix(self.P, "P")
+        P = as_symmetric(self.P, "P")
         q = as_vector(self.q, "q")
         n = q.shape[0]
         if P.shape != (n, n):
             raise ValueError(f"P is {P.shape}, expected ({n}, {n})")
-        if np.abs(P - P.T).max(initial=0.0) > _SYM_TOL:
-            raise ValueError("P is not symmetric within 1e-10")
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "q", q)
         if (self.Aeq is None) != (self.beq is None):
@@ -200,15 +200,15 @@ class Workspace:
     `finite_ub`, `fixed` for lb == ub) and `neg_q`, -q, so no solve
     recomputes them, and `base`, the empty face's certified LU inverse on
     Aeq's range rows folded back to Aeq's rows (None when that LU does not
-    certify), factored once. It holds at most two faces (`face`), each
-    with its factorization (`base` bordered by the face's pins when both
-    it and their Schur complement certify, else the face's own LU inverse
-    on the range rows, else the SVD pseudo-inverse), its pins and their
-    bound values, and the last certified face (`last_face`: -1 for a
-    coordinate pinned to lb, +1 for one pinned to ub, 0 for a free one, or
-    None before the first certificate); drop it to free them. A warm step
-    that certifies on `last_face` then costs one cache lookup, one
-    matrix-vector product and one KKT residual.
+    certify), factored once. It holds one face, the last one built
+    (`face`), with its factorization (`base` bordered by the face's pins
+    when both it and their Schur complement certify, else the SVD
+    pseudo-inverse), its pins and their bound values, and the last
+    certified face (`last_face`: -1 for a coordinate pinned to lb, +1 for
+    one pinned to ub, 0 for a free one, or None before the first
+    certificate); drop it to free them. A warm step that certifies on
+    `last_face` then costs one cache lookup, one matrix-vector product and
+    one KKT residual.
     """
 
     def __init__(self, prob: QuadraticProgram):
@@ -235,45 +235,34 @@ class Workspace:
         # bordered; None when that LU does not certify
         self.base = _range_inverse(self, _pins(np.zeros(n)))
         self.last_face = None
-        self._faces = {}
+        self._face = (None, None)  # the key and entry of the last face built
         self._solves = 0  # face solves, `QpSolution.iterations`' count
 
     def face(self, face):
-        """The cache entry of the face `face` (-1/0/+1 as `last_face`),
-        built once, when the face is factored: (inv, pins, bounds). `inv`
-        is the inverse of the face's KKT matrix, Aeq rows first, then the
-        pins in `_pins` order, mapped to Aeq's rows: `base` itself for the
-        empty face; for a face with j pins, `base` bordered by them
-        (`_bordered`, a j x j inverse), or, when the base or their Schur
-        complement does not certify, the certified LU inverse of the
-        face's matrix on Aeq's range rows; else the minimum-norm
-        pseudo-inverse of the matrix on Aeq. The empty face does not retry
-        the LU the base tried. `pins` is `_pins(face)` and `bounds` the
-        values the pins hold, in the same order."""
+        """The cache entry of the face `face` (-1/0/+1 as `last_face`):
+        (inv, pins, bounds), kept until another face is asked for, so
+        asking for the same face again builds nothing. `inv` is the
+        inverse of the face's KKT matrix, Aeq rows first, then the pins in
+        `_pins` order, mapped to Aeq's rows: `base` itself for the empty
+        face; for a face with j pins, `base` bordered by them (`_bordered`,
+        a j x j inverse); when the base or their Schur complement does not
+        certify, the minimum-norm pseudo-inverse of the matrix on Aeq. The
+        empty face does not retry the LU the base tried. `pins` is
+        `_pins(face)` and `bounds` the values the pins hold, in the same
+        order."""
         self._solves += 1
         key = face.astype(np.int8).tobytes()  # its signs: -0.0 keys as 0.0
-        entry = self._faces.pop(key, None)
-        if entry is None:
-            # evict first, so the new factorization is built beside one
-            # kept face, not two
-            if len(self._faces) == _FACES:
-                del self._faces[next(iter(self._faces))]
+        if self._face[0] != key:
             pins = _pins(face)
-            if not pins.size:
-                inv = self.base  # None: its LU was tried and did not certify
-            else:
-                inv = None if self.base is None else _bordered(self.base, pins)
-                if inv is None:
-                    inv = _range_inverse(self, pins)
+            inv = self.base  # None: its LU was tried and did not certify
+            if pins.size and inv is not None:
+                inv = _bordered(inv, pins)
             if inv is None:
-                pinned = np.eye(self.n)[pins]
-                u, s, v = pseudo_inverse_parts(
-                    _kkt_matrix(self.P, np.vstack([self.Aeq, pinned]))
-                )
+                kkt = _kkt_matrix(self.P, np.vstack([self.Aeq, np.eye(self.n)[pins]]))
+                u, s, v = pseudo_inverse_parts(kkt)
                 inv = (v / s) @ u.T
-            entry = (inv, pins, np.where(face < 0, self.lb, self.ub)[pins])
-        self._faces[key] = entry
-        return entry
+            self._face = key, (inv, pins, np.where(face < 0, self.lb, self.ub)[pins])
+        return self._face[1]
 
     def solve(self, beq) -> QpSolution:
         """Solve the program with equality right-hand side `beq`; see the
@@ -330,7 +319,9 @@ def _range_inverse(ws: Workspace, pins):
     """The inverse of the KKT matrix of the face that pins `pins`, on Aeq's
     range rows, when its LU certifies it (`certified_inverse`), folded back
     to Aeq's rows: beq enters as U_r' beq and y_eq is U_r y_r. None when the
-    LU does not certify."""
+    LU does not certify. A workspace factors only its base, the empty
+    face, this way; for a face with pins it is the reference a bordered
+    inverse can be checked against."""
     n, U = ws.n, ws.eq_range
     r = U.shape[1]
     inv = certified_inverse(
@@ -397,20 +388,33 @@ def _pins(face) -> np.ndarray:
     return np.concatenate([np.flatnonzero(face < 0), np.flatnonzero(face > 0)])
 
 
-def _pinned_solve(ws: Workspace, beq, face):
+def _pinned_solve(ws: Workspace, beq, face, solved=None):
     """KKT solve with the coordinates `face` pins held at their bounds,
     through the face's cache entry (`Workspace.face`). Returns (x, y_box,
-    kkt_residual, P x); a wrong face, or one along which the objective is
-    unbounded, shows in the residual."""
+    kkt_residual, P x, sol), sol the solution of the face's KKT system: x,
+    Aeq's multipliers, then the pins'. A wrong face, or one along which
+    the objective is unbounded, shows in the residual.
+
+    Given `solved`, this function's answer on the face the workspace built
+    last, it takes instead one step of iterative refinement (Skeel, Math.
+    Comp. 35, 1980) from it through the same inverse, sol + inv (rhs -
+    K sol), the rows of K sol formed from P x, the multipliers and x; that
+    step is not counted as a face solve."""
     n, me = ws.n, beq.shape[0]
-    inv, pins, bounds = ws.face(face)
-    sol = inv @ np.concatenate([ws.neg_q, beq, bounds])
+    if solved is None:
+        inv, pins, bounds = ws.face(face)
+        sol = inv @ np.concatenate([ws.neg_q, beq, bounds])
+    else:
+        x, y_box, _, px, sol = solved
+        inv, pins, bounds = ws._face[1]
+        station = ws.neg_q - px - y_box - ws.Aeq.T @ sol[n : n + me]
+        sol = sol + inv @ np.concatenate([station, beq - ws.Aeq @ x, bounds - x[pins]])
     x = sol[:n]
-    y_eq = sol[n : n + me]
     y_box = np.zeros(n)
     y_box[pins] = sol[n + me :]
     px = ws.P @ x
-    return x, y_box, _kkt_residual(ws, beq, x, y_eq, y_box, pins, px), px
+    res = _kkt_residual(ws, beq, x, sol[n : n + me], y_box, pins, px)
+    return x, y_box, res, px, sol
 
 
 def _wrong_signs(ws: Workspace, face, y_box) -> np.ndarray:
@@ -434,7 +438,9 @@ def _polish(ws: Workspace, beq, face):
     whose multipliers came back wrong-signed, and pins the bound the
     candidate violates most, until the measured KKT residual meets `_TOL`
     or the face stops changing; a certified face is kept as
-    `ws.last_face`.
+    `ws.last_face`. On the face it ends on, a residual above 1e-2 `_TOL`
+    takes one step of iterative refinement (`_pinned_solve`), and the
+    point of the lower residual is kept.
     Returns the (x, kkt_residual, objective) of the least residual seen,
     the objective from the P x its residual formed.
     """
@@ -442,26 +448,31 @@ def _polish(ws: Workspace, beq, face):
     face = np.where(ws.fixed, -1.0, face)
     best = None
     for _ in range(3 * n + 3):
-        x, y_new, res, px = _pinned_solve(ws, beq, face)
+        x, y_new, res, px, _ = solved = _pinned_solve(ws, beq, face)
+        changed = False
+        if res > _TOL:
+            release = _wrong_signs(ws, face, y_new) > 0
+            face[release] = 0.0
+            changed = bool(release.any())
+            # pin only the single worst violation; adding every violated
+            # bound at once can overshoot into an infeasible face
+            feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))
+            below = np.where(ws.finite_lb, ws.lb - x, -np.inf)
+            above = np.where(ws.finite_ub, x - ws.ub, -np.inf)
+            gap = np.maximum(below, above)
+            gap[face != 0] = -np.inf
+            worst = int(np.argmax(gap))  # the first index wins a tie
+            if gap[worst] > feas:
+                face[worst] = -1.0 if below[worst] > above[worst] else 1.0
+                changed = True
+        if not changed and res > 1e-2 * _TOL:
+            refined = _pinned_solve(ws, beq, face, solved)
+            x, _, res, px, _ = min(solved, refined, key=lambda point: point[2])
         if best is None or res < best[1]:
             best = (x, res, px)
         if res <= _TOL:
             ws.last_face = face
             break
-        release = _wrong_signs(ws, face, y_new) > 0
-        face[release] = 0.0
-        changed = bool(release.any())
-        # pin only the single worst violation; adding every violated bound
-        # at once can overshoot into an infeasible face
-        feas = 1e-11 * max(1.0, float(np.abs(x).max(initial=0.0)))
-        below = np.where(ws.finite_lb, ws.lb - x, -np.inf)
-        above = np.where(ws.finite_ub, x - ws.ub, -np.inf)
-        gap = np.maximum(below, above)
-        gap[face != 0] = -np.inf
-        worst = int(np.argmax(gap))  # the first index wins a tie
-        if gap[worst] > feas:
-            face[worst] = -1.0 if below[worst] > above[worst] else 1.0
-            changed = True
         if not changed:
             break
     x, res, px = best

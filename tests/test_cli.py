@@ -515,9 +515,12 @@ def test_bundled_deepc_factors_every_qp_face_by_lu(
     # workspace's Aeq (2). Each workspace factors its base by LU, the empty
     # face's KKT matrix of order n + r = 33; every other face the loop
     # visits is bordered from it through one inverse of order j, its pins,
-    # and nothing else is inverted. With an LU per face this run took 16
-    # inverses of order 33 to 36, and with an SVD per face 16 SVDs
+    # and nothing else is inverted: 12 faces, built in the workspace's one
+    # slot, and no step of iterative refinement. With an LU per face this
+    # run took 16 inverses of order 33 to 36, and with an SVD per face 16
+    # SVDs
     per_face, face = [], qp.Workspace.face
+    refined, pinned_solve = [], qp._pinned_solve
 
     def recording(ws, signs):
         before = len(inv_calls)
@@ -525,13 +528,19 @@ def test_bundled_deepc_factors_every_qp_face_by_lu(
         per_face.append((entry[1].size, inv_calls[before:]))
         return entry
 
+    def solving(*args):
+        # a refinement passes the point it refines; record its residual
+        refined.extend(point[2] for point in args[3:])
+        return pinned_solve(*args)
+
     monkeypatch.setattr(qp.Workspace, "face", recording)
+    monkeypatch.setattr(qp, "_pinned_solve", solving)
     cfg = bundled_config("fig1_deepc.json")
     assert run(tmp_path, "deepc", cfg, out=tmp_path / "out") == 0
-    assert len(svd_calls) == 5
-    assert len(inv_calls) == 12 and inv_calls.count((33, 33)) == 2
+    assert len(svd_calls) == 5 and not refined
+    assert len(inv_calls) == 14 and inv_calls.count((33, 33)) == 2
     bordered = [calls for _, calls in per_face if calls]
-    assert len(bordered) == 10
+    assert len(bordered) == 12
     assert all(calls == [(j, j)] for j, calls in per_face if calls)
     capsys.readouterr()
 
@@ -541,8 +550,8 @@ def test_bundled_deepc_faces_are_bordered_from_the_base_to_rounding(
 ):
     # each of the 8 faces with pins that the bundled loop solves, over both
     # controllers' workspaces, matches its own LU on the range rows in its
-    # inverse and its x to 1e-9 (the run borders 10 faces: the two-face
-    # cache evicts two that come back)
+    # inverse and its x to 1e-9 (the run borders 12 faces: the one-face
+    # slot rebuilds four that come back)
     solved, pinned_solve = {}, qp._pinned_solve
 
     def recording(ws, beq, face):

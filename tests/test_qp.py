@@ -25,6 +25,19 @@ def test_problem_validation():
     assert prob.objective([1.0, 0.0]) == pytest.approx(1.5)
 
 
+def test_symmetry_of_p_is_judged_relative_to_its_size():
+    # P = s J'WJ, symmetric to rounding, is accepted at every scale and
+    # stored as (P + P')/2; a P skewed by 1e-6 of its largest entry is
+    # rejected at every scale
+    rng = np.random.default_rng(36)
+    J, w, K = rng.normal(size=(9, 6)), rng.uniform(0.5, 2.0, 9), rng.normal(size=(6, 6))
+    for k in range(-6, 10):
+        P = 10.0**k * (J.T * w) @ J
+        assert np.array_equal(QuadraticProgram(P, np.zeros(6)).P, (P + P.T) / 2)
+        with pytest.raises(ValueError, match="symmetric"):
+            QuadraticProgram(P + 1e-6 * np.abs(P).max() * (K - K.T), np.zeros(6))
+
+
 def test_absent_equality_rows_are_an_empty_system():
     # a program without equality rows is the 0 x n system, and solves to
     # the same bits as that system passed explicitly
@@ -319,15 +332,15 @@ def test_a_face_is_bordered_from_the_base_to_rounding():
 def test_a_face_with_a_singular_schur_complement_takes_the_svd(svd_calls, inv_calls):
     # x_0 + x_1 = 1 with both coordinates pinned: three rows on two
     # variables. The base certifies, but S = W[p, p], its x-block
-    # I - 11'/2, is singular, so the face tries its own LU on the range
-    # rows, which is singular too, and keeps the SVD's pseudo-inverse
+    # I - 11'/2, is singular, so the face takes the SVD's pseudo-inverse
+    # of its KKT matrix, which is singular too
     box = dict(lb=[0.0, 0.0], ub=[1.0, 1.0])
     prob = QuadraticProgram(np.eye(2), np.zeros(2), Aeq=[[1.0, 1.0]], beq=[1.0], **box)
     ws = Workspace(prob)
     assert ws.base is not None and inv_calls == [(3, 3)]
     svd_calls.clear()
     inv = ws.face(np.array([-1.0, 1.0]))[0]
-    assert inv_calls[1:] == [(2, 2), (5, 5)] and svd_calls == [(5, 5)]
+    assert inv_calls[1:] == [(2, 2)] and svd_calls == [(5, 5)]
     rows = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
     kkt = np.block([[np.eye(2), rows.T], [rows, np.zeros((3, 3))]])
     u, s, v = pseudo_inverse_parts(kkt)
@@ -550,13 +563,13 @@ SCALED_PROGRAMS = [
     (7284, 9.1e-13, 9.1e-13),
     (8146, 1.8e-12, 1.8e-12),
     (5344, 9.2e-12, 2.9e-11),
-    (5025, 9.1e-12, 9.1e-12),
+    (5025, 9.1e-12, 2.7e-12),
     (5167, 1.9e-11, 7.3e-12),
     (5600, 1.2e-9, 6.8e-11),
     (5873, 2.7e-12, 2.7e-12),
     (6052, 1.2e-11, 5.5e-12),
     (6451, 3.2e-12, 5.5e-12),
-    (7008, 9.6e-11, 9.6e-11),
+    (7008, 9.6e-11, 3.6e-12),
     (8062, 4.1e-12, 4.1e-12),
 ]
 
@@ -571,15 +584,50 @@ SCALED_PROGRAMS = [
 def test_scaled_programs_certify_on_the_first_polish(monkeypatch, seed, residual):
     # scaled by 10^3, these programs' faces are badly conditioned (5344's
     # last one has sigma_min / sigma_1 = 2.15e-9); through LU inverses kept
-    # at the cutoff k eps a polish certifies, where no polish through the
-    # pseudo-inverse of their SVD reaches 1e-8. Ten of the last faces are
+    # at the cutoff k eps a polish certifies. Ten of the last faces are
     # bordered from the base; 7284, 5025 and 7008, whose base does not
-    # certify, take their own LU. The polish from the empty
-    # face certifies all but three, which certify on the polish of the face
-    # the active-set walk ends on
+    # certify, take the pseudo-inverse of their SVD, whose solve ends at
+    # 1.4e-8, 1.1e-8 and 1.2e-7 and certifies after one step of iterative
+    # refinement. The polish from the empty face certifies all but three,
+    # which certify on the polish of the face the active-set walk ends on
     sol, polished, x_ref = solve_recording_polishes(monkeypatch, seed)
     assert len(polished) == (2 if seed in (7284, 5167, 6052) else 1)
     assert polished[-1][1] == sol.kkt_residual
     assert sol.status == "optimal"
     assert sol.kkt_residual == pytest.approx(residual, rel=0.05)
     assert np.allclose(sol.x, x_ref, atol=1e-6)
+
+
+def scaled_program(seed, singular):
+    """The seeded `random_box_qp` with P and q scaled by 10^k, k drawn
+    from -3..3 after it: (P, q, Aeq, beq, lb, ub)."""
+    rng = np.random.default_rng(seed)
+    P, q, Aeq, beq, lb, ub = random_box_qp(rng, singular=singular)
+    scale = 10.0 ** rng.integers(-3, 4)
+    return scale * P, scale * q, Aeq, beq, lb, ub
+
+
+# seeds of the scaled family whose last face, bordered from the base,
+# certified at 9.26e-9, 5.04e-9 and 2.91e-9 before it took a step of
+# iterative refinement
+@pytest.mark.parametrize("seed", [8781, 5556, 7119])
+def test_a_refined_face_certifies_with_margin(seed):
+    sol = solve_qp(QuadraticProgram(*scaled_program(seed, seed % 3 == 0)))
+    assert sol.status == "optimal" and sol.kkt_residual <= 1e-10
+
+
+# programs of the scaled family's generator with a singular P on even
+# seeds, whose polishes ended at KKT residuals from 1.1e-8 to 1.9e-4
+# (max_iter) before the last face took a step of iterative refinement
+@pytest.mark.parametrize(
+    "seed",
+    [20914, 21108, 22158, 22892, 23104, 23254]
+    + [23274, 23364, 23654, 24040, 25292, 25800],
+)
+def test_stress_programs_certify_after_refinement(seed):
+    data = scaled_program(seed, seed % 2 == 0)
+    sol = solve_qp(QuadraticProgram(*data))
+    ref_obj, ref_x, unique = solve_reference(*data)
+    assert sol.status == "optimal" and unique
+    assert np.allclose(sol.x, ref_x, rtol=0, atol=1e-9)
+    assert sol.objective == pytest.approx(ref_obj, rel=1e-9, abs=1e-9)
