@@ -488,16 +488,12 @@ def _trajectory(raw, field: str) -> Trajectory:
 
 
 def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
-    field = "trajectories"
-    entries = cfg.get(field)
-    if entries is None:
-        field = "trajectory"
-        entries = [_require(cfg, field)]
+    entries = _require(cfg, "trajectories")
     if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"config field '{field}' lists no trajectory")
+        raise ConfigError("config field 'trajectories' lists no trajectory")
     trajs = []
     for i, entry in enumerate(entries):
-        name = field if field == "trajectory" else f"{field}[{i}]"
+        name = f"trajectories[{i}]"
         if isinstance(entry, dict):
             name += ".inputs"
             entry = _floats(_require(entry, "inputs"), name)
@@ -510,7 +506,7 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
     try:
         data = TrajectorySet(tuple(trajs))
     except ValueError as exc:
-        raise ConfigError(f"config field '{field}': {exc}") from exc
+        raise ConfigError(f"config field 'trajectories': {exc}") from exc
     order = pe_order(data)
     print(f"collective excitation order: {order}")
     return 0
@@ -525,7 +521,7 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
         field, read = ("input", _string) if "input" in cfg else ("inputs", _floats)
         u = _trajectory(read(cfg[field], field), field).inputs
     else:
-        field = "T" if "T" in cfg else "length"
+        field = "T"
         if field not in cfg:
             raise ConfigError("need 'input', 'inputs', or a length 'T'")
         T = _count(cfg, field)

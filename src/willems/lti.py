@@ -212,7 +212,7 @@ def random_input(
     if low >= high:
         raise ValueError(f"low={low} must be < high={high}")
     if T < 1 or m < 1:
-        raise ValueError("T and m must be positive")
+        raise ValueError(f"T and m must be positive, got T={T}, m={m}")
     rng = np.random.default_rng(seed)
     return rng.uniform(low, high, size=(T, m))
 

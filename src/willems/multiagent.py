@@ -198,12 +198,12 @@ def markov_from_data(data: TrajectorySet, n: int, kmax: int) -> MarkovParams:
     m(n+1)+pn rows of that demand involve only already-known quantities, so
     G_k is their minimum-norm least-squares solution; the last p rows then
     read off M_k. The known rows are factored once, by one SVD cut at the
-    rank `numpy.linalg.lstsq` would use, and every M_k is one product of
-    the readout map that SVD gives. The residual of each solve doubles as a
-    consistency check: on data that no LTI plant of the assumed order
-    generated, it blows past `_FIT_RTOL` and the solve is rejected. Output
-    rows are first scaled by a power of two to the inputs' size, so the
-    accuracy does not depend on the plant's gain.
+    rank `svd_rank` gives, and every M_k is one product of the readout map
+    that SVD gives. The residual of each solve doubles as a consistency
+    check: on data that no LTI plant of the assumed order generated, it
+    blows past `_FIT_RTOL` and the solve is rejected. Output rows are first
+    scaled by a power of two to the inputs' size, so the accuracy does not
+    depend on the plant's gain.
     """
     if kmax < 1:
         raise ValueError(f"kmax must be positive, got {kmax}")

@@ -2,11 +2,12 @@
 
 Every rank decision follows one policy, applied by `svd_rank`: a singular
 value counts as nonzero when it exceeds ``max(rows, cols) * eps *
-sigma_max``, the cutoff of ``numpy.linalg.matrix_rank``; `least_squares`
-applies the same cutoff through LAPACK's gelsd (``numpy.linalg.lstsq`` with
-``rcond=None``). The routines are SVD-backed, with two exceptions that
-decide the same way, each far cheaper than an SVD, and when they cannot
-prove full rank under that cutoff the caller asks the SVD:
+sigma_max``, the cutoff of ``numpy.linalg.matrix_rank``, on the singular
+values of ``numpy.linalg.svd``; `least_squares` solves through the same
+cut (`pseudo_inverse_parts`), so no routine asks LAPACK for a rank of its
+own. The routines are SVD-backed, with two exceptions that decide the
+same way, each far cheaper than an SVD, and when they cannot prove full
+rank under that cutoff the caller asks the SVD:
 
 - `cholesky_certificate` proves it by a shifted Cholesky factorization of
   a Gram matrix, which comes with the bound on its rounding error that
@@ -155,8 +156,8 @@ def svd_rank(s, shape) -> int:
 
 def pseudo_inverse_parts(a):
     """(U_r, s_r, V_r) of the float matrix `a`, cut at the rank `svd_rank`
-    gives, the rank ``numpy.linalg.lstsq`` uses; `a` may have no rows or no
-    columns, and numpy's SVD then returns empty factors. Outside
+    gives, the cut `least_squares` solves through; `a` may have no rows or
+    no columns, and numpy's SVD then returns empty factors. Outside
     ``__all__``, like `svd_rank`."""
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     rank = svd_rank(s, a.shape)
@@ -545,20 +546,20 @@ def least_squares(a, b) -> tuple[np.ndarray, float]:
     Returns ``(x, residual_norm)`` where `x` minimizes the Frobenius norm of
     ``a @ x - b`` and, among all minimizers, has minimum norm. `b` may be a
     vector or a matrix; the solution has the matching shape.
+
+    x = V_r diag(1/s_r) U_r^T b, from the SVD of `a` cut at the rank
+    `svd_rank` gives (`pseudo_inverse_parts`), so the rank behind the
+    solve is the one every rank decision of the package takes.
     """
     a2 = as_matrix(a, "a")
-    b_arr = np.asarray(b, dtype=float)
-    vector_rhs = b_arr.ndim == 1
-    b2 = as_matrix(b_arr, "b")
+    b2 = as_vector(b, "b") if np.ndim(b) == 1 else as_matrix(b, "b")
     if a2.shape[0] != b2.shape[0]:
         raise ValueError(
             f"row mismatch: a has {a2.shape[0]} rows, b has {b2.shape[0]}"
         )
-    x, _, _, _ = np.linalg.lstsq(a2, b2, rcond=None)
-    residual = float(np.linalg.norm(a2 @ x - b2))
-    if vector_rhs:
-        x = x.reshape(-1)
-    return x, residual
+    u, s, v = pseudo_inverse_parts(a2)
+    x = (v / s) @ (u.T @ b2)
+    return x, float(np.linalg.norm(a2 @ x - b2))
 
 
 def orthonormal_image(m) -> np.ndarray:

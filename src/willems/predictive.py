@@ -322,7 +322,9 @@ class ClosedLoopLog:
     non-applied controller's step results.
     `completed` is False when a step ended without an optimal solution and
     the run aborted; that step's status is the last entry of `statuses`,
-    and its iterations and residual are those of the failed solve.
+    and its iterations and residual are those of the failed solve, not the
+    applied controller's: when both controllers ran and the compared one
+    failed, they are the compared controller's.
     """
 
     inputs: np.ndarray

@@ -81,8 +81,8 @@ keeps what depends only on the fixed data (P, q, Aeq, lb, ub):
   certify, as for a singular P with a free direction that Aeq leaves
   free, the face takes the minimum-norm pseudo-inverse of its KKT matrix
   on Aeq, built from the SVD cut of `numerics.pseudo_inverse_parts` (the
-  rank ``numpy.linalg.lstsq`` uses). Whichever factorization found it,
-  the measured KKT residual certifies the answer;
+  rank `svd_rank` gives). Whichever factorization found it, the measured
+  KKT residual certifies the answer;
 - the face the last certifying polish ended on. A polish answer depends
   only on its final face and on beq, so a hit returns the bits a cold
   solve would, with 0 iterations.

@@ -133,21 +133,6 @@ def peak_alloc():
         tracemalloc.stop()
 
 
-@pytest.fixture
-def lstsq_calls(monkeypatch) -> list:
-    """Shape of the matrix of every np.linalg.lstsq call while the test
-    runs, like `svd_calls`."""
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counting)
-    return calls
-
-
 def bordered_face_errors(ws, beq, face) -> tuple[float, float]:
     """How far the face `face` of the workspace `ws`, bordered from its
     base, lies from the face's own certified LU on Aeq's range rows, folded

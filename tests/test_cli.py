@@ -60,7 +60,8 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
     assert main(argv) == 2
     first = capsys.readouterr().err
     assert main(argv) == 2 and capsys.readouterr().err == first
-    assert run(tmp_path, "check-pe", {"trajectory": {"inputs": [1.0, -1.0, 2.0]}}) == 0
+    cfg = {"trajectories": [{"inputs": [1.0, -1.0, 2.0]}]}
+    assert run(tmp_path, "check-pe", cfg) == 0
     assert cli._parser.cache_info().currsize == 1
 
 
@@ -115,13 +116,31 @@ def test_check_pe_on_csv_and_inline(tmp_path, capsys):
     out = tmp_path / "out"
     run(tmp_path, "simulate", {"system": plant_section(), "T": 12}, seed=1, out=out)
     capsys.readouterr()
-    cfg = {"trajectory": str(out / "trajectory.csv")}
+    cfg = {"trajectories": [str(out / "trajectory.csv")]}
     assert run(tmp_path, "check-pe", cfg) == 0
     said = capsys.readouterr().out
     assert "order" in said
     cfg = {"trajectories": [{"inputs": [[1.0], [2.0], [4.0], [9.0]]}]}
     assert run(tmp_path, "check-pe", cfg) == 0
     assert "order: 2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "command, cfg, field",
+    [
+        ("check-pe", {"trajectory": {"inputs": [1.0, -1.0, 2.0]}}, "trajectories"),
+        ("simulate", {"system": plant_section(), "length": 6}, "T"),
+    ],
+    ids=["check-pe-trajectory", "simulate-length"],
+)
+def test_a_retired_alias_exits_2_naming_the_field_read(
+    tmp_path, capsys, command, cfg, field
+):
+    out = tmp_path / "o"
+    assert run(tmp_path, command, cfg, out=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{field}'" in err
+    assert not out.exists()
 
 
 def test_verify_theorem1_random_recipe(tmp_path, capsys):
@@ -452,7 +471,7 @@ def pe_verdicts(caplog):
 
 
 def test_bundled_identify_certifies_every_pe_verdict_by_cholesky(
-    tmp_path, capsys, caplog, svd_calls, lstsq_calls
+    tmp_path, capsys, caplog, svd_calls
 ):
     # 13 verdicts, every one certified, and only 4 factorizations, all
     # SVDs: the controllability test, the data matrix's rank cap, the
@@ -467,7 +486,6 @@ def test_bundled_identify_certifies_every_pe_verdict_by_cholesky(
     assert all(": cholesky of the " in v[-1] for v in verdicts)
     assert all(v[-1].endswith(": True") for v in verdicts)
     assert len(svd_calls) == 4
-    assert not lstsq_calls
     work = importlib.import_module("willems.hankel")._STRUCTURED_GRAM_WORK
     for route, order, rows, cols, _ in verdicts:
         inputs = rows // order
@@ -611,7 +629,6 @@ def csv_bytes(out):
         ("deepc", bundled_config("fig1_deepc.json", K=30), "y_max"),
         ("deepc", bundled_config("fig1_deepc.json", K=30), "controller"),
         ("verify-theorem1", {"random": {"count": 2}}, "random.n_max"),
-        ("check-pe", {"trajectories": [{"inputs": [1, 3, 2]}]}, "trajectory"),
     ],
     ids=[
         "simulate-x0",
@@ -620,7 +637,6 @@ def csv_bytes(out):
         "deepc-y-max",
         "deepc-controller",
         "theorem1-random-n-max",
-        "check-pe-trajectory",
     ],
 )
 def test_null_field_writes_what_the_absent_field_writes(
@@ -732,7 +748,7 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
     if content is not None:
         path.write_text(content)
     for command, cfg, field in (
-        ("check-pe", {"trajectory": str(path)}, "trajectory"),
+        ("check-pe", {"trajectories": [str(path)]}, "trajectories[0]"),
         ("simulate", {"system": plant_section(), "input": str(path)}, "input"),
     ):
         assert run(tmp_path, command, cfg, out=tmp_path / "o") == 2
@@ -1012,7 +1028,6 @@ def test_malformed_fields_never_raise_and_exit_2_writing_nothing(tmp_path, capsy
         ("simulate", {"system": plant, "input": str(csv)}),
         ("simulate", {"system": plant, "inputs": [[0.1], [0.2]]}),
         ("check-pe", {"trajectories": [{"inputs": [[1.0], [2.0], [4.0]]}, str(csv)]}),
-        ("check-pe", {"trajectory": str(csv)}),
         ("verify-theorem1", {"random": recipe}),
         (
             "verify-theorem1",
@@ -1033,7 +1048,7 @@ def test_malformed_fields_never_raise_and_exit_2_writing_nothing(tmp_path, capsy
                         (command, f"{key}.{sub}", {**base, key: {**value, sub: bad}})
                         for bad in MALFORMED
                     ]
-    assert len(configs) == 754
+    assert len(configs) == 741
     for k, (command, field, cfg) in enumerate(configs):
         out = tmp_path / f"o{k}"
         code = run(tmp_path, command, cfg, out=out)

@@ -12,7 +12,7 @@ from willems import (
     trajectory_to_csv,
     window,
 )
-from willems.lti import simulate_set
+from willems.lti import simulate_set, write_csv
 
 
 def test_system_shape_validation():
@@ -168,6 +168,34 @@ def test_random_input_is_seeded_and_bounded():
     assert not np.array_equal(u1, random_input(2, 50, -0.3, 0.7, seed=10))
     with pytest.raises(ValueError):
         random_input(1, 10, 1.0, -1.0, seed=0)
+
+
+def carrier(states: int, outputs: int) -> Trajectory:
+    return Trajectory(np.zeros((3, 1)), np.zeros((3, states)), np.zeros((3, outputs)))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: carrier(1, 1).channel("velocities"), "'velocities'"),
+        (lambda: TrajectorySet((carrier(1, 1), carrier(2, 1))), "states"),
+        (lambda: TrajectorySet((carrier(1, 1), carrier(1, 2))), "outputs"),
+        (lambda: random_input(1, 0, -1.0, 1.0, seed=0), "T=0"),
+        (lambda: random_input(0, 5, -1.0, 1.0, seed=0), "m=0"),
+    ],
+    ids=["unknown-channel", "state-width", "output-width", "T-zero", "m-zero"],
+)
+def test_each_rejected_argument_is_named(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
+def test_write_csv_removes_its_temporary_file_when_the_rename_fails(tmp_path):
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError, match=str(target)):
+        write_csv(str(target), ["t"], [[0]])
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
 
 def test_random_system_dimensions_and_radius():

@@ -1,9 +1,12 @@
+import ast
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import willems
 from conftest import agent_pair, mixed_plant
 from willems import (
     LtiSystem,
@@ -42,6 +45,7 @@ from willems.numerics import (
     subspace_from_columns,
     subspace_gap,
     subspace_sum,
+    svd_rank,
 )
 
 
@@ -122,6 +126,54 @@ def test_least_squares_matrix_rhs():
         least_squares(a, np.zeros(2))
 
 
+def near_cutoff_matrix(seed):
+    """A random m x n matrix, m, n in 3..39, whose smallest singular value
+    sits within 50%, 5% or 0.5% of the rank cutoff max(m, n) eps s[0],
+    and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(3, 40, size=2)
+    k = min(m, n)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    s = np.sort(rng.uniform(0.5, 2, k))[::-1]
+    s[-1] = max(m, n) * np.finfo(float).eps * s[0] * (
+        1 + rng.uniform(-0.5, 0.5) * rng.choice([1, 0.1, 0.01])
+    )
+    return (u * s) @ v.T, rng.standard_normal(m)
+
+
+def test_least_squares_solves_through_the_svd_rank_cut():
+    # one rank engine: LAPACK's gelsd (np.linalg.lstsq), which computes
+    # singular values of its own, cut 24 of these 2,000 matrices at another
+    # rank than svd_rank and gave another solution beyond 1e-8 on 113
+    # (numpy 2.4.6)
+    for seed in range(2000):
+        a, b = near_cutoff_matrix(seed)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        r = svd_rank(s, a.shape)
+        x_ref = vt[:r].T @ ((u[:, :r].T @ b) / s[:r])
+        np.testing.assert_allclose(
+            least_squares(a, b)[0], x_ref, rtol=1e-8,
+            atol=1e-8 * np.linalg.norm(x_ref), err_msg=f"seed {seed}",
+        )
+
+
+def test_the_package_takes_no_rank_engine_but_the_svd_cut():
+    # numpy.linalg's lstsq, pinv and matrix_rank each cut singular values of
+    # their own; any of them in the package would be a second rank rule
+    engines = {"lstsq", "pinv", "matrix_rank"}
+    found = []
+    for path in sorted(Path(willems.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = (
+                [node.attr] if isinstance(node, ast.Attribute)
+                else [a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                else []
+            )
+            found += [f"{path.name}:{node.lineno} {n}" for n in engines & set(names)]
+    assert not found
+
+
 def test_orthonormal_image_and_kernel_shapes():
     rng = np.random.default_rng(3)
     for _ in range(40):
@@ -173,6 +225,25 @@ def test_subspace_gap_is_basis_independent():
         s2 = subspace_from_columns(mix)
         assert subspace_gap(s1, s2) < 1e-9
         assert subspace_equal(s1, s2)
+
+
+LINE_IN_R2 = subspace_from_columns([[1.0], [0.0]])
+LINE_IN_R3 = subspace_from_columns([[1.0], [0.0], [0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: subspace_sum(), "subspace"),
+        (lambda: subspace_gap(LINE_IN_R2, LINE_IN_R3), "ambient dimension"),
+        (lambda: subspace_equal(LINE_IN_R2, LINE_IN_R3), "ambient dimension"),
+        (lambda: subspace_contains(LINE_IN_R2, [1.0, 0.0, 0.0]), "vector has dim 3"),
+    ],
+    ids=["empty-sum", "gap", "equal", "contains"],
+)
+def test_each_rejected_argument_is_named(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
 
 
 def test_subspace_sum_and_membership():

@@ -3,6 +3,7 @@ import importlib
 import numpy as np
 import pytest
 
+from conftest import load_config
 from willems import (
     LtiSystem,
     Trajectory,
@@ -10,6 +11,7 @@ from willems import (
     Verdict,
     build_trajectory_matrix,
     check_corollary1,
+    min_poly_degree,
     parameterize,
     random_system,
     reconstruct_state,
@@ -89,6 +91,13 @@ def test_parameterize_rejects_mismatched_window(bench):
         parameterize(data, np.zeros(3), np.zeros(4))  # 3 inputs, 2 outputs/step
     with pytest.raises(ValueError):
         parameterize(data, np.zeros((2, 1)), np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("m", [0, 2])
+def test_an_input_window_that_does_not_split_into_m_channels_is_named(m):
+    data = TrajectorySet((Trajectory(np.ones((5, m)), outputs=np.ones((5, 1))),))
+    with pytest.raises(ValueError, match=f"input window of size 3 .* {m} channels"):
+        parameterize(data, np.zeros(3), np.zeros(3))
 
 
 def test_reconstruct_state_matches_simulation(bench):
@@ -249,3 +258,52 @@ def test_segment_check_agrees_with_parameterizing_each_window(bench, corrupt):
     holds = all(sol.parameterizable for sol in sols)
     assert holds is not corrupt
     assert (report.verdict is Verdict.HOLDS) is holds
+
+
+def fig1_plant() -> LtiSystem:
+    system = load_config("fig1_deepc.json")["system"]
+    return LtiSystem(*(np.array(system[k]) for k in "ABCD"))
+
+
+def time_shifted_windows(sys, rng):
+    """A record of `sys` that starts k = U{1..9} steps into a trajectory
+    from a random x0, with T = (m + 1)(delta + L) - 1 + U{2..7} samples
+    for delta the degree of A's minimal polynomial and L = U{1..4}, so its
+    inputs are generically persistently exciting of order delta + L; and
+    every depth-L window of the whole trajectory, which runs L + 5 samples
+    past the record's end.
+
+    Why A must be invertible for the record to parameterize them all. The
+    record's depth-L windows span those whose initial state lies in
+    R + K[x_k] (Theorem 1): R the reachable subspace, K[x] the smallest
+    A-invariant subspace holding x, x_k the state where the record starts.
+    A window of the whole trajectory starts at some x_j in R + K[x_0], and
+    x_k = A^k x_0 modulo R, so R + K[x_k] = R + A^k K[x_0]. That is
+    R + K[x_0] when A is invertible, as random_system's dense Gaussian A is
+    generically and fig1's A is. With a singular A, A^k K[x_0] can be
+    smaller, and a window before the record need not be parameterizable.
+    """
+    delta, L = min_poly_degree(sys.A), int(rng.integers(1, 5))
+    T = (sys.m + 1) * (delta + L) - 1 + int(rng.integers(2, 8))
+    k = int(rng.integers(1, 10))
+    u = rng.uniform(-1, 1, size=(T + k + L + 5, sys.m))
+    whole = simulate(sys, rng.normal(size=sys.n), u)
+    starts = range(whole.length - L + 1)
+    return TrajectorySet((window(whole, k, T),)), [window(whole, j, L) for j in starts]
+
+
+@pytest.mark.parametrize("plant", ["random", "fig1"])
+def test_a_record_parameterizes_every_window_before_inside_and_after_it(plant):
+    # time shift: the record parameterizes the trajectory's windows wherever
+    # they start (`time_shifted_windows` says why)
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        if plant == "random":
+            n, m, p = int(rng.integers(2, 6)), *map(int, rng.integers(1, 3, size=2))
+            sys = random_system(rng, n, m, p)
+        else:
+            sys = fig1_plant()
+        data, windows = time_shifted_windows(sys, rng)
+        for j, seg in enumerate(windows):
+            sol = parameterize(data, seg.inputs, seg.outputs)
+            assert sol.parameterizable, (seed, j)

@@ -81,6 +81,27 @@ def test_config_validation():
             scalar_config(**box)
 
 
+def record(T: int) -> Trajectory:
+    return Trajectory(np.ones((T, 1)), outputs=np.ones((T, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (
+            lambda: scalar_config(excitation_low=1.0, excitation_high=1.0),
+            "excitation_low",
+        ),
+        (lambda: mpc_step(scalar_plant(), record(2), scalar_config(), 4), "history"),
+        (lambda: deepc_step(record(10), record(12), scalar_config(), 5), "t=5"),
+    ],
+    ids=["excitation-range", "short-history", "t-inside-data"],
+)
+def test_each_rejected_argument_is_named(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
 def test_weight_checks_are_relative_to_the_weight_scale():
     # the same indefinite, skewed and semidefinite shapes get the same
     # verdicts at every scale

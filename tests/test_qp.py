@@ -25,6 +25,12 @@ def test_problem_validation():
     assert prob.objective([1.0, 0.0]) == pytest.approx(1.5)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3)], ids=["rows", "cols"])
+def test_an_aeq_that_does_not_match_beq_and_q_is_named(shape):
+    with pytest.raises(ValueError, match=rf"Aeq is \({shape[0]}, {shape[1]}\)"):
+        QuadraticProgram(np.eye(2), np.zeros(2), Aeq=np.ones(shape), beq=np.zeros(1))
+
+
 def test_symmetry_of_p_is_judged_relative_to_its_size():
     # P = s J'WJ, symmetric to rounding, is accepted at every scale and
     # stored as (P + P')/2; a P skewed by 1e-6 of its largest entry is
@@ -631,3 +637,40 @@ def test_stress_programs_certify_after_refinement(seed):
     assert sol.status == "optimal" and unique
     assert np.allclose(sol.x, ref_x, rtol=0, atol=1e-9)
     assert sol.objective == pytest.approx(ref_obj, rel=1e-9, abs=1e-9)
+
+
+def klee_minty(n: int) -> QuadraticProgram:
+    """Klee and Minty's cube as a box-constrained LP in standard form: over
+    x, s >= 0, minimize -sum_j 2^(n-j) x_j subject to
+    2 sum_{j<i} 2^(i-j) x_j + x_i + s_i = 5^i, i = 1..n. Its optimum is
+    x = (0, ..., 0, 5^n). Dantzig's rule takes 2^n - 1 pivots from the
+    origin (Klee and Minty, 1972), and the walk, which releases the most
+    wrong-signed pin, takes a number of passes that about doubles with n."""
+    A = np.eye(n)
+    for i in range(n):
+        A[i, :i] = 2 * 2.0 ** (i - np.arange(i))
+    c = 2.0 ** np.arange(n - 1, -1, -1)
+    return QuadraticProgram(
+        np.zeros((2 * n, 2 * n)), -np.concatenate([c, np.zeros(n)]),
+        Aeq=np.hstack([A, np.eye(n)]), beq=5.0 ** np.arange(1, n + 1),
+        lb=np.zeros(2 * n),
+    )
+
+
+def test_the_walk_stops_at_its_cap_on_a_klee_minty_cube(monkeypatch):
+    # the cube certifies at n = 5, after 22 passes of the walk; at n = 6 it
+    # needs 44, past the cap of 3 (2n) + 3 = 39, and the solve ends max_iter
+    walk, walks = qp._walk, []
+
+    def counting(ws, x, face, step):
+        passes = []
+        result = walk(ws, x, face, lambda *args: passes.append(1) or step(*args))
+        walks.append((len(passes), result[2]))
+        return result
+
+    monkeypatch.setattr(qp, "_walk", counting)
+    sol = solve_qp(klee_minty(5))
+    assert sol.status == "optimal" and walks[-1] == (22, "optimal")
+    assert sol.x[:5] == pytest.approx([0, 0, 0, 0, 5.0**5], abs=1e-8)
+    sol = solve_qp(klee_minty(6))
+    assert sol.status == "max_iter" and walks[-1] == (39, None)

@@ -35,6 +35,7 @@ from willems.numerics import (
 )
 from willems.subspace import (
     draw_until_pe,
+    krylov_matrix,
     pe_image_check,
     state_condition_space,
     window_start_states,
@@ -557,6 +558,24 @@ def test_image_check_explicit_delta_gate(bench):
     # claiming a larger delta demands more excitation than the data has
     report = theorem1_image_check(bench, data, 2, delta=30)
     assert report.verdict is Verdict.HYPOTHESIS_VIOLATED
+
+
+DIAGONAL = LtiSystem(np.diag([1.0, 2.0]), np.ones((2, 1)), np.ones((1, 2)), [[0.0]])
+SHORT = TrajectorySet((Trajectory(np.ones((2, 1)), np.ones((2, 2)), np.ones((2, 1))),))
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: krylov_matrix(DIAGONAL.A, np.ones((3, 1))), "X0 has 3 rows"),
+        (lambda: window_start_states(SHORT, 3), "trajectory 0 shorter than L=3"),
+        (lambda: theorem1_image_check(DIAGONAL, SHORT, 1, delta=1), "delta=1"),
+    ],
+    ids=["krylov-height", "short-trajectory", "delta-below-degree"],
+)
+def test_each_rejected_argument_is_named(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
 
 
 def test_state_condition_splits_membership(bench):
