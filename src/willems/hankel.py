@@ -47,10 +47,12 @@ log = logging.getLogger(__name__)
 _STRUCTURED_GRAM_WORK = 2e5
 
 
-def _windows(arr: np.ndarray, d: int) -> np.ndarray:
+def sample_windows(arr: np.ndarray, d: int) -> np.ndarray:
     """The T - d + 1 depth-d windows of the (T, q) float array `arr`, one
     per row: row j is the run of d*q values from sample j on, one strided
-    view over the C-ordered samples."""
+    view over the C-ordered samples, so its transpose is the depth-d
+    Hankel matrix. Outside ``__all__``; `subspace.pe_image_check` shares
+    it."""
     T, q = arr.shape
     if d < 1:
         raise ValueError(f"depth must be positive, got {d}")
@@ -65,7 +67,7 @@ def _windows(arr: np.ndarray, d: int) -> np.ndarray:
 
 def hankel(f, d: int) -> np.ndarray:
     """Depth-d Hankel matrix of a ``(T, q)`` (or length-T scalar) sequence."""
-    return _windows(as_matrix(f, "f"), d).T.copy()
+    return sample_windows(as_matrix(f, "f"), d).T.copy()
 
 
 def mosaic_hankel(
@@ -84,7 +86,7 @@ def mosaic_hankel(
             raise ValueError(
                 f"depth {d} exceeds length {traj.length} of trajectory {i}"
             )
-        windows.append(_windows(seq, d))
+        windows.append(sample_windows(seq, d))
     mosaic = np.empty((windows[0].shape[1], sum(len(w) for w in windows)))
     col = 0
     for w in windows:

@@ -171,16 +171,30 @@ def simulate_set(sys: LtiSystem, X0, U) -> TrajectorySet:
     equal length T, each trajectory the one `simulate` returns. Outside
     ``__all__``, like `numerics.svd_rank`.
 
-    Only the state recursion runs step by step, for all runs at once:
-    ``x[:, t+1] = (A @ x[:, t, :, None])[..., 0] + Bu[:, t]``. ``B u``,
-    ``C x`` and ``D u`` are stacked products over all runs and all t,
-    ``(B @ U[..., None])`` and the like. Each keeps every bit of the
-    step-by-step products of one run: numpy runs a stacked matrix-vector
-    product as one BLAS gemv (a dot when the matrix has one row) per item,
-    with the same dimensions and strides as the single product.
-    ``U @ B.T`` would not: it is one gemm, whose blocking sums in another
-    order, and it moves the last bit of most outputs. ``C x[:, 0]`` reads
-    the stored copy of `X0`, so the layout of `X0` does not matter.
+    The states are held time-major, ``xs`` of shape ``(T, tau, n, 1)``,
+    so the state of every run at step t is one contiguous block. Only the
+    recursion runs step by step, for all runs at once and with no
+    temporaries: ``np.matmul(A, xs[t], out=xs[t + 1])``, then ``Bu[t]``
+    added in place, ``Bu`` the stacked products ``B u`` of all runs and
+    all t. The state after the last input is never formed. ``C x`` and
+    ``D u`` are stacked products too, on the runs' (T, n) views of ``xs``
+    and on `U`.
+
+    Why the bits are those of one run stepped by hand. numpy runs a
+    stacked matrix-vector product as one BLAS gemv (a dot when the matrix
+    has one row) per item, and every item here, a state, an input or a
+    state's slot in ``xs``, is a contiguous vector, so each call has the
+    dimensions and strides of the single product; the sum of the two
+    products rounds once, in place or not. ``U @ B.T`` would not: it is
+    one gemm, whose blocking sums in another order, and it moves the last
+    bit of most outputs. ``xs[0]`` is a copy of `X0`, so the layout of
+    `X0` does not matter.
+
+    The inputs are checked once, before the recursion, and the computed
+    states and outputs once each after it, each whole array for finite
+    entries, with the messages `Trajectory` gives ("'states' contains
+    non-finite entries"); the trajectories and their set are then built
+    from them with no second check.
     """
     X0 = as_matrix(X0, "X0")
     U = np.asarray(U, dtype=float)
@@ -190,19 +204,39 @@ def simulate_set(sys: LtiSystem, X0, U) -> TrajectorySet:
         )
     if X0.shape[1] != sys.n:
         raise ValueError(f"X0 rows have dim {X0.shape[1]}, expected {sys.n}")
+    if U.shape[1] == 0:
+        raise ValueError("inputs must be a nonempty (T, m) array")
     if not np.isfinite(U).all():
         raise ValueError("'inputs' contains non-finite entries")
-    A = sys.A
-    Bu = (sys.B @ U[..., None])[..., 0]
-    x = np.empty((U.shape[0], U.shape[1], sys.n))
-    xt = X0
-    for t in range(U.shape[1]):
-        x[:, t] = xt
-        xt = (A @ x[:, t, :, None])[..., 0] + Bu[:, t]
+    A, (tau, T) = sys.A, U.shape[:2]
+    # B u of every run and step, read time-major: Bu[t] holds step t
+    Bu = (sys.B @ U[..., None]).transpose(1, 0, 2, 3)
+    xs = np.empty((T, tau, sys.n, 1))
+    xs[0, :, :, 0] = X0
+    for x_t, x_next, bu in zip(xs, xs[1:], Bu):
+        np.matmul(A, x_t, x_next)
+        np.add(x_next, bu, x_next)
+    x = xs[..., 0].transpose(1, 0, 2)
     y = (sys.C @ x[..., None])[..., 0] + (sys.D @ U[..., None])[..., 0]
-    return TrajectorySet(
-        tuple(Trajectory(inputs=u, states=s, outputs=o) for u, s, o in zip(U, x, y))
-    )
+    for name, arr in (("states", xs), ("outputs", y)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"'{name}' contains non-finite entries")
+    return _checked_set(U, x, y)
+
+
+def _checked_set(U, x, y) -> TrajectorySet:
+    """The TrajectorySet of the runs whose inputs, states and outputs are
+    ``U[i]``, ``x[i]`` and ``y[i]``: float arrays, already checked finite,
+    of one length T >= 1 and one width per channel, so the set is built
+    without the checks of `Trajectory` and `TrajectorySet`."""
+    runs = []
+    for u, states, outputs in zip(U, x, y):
+        run = object.__new__(Trajectory)
+        run.__dict__.update(inputs=u, states=states, outputs=outputs)
+        runs.append(run)
+    data = object.__new__(TrajectorySet)
+    data.__dict__["trajectories"] = tuple(runs)
+    return data
 
 
 def random_input(

@@ -30,6 +30,7 @@ are 1-D arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,8 @@ def power_of_two_scaled(a: np.ndarray) -> np.ndarray:
     """A new array: `a` times the power of two that puts max|a| in
     [1/2, 1), which is exact and keeps the entries of its Gram matrix from
     overflowing or underflowing. Outside ``__all__``, like `svd_rank`."""
-    _, e = np.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))
+    # math.frexp gives np.frexp's exponent without its dispatch
+    _, e = math.frexp(max(a.max(initial=0.0), -a.min(initial=0.0)))
     return np.ldexp(a, -e)
 
 
@@ -247,7 +249,7 @@ def cholesky_certificate(gram: np.ndarray, kappa: float) -> float:
     gram.flat[:: k + 1] -= 2 * (kappa + k + 2) * _EPS * gram.trace()
     if not _cholesky_in_place(gram):
         return 0.0
-    return float(np.sqrt((kappa + k + 2) * _EPS))
+    return math.sqrt((kappa + k + 2) * _EPS)
 
 
 def _cholesky_in_place(m: np.ndarray) -> bool:
@@ -262,7 +264,15 @@ def _cholesky_in_place(m: np.ndarray) -> bool:
     so a matrix up to that size is one np.linalg.cholesky call; for any k
     the copies made are a few blocks, not k x k."""
     k = len(m)
-    blocks = max(1, -(-k // _CHOLESKY_BLOCK))
+    if k <= _CHOLESKY_BLOCK:
+        # one block: the transpose's lower triangle, which
+        # np.linalg.cholesky reads, is the upper triangle of `m`
+        try:
+            np.linalg.cholesky(m.T)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    blocks = -(-k // _CHOLESKY_BLOCK)
     edges = [k * j // blocks for j in range(blocks + 1)]
     for lo, hi in zip(edges, edges[1:]):
         if lo:

@@ -50,7 +50,8 @@ Each status has one certificate:
   ||Aeq d|| <= eps ||Aeq|| ||d|| and q'd < -eps ||q|| ||d|| (max norms,
   eps = 1e-6, each tested on its own), that no finite bound blocks;
 - max_iter: none of these, so a walk hit its cap of 3n + 3 steps or its
-  last face did not certify.
+  last face did not certify; one DEBUG line of the `willems.qp` logger
+  names which, with the residual.
 
 A `Workspace` is the solver of one program: built once from it,
 `Workspace.solve(beq)` solves that program for any equality right-hand
@@ -99,6 +100,7 @@ of solves.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -117,6 +119,8 @@ from .numerics import (
 )
 
 __all__ = ["QuadraticProgram", "QpSolution", "solve_qp"]
+
+log = logging.getLogger(__name__)
 
 # KKT residual a solution must reach to be optimal
 _TOL = 1e-8
@@ -298,8 +302,17 @@ class Workspace:
             if status is None:
                 x, face, status = _walk(self, x, face, _face_step)
             if status in (None, "optimal"):
+                capped = status is None
                 x, res, obj = _polish(self, beq, face)
                 status = "optimal" if res <= _TOL else "max_iter"
+                if status == "max_iter":
+                    log.debug(
+                        "QP max_iter: %s, KKT residual %.3e",
+                        f"the walk hit its cap of {3 * self.n + 3} passes"
+                        if capped
+                        else "the last face did not certify",
+                        res,
+                    )
             else:
                 res, obj = inf, objective(x)
         return QpSolution(x, obj, status, res, self._solves - start)

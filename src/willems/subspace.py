@@ -14,12 +14,13 @@ equality of the stacked state/input data matrix against
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .hankel import is_collectively_pe, mosaic_hankel
+from .hankel import is_collectively_pe, sample_windows
 from .lti import LtiSystem, TrajectorySet
 from .numerics import (
     DEFAULT_RESIDUAL_RTOL,
@@ -153,7 +154,8 @@ def min_poly_degree(A) -> int:
     stacked = np.empty((n * n, n))
     for k, P in enumerate(power_blocks(A, np.eye(n), n)):
         v = P.reshape(-1)
-        norm = np.linalg.norm(v)
+        # the bits of np.linalg.norm on a 1-D array, without its dispatch
+        norm = math.sqrt(v @ v)
         stacked[:, k] = v / norm if norm > 0 else v
     if gram_certifies_full_rank(stacked):
         return n
@@ -236,8 +238,16 @@ def pe_image_check(
     neither is computed again. It compares the image of the data matrix
     D = [X; H_L(u)], the state starting each window over the window's
     inputs, with the target ``K(A, [B X0]) x R^{mL}``, K(A, [B X0]) the
-    image of the Krylov matrix W = `krylov_matrix`(A, [B X0]). Two routes
-    decide:
+    image of the Krylov matrix W = [B X0, A [B X0], ..., A^{n-1} [B X0]].
+
+    D and [B X0] are filled into arrays allocated once, in one pass over
+    the trajectories: each one's first state, its window start states
+    and its input windows (`hankel.sample_windows`) go straight into their
+    columns. W is `numerics.power_blocks` of sys.A, which `LtiSystem`
+    checked when it was built. The matrices hold the entries, in the
+    layout, that `window_start_states`, `hankel.mosaic_hankel`,
+    `initial_state_matrix` and `krylov_matrix` give, so each verdict, gap
+    and dimension is theirs bit for bit. Two routes decide:
 
     1. Certificate: when D, (n + mL) x c, has c >= n + mL columns,
        `numerics.gram_certifies_full_rank` is asked of W, n x n (m + tau)
@@ -266,10 +276,21 @@ def pe_image_check(
     proved lower bounds on sigma_r / sigma_1 of W and D with their shapes,
     or both dimensions and the gap after the SVD.
     """
-    D = np.vstack([window_start_states(data, L), mosaic_hankel(data, L)])
-    W = krylov_matrix(sys.A, np.hstack([sys.B, initial_state_matrix(data)]))
-    n, mL = sys.n, sys.m * L
+    n, m, mL = sys.n, sys.m, sys.m * L
     full = n + mL
+    D = np.empty((full, sum(max(T - L + 1, 0) for T in data.lengths)))
+    BX0 = np.empty((n, m + len(data)))
+    BX0[:, :m] = sys.B
+    col = 0
+    for i, traj in enumerate(data):
+        states, w = traj.channel("states"), traj.length - L + 1
+        if w < 1:
+            raise ValueError(f"trajectory {i} shorter than L={L}")
+        D[:n, col : col + w] = states[:w].T
+        D[n:, col : col + w] = sample_windows(traj.inputs, L).T
+        BX0[:, m + i] = states[0]
+        col += w
+    W = np.hstack(power_blocks(sys.A, BX0, n))
     if D.shape[1] >= full:
         w_bound = gram_certifies_full_rank(W)
         d_bound = gram_certifies_full_rank(D) if w_bound else 0.0

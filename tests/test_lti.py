@@ -110,6 +110,22 @@ def test_simulate_set_rejects_bad_shapes(bench):
             simulate_set(bench, X0, U)
 
 
+@pytest.mark.parametrize("tau", [1, 3])
+@pytest.mark.parametrize(
+    "scale, channel", [((1e200, 1.0), "states"), ((1e150, 1e300), "outputs")]
+)
+def test_simulate_set_names_the_channel_that_overflows(tau, scale, channel):
+    # over three steps from x0 = (1, 1), A = 1e200 I takes the last state
+    # past the largest float; A = 1e150 I keeps the states finite, up to
+    # 1e300, and C = 1e300 (1, 1) takes the outputs past it. The computed
+    # arrays are checked once each, after the recursion
+    A, C = scale[0] * np.eye(2), scale[1] * np.ones((1, 2))
+    sys = LtiSystem(A, np.ones((2, 1)), C, [[0.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"'{channel}' contains non-finite"):
+            simulate_set(sys, np.ones((tau, 2)), np.zeros((tau, 3, 1)))
+
+
 def test_simulate_rejects_bad_shapes(bench):
     with pytest.raises(ValueError):
         simulate(bench, np.zeros(3), np.zeros((5, 1)))

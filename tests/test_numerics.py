@@ -284,6 +284,28 @@ def prescribed_matrix(rng, rows, cols, ratio):
     return (q_left * np.geomspace(1.0, ratio, k)) @ q_right.T
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((0, 3)),
+        np.zeros((2, 3)),
+        np.array([[5e-324, -2e-320], [1e-310, 0.0]]),
+        np.array([[2.0**1000, -3.0], [1.0, 0.5]]),
+        np.array([[2.0**-1000, -(2.0**-1001)], [0.0, 3 * 2.0**-1002]]),
+        np.array([[0.75, -6.0], [1.5, -0.0]]),
+    ],
+    ids=["empty", "zero", "subnormal", "2^1000", "2^-1000", "negative"],
+)
+def test_power_of_two_scaled_keeps_the_bits_of_np_frexp(a):
+    # the exponent comes from math.frexp, which must give np.frexp's
+    e = np.frexp(np.abs(a).max(initial=0.0))[1]
+    scaled = power_of_two_scaled(a)
+    assert scaled.tobytes() == np.ldexp(a, -e).tobytes()
+    assert scaled.shape == a.shape and scaled is not a
+    if a.any():
+        assert 0.5 <= np.abs(scaled).max() < 1.0
+
+
 @pytest.mark.parametrize("shape", [(20, 6), (6, 20), (8, 8), (1, 5), (5, 1)])
 def test_gram_certificate_never_claims_full_rank_the_svd_denies(shape):
     rng = np.random.default_rng(67)

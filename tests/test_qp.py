@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,19 @@ def test_box_equality_conflict_detected(scale):
     assert sol.x[0] == 1.0
 
 
+def tied_lead_block(scale, tie):
+    """A lead block (x_0, x_1) without cost, tied by two equality rows
+    `tie` apart to a costed block (x_2, x_3) in [-1, 1], all times
+    `scale`."""
+    P = scale * np.diag([0.0, 0.0, 1.0, 1.0])
+    q = scale * np.array([0.0, 0.0, -3.0, 1.0])
+    Aeq = scale * np.array([[1.0, 1.0, -1.0, 0.0], [1.0, 1.0 + tie, 0.0, -1.0]])
+    return QuadraticProgram(
+        P, q, Aeq, scale * np.array([0.2, 0.1]),
+        lb=[-np.inf, -np.inf, -1.0, -1.0], ub=[np.inf, np.inf, 1.0, 1.0],
+    )
+
+
 @pytest.mark.parametrize("scale", 10.0 ** np.arange(-3, 4))
 def test_unbounded_direction_detected(scale):
     # zero curvature, linear drift, no bounds
@@ -175,12 +190,8 @@ def test_unbounded_direction_detected(scale):
     # or, with the rows a hair apart, its near-free one has zero curvature
     # but no descent, so neither the solve nor a walk from the least-squares
     # point ends unbounded
-    P = scale * np.diag([0.0, 0.0, 1.0, 1.0])
-    q = scale * np.array([0.0, 0.0, -3.0, 1.0])
-    box = dict(lb=[-np.inf, -np.inf, -1.0, -1.0], ub=[np.inf, np.inf, 1.0, 1.0])
     for tie in (0.0, 1e-9):
-        Aeq = scale * np.array([[1.0, 1.0, -1.0, 0.0], [1.0, 1.0 + tie, 0.0, -1.0]])
-        prob = QuadraticProgram(P, q, Aeq, scale * np.array([0.2, 0.1]), **box)
+        prob = tied_lead_block(scale, tie)
         sol = solve_qp(prob)
         assert sol.status != "unbounded"
         if tie == 0.0:
@@ -674,3 +685,25 @@ def test_the_walk_stops_at_its_cap_on_a_klee_minty_cube(monkeypatch):
     assert sol.x[:5] == pytest.approx([0, 0, 0, 0, 5.0**5], abs=1e-8)
     sol = solve_qp(klee_minty(6))
     assert sol.status == "max_iter" and walks[-1] == (39, None)
+
+
+def test_a_max_iter_solve_logs_its_cause(caplog):
+    # one DEBUG line names the cause and gives the residual: the cap on
+    # Klee and Minty's cube at n = 6, and at scale 10 the near-tied lead
+    # block, whose walk ends on a face that does not certify, at KKT
+    # 1.05e-8 against the 1e-8 of optimal
+    caplog.set_level(logging.DEBUG, logger="willems.qp")
+    causes = {
+        "the walk hit its cap of 39 passes": klee_minty(6),
+        "the last face did not certify": tied_lead_block(10.0, 1e-9),
+    }
+    for cause, prob in causes.items():
+        caplog.clear()
+        sol = solve_qp(prob)
+        lines = [r.getMessage() for r in caplog.records if r.name == "willems.qp"]
+        assert sol.status == "max_iter"
+        assert lines == [f"QP max_iter: {cause}, KKT residual {sol.kkt_residual:.3e}"]
+    # a solve that certifies logs nothing
+    caplog.clear()
+    assert solve_qp(klee_minty(5)).status == "optimal"
+    assert not [r for r in caplog.records if r.name == "willems.qp"]

@@ -6,6 +6,7 @@ import pytest
 
 from willems import (
     HypothesisViolated,
+    ImageCheck,
     LtiSystem,
     Trajectory,
     TrajectorySet,
@@ -23,11 +24,13 @@ from willems import (
     theorem1_state_condition,
     unobservable_subspace,
 )
+from willems import subspace
 from willems.hankel import mosaic_hankel
 from willems.lti import simulate_set
 from willems.numerics import (
     DEFAULT_RESIDUAL_RTOL,
     SubspaceBasis,
+    gram_certifies_full_rank,
     numerical_rank,
     subspace_from_columns,
     subspace_gap,
@@ -467,6 +470,76 @@ def test_image_check_routes_agree_with_the_two_svd_reference(
         assert set(routes) == expected, name
         if name == "mixed":
             assert routes == ["svd", "cholesky"]
+
+
+def unequal_length_cases(seed, count):
+    """(plant, data, L) with 2 or 3 trajectories of unequal lengths, some
+    as short as L: random plants at random states and, in turn, plants
+    with an uncontrollable block started at rest, whose Krylov matrix no
+    certificate proves full rank."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        if k % 2 == 0:
+            n, m, p = (int(v) for v in rng.integers(1, [7, 4, 4]))
+            sys = random_system(rng, n, m, p)
+        else:
+            n1, n2 = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+            n, m = n1 + n2, int(rng.integers(1, 3))
+            A = np.zeros((n, n))
+            A[:n1, :n1] = 0.8 * rng.normal(size=(n1, n1))
+            A[n1:, n1:] = 0.8 * rng.normal(size=(n2, n2))
+            B = np.vstack([rng.normal(size=(n1, m)), np.zeros((n2, m))])
+            sys = LtiSystem(A, B, rng.normal(size=(1, n)), np.zeros((1, m)))
+        L = int(rng.integers(1, 4))
+        top = 2 * (min_poly_degree(sys.A) + L) + 8
+        runs = []
+        for T in rng.integers(L, top, size=int(rng.integers(2, 4))):
+            x0 = rng.normal(size=sys.n) if k % 2 == 0 else np.zeros(sys.n)
+            runs.append(simulate(sys, x0, rng.uniform(-1, 1, size=(T, sys.m))))
+        yield sys, TrajectorySet(tuple(runs)), L
+
+
+def parts_image_check(sys, data, L, order):
+    """(report, route, D, W) of `pe_image_check` with its matrices built
+    from their parts, D from `window_start_states` over `mosaic_hankel`
+    and W by `krylov_matrix` of (A, [B X0]), and its two routes taken as
+    its docstring states them; the SVD route is `two_svd_image_check`."""
+    D = np.vstack([window_start_states(data, L), mosaic_hankel(data, L)])
+    W = krylov_matrix(sys.A, np.hstack([sys.B, initial_state_matrix(data)]))
+    full = sys.n + sys.m * L
+    if D.shape[1] >= full and gram_certifies_full_rank(W) and gram_certifies_full_rank(D):
+        return ImageCheck(Verdict.HOLDS, 0.0, order, full, full), "cholesky", D, W
+    verdict, data_dim, target_dim, gap = two_svd_image_check(sys, data, L)
+    return ImageCheck(verdict, gap, order, data_dim, target_dim), "svd", D, W
+
+
+def test_the_one_pass_build_gives_the_image_check_of_its_parts(monkeypatch):
+    # pe_image_check fills D and [B X0] in one pass over the trajectories
+    # and takes W from power_blocks: every matrix it decides on must be
+    # the D or W of the parts, bit for bit, and its report theirs
+    asked = []
+
+    def recording(decide):
+        return lambda a: asked.append(a) or decide(a)
+
+    for name in ("gram_certifies_full_rank", "subspace_from_columns"):
+        monkeypatch.setattr(subspace, name, recording(getattr(subspace, name)))
+    routes = set()
+    for sys, data, L in unequal_length_cases(31, 120):
+        order = min_poly_degree(sys.A) + L
+        asked.clear()
+        report = pe_image_check(sys, data, L, order)
+        built = list(asked)
+        expected, route, D, W = parts_image_check(sys, data, L, order)
+        assert report == expected, (route, data.lengths)
+        # W and D are all it asks of, D always and W first, unless D is
+        # too narrow for the certificates
+        wide = D.shape[1] >= sys.n + sys.m * L
+        assert np.array_equal(built[0], W if wide else D), data.lengths
+        assert any(np.array_equal(a, D) for a in built), data.lengths
+        assert all(any(np.array_equal(a, b) for b in (W, D)) for a in built)
+        routes.add(route)
+    assert routes == {"cholesky", "svd"}
 
 
 def rescaled(sys, data, scale):
