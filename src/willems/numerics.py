@@ -12,7 +12,8 @@ rank under that cutoff the caller asks the SVD:
 - `cholesky_certificate` proves it by a shifted Cholesky factorization of
   a Gram matrix, which comes with the bound on its rounding error that
   sets the shift, from one product (`gram_certifies_full_rank`) or, for a
-  mosaic-Hankel matrix, from its samples (`hankel_certifies_full_rank`).
+  mosaic-Hankel matrix, from its samples (`hankel_certifies_full_rank`),
+  one block row at a time, so that a large one is held as one triangle.
   It decides the PE tests of `hankel.is_collectively_pe`, the degree of
   `subspace.min_poly_degree` and, through the Krylov and data matrices,
   Theorem 1's image check `subspace.pe_image_check`;
@@ -58,11 +59,12 @@ _EPS = np.finfo(float).eps
 # that underflow could have lowered it by more than rounding
 _NORM_FLOOR = 2.0**-480
 # widest diagonal block `cholesky_certificate` hands np.linalg.cholesky: a
-# Gram matrix up to this size is one call, a larger one is factored in
-# place in blocks of equal width. Narrower blocks cost more in Python and
-# products than the copies they save: 96-wide blocks factor identify-net's
-# median Gram matrix, r = 348, in 3.7 ms against 2.5 ms for one call (one
-# CPU, one BLAS thread)
+# Gram matrix up to this size is one call, a larger one comes in block rows
+# of equal width (`_block_edges`). Narrower blocks cost more in Python and
+# products than the memory they save: 96-wide blocks factor identify-net's
+# median Gram matrix, r = 348, in 3.7 ms against 2.5 ms for one call, and
+# 256-wide ones, which split it in two, lower identify-net's peak RSS by
+# 2.9 MB but raise its op_ms_p50 by 10-30% (one CPU, one BLAS thread)
 _CHOLESKY_BLOCK = 384
 # rows below which `_substitute` works row by row instead of by halves
 _SUBSTITUTION_ROWS = 32
@@ -187,21 +189,32 @@ def power_of_two_scaled(a: np.ndarray) -> np.ndarray:
     return np.ldexp(a, -e)
 
 
-def cholesky_certificate(gram: np.ndarray, kappa: float) -> float:
+def cholesky_certificate(block_rows, kappa: float, t: float) -> float:
     """Proved lower bound on sigma_k / sigma_1 of a matrix A of rank cutoff
-    ``max(rows, cols) * eps`` whose k x k Gram matrix (A A^T or A^T A)
-    `gram` was formed in floating point with ``||gram - A A^T||_2 <=
-    kappa u t`` (1 + O(kappa u)), where u = eps/2 and t = ||A||_F^2; 0.0
-    when the certificate decides nothing, and the caller then asks the SVD.
-    Only the upper triangle of `gram` is read, and `gram` is overwritten:
-    the factorization runs in it (`_cholesky_in_place`), with no k x k
-    copy, fastest when `gram` is C-ordered. Outside ``__all__``, like
-    `svd_rank`.
+    ``max(rows, cols) * eps`` whose k x k Gram matrix G (A A^T or A^T A)
+    was formed in floating point with ``||G - A A^T||_2 <= kappa u t``
+    (1 + O(kappa u)), where u = eps/2 and t = ||A||_F^2; 0.0 when the
+    certificate decides nothing, and the caller then asks the SVD. Outside
+    ``__all__``, like `svd_rank`.
 
-    The diagonal of `gram` is shifted down by s = 2 (kappa + k + 2) eps t',
-    with t' its computed trace, t (1 + O(kappa u)), and the certificate
-    holds when the Cholesky factorization of the shifted matrix succeeds;
-    it then proves sigma_k / sigma_1 >= sqrt((kappa + k + 2) eps).
+    `block_rows` yields G one block row at a time, on the edges
+    `_block_edges` gives for k: block row [lo, hi) as a (hi - lo) x (k - lo)
+    array whose upper triangle holds G[lo:hi, lo:]. Only that triangle is
+    read. Each block row is overwritten by R's rows before the next is asked
+    for, so a caller that forms them on demand (`hankel_gram`) never holds
+    G whole. The factorization is left-looking (Higham, §10.1 and §13.1):
+    each block row takes one product from each finished block row above it,
+    the factor of its diagonal block from np.linalg.cholesky, and
+    `_substitute` for R's entries right of that block. The last diagonal
+    block is only tested. A Gram matrix up to `_CHOLESKY_BLOCK` is one
+    block row, so one np.linalg.cholesky call.
+
+    The diagonal of G is shifted down by s = 2 (kappa + k + 2) eps t', with
+    t' = `t` as computed, t (1 + O(n u)) for some n with n u far below 1:
+    the trace of G on the direct route, a sum over the samples
+    (`hankel_kappa`) on the structured one. The certificate holds when the
+    Cholesky factorization of the shifted matrix succeeds; it then proves
+    sigma_k / sigma_1 >= sqrt((kappa + k + 2) eps).
 
     Why. Three rounding errors separate the factorized matrix from the
     exact Gram matrix H = A A^T:
@@ -219,10 +232,10 @@ def cholesky_certificate(gram: np.ndarray, kappa: float) -> float:
       only that each entry of R be computed by the formula
       r_ij = (m_ij - sum_{p < i} r_pi r_pj) / r_ii, and r_jj as the square
       root of m_jj - sum_{p < j} r_pj^2, with the inner product evaluated
-      in any order (Higham, Lemma 8.4 and §10.1). The block rows of
-      `_cholesky_in_place` do just that: the product from the finished
-      rows, np.linalg.cholesky of the diagonal block and the substitution
-      each subtract a partial sum of that inner product, by conventional
+      in any order (Higham, Lemma 8.4 and §10.1). The block rows do just
+      that: the products from the finished block rows, np.linalg.cholesky
+      of the diagonal block and the substitution each subtract a partial
+      sum of that inner product, by conventional
       products, fused multiply-adds or not, so the bound holds unchanged
       (Higham, §13.1). An explicit inverse of a diagonal block, or a
       Strassen-type product, would not satisfy it.
@@ -245,49 +258,47 @@ def cholesky_certificate(gram: np.ndarray, kappa: float) -> float:
     and a failed factorization decides nothing: no verdict that falls back
     to the SVD differs from it.
     """
-    k = gram.shape[0]
-    gram.flat[:: k + 1] -= 2 * (kappa + k + 2) * _EPS * gram.trace()
-    if not _cholesky_in_place(gram):
-        return 0.0
+    k = 0
+    # R's rows above the block row, each right of its own diagonal block
+    panels = []
+    for block in block_rows:
+        h, w = block.shape
+        k = k or w  # the first block row spans every column
+        # entries i (w + 1), i < h, in row-major order: the diagonal, as
+        # h <= w
+        block.flat[:: w + 1] -= 2 * (kappa + k + 2) * _EPS * t
+        for panel in panels:
+            lo = panel.shape[1] - w
+            # by pieces of at most _CHOLESKY_BLOCK columns, so that no
+            # product is wider than a diagonal block
+            for c in range(0, w, _CHOLESKY_BLOCK):
+                block[:, c : c + _CHOLESKY_BLOCK] -= (
+                    panel[:, lo : lo + h].T
+                    @ panel[:, lo + c : lo + c + _CHOLESKY_BLOCK]
+                )
+        try:
+            # the transpose's lower triangle, which np.linalg.cholesky
+            # reads, is the upper triangle of the diagonal block
+            lower = np.linalg.cholesky(block[:, :h].T)
+        except np.linalg.LinAlgError:
+            return 0.0
+        if h < w:
+            # R's diagonal block overwrites the block's, and its copy is
+            # freed before the substitution, which reads the transpose's
+            # lower triangle
+            block[:, :h] = lower.T
+            del lower
+            _substitute(block[:, :h].T, block[:, h:])
+            panels.append(block[:, h:])
     return math.sqrt((kappa + k + 2) * _EPS)
 
 
-def _cholesky_in_place(m: np.ndarray) -> bool:
-    """Whether the symmetric matrix held in the upper triangle of the k x k
-    array `m` has a Cholesky factor R, R^T R = m, factored left-looking one
-    block row at a time in `m` itself (Higham, §10.1 and §13.1). Each block
-    row [lo, hi) takes one product from the finished rows above it, the
-    factor of its diagonal block from np.linalg.cholesky, and `_substitute`
-    for R's entries right of that block, which then overwrite `m`'s. The
-    last diagonal block is only tested. `m` is overwritten, and its lower
-    triangle is never read. Each block is at most `_CHOLESKY_BLOCK` wide,
-    so a matrix up to that size is one np.linalg.cholesky call; for any k
-    the copies made are a few blocks, not k x k."""
-    k = len(m)
-    if k <= _CHOLESKY_BLOCK:
-        # one block: the transpose's lower triangle, which
-        # np.linalg.cholesky reads, is the upper triangle of `m`
-        try:
-            np.linalg.cholesky(m.T)
-        except np.linalg.LinAlgError:
-            return False
-        return True
+def _block_edges(k: int) -> list:
+    """Edges of the block rows `cholesky_certificate` factors a k x k Gram
+    matrix in: as few as keep each at most `_CHOLESKY_BLOCK` wide, of equal
+    width within one."""
     blocks = -(-k // _CHOLESKY_BLOCK)
-    edges = [k * j // blocks for j in range(blocks + 1)]
-    for lo, hi in zip(edges, edges[1:]):
-        if lo:
-            m[lo:hi, lo:] -= m[:lo, lo:hi].T @ m[:lo, lo:]
-        try:
-            # the transpose's lower triangle, which np.linalg.cholesky
-            # reads, is the upper triangle of the block
-            lower = np.linalg.cholesky(m[lo:hi, lo:hi].T)
-        except np.linalg.LinAlgError:
-            return False
-        if hi < k:
-            _substitute(lower, m[lo:hi, hi:])
-        # freed before the next block row's product is made
-        del lower
-    return True
+    return [k * j // blocks for j in range(blocks + 1)]
 
 
 def _substitute(lower: np.ndarray, panel: np.ndarray) -> None:
@@ -398,11 +409,15 @@ def gram_certifies_full_rank(a: np.ndarray) -> float:
     """
     rows, cols = a.shape
     a = power_of_two_scaled(a)
-    # C-ordered and symmetric, so factored as it is; `a` is freed before
-    # the factorization
     gram = a @ a.T if rows <= cols else a.T @ a
+    # freed before the factorization, which runs in `gram` or its views
     del a
-    return cholesky_certificate(gram, max(rows, cols))
+    if len(gram) <= _CHOLESKY_BLOCK:
+        block_rows = (gram,)
+    else:
+        edges = _block_edges(len(gram))
+        block_rows = [gram[lo:hi, lo:] for lo, hi in zip(edges, edges[1:])]
+    return cholesky_certificate(block_rows, max(rows, cols), gram.trace())
 
 
 def hankel_certifies_full_rank(sequences, d: int) -> float:
@@ -416,6 +431,11 @@ def hankel_certifies_full_rank(sequences, d: int) -> float:
     With r = d m rows, c = sum(T_i - d + 1) columns and tau sequences the
     Gram matrix costs O(m r c + tau r^2) operations, where the product
     H H^T costs O(r^2 c). Both run on the `power_of_two_scaled` samples.
+    Each block row of the Gram matrix is formed as the factorization asks
+    for it and factored where it lies, so the certificate holds one
+    triangle of it and no r x r array. The shift's t' is the t that
+    `hankel_kappa` sums over the samples, since no trace of the whole
+    Gram matrix exists before its first block row is factored.
 
     Rounding. Write G_{a,b} for the m x m block (a, b) of H H^T, x_i[j]
     for sample j of sequence i, w_i = T_i - d + 1 for its number of
@@ -465,68 +485,103 @@ def hankel_certifies_full_rank(sequences, d: int) -> float:
     """
     x = power_of_two_scaled(np.concatenate(sequences))
     lengths = [len(seq) for seq in sequences]
-    # the C-ordered base of `hankel_gram`'s transposed view, whose upper
-    # triangle holds the Gram matrix, is factored where it lies
-    return cholesky_certificate(
-        hankel_gram(x, lengths, d).T, hankel_kappa(x, lengths, d)
-    )
+    kappa, t = hankel_kappa(x, lengths, d)
+    block_rows = hankel_gram(x, lengths, d)
+    # the samples are freed once `hankel_gram` has taken what it needs
+    del x
+    return cholesky_certificate(block_rows, kappa, t)
 
 
-def hankel_gram(x: np.ndarray, lengths, d: int) -> np.ndarray:
-    """Gram matrix of the depth-d mosaic-Hankel matrix of the sequences of
-    `lengths` samples stacked in the rows of `x`, formed from the samples
-    (see `hankel_certifies_full_rank`). The upper triangle is formed and
-    returned transposed, so the lower triangle holds the Gram matrix and the
-    other one is zero. Outside ``__all__``, like `svd_rank`.
+def hankel_gram(x: np.ndarray, lengths, d: int):
+    """Block rows of the Gram matrix G of the depth-d mosaic-Hankel matrix
+    of the sequences of `lengths` samples stacked in the rows of `x`, formed
+    from the samples (see `hankel_certifies_full_rank`): for each block row
+    [lo, hi) of `_block_edges` of r = d m, a C-ordered (hi - lo) x (r - lo)
+    array whose upper triangle holds G[lo:hi, lo:]; below its diagonal it
+    holds zeros or parts of G. The block rows lie one after the other in
+    one zeroed array, and each is formed when the next one is asked for, so
+    a caller that factors it in place holds one triangle of G, never r x r.
+    Outside ``__all__``, like `svd_rank`.
 
-    - Block row 0: G_{0,b} = sum_i sum_{j < w_i} x_i[j] x_i[j + b]^T, one
-      product per lag b of the window heads (the samples, with the last
-      d - 1 of each sequence zeroed) against the samples b further on.
-    - Block rows 1 .. d - 1: dropping the first sample of every window and
-      appending the next one gives, exactly,
-      G_{a+1,b+1} = G_{a,b} + C_{a,b} with
-      C_{a,b} = sum_i (t_{i,a} t_{i,b}^T - h_{i,a} h_{i,b}^T), formed one
-      block row at a time by a product of inner length 2 tau. Only blocks
-      with b >= a are formed.
+    - Rows 0 .. m - 1, block row 0 of the mosaic's: G_{0,b} =
+      sum_i sum_{j < w_i} x_i[j] x_i[j + b]^T, one product per lag b of the
+      window heads (the samples, with the last d - 1 of each sequence
+      zeroed) against the samples b further on.
+    - Row p >= m: dropping the first sample of every window and appending
+      the next one gives, exactly, G_{a+1,b+1} = G_{a,b} + C_{a,b} with
+      C_{a,b} = sum_i (t_{i,a} t_{i,b}^T - h_{i,a} h_{i,b}^T), so row p is
+      row p - m, one block further right, plus a row of C. They are formed
+      m rows at a time by a product of inner length 2 tau, from the m rows
+      above, each from its own diagonal on. The m rows above a block row
+      are copied from the one before it, which is then handed over.
     """
     m = x.shape[1]
     r = d * m
     ends = np.cumsum(lengths)
     starts = ends - lengths
     n = len(x) - (d - 1)
-    gram = np.zeros((r, r))
     heads = x[:n].copy()
     for end in ends[:-1]:
         heads[end - d + 1 : end] = 0.0
     lags = np.lib.stride_tricks.sliding_window_view(x, (n, m))[:, 0]
-    gram[:m] = np.matmul(heads.T, lags).transpose(1, 0, 2).reshape(m, r)
-    # freed before the block rows' temporaries are made, so the heap, whose
-    # pages stay resident through the factorization, grows less
+    # the m rows above the block row, from the column m left of its first
+    # on: at first rows 0 .. m - 1 of G, read as rows -m .. -1, to which
+    # C' below adds zero rows
+    above = np.matmul(heads.T, lags).transpose(1, 0, 2).reshape(m, r)
+    # freed before the block rows are made, so the heap, whose pages stay
+    # resident through the factorization, grows less
     del heads
-    # rows: the last d - 1 samples of each sequence, then its first d - 1
-    left = np.stack(
+    # columns m .. r - 1: the last d - 1 samples of each sequence, then its
+    # first d - 1; columns 0 .. m - 1 are zero, so C' = left^T right holds
+    # C_{a,b} at block (a + 1, b + 1) and nothing in block row 0
+    left = np.zeros((2 * len(lengths), r))
+    left[:, m:] = np.stack(
         [x[end - d + 1 : end].reshape(-1) for end in ends]
         + [x[start : start + d - 1].reshape(-1) for start in starts]
     )
     right = left.copy()
     right[len(lengths) :] *= -1.0
-    for a in range(1, d):
-        lo = (a - 1) * m
-        np.add(
-            gram[lo : lo + m, lo : r - m],
-            left[:, lo : lo + m].T @ right[:, lo:],
-            out=gram[lo + m : lo + 2 * m, lo + m :],
-        )
-    return gram.T
+    # the samples, freed here when the caller holds no other reference
+    del x, lags
+    edges = _block_edges(r)
+    # the block rows, one after the other in one zeroed triangle: one
+    # allocation per certificate, which the allocator keeps for the next
+    # one instead of handing its pages back
+    sizes = [(hi - lo) * (r - lo) for lo, hi in zip(edges, edges[1:])]
+    triangle = np.zeros(sum(sizes))
+    offsets = np.cumsum([0] + sizes)
+    for lo, hi, offset, size in zip(edges, edges[1:], offsets, sizes):
+        block = triangle[offset : offset + size].reshape(hi - lo, r - lo)
+        for p in range(lo, hi, m):
+            q = min(p + m, hi)
+            if p == lo:
+                source = above[: q - p]
+            else:
+                source = block[p - lo - m : q - lo - m, p - lo - m : -m]
+            np.add(
+                source,
+                left[:, p:q].T @ right[:, p:],
+                out=block[p - lo : q - lo, p - lo :],
+            )
+        if hi < r:
+            # rows hi - m .. hi - 1, columns hi - m .. r - m - 1, copied
+            # before `block` is overwritten; from the rows above too when
+            # the block row is narrower than m
+            kept = min(m, hi - lo)
+            carried = np.zeros((m, r - hi))
+            carried[: m - kept] = above[hi - lo :, hi - lo :]
+            carried[m - kept :, m - kept :] = block[-kept:, hi - lo - kept : -m]
+            above = carried
+        yield block
 
 
-def hankel_kappa(x: np.ndarray, lengths, d: int) -> float:
+def hankel_kappa(x: np.ndarray, lengths, d: int) -> tuple[float, float]:
     """kappa of `hankel_gram` for the same arguments, derived at
-    `hankel_certifies_full_rank`, from the squared norms of the samples: t
-    counts sample k of a sequence of T samples and w windows in
-    min(k + 1, T - k, w, d) windows, omega_h and omega_t weight its first
-    and last d - 1 samples by d - 1, ..., 1. Outside ``__all__``, like
-    `svd_rank`."""
+    `hankel_certifies_full_rank`, and t = ||H||_F^2, from the squared norms
+    of the samples: t counts sample k of a sequence of T samples and w
+    windows in min(k + 1, T - k, w, d) windows, omega_h and omega_t weight
+    its first and last d - 1 samples by d - 1, ..., 1. Outside
+    ``__all__``, like `svd_rank`."""
     ends = np.cumsum(lengths)
     starts = ends - lengths
     energy = (x * x).sum(axis=1)
@@ -542,7 +597,7 @@ def hankel_kappa(x: np.ndarray, lengths, d: int) -> float:
     cols = sum(lengths) - len(lengths) * (d - 1)
     tau = len(lengths)
     spill = ((cols + 2 * tau) * omega_h + 2 * tau * omega_t) / t if t else 0.0
-    return cols + d - 1 + float(spill)
+    return cols + d - 1 + float(spill), float(t)
 
 
 def numerical_rank(m) -> int:

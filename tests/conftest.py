@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 from importlib.resources import files
@@ -49,15 +50,17 @@ def svd_calls(monkeypatch) -> list:
 @pytest.fixture
 def cholesky_certificates(monkeypatch) -> list:
     """(size, bound) of every numerics.cholesky_certificate call while the
-    test runs: the order of the Gram matrix and the bound the certificate
-    proved, 0.0 when it decided nothing; like `svd_calls`."""
+    test runs: the order of the Gram matrix, read as the width of its first
+    block row, and the bound the certificate proved, 0.0 when it decided
+    nothing; like `svd_calls`."""
     calls = []
     certificate = numerics.cholesky_certificate
 
-    def recording(gram, kappa):
-        size = gram.shape[0]
-        bound = certificate(gram, kappa)
-        calls.append((size, bound))
+    def recording(block_rows, kappa, t):
+        rows = iter(block_rows)
+        first = next(rows)
+        bound = certificate(itertools.chain([first], rows), kappa, t)
+        calls.append((first.shape[1], bound))
         return bound
 
     monkeypatch.setattr(numerics, "cholesky_certificate", recording)

@@ -169,6 +169,7 @@ def test_pe_order_structural_ceiling():
 
 # the module, not the function `willems.hankel` the package exports
 hankel_module = importlib.import_module("willems.hankel")
+numerics_module = importlib.import_module("willems.numerics")
 
 
 def on_each_route(monkeypatch):
@@ -199,12 +200,16 @@ def recursion_input(rng, T, m, coeffs):
     return u
 
 
-def prescribed_mosaic(rng, rows, cols, ratio):
+def prescribed_mosaic(rng, rows, cols, ratio, rank=None):
     """Single-column trajectories whose depth-d mosaic is a matrix with
-    singular values spread geometrically from 1 down to `ratio`."""
+    singular values spread geometrically from 1 down to `ratio`; with a
+    `rank`, the first `rank` of them are 1 and the others `ratio`."""
     q_left, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
     q_right, _ = np.linalg.qr(rng.normal(size=(cols, rows)))
-    sigma = np.geomspace(1.0, ratio, rows)
+    if rank is None:
+        sigma = np.geomspace(1.0, ratio, rows)
+    else:
+        sigma = np.where(np.arange(rows) < rank, 1.0, ratio)
     return (q_left * sigma) @ q_right.T
 
 
@@ -312,11 +317,16 @@ def test_svd_runs_only_when_the_certificate_fails(svd_calls, caplog):
 def test_certificate_verdict_matches_svd_on_large_mosaics(monkeypatch):
     # r >= 264 on both sides of the routing rule: one input keeps m r c
     # below it, four and eight take it past. Rich inputs, inputs of a
-    # short recursion (never PE) and, in the last case, 264 trajectories of
-    # one window each, so the corrections' inner length 2 tau exceeds c
+    # short recursion (never PE) and, in the 264-row prescribed cases, 264
+    # trajectories of one window each, so the corrections' inner length
+    # 2 tau exceeds c. The last two shapes have 2 and 3 block rows
+    # (r = 400 and 780), and the last case is a generic mosaic of rank
+    # r - 1 at r = 800, whose factorization fails only in its last block
+    # row
     rng = np.random.default_rng(68)
     cases = []
     shapes = [(1, 1, 600, 264), (1, 2, 500, 300), (4, 4, 150, 70), (8, 3, 120, 33)]
+    shapes += [(5, 2, 300, 80), (10, 4, 280, 78)]
     for m, tau, T, d in shapes:
         rich = [rng.normal(size=(T, m)) for _ in range(tau)]
         flat = [recursion_input(rng, T, m, [0.9, -0.2]) for _ in range(tau)]
@@ -325,6 +335,10 @@ def test_certificate_verdict_matches_svd_on_large_mosaics(monkeypatch):
         mosaic = prescribed_mosaic(rng, 264, 280, ratio)
         windows = [mosaic[:, j].reshape(33, 8) for j in range(280)]
         cases.append((trajectory_set(windows), 33))
+    mosaic = prescribed_mosaic(rng, 800, 816, 1e-17, rank=799)
+    assert gram_certifies_full_rank(mosaic[:-1])  # every row but the last
+    windows = [mosaic[:, j].reshape(100, 8) for j in range(816)]
+    cases.append((trajectory_set(windows), 100))
     sides = set()
     for data, d in cases:
         m = data[0].m
@@ -443,6 +457,30 @@ def test_certificate_verdict_past_one_block_matches_svd_on_scaled_data(
         assert verdict == svd_verdict(data, rows)
         for route in on_each_route(monkeypatch):
             assert logged_verdict(scaled, rows, route, caplog) == (verdict, step), route
+
+
+@pytest.mark.parametrize("width", [1, 3, 7])
+def test_certificate_verdict_matches_svd_in_narrow_block_rows(
+    width, svd_calls, monkeypatch
+):
+    # many block rows, some narrower than m: the structured route takes
+    # the rows above a block row from several before it, and both routes
+    # factor through many finished block rows
+    monkeypatch.setattr(numerics_module, "_CHOLESKY_BLOCK", width)
+    rng = np.random.default_rng(88)
+    cases = list(deficient_sets(rng))
+    for m, d in [(1, 12), (3, 5), (4, 6), (9, 2)]:
+        cases.append((trajectory_set(rng.normal(size=(T, m)) for T in (20, 31)), d))
+    verdicts = []
+    for data, d in cases:
+        verdict = svd_verdict(data, d)
+        for route in on_each_route(monkeypatch):
+            svd_calls.clear()
+            assert is_collectively_pe(data, d) == verdict, (route, d)
+            # every True is certified, every False goes to the SVD
+            assert bool(svd_calls) != verdict, (route, d)
+        verdicts.append(verdict)
+    assert verdicts.count(True) == 4  # the rich sets
 
 
 def test_pe_order_is_invariant_to_trajectory_order_and_input_scale():

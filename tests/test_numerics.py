@@ -26,12 +26,14 @@ from willems import (
 )
 from willems.numerics import (
     SubspaceBasis,
+    _block_edges,
     as_bound,
     as_matrix,
     as_vector,
     certified_inverse,
     cholesky_certificate,
     gram_certifies_full_rank,
+    hankel_certifies_full_rank,
     hankel_gram,
     hankel_kappa,
     least_squares,
@@ -330,24 +332,45 @@ def test_gram_certificate_never_claims_full_rank_the_svd_denies(shape):
 
 
 def test_certificate_factors_the_gram_matrix_without_an_r_by_r_copy(peak_alloc):
-    # the Gram matrix as each route hands it over at r = 600: the product
-    # a a^T, and the C-ordered base of `hankel_gram`'s transposed view (4
-    # inputs, depth 150, two sequences). The factorization runs in it, so
-    # beside it the certificate holds a few blocks, under half an r x r
-    # matrix of doubles
+    # the block rows of the Gram matrix as each route hands them over at
+    # r = 600: views of the product a a^T, and those of `hankel_gram` (4
+    # inputs, depth 150, two sequences), here formed before the call. The
+    # factorization runs in them, so beside them the certificate holds a
+    # few blocks, under half an r x r matrix of doubles
     rng = np.random.default_rng(83)
     r, lengths, d = 600, [500, 500], 150
     a = power_of_two_scaled(rng.normal(size=(r, 640)))
     x = power_of_two_scaled(rng.normal(size=(sum(lengths), 4)))
+    gram = a @ a.T
+    edges = _block_edges(r)
     routes = {
-        "direct": (a @ a.T, 640),
-        "structured": (hankel_gram(x, lengths, d).T, hankel_kappa(x, lengths, d)),
+        "direct": (
+            [gram[lo:hi, lo:] for lo, hi in zip(edges, edges[1:])],
+            640,
+            gram.trace(),
+        ),
+        "structured": (list(hankel_gram(x, lengths, d)), *hankel_kappa(x, lengths, d)),
     }
-    for route, (gram, kappa) in routes.items():
-        assert gram.shape == (r, r) and gram.flags.c_contiguous, route
-        bound, peak = peak_alloc(cholesky_certificate, gram, kappa)
+    for route, (block_rows, kappa, t) in routes.items():
+        assert [block.shape for block in block_rows] == [(300, 600), (300, 300)], route
+        bound, peak = peak_alloc(cholesky_certificate, block_rows, kappa, t)
         assert bound > 0, route  # certified, so every block was factored
         assert peak < r * r * 4, (route, peak)
+
+
+def test_structured_certificate_holds_one_triangle_at_identify_nets_largest_point(
+    peak_alloc,
+):
+    # the full_n rule at 8 agents: 19 sequences of 120 samples of 16 inputs
+    # at depth 65, a 1040 x 1064 mosaic. Formed and factored one block row
+    # at a time, the Gram matrix is held as one triangle, with the
+    # temporaries beside it under r x r doubles in all
+    rng = np.random.default_rng(84)
+    sequences = [rng.normal(size=(120, 16)) for _ in range(19)]
+    r = 65 * 16
+    bound, peak = peak_alloc(hankel_certifies_full_rank, sequences, 65)
+    assert bound > 0  # certified, so every block row was formed and factored
+    assert peak < r * r * 8, peak
 
 
 @pytest.mark.parametrize("k", [2, 5, 12])
@@ -422,12 +445,15 @@ def test_hankel_gram_stays_within_its_derived_rounding_bound(sequences, d, round
     r, c = H.shape
     m, tau = x.shape[1], len(lengths)
     exact = [[Fraction(v) for v in row] for row in H]
-    computed = hankel_gram(x, lengths, d)
+    computed = np.zeros((r, r))
+    for block in hankel_gram(x, lengths, d):
+        lo = r - block.shape[1]
+        computed[lo : lo + len(block), lo:] = block
     error = np.zeros((r, r))
     for p in range(r):
         for q in range(p + 1):
             g = sum(a * b for a, b in zip(exact[p], exact[q]))
-            error[p, q] = error[q, p] = float(Fraction(computed[p, q]) - g)
+            error[p, q] = error[q, p] = float(Fraction(computed[q, p]) - g)
     # the dominating nonnegative matrices of the derivation
     A = np.abs(H)
     W_h, W_t = np.zeros((r, tau * (d - 1))), np.zeros((r, tau * (d - 1)))
@@ -455,10 +481,21 @@ def test_hankel_gram_stays_within_its_derived_rounding_bound(sequences, d, round
     assert error.any() == rounds  # not vacuous where products round
     t = float(sum(v * v for row in exact for v in row))
     omega_h, omega_t = float((W_h**2).sum()), float((W_t**2).sum())
-    kappa = hankel_kappa(x, lengths, d)
+    kappa, t_samples = hankel_kappa(x, lengths, d)
     expected = c + d - 1 + ((c + 2 * tau) * omega_h + 2 * tau * omega_t) / t
     assert kappa == pytest.approx(expected, rel=1e-12)
+    assert t_samples == pytest.approx(t, rel=1e-12)  # the shift's t'
     assert np.linalg.norm(error, 2) <= kappa * u * t * slack
+
+
+@pytest.mark.parametrize("width", [1, 2, 5])
+def test_hankel_gram_in_narrow_block_rows_stays_within_the_same_bound(width, monkeypatch):
+    # block rows narrower than m, or than the depth, take the m rows above
+    # them from more than one block row before; every case still meets the
+    # same rounding bounds
+    monkeypatch.setattr(willems.numerics, "_CHOLESKY_BLOCK", width)
+    for case in hankel_gram_cases():
+        test_hankel_gram_stays_within_its_derived_rounding_bound(*case.values)
 
 
 def malformed_arrays(good, rng, vector):
