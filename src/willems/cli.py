@@ -1,9 +1,9 @@
 """Command-line front end for the experiments and verification suites.
 
 Subcommands take a JSON config by path (matrices as nested row-major
-arrays) plus optional --seed and --out overrides. Exit codes: 0 success,
-2 usage or config error, 3 excitation hypothesis violated, 4 solver
-infeasibility, 5 numerical failure.
+arrays); --seed and --out set its `seed` and `out` fields. Exit codes: 0
+success, 2 usage or config error, 3 excitation hypothesis violated, 4
+solver infeasibility, 5 numerical failure.
 """
 
 from __future__ import annotations
@@ -188,6 +188,14 @@ def _system(cfg: dict) -> LtiSystem:
         raise ConfigError(f"invalid system matrices: {exc}") from exc
 
 
+def _out_dir(cfg: dict) -> str:
+    """The `out` field: a path that is a directory or can become one."""
+    out = _string(cfg.get("out", "."), "out")
+    if out and (os.path.isdir(out) or not os.path.exists(out)):
+        return out
+    raise ConfigError(f"config field 'out' ({out!r}) is not a directory path")
+
+
 def _out_path(out_dir: str, name: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
@@ -363,7 +371,7 @@ def cmd_deepc(cfg: dict, out_dir: str, seed: int) -> int:
     return 0
 
 
-def _anchor(cfg: dict, spec: MultiAgentSpec) -> tuple:
+def _anchor(cfg: dict) -> tuple:
     """The `anchor` field of `identify`: (edge, agent, sign), an edge index,
     an agent index and +-1, naming the block of E known to carry the sign."""
     raw = cfg.get("anchor", (0, 0, 1))
@@ -376,11 +384,6 @@ def _anchor(cfg: dict, spec: MultiAgentSpec) -> tuple:
     sign = _integer(raw[2], "anchor", least=-1)
     if sign not in (1, -1):
         raise ConfigError(f"config field 'anchor' has sign {sign}, not +1 or -1")
-    if i >= spec.M or j >= spec.N:
-        raise ConfigError(
-            f"config field 'anchor' names block ({i}, {j}) outside the "
-            f"{spec.M} x {spec.N} grid of edges by agents"
-        )
     return i, j, sign
 
 
@@ -388,10 +391,11 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     Abar = _matrix(cfg, "Abar")
     Bbar = _matrix(cfg, "Bbar")
     N = _count(cfg, "N")
-    if _string(cfg.get("graph", "star"), "graph", ("star", "given")) == "star":
+    # without `edges` the network is the star
+    edges = cfg.get("edges")
+    if edges is None:
         edges = star_edges(N)
     else:
-        edges = _require(cfg, "edges")
         pairs = isinstance(edges, list) and all(
             isinstance(e, list) and len(e) == 2 for e in edges
         )
@@ -413,6 +417,8 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
     rules = [_string(rule, "rules", ORDER_RULES) for rule in rules]
     agents = _integers(cfg, "sweep_agents", list(range(3, 9)))
     low, high = _range(cfg, "input_low", "input_high", (-0.1, 0.1))
+    kmax = _count(cfg, "kmax", spec.nbar + 1, least=spec.nbar + 1)
+    anchor = _anchor(cfg)
 
     if spec.M == 0:
         print("no edges: nothing is measured, identification skipped")
@@ -425,19 +431,19 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
                 f"config field 'T' must be at least the network's state "
                 f"dimension plus one, {n + 1}, got {T}"
             )
-        kmax = _count(cfg, "kmax", spec.nbar + 1, least=spec.nbar + 1)
         if kmax > n:
             raise ConfigError(
                 f"config field 'kmax' must be at most the network's state "
                 f"dimension {n}, got {kmax}"
             )
-        anchor = _anchor(cfg, spec)
+        if anchor[0] >= spec.M or anchor[1] >= spec.N:
+            raise ConfigError(
+                f"config field 'anchor' names block {anchor[:2]} outside the "
+                f"{spec.M} x {spec.N} grid of edges by agents"
+            )
         sys_ = build_system(spec)
         data = collect_trajectories(sys_, tau, T, low, high, seed)
-        io_only = TrajectorySet(
-            tuple(Trajectory(t.inputs, outputs=t.outputs) for t in data)
-        )
-        params = markov_from_data(io_only, sys_.n, kmax)
+        params = markov_from_data(data, sys_.n, kmax)
         E = spec.incidence()
         powers = power_blocks(spec.Abar, np.eye(spec.nbar), kmax)
         errs = [
@@ -479,9 +485,11 @@ def cmd_identify(cfg: dict, out_dir: str, seed: int) -> int:
 
 def _trajectory(raw, field: str) -> Trajectory:
     """The trajectory in the CSV file a string names, or the inputs-only
-    trajectory of a float array; a bad file or array names `field`."""
+    trajectory of a numeric array; a bad file or array names `field`."""
     try:
-        return trajectory_from_csv(raw) if isinstance(raw, str) else Trajectory(raw)
+        if isinstance(raw, str):
+            return trajectory_from_csv(raw)
+        return Trajectory(_floats(raw, field))
     except (OSError, ValueError) as exc:
         where = f" (trajectory CSV {raw})" if isinstance(raw, str) else ""
         raise ConfigError(f"config field '{field}'{where}: {exc}") from exc
@@ -491,18 +499,7 @@ def cmd_check_pe(cfg: dict, out_dir: str, seed: int) -> int:
     entries = _require(cfg, "trajectories")
     if not isinstance(entries, list) or not entries:
         raise ConfigError("config field 'trajectories' lists no trajectory")
-    trajs = []
-    for i, entry in enumerate(entries):
-        name = f"trajectories[{i}]"
-        if isinstance(entry, dict):
-            name += ".inputs"
-            entry = _floats(_require(entry, "inputs"), name)
-        elif not isinstance(entry, str):
-            raise ConfigError(
-                f"config field '{name}' is neither a CSV path nor an object "
-                "with an 'inputs' array"
-            )
-        trajs.append(_trajectory(entry, name))
+    trajs = [_trajectory(e, f"trajectories[{i}]") for i, e in enumerate(entries)]
     try:
         data = TrajectorySet(tuple(trajs))
     except ValueError as exc:
@@ -516,22 +513,19 @@ def cmd_simulate(cfg: dict, out_dir: str, seed: int) -> int:
     sys_ = _system(cfg)
     x0 = _array(cfg.get("x0", [0.0] * sys_.n), "x0", (sys_.n,))
     name = _string(cfg.get("out_name", "trajectory.csv"), "out_name")
-    if "input" in cfg or "inputs" in cfg:
-        # a trajectory CSV path, or an inline array
-        field, read = ("input", _string) if "input" in cfg else ("inputs", _floats)
-        u = _trajectory(read(cfg[field], field), field).inputs
-    else:
-        field = "T"
-        if field not in cfg:
-            raise ConfigError("need 'input', 'inputs', or a length 'T'")
-        T = _count(cfg, field)
+    if "inputs" in cfg:
+        u = _trajectory(cfg["inputs"], "inputs").inputs
+        if u.shape[1] != sys_.m:
+            raise ConfigError(
+                f"config field 'inputs': inputs have {u.shape[1]} channels, "
+                f"the system has {sys_.m}"
+            )
+    elif "T" in cfg:
+        T = _count(cfg, "T")
         low, high = _range(cfg, "input_low", "input_high", (-1.0, 1.0))
         u = random_input(sys_.m, T, low, high, seed)
-    if u.shape[1] != sys_.m:
-        raise ConfigError(
-            f"config field '{field}': inputs have {u.shape[1]} channels, "
-            f"the system has {sys_.m}"
-        )
+    else:
+        raise ConfigError("need 'inputs' (a CSV path or an array) or a length 'T'")
     traj = simulate(sys_, x0, u)
     path = _out_path(out_dir, name)
     trajectory_to_csv(traj, path)
@@ -561,8 +555,8 @@ def _parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--seed", type=int, help="the config's seed")
+        p.add_argument("--out", help="the config's out: output directory")
     return parser
 
 
@@ -585,11 +579,16 @@ def main(argv=None) -> int:
     try:
         if not isinstance(cfg, dict):
             raise ConfigError(f"{args.config} is not a JSON object")
-        seed = args.seed if args.seed is not None else _count(cfg, "seed", 0, least=0)
-        out = args.out if args.out is not None else _string(cfg.get("out", "."), "out")
-        return _COMMANDS[args.command](cfg, out, seed)
+        flags = {"seed": args.seed, "out": args.out}
+        cfg.update((name, v) for name, v in flags.items() if v is not None)
+        seed = _count(cfg, "seed", 0, least=0)
+        return _COMMANDS[args.command](cfg, _out_dir(cfg), seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # an output that cannot be written; the message names its path
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)

@@ -60,7 +60,7 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path, capsys):
     assert main(argv) == 2
     first = capsys.readouterr().err
     assert main(argv) == 2 and capsys.readouterr().err == first
-    cfg = {"trajectories": [{"inputs": [1.0, -1.0, 2.0]}]}
+    cfg = {"trajectories": [[1.0, -1.0, 2.0]]}
     assert run(tmp_path, "check-pe", cfg) == 0
     assert cli._parser.cache_info().currsize == 1
 
@@ -120,7 +120,7 @@ def test_check_pe_on_csv_and_inline(tmp_path, capsys):
     assert run(tmp_path, "check-pe", cfg) == 0
     said = capsys.readouterr().out
     assert "order" in said
-    cfg = {"trajectories": [{"inputs": [[1.0], [2.0], [4.0], [9.0]]}]}
+    cfg = {"trajectories": [[[1.0], [2.0], [4.0], [9.0]]]}
     assert run(tmp_path, "check-pe", cfg) == 0
     assert "order: 2" in capsys.readouterr().out
 
@@ -130,8 +130,14 @@ def test_check_pe_on_csv_and_inline(tmp_path, capsys):
     [
         ("check-pe", {"trajectory": {"inputs": [1.0, -1.0, 2.0]}}, "trajectories"),
         ("simulate", {"system": plant_section(), "length": 6}, "T"),
+        ("simulate", {"system": plant_section(), "input": "traj.csv"}, "inputs"),
+        (
+            "check-pe",
+            {"trajectories": [{"inputs": [1.0, -1.0, 2.0]}]},
+            "trajectories[0]",
+        ),
     ],
-    ids=["check-pe-trajectory", "simulate-length"],
+    ids=["check-pe-trajectory", "simulate-length", "simulate-input", "check-pe-object"],
 )
 def test_a_retired_alias_exits_2_naming_the_field_read(
     tmp_path, capsys, command, cfg, field
@@ -141,6 +147,52 @@ def test_a_retired_alias_exits_2_naming_the_field_read(
     err = capsys.readouterr().err
     assert err.startswith("config error") and f"'{field}'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, fields, field",
+    [
+        ({"seed": -1}, {}, "seed"),
+        ({}, {"seed": -1}, "seed"),
+        ({"out": ""}, {}, "out"),
+        ({}, {"out": ""}, "out"),
+        ({"out": "file.txt"}, {}, "out"),
+        ({}, {"out": "file.txt"}, "out"),
+    ],
+    ids=[
+        "seed-flag-negative",
+        "seed-field-negative",
+        "out-flag-empty",
+        "out-field-empty",
+        "out-flag-a-file",
+        "out-field-a-file",
+    ],
+)
+def test_a_flag_is_read_as_the_field_it_names(
+    tmp_path, capsys, monkeypatch, flags, fields, field
+):
+    # --seed and --out set the config's fields, so the fields' checks catch
+    # a bad flag before any work: exit 2, naming the field, nothing written
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.txt").write_text("kept")
+    cfg = {"random": {"count": 1}, **fields}
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(tmp_path, "verify-theorem1", cfg, **flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{field}'" in err
+    # the config file is written anew, and nothing else
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({*before, "cfg.json"})
+    assert (tmp_path / "file.txt").read_text() == "kept"
+
+
+def test_an_output_that_cannot_be_written_exits_2_naming_its_path(tmp_path, capsys):
+    # a directory below a file passes the `out` check, since it does not
+    # exist, and fails only when the first CSV is written
+    (tmp_path / "file.txt").write_text("kept")
+    out = tmp_path / "file.txt" / "sub"
+    assert run(tmp_path, "verify-theorem1", {"random": {"count": 1}}, out=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output") and str(out) in err
 
 
 def test_verify_theorem1_random_recipe(tmp_path, capsys):
@@ -337,6 +389,36 @@ def test_identify_single_agent_skips(tmp_path, capsys):
     assert run(tmp_path, "identify", cfg, out=tmp_path / "o") == 0
     said = capsys.readouterr().out
     assert "skipped" in said
+
+
+@pytest.mark.parametrize(
+    "network, field, value",
+    [
+        ({"N": 1}, "kmax", "x"),
+        ({"N": 1}, "anchor", "bad"),
+        ({"N": 3, "edges": []}, "kmax", "x"),
+        ({"N": 3, "edges": []}, "anchor", [0, 0, 2]),
+    ],
+    ids=["one-agent-kmax", "one-agent-anchor", "no-edges-kmax", "no-edges-anchor-sign"],
+)
+def test_identify_without_edges_still_reads_kmax_and_anchor(
+    tmp_path, capsys, network, field, value
+):
+    # nothing is identified without a measured edge, but the fields' kinds
+    # and the anchor's sign are read all the same
+    cfg = {
+        "Abar": [[0.9, 0.1], [0.0, 0.8]],
+        "Bbar": [[0.0], [1.0]],
+        "T": 40,
+        "sweep_agents": [3],
+        **network,
+        field: value,
+    }
+    out = tmp_path / "o"
+    assert run(tmp_path, "identify", cfg, out=out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"'{field}'" in err
+    assert not out.exists()
 
 
 def csv_without_timing(path, drop=()):
@@ -749,7 +831,7 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         path.write_text(content)
     for command, cfg, field in (
         ("check-pe", {"trajectories": [str(path)]}, "trajectories[0]"),
-        ("simulate", {"system": plant_section(), "input": str(path)}, "input"),
+        ("simulate", {"system": plant_section(), "inputs": str(path)}, "inputs"),
     ):
         assert run(tmp_path, command, cfg, out=tmp_path / "o") == 2
         err = capsys.readouterr().err
@@ -761,8 +843,8 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
     [
         (
             "check-pe",
-            {"trajectories": [{"inputs": [[1.0], [float("nan")], [2.0]]}]},
-            "trajectories[0].inputs",
+            {"trajectories": [[[1.0], [float("nan")], [2.0]]]},
+            "trajectories[0]",
         ),
         ("check-pe", {"trajectories": []}, "trajectories"),
         (
@@ -797,7 +879,7 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         ("identify", bundled_config("fig2_multiagent.json", kmax=13), "kmax"),
         (
             "check-pe",
-            {"trajectories": [{"inputs": [[1.0], [2.0]]}, {"inputs": [[1.0, 2.0]]}]},
+            {"trajectories": [[[1.0], [2.0]], [[1.0, 2.0]]]},
             "trajectories",
         ),
         ("verify-theorem1", {"system": plant_section(), "tau": 0, "L": 3}, "tau"),
@@ -865,21 +947,17 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
         ("identify", bundled_config("fig2_multiagent.json", Abar="x"), "Abar"),
         (
             "identify",
-            bundled_config("fig2_multiagent.json", graph="given", edges=5),
+            bundled_config("fig2_multiagent.json", edges=5),
             "edges",
         ),
         (
             "identify",
-            bundled_config(
-                "fig2_multiagent.json", graph="given", edges=[[0.5, 1]]
-            ),
+            bundled_config("fig2_multiagent.json", edges=[[0.5, 1]]),
             "edges[0]",
         ),
         (
             "identify",
-            bundled_config(
-                "fig2_multiagent.json", graph="given", edges=[[0, 1], [2, True]]
-            ),
+            bundled_config("fig2_multiagent.json", edges=[[0, 1], [2, True]]),
             "edges[1]",
         ),
         ("check-pe", {"trajectories": 5}, "trajectories"),
@@ -903,10 +981,11 @@ def test_unreadable_trajectory_csv_exits_2(tmp_path, capsys, content):
             "input_low",
         ),
         ("simulate", {"system": plant_section(), "inputs": {"a": 1}}, "inputs"),
-        ("simulate", {"system": plant_section(), "input": [[0.1]]}, "input"),
+        # the retired `input` field is not read: the message names `inputs`
+        ("simulate", {"system": plant_section(), "input": [[0.1]]}, "inputs"),
         # an integer is not a path: open() would take it as a descriptor
-        ("simulate", {"system": plant_section(), "input": 0}, "input"),
-        ("simulate", {"system": plant_section(), "input": 1}, "input"),
+        ("simulate", {"system": plant_section(), "inputs": 0}, "inputs"),
+        ("simulate", {"system": plant_section(), "inputs": 1}, "inputs"),
         # JSON booleans and numeric strings are not numbers, at any depth
         ("deepc", bundled_config("fig1_deepc.json", u_max=True), "u_max"),
         ("deepc", bundled_config("fig1_deepc.json", u_max="0.5"), "u_max"),
@@ -1025,9 +1104,9 @@ def test_malformed_fields_never_raise_and_exit_2_writing_nothing(tmp_path, capsy
             {"system": plant, "T": 6, "x0": [0, 0, 0, 0], "input_low": -1,
              "input_high": 1, "out_name": "t.csv"},
         ),
-        ("simulate", {"system": plant, "input": str(csv)}),
+        ("simulate", {"system": plant, "inputs": str(csv)}),
         ("simulate", {"system": plant, "inputs": [[0.1], [0.2]]}),
-        ("check-pe", {"trajectories": [{"inputs": [[1.0], [2.0], [4.0]]}, str(csv)]}),
+        ("check-pe", {"trajectories": [[[1.0], [2.0], [4.0]], str(csv)]}),
         ("verify-theorem1", {"random": recipe}),
         (
             "verify-theorem1",
@@ -1048,7 +1127,7 @@ def test_malformed_fields_never_raise_and_exit_2_writing_nothing(tmp_path, capsy
                         (command, f"{key}.{sub}", {**base, key: {**value, sub: bad}})
                         for bad in MALFORMED
                     ]
-    assert len(configs) == 741
+    assert len(configs) == 728
     for k, (command, field, cfg) in enumerate(configs):
         out = tmp_path / f"o{k}"
         code = run(tmp_path, command, cfg, out=out)

@@ -399,6 +399,37 @@ def test_inverse_certificate_never_claims_a_ratio_the_svd_denies(k):
     assert any(ratio <= 1e-13 for ratio, _ in certified)
 
 
+@pytest.mark.parametrize("shape", [(8, 40), (30, 120), (60, 200)])
+def test_gram_certificates_never_claim_a_ratio_the_svd_denies(shape):
+    # the twin of the inverse certificate's test, for the bound either Gram
+    # route returns: on U diag(1, rho, ..., rho) V^T with rho spread over
+    # the decades around that bound, sqrt((kappa + k + 2) eps), a claim
+    # above the SVD's sigma_k / sigma_1 would mean the diagonal shift no
+    # longer covers the rounding of forming and factoring the Gram matrix
+    rows, cols = shape
+    rng = np.random.default_rng(89)
+    certified = {"direct": 0, "structured": 0}
+    for rho in np.geomspace(2e-8, 2e-5, 31):
+        q_left, _ = np.linalg.qr(rng.normal(size=(rows, rows)))
+        q_right, _ = np.linalg.qr(rng.normal(size=(cols, rows)))
+        sigma = np.full(rows, rho)
+        sigma[0] = 1.0
+        a = (q_left * sigma) @ q_right.T
+        s = np.linalg.svd(a, compute_uv=False)
+        bounds = {
+            "direct": gram_certifies_full_rank(a),
+            # each column one window of a single-input sequence of depth rows
+            "structured": hankel_certifies_full_rank(
+                [a[:, [j]] for j in range(cols)], rows
+            ),
+        }
+        for route, bound in bounds.items():
+            assert bound <= s[-1] / s[0], (route, rho, bound, s[-1] / s[0])
+            certified[route] += bound > 0
+    # not vacuous: each route certifies the better-conditioned matrices
+    assert all(certified.values()), certified
+
+
 def test_inverse_certificate_rejects_a_singular_kkt_matrix():
     # [[P, a'], [a, 0]] with P = diag(2, 0, 0) and a = (1, 1, 1): the
     # direction (0, 1, -1) costs nothing and meets the row, so the matrix
